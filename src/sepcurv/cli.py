@@ -46,7 +46,7 @@ from .geometry import sample_points, solve_height
 from .meshing import build_mesh, write_curvature_csv, write_obj
 from .report import report_body_csv, report_body_json, write_report
 from .specfile import LoadedSpec, load_spec
-from .suites import format_rows, run_constant_suite, run_flat_suite
+from .suites import DEFAULT_SEED, format_rows, run_constant_suite, run_flat_suite
 
 ENV_TOL = "SEPCURV_TOL"
 
@@ -67,8 +67,9 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
         help="override the constancy tolerance",
     )
     parser.add_argument(
-        "--threads", type=int, default=default(os.cpu_count() or 1),
-        help="scan worker threads (output is identical for any value)",
+        "--threads", type=int, default=default(1),
+        help="number of sequential point chunks a scan is split into "
+        "(output is identical for any value)",
     )
     parser.add_argument(
         "--format", choices=("json", "csv"), default=default("json"),
@@ -226,8 +227,10 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     write_report(ns.out, body)
     line = f"verdict: {report.verdict}"
     if report.spread is not None:
-        rel = "<=" if report.verdict == "constant" else ">"
+        rel = "<=" if report.spread <= tol else ">"
         line += f" (spread {report.spread:.3e} {rel} tol {tol:g})"
+    if report.flagged_count:
+        line += f" ({report.flagged_count} pair records flagged by the engine cross-check)"
     if report.constant_estimate is not None:
         line += f" (K = {report.constant_estimate!r})"
     print(line)
@@ -246,10 +249,13 @@ def _cmd_certify(ns: argparse.Namespace) -> int:
             raise SpecFileError("--dims entries must be >= 3")
     if ns.count < 2:
         raise SpecFileError("--count must be at least 2")
+    seed = DEFAULT_SEED if ns.seed is None else ns.seed
+    if seed < 0:
+        raise SpecFileError(f"--seed must be non-negative, got {seed}")
     if ns.suite == "flat":
-        rows = run_flat_suite(dims or (4, 5, 6), count=ns.count)
+        rows = run_flat_suite(dims or (4, 5, 6), count=ns.count, seed=seed)
     else:
-        rows = run_constant_suite(dims=dims or (4, 5), count=ns.count)
+        rows = run_constant_suite(dims=dims or (4, 5), count=ns.count, seed=seed)
     print(format_rows(rows))
     return 0 if all(r.ok for r in rows) else 1
 

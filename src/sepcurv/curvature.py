@@ -21,36 +21,37 @@ along a surface exactly when every coordinate-pair curvature vanishes.
 `constk_residual(..., k0)` vanishes exactly when K(i, j) = k0/4; the factor
 4 is internal to the residual's normalization, public curvature values are
 always K itself.
+
+Every engine runs on a jet table (`geometry.jet_table`): each f_k's 2-jet
+evaluated once per point with the scalar `Jet2` and stacked into P x n
+arrays of f_k' and f_k''.  The regularity gates, the closed form, both
+residuals, the coordinate frames and the Gauss engine with its tangency and
+independence checks are array expressions over that table, for all points
+and planes at once.  Sums over coordinates run in a fixed order, so a row's
+result does not depend on how many rows share the table: the point-wise
+functions are the same kernels at P = 1 and agree with a scan bit for bit,
+and a scan split into point chunks writes the same records.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from math import fsum
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegeneratePlaneError,
-    DomainError,
-    NonFiniteError,
-    RegularityError,
-)
-from .geometry import (
-    REGULARITY_EPS,
-    SeparableSurface,
-    SurfacePoint,
-    _check_regular,
-)
+from .errors import DegeneratePlaneError, SepcurvError
+from .geometry import JetTable, SeparableSurface, SurfacePoint, jet_table, point_jets
 
 EQUIVALENCE_RTOL = 1e-9        # |k_special - k_oracle| <= rtol * max(1, |k_oracle|)
 DEFAULT_CONSTANCY_TOL = 1e-7
 PLANE_EPS = 1e-10              # tangency and independence thresholds
 PLANE_RETRIES = 100
+CHUNK_PLANES = 1 << 14         # planes per scan chunk, bounding its arrays' memory
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,134 @@ def _pair_sorted(surface: SeparableSurface, i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def _jet_columns(surface: SeparableSurface, point: SurfacePoint) -> tuple[list[float], list[float]]:
-    jets = surface.jets(point.coords)
-    return [j.d1 for j in jets], [j.d2 for j in jets]
+def _finite_k0(k0: float) -> float:
+    k0 = float(k0)
+    if not math.isfinite(k0):
+        raise ValueError(f"k0 must be finite, got {k0!r}")
+    return k0
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a * b over the last axis, accumulated left to right."""
+    prod = a * b
+    out = prod[..., 0]
+    for k in range(1, prod.shape[-1]):
+        out = out + prod[..., k]
+    return out
+
+
+@dataclass(frozen=True)
+class PairTable:
+    """Closed-form terms of Q coordinate pairs at P points, as (P, Q) arrays.
+
+    `flat` is the closed-form numerator (the flatness residual) and `s` the
+    pair's f_i'^2 + f_j'^2 + f_h'^2.  `errors` holds each point's first jet
+    or regularity failure; the rows of failed points are meaningless.
+    """
+
+    pairs: tuple[tuple[int, int], ...]
+    jets: JetTable
+    flat: np.ndarray
+    s: np.ndarray
+    errors: tuple[SepcurvError | None, ...]
+
+    def curvature(self) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return self.flat / (self.jets.sq_norm[:, None] * self.s)
+
+    def frames(self, height: int) -> tuple[np.ndarray, np.ndarray]:
+        """Frame vectors of each pair's two coordinates, (P, Q, n) each."""
+        lo, hi = zip(*self.pairs)
+        return self.jets.frames(height, lo), self.jets.frames(height, hi)
+
+    def constk(self, k0: float) -> np.ndarray:
+        """`constk_residual` of every point and pair."""
+        k0 = _finite_k0(k0)
+        with np.errstate(all="ignore"):
+            return k0 * self.s * self.jets.sq_norm[:, None] - 4.0 * self.flat
+
+
+def pair_table(
+    surface: SeparableSurface,
+    points: Sequence[SurfacePoint],
+    pairs: Sequence[tuple[int, int]] | None = None,
+) -> PairTable:
+    """Evaluate the closed-form terms at every point (one jet table) for the
+    given 1-based ascending pairs, by default every non-height pair."""
+    pairs = tuple(combinations(surface.non_height, 2) if pairs is None else pairs)
+    table = jet_table(surface, points)
+    lo, hi = ([k - 1 for k in col] for col in zip(*pairs))
+    h = [surface.height - 1]
+    p, q, r = table.d1[:, lo], table.d1[:, hi], table.d1[:, h]
+    pp, qq, rr = table.d2[:, lo], table.d2[:, hi], table.d2[:, h]
+    # with X = f'^2 and X' = 2 f'', the constant-K residual's quadratic term
+    # X_i X_j' X_h' + ... is exactly 4 * flat, so both share these terms
+    with np.errstate(all="ignore"):
+        flat = p * p * qq * rr + q * q * pp * rr + r * r * pp * qq
+        s = p * p + q * q + r * r
+    return PairTable(pairs, table, flat, s, tuple(table.errors(surface.height)))
+
+
+def _one_pair(
+    surface: SeparableSurface, point: SurfacePoint, i: int, j: int, gated: bool = True
+) -> PairTable:
+    table = pair_table(surface, [point], [_pair_sorted(surface, i, j)])
+    error = table.errors[0] if gated else table.jets.jet_errors[0]
+    if error is not None:
+        raise error
+    return table
+
+
+def _gauss(table: JetTable, u: np.ndarray, w: np.ndarray):
+    """Gauss-equation K of the planes spanned by u[p, r] and w[p, r] (shape
+    (P, R, n)) at table point p, plus an array holding the
+    `DegeneratePlaneError` of each plane that fails a check (else None)."""
+    gradnorm, normal, hess = table.gradnorm[:, None], table.normal[:, None], table.d2[:, None]
+    with np.errstate(all="ignore"):
+        nu, nw = np.sqrt(_dot(u, u)), np.sqrt(_dot(w, w))
+        u = u / nu[..., None]
+        w = w / nw[..., None]
+        drift_u, drift_w = np.abs(_dot(u, normal)), np.abs(_dot(w, normal))
+        # wedge norm of the unit pair as |w - <w, u> u|: unlike sqrt(1 - cos^2)
+        # this keeps full precision when the vectors are nearly dependent
+        y = w - _dot(u, w)[..., None] * u
+        wedge = np.sqrt(_dot(y, y))
+        y = y / wedge[..., None]
+        hxx, hyy, hxy = _dot(hess * u, u), _dot(hess * y, y), _dot(hess * u, y)
+        k = (hxx * hyy - hxy * hxy) / (gradnorm * gradnorm)
+    zero = (nu == 0.0) | (nw == 0.0)
+    off_u, off_w = drift_u > PLANE_EPS, drift_w > PLANE_EPS
+    errors = np.full(k.shape, None, dtype=object)
+    for idx in zip(*np.nonzero(zero | off_u | off_w | (wedge <= PLANE_EPS))):
+        if zero[idx]:
+            msg = "plane spanning vector is zero"
+        elif off_u[idx] or off_w[idx]:
+            name, drift = ("u", drift_u[idx]) if off_u[idx] else ("w", drift_w[idx])
+            msg = (
+                f"plane vector {name} is not tangent: |<{name}, N>| = {drift:.3e} "
+                f"exceeds {PLANE_EPS:g}"
+            )
+        else:
+            msg = (
+                f"plane spanning vectors nearly dependent: wedge norm {wedge[idx]:.3e} "
+                f"at or below {PLANE_EPS:g}"
+            )
+        errors[idx] = DegeneratePlaneError(msg)
+    return k, errors
+
+
+def _tangent_pairs(raw: np.ndarray, normal: np.ndarray):
+    """Project standard-normal draws raw[..., 2, n] onto the tangent space
+    of `normal` and normalize them; `ok` marks the draws that are kept."""
+    normal = normal[..., None, :]
+    with np.errstate(all="ignore"):
+        vecs = raw - _dot(raw, normal)[..., None] * normal
+        norms = np.sqrt(_dot(vecs, vecs))
+        units = vecs / norms[..., None]
+        u, w = units[..., 0, :], units[..., 1, :]
+        y = w - _dot(u, w)[..., None] * u
+        wedge = np.sqrt(_dot(y, y))
+    return u, w, ~(norms < 1e-6).any(axis=-1) & (wedge > PLANE_EPS)
 
 
 def sectional_special(surface: SeparableSurface, point: SurfacePoint, i: int, j: int) -> float:
@@ -97,15 +223,7 @@ def sectional_special(surface: SeparableSurface, point: SurfacePoint, i: int, j:
     Indices are 1-based, must differ, and must avoid the height coordinate.
     The result is symmetric in (i, j) and bit-identical for both orders.
     """
-    lo, hi = _pair_sorted(surface, i, j)
-    d1, d2 = _jet_columns(surface, point)
-    _check_regular(d1, surface.height)
-    h0 = surface.height - 1
-    p, q, r = d1[lo - 1], d1[hi - 1], d1[h0]
-    pp, qq, rr = d2[lo - 1], d2[hi - 1], d2[h0]
-    num = p * p * qq * rr + q * q * pp * rr + r * r * pp * qq
-    den = fsum(d * d for d in d1) * (p * p + q * q + r * r)
-    return num / den
+    return float(_one_pair(surface, point, i, j).curvature()[0, 0])
 
 
 def flatness_residual(surface: SeparableSurface, point: SurfacePoint, i: int, j: int) -> float:
@@ -113,12 +231,7 @@ def flatness_residual(surface: SeparableSurface, point: SurfacePoint, i: int, j:
 
     Involves no division, so it stays defined where regularity fails.
     """
-    lo, hi = _pair_sorted(surface, i, j)
-    d1, d2 = _jet_columns(surface, point)
-    h0 = surface.height - 1
-    p, q, r = d1[lo - 1], d1[hi - 1], d1[h0]
-    pp, qq, rr = d2[lo - 1], d2[hi - 1], d2[h0]
-    return p * p * qq * rr + q * q * pp * rr + r * r * pp * qq
+    return float(_one_pair(surface, point, i, j, gated=False).flat[0, 0])
 
 
 def constk_residual(
@@ -130,40 +243,14 @@ def constk_residual(
     k0 * (X_i + X_j + X_h) * (sum_k X_k) - (X_i X_j' X_h' + X_j X_i' X_h'
     + X_h X_i' X_j'); it equals 4 * (X_i + X_j + X_h) * (sum_k X_k) * (k0/4 - K).
     """
-    k0 = float(k0)
-    if not math.isfinite(k0):
-        raise ValueError(f"k0 must be finite, got {k0!r}")
-    lo, hi = _pair_sorted(surface, i, j)
-    d1, d2 = _jet_columns(surface, point)
-    _check_regular(d1, surface.height)
-    h0 = surface.height - 1
-    X = [d * d for d in d1]
-    Xp = [2.0 * d for d in d2]
-    s = X[lo - 1] + X[hi - 1] + X[h0]
-    total = fsum(X)
-    quad = (
-        X[lo - 1] * Xp[hi - 1] * Xp[h0]
-        + X[hi - 1] * Xp[lo - 1] * Xp[h0]
-        + X[h0] * Xp[lo - 1] * Xp[hi - 1]
-    )
-    return k0 * s * total - quad
+    k0 = _finite_k0(k0)
+    return float(_one_pair(surface, point, i, j).constk(k0)[0, 0])
 
 
 def coordinate_plane(surface: SeparableSurface, point: SurfacePoint, i: int, j: int) -> PlaneSection:
     """The tangent plane spanned by the frame vectors of coordinates i and j."""
-    lo, hi = _pair_sorted(surface, i, j)
-    d1, _ = _jet_columns(surface, point)
-    _check_regular(d1, surface.height)
-    h0 = surface.height - 1
-    n = surface.n
-
-    def frame_vector(k: int) -> tuple[float, ...]:
-        vec = [0.0] * n
-        vec[k - 1] = 1.0
-        vec[h0] = -d1[k - 1] / d1[h0]
-        return tuple(vec)
-
-    return PlaneSection(frame_vector(lo), frame_vector(hi))
+    u, w = _one_pair(surface, point, i, j).frames(surface.height)
+    return PlaneSection(tuple(u[0, 0].tolist()), tuple(w[0, 0].tolist()))
 
 
 def sectional_oracle(surface: SeparableSurface, point: SurfacePoint, section: PlaneSection) -> float:
@@ -173,49 +260,15 @@ def sectional_oracle(surface: SeparableSurface, point: SurfacePoint, section: Pl
     ambient Hessian of F, and divides by ||grad F||^2.  Independent of the
     closed form: no height coordinate, no coordinate-pair structure.
     """
-    d1, d2 = _jet_columns(surface, point)
-    gradnorm = math.sqrt(fsum(d * d for d in d1))
-    if gradnorm < REGULARITY_EPS:
-        raise RegularityError(
-            f"gradient norm {gradnorm:.3e} below regularity threshold {REGULARITY_EPS:g}"
-        )
+    table = point_jets(surface, point)
     if len(section.u) != surface.n:
         raise ValueError(
             f"section vectors have length {len(section.u)}, surface needs {surface.n}"
         )
-    normal = np.array(d1) / gradnorm
-    u = np.asarray(section.u, dtype=float)
-    w = np.asarray(section.w, dtype=float)
-    nu = float(np.linalg.norm(u))
-    nw = float(np.linalg.norm(w))
-    if nu == 0.0 or nw == 0.0:
-        raise DegeneratePlaneError("plane spanning vector is zero")
-    u = u / nu
-    w = w / nw
-    for name, vec in (("u", u), ("w", w)):
-        drift = abs(float(vec @ normal))
-        if drift > PLANE_EPS:
-            raise DegeneratePlaneError(
-                f"plane vector {name} is not tangent: |<{name}, N>| = {drift:.3e} "
-                f"exceeds {PLANE_EPS:g}"
-            )
-    cos = float(u @ w)
-    # wedge norm of the unit pair as |w - <w, u> u|: unlike sqrt(1 - cos^2)
-    # this keeps full precision when the vectors are nearly dependent
-    y = w - cos * u
-    wedge = float(np.linalg.norm(y))
-    if wedge <= PLANE_EPS:
-        raise DegeneratePlaneError(
-            f"plane spanning vectors nearly dependent: wedge norm {wedge:.3e} "
-            f"at or below {PLANE_EPS:g}"
-        )
-    X = u
-    Y = y / wedge
-    hess = np.array(d2)
-    hxx = float((hess * X) @ X)
-    hyy = float((hess * Y) @ Y)
-    hxy = float((hess * X) @ Y)
-    return (hxx * hyy - hxy * hxy) / (gradnorm * gradnorm)
+    k, errors = _gauss(table, np.array([[section.u]]), np.array([[section.w]]))
+    if errors[0, 0] is not None:
+        raise errors[0, 0]
+    return float(k[0, 0])
 
 
 def random_tangent_plane(
@@ -227,27 +280,10 @@ def random_tangent_plane(
     space and normalizes them; nearly dependent draws are rejected and
     retried (at most `PLANE_RETRIES` times).
     """
-    d1, _ = _jet_columns(surface, point)
-    gradnorm = math.sqrt(fsum(d * d for d in d1))
-    if gradnorm < REGULARITY_EPS:
-        raise RegularityError(
-            f"gradient norm {gradnorm:.3e} below regularity threshold {REGULARITY_EPS:g}"
-        )
-    normal = np.array(d1) / gradnorm
+    normal = point_jets(surface, point).normal[0]
     for _ in range(PLANE_RETRIES):
-        raw = rng.standard_normal((2, surface.n))
-        tangents = []
-        for row in raw:
-            vec = row - float(row @ normal) * normal
-            norm = float(np.linalg.norm(vec))
-            if norm < 1e-6:
-                break
-            tangents.append(vec / norm)
-        if len(tangents) < 2:
-            continue
-        u, w = tangents
-        wedge = float(np.linalg.norm(w - float(u @ w) * u))
-        if wedge > PLANE_EPS:
+        u, w, ok = _tangent_pairs(rng.standard_normal((2, surface.n)), normal)
+        if ok:
             return PlaneSection(tuple(u.tolist()), tuple(w.tolist()))
     raise DegeneratePlaneError(
         f"no independent tangent plane found after {PLANE_RETRIES} draws"
@@ -262,7 +298,7 @@ class ScanPolicy:
     top of all coordinate pairs; their curvatures enter the summary
     statistics.  `k0` (when set) adds a constant-curvature residual per pair
     record.  Seeds must be non-negative; per-point substreams are derived
-    from (seed, point position), so results are independent of thread count.
+    from (seed, point position), so results are independent of chunking.
     """
 
     oblique_per_point: int = 0
@@ -279,7 +315,7 @@ class ScanPolicy:
             raise ValueError(f"constancy_tol must be positive, got {self.constancy_tol!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanRecord:
     """One curvature evaluation: a coordinate pair, an oblique plane, or an error."""
 
@@ -306,9 +342,12 @@ class CurvatureReport:
     """Scan outcome: per-plane records plus summary statistics.
 
     `verdict` is "constant" iff the spread (max - min over every curvature
-    value) is at most the constancy tolerance, "non-constant" if it exceeds
-    it, and "undetermined" when no value could be computed.
-    `constant_estimate` is the mean, reported only for a "constant" verdict.
+    value) is at most the constancy tolerance and no pair record is
+    flagged, "non-constant" if the spread exceeds the tolerance, and
+    "undetermined" when no value could be computed or a flagged record
+    leaves a small spread unconfirmed.  `constant_estimate` is the mean,
+    reported only for a "constant" verdict.  `max_engine_rel_dev` is the
+    largest |k_special - k_oracle| / max(1, |k_oracle|) over pair records.
     """
 
     n: int
@@ -325,75 +364,74 @@ class CurvatureReport:
     spread: float | None
     verdict: str
     constant_estimate: float | None
+    flagged_count: int = 0
+    max_engine_rel_dev: float | None = None
 
 
-def _point_records(
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _chunk_records(
     surface: SeparableSurface,
-    point: SurfacePoint,
-    position: int,
+    points: Sequence[SurfacePoint],
+    start: int,
     pairs: Sequence[tuple[int, int]],
     policy: ScanPolicy,
 ) -> list[ScanRecord]:
+    """Records of the points at positions start, start + 1, ... from one jet
+    table: both pair engines and every oblique plane evaluated as arrays."""
+    table = pair_table(surface, points, pairs)
+    jets, nq, m = table.jets, len(pairs), policy.oblique_per_point
+    u, w = table.frames(surface.height)
+    draw_errors: dict[tuple[int, int], DegeneratePlaneError] = {}
+    if m:
+        regular = [p for p, exc in enumerate(table.errors) if exc is None]
+        raw = np.zeros((len(points), m, 2, surface.n))
+        for p in regular:
+            raw[p] = np.random.default_rng([policy.seed, start + p]).standard_normal(raw.shape[1:])
+        pu, pw, ok = _tangent_pairs(raw, jets.normal[:, None])
+        for p in regular:
+            if ok[p].all():
+                continue
+            # a rejected draw shifts the stream: redraw this point's planes in order
+            rng = np.random.default_rng([policy.seed, start + p])
+            for r in range(m):
+                try:
+                    section = random_tangent_plane(surface, points[p], rng)
+                except DegeneratePlaneError as exc:
+                    draw_errors[p, r] = exc
+                else:
+                    pu[p, r], pw[p, r] = section.u, section.w
+        u, w = np.concatenate([u, pu], axis=1), np.concatenate([w, pw], axis=1)
+    k, plane_errors = _gauss(jets, u, w)
+    for (p, r), exc in draw_errors.items():
+        plane_errors[p, nq + r] = exc
+
+    ks = table.curvature()
+    with np.errstate(all="ignore"):
+        flagged = np.abs(ks - k[:, :nq]) > EQUIVALENCE_RTOL * np.maximum(1.0, np.abs(k[:, :nq]))
+    rc = table.constk(policy.k0).tolist() if policy.k0 is not None else None
+    ks, k, flat, flagged = ks.tolist(), k.tolist(), table.flat.tolist(), flagged.tolist()
+    u, w = u[:, nq:].tolist(), w[:, nq:].tolist()
     records: list[ScanRecord] = []
-    try:
-        for i, j in pairs:
-            ks = sectional_special(surface, point, i, j)
-            ko = sectional_oracle(surface, point, coordinate_plane(surface, point, i, j))
-            flagged = abs(ks - ko) > EQUIVALENCE_RTOL * max(1.0, abs(ko))
-            rc = (
-                constk_residual(surface, point, i, j, policy.k0)
-                if policy.k0 is not None
-                else None
-            )
+    for p, point in enumerate(points):
+        rec = partial(ScanRecord, start + p, point.coords)
+        error = table.errors[p] or next((e for e in plane_errors[p, :nq] if e is not None), None)
+        if error is not None:
+            records.append(rec("error", error=_describe(error)))
+            continue
+        records.extend(
+            rec("pair", i=i, j=j, k_special=ks[p][q], k_oracle=k[p][q], residual_flat=flat[p][q],
+                residual_constk=rc[p][q] if rc else None, flagged=flagged[p][q])
+            for q, (i, j) in enumerate(pairs)
+        )
+        for r in range(m):
+            exc = plane_errors[p, nq + r]
             records.append(
-                ScanRecord(
-                    sample=position,
-                    coords=point.coords,
-                    kind="pair",
-                    i=i,
-                    j=j,
-                    k_special=ks,
-                    k_oracle=ko,
-                    residual_flat=flatness_residual(surface, point, i, j),
-                    residual_constk=rc,
-                    flagged=flagged,
-                )
+                rec("error", error=_describe(exc)) if exc is not None
+                else rec("plane", u=tuple(u[p][r]), w=tuple(w[p][r]), k_oracle=k[p][nq + r])
             )
-    except (RegularityError, DomainError, NonFiniteError, DegeneratePlaneError) as exc:
-        return [
-            ScanRecord(
-                sample=position,
-                coords=point.coords,
-                kind="error",
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        ]
-    if policy.oblique_per_point > 0:
-        rng = np.random.default_rng([policy.seed, position])
-        for _ in range(policy.oblique_per_point):
-            try:
-                section = random_tangent_plane(surface, point, rng)
-                ko = sectional_oracle(surface, point, section)
-            except (RegularityError, DegeneratePlaneError) as exc:
-                records.append(
-                    ScanRecord(
-                        sample=position,
-                        coords=point.coords,
-                        kind="error",
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-            else:
-                records.append(
-                    ScanRecord(
-                        sample=position,
-                        coords=point.coords,
-                        kind="plane",
-                        u=section.u,
-                        w=section.w,
-                        k_oracle=ko,
-                    )
-                )
     return records
 
 
@@ -406,34 +444,43 @@ def scan_constancy(
     """Evaluate curvature over every coordinate pair (and optional random
     planes) at every sample point and judge constancy.
 
-    Per-point failures become error records, never abort the scan.  Records
-    are ordered by (sample position, pairs ascending, then planes in draw
-    order) regardless of `threads`; statistics aggregate in that fixed
-    order, so output is identical for any thread count.
+    Per-point failures become error records, never abort the scan.  The
+    points are evaluated in `threads` sequential chunks, one jet table
+    each: at most one chunk per point, and at least enough chunks that they
+    average no more than `CHUNK_PLANES` planes.  Records are ordered by
+    (sample position, pairs ascending, then planes in draw order) and
+    statistics aggregate in that fixed order, so output is identical for
+    any chunk count.
     """
     samples = list(samples)
     if len(samples) < 2:
         raise ValueError(f"constancy scan needs at least 2 sample points, got {len(samples)}")
     pairs = list(combinations(surface.non_height, 2))
-
-    def work(position: int) -> list[ScanRecord]:
-        return _point_records(surface, samples[position], position, pairs, policy)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(work, range(len(samples))))
-    else:
-        chunks = [work(pos) for pos in range(len(samples))]
-    records = tuple(rec for chunk in chunks for rec in chunk)
+    planes = len(samples) * (len(pairs) + policy.oblique_per_point)
+    chunks = min(max(1, threads, -(-planes // CHUNK_PLANES)), len(samples))
+    edges = [len(samples) * c // chunks for c in range(chunks + 1)]
+    records = tuple(
+        rec
+        for a, b in zip(edges, edges[1:])
+        for rec in _chunk_records(surface, samples[a:b], a, pairs, policy)
+    )
 
     values = [rec.k_value() for rec in records if rec.kind != "error"]
     failure_count = sum(1 for rec in records if rec.kind == "error")
+    pair_records = [rec for rec in records if rec.kind == "pair"]
+    flagged_count = sum(1 for rec in pair_records if rec.flagged)
+    max_dev = max(
+        (abs(r.k_special - r.k_oracle) / max(1.0, abs(r.k_oracle)) for r in pair_records),
+        default=None,
+    )
     if values:
         k_min = min(values)
         k_max = max(values)
         k_mean = fsum(values) / len(values)
         spread = k_max - k_min
         verdict = "constant" if spread <= policy.constancy_tol else "non-constant"
+        if verdict == "constant" and flagged_count:
+            verdict = "undetermined"
         estimate = k_mean if verdict == "constant" else None
     else:
         k_min = k_max = k_mean = spread = estimate = None
@@ -453,4 +500,6 @@ def scan_constancy(
         spread=spread,
         verdict=verdict,
         constant_estimate=estimate,
+        flagged_count=flagged_count,
+        max_engine_rel_dev=max_dev,
     )

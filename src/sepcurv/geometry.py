@@ -27,6 +27,7 @@ from .errors import (
     NonFiniteError,
     OffSurfaceError,
     RegularityError,
+    SepcurvError,
     SolveError,
 )
 from .expr import Function1D
@@ -131,38 +132,96 @@ class SeparableSurface:
         return tuple(float(c) for c in coords)
 
 
-def _check_regular(d1: Sequence[float], height: int) -> float:
-    """Both regularity gates; returns ||grad F|| or raises naming the gate."""
-    gradnorm = math.sqrt(fsum(d * d for d in d1))
-    if gradnorm < REGULARITY_EPS:
-        raise RegularityError(
-            f"gradient norm {gradnorm:.3e} below regularity threshold {REGULARITY_EPS:g}"
-        )
-    slope = abs(d1[height - 1])
-    if slope < REGULARITY_EPS:
-        raise RegularityError(
-            f"height slope |f'_{height}| = {slope:.3e} below regularity threshold "
-            f"{REGULARITY_EPS:g}"
-        )
-    return gradnorm
+@dataclass(frozen=True)
+class JetTable:
+    """f_k' and f_k'' of every coordinate at P points, as P x n arrays.
+
+    `sq_norm` is ||grad F||^2 per point, summed exactly (`math.fsum`).  A
+    point whose jets fail keeps zero rows and its `DomainError` or
+    `NonFiniteError` in `jet_errors`.
+    """
+
+    d1: np.ndarray
+    d2: np.ndarray
+    sq_norm: np.ndarray
+    jet_errors: tuple[SepcurvError | None, ...]
+
+    @property
+    def gradnorm(self) -> np.ndarray:
+        return np.sqrt(self.sq_norm)
+
+    @property
+    def normal(self) -> np.ndarray:
+        """grad F / ||grad F|| per point."""
+        with np.errstate(all="ignore"):
+            return self.d1 / self.gradnorm[:, None]
+
+    def frames(self, height: int, coords: Sequence[int]) -> np.ndarray:
+        """Tangent vectors e_k - (f'_k/f'_h) e_h for the 1-based coordinates
+        `coords` (h the 1-based `height`), shape (P, len(coords), n)."""
+        h0, idx = height - 1, [k - 1 for k in coords]
+        vec = np.zeros((self.d1.shape[0], len(idx), self.d1.shape[1]))
+        vec[:, np.arange(len(idx)), idx] = 1.0
+        with np.errstate(all="ignore"):
+            vec[:, :, h0] = -self.d1[:, idx] / self.d1[:, h0:h0 + 1]
+        return vec
+
+    def errors(self, height: int | None = None) -> list[SepcurvError | None]:
+        """Each point's first failure: its jet error, then the gradient-norm
+        gate, then (given the 1-based `height`) the height-slope gate."""
+        out = list(self.jet_errors)
+        gradnorm = self.gradnorm
+        slope = gradnorm if height is None else np.abs(self.d1[:, height - 1])
+        for p in np.flatnonzero((gradnorm < REGULARITY_EPS) | (slope < REGULARITY_EPS)):
+            if out[p] is None and gradnorm[p] < REGULARITY_EPS:
+                out[p] = RegularityError(
+                    f"gradient norm {gradnorm[p]:.3e} below regularity threshold "
+                    f"{REGULARITY_EPS:g}"
+                )
+            elif out[p] is None:
+                out[p] = RegularityError(
+                    f"height slope |f'_{height}| = {slope[p]:.3e} below regularity "
+                    f"threshold {REGULARITY_EPS:g}"
+                )
+        return out
+
+
+def jet_table(surface: SeparableSurface, points: Sequence[SurfacePoint]) -> JetTable:
+    """Evaluate every f_k's 2-jet once per point with the scalar `Jet2` (so
+    values match `surface.jets` bit for bit) and stack them into a table."""
+    d1, d2 = np.zeros((len(points), surface.n)), np.zeros((len(points), surface.n))
+    errors: list[SepcurvError | None] = [None] * len(points)
+    for p, point in enumerate(points):
+        try:
+            jets = surface.jets(point.coords)
+        except (DomainError, NonFiniteError) as exc:
+            errors[p] = exc
+            continue
+        d1[p] = [j.d1 for j in jets]
+        d2[p] = [j.d2 for j in jets]
+    sq_norm = np.array([fsum(d * d for d in row) for row in d1.tolist()], dtype=float)
+    return JetTable(d1, d2, sq_norm, tuple(errors))
+
+
+def point_jets(
+    surface: SeparableSurface, point: SurfacePoint, height: int | None = None
+) -> JetTable:
+    """The one-row table at a point; raises the point's first failure."""
+    table = jet_table(surface, [point])
+    error = table.errors(height)[0]
+    if error is not None:
+        raise error
+    return table
 
 
 def ensure_regular(surface: SeparableSurface, point: SurfacePoint) -> float:
     """Check both regularity gates at a point; returns ||grad F||."""
-    jets = surface.jets(point.coords)
-    return _check_regular([j.d1 for j in jets], surface.height)
+    return float(point_jets(surface, point, surface.height).gradnorm[0])
 
 
 def unit_normal(surface: SeparableSurface, point: SurfacePoint) -> np.ndarray:
     """Gradient-directed unit normal grad F / ||grad F|| at a surface point."""
-    jets = surface.jets(point.coords)
-    grad = np.array([j.d1 for j in jets], dtype=float)
-    gradnorm = math.sqrt(fsum(d * d for d in grad.tolist()))
-    if gradnorm < REGULARITY_EPS:
-        raise RegularityError(
-            f"gradient norm {gradnorm:.3e} below regularity threshold {REGULARITY_EPS:g}"
-        )
-    return grad / gradnorm
+    return point_jets(surface, point).normal[0]
 
 
 def tangent_frame(surface: SeparableSurface, point: SurfacePoint) -> TangentFrame:
@@ -173,19 +232,12 @@ def tangent_frame(surface: SeparableSurface, point: SurfacePoint) -> TangentFram
     fundamental form is -(diag(f''_k) + (f''_h/f'_h^2) g g^T)/||grad F|| with
     g the non-height gradient entries.
     """
-    jets = surface.jets(point.coords)
-    d1 = np.array([j.d1 for j in jets], dtype=float)
-    d2 = np.array([j.d2 for j in jets], dtype=float)
-    gradnorm = _check_regular(d1.tolist(), surface.height)
+    table = point_jets(surface, point, surface.height)
+    d1, d2, gradnorm = table.d1[0], table.d2[0], table.gradnorm[0]
     h0 = surface.height - 1
     others = [k - 1 for k in surface.non_height]
-
-    ratios = d1[others] / d1[h0]
-    basis = np.zeros((surface.n - 1, surface.n))
-    basis[np.arange(surface.n - 1), others] = 1.0
-    basis[:, h0] = -ratios
-
-    gram = np.eye(surface.n - 1) + np.outer(ratios, ratios)
+    basis = table.frames(surface.height, surface.non_height)[0]
+    gram = np.eye(surface.n - 1) + np.outer(basis[:, h0], basis[:, h0])
     second = -(
         np.diag(d2[others]) + np.outer(d1[others], d1[others]) * (d2[h0] / d1[h0] ** 2)
     ) / gradnorm
@@ -314,14 +366,18 @@ def sample_points(
     rng = np.random.default_rng(seed)
     partials = rng.uniform(lows, highs, size=(count, surface.n - 1))
 
-    points: list[SurfacePoint] = []
-    failures: list[tuple[int, str]] = []
+    lifted: list[tuple[int, SurfacePoint]] = []
+    failures: dict[int, str] = {}
     for i in range(count):
         try:
-            p = solve_height(surface, partials[i].tolist(), bracket, max_iterations)
-            ensure_regular(surface, p)
+            lifted.append((i, solve_height(surface, partials[i].tolist(), bracket, max_iterations)))
         except (SolveError, RegularityError, DomainError, NonFiniteError, OffSurfaceError) as exc:
-            failures.append((i, f"{type(exc).__name__}: {exc}"))
-        else:
+            failures[i] = f"{type(exc).__name__}: {exc}"
+    gate = jet_table(surface, [p for _, p in lifted]).errors(surface.height)
+    points: list[SurfacePoint] = []
+    for (i, p), exc in zip(lifted, gate):
+        if exc is None:
             points.append(p)
-    return points, failures
+        else:
+            failures[i] = f"{type(exc).__name__}: {exc}"
+    return points, sorted(failures.items())

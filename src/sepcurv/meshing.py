@@ -18,7 +18,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Sequence
 
-from .curvature import sectional_special
+from .curvature import pair_table
 from .errors import (
     DomainError,
     MeshError,
@@ -26,7 +26,7 @@ from .errors import (
     RegularityError,
     SolveError,
 )
-from .geometry import SeparableSurface, ensure_regular, solve_height
+from .geometry import SeparableSurface, solve_height
 
 
 @dataclass(frozen=True)
@@ -60,22 +60,25 @@ def build_mesh(
     a_vals = np.linspace(float(ranges[0][0]), float(ranges[0][1]), nx)
     b_vals = np.linspace(float(ranges[1][0]), float(ranges[1][1]), ny)
 
+    lifted = []
+    for r in range(nx):
+        for c in range(ny):
+            partial = [float(a_vals[r]), float(b_vals[c])]
+            try:
+                lifted.append((r, c, solve_height(surface, partial, bracket)))
+            except (SolveError, RegularityError, DomainError, NonFiniteError):
+                pass
+    # one jet table for every lifted node: its gates drop irregular nodes
+    table = pair_table(surface, [p for _, _, p in lifted], [(i, j)])
     vertices: list[tuple[float, float, float]] = []
     curvatures: list[float] = []
     vertex_id = np.full((nx, ny), -1, dtype=int)
-    dropped = 0
-    for r in range(nx):
-        for c in range(ny):
-            try:
-                p = solve_height(surface, [float(a_vals[r]), float(b_vals[c])], bracket)
-                ensure_regular(surface, p)
-                k = sectional_special(surface, p, i, j)
-            except (SolveError, RegularityError, DomainError, NonFiniteError):
-                dropped += 1
-                continue
+    for (r, c, p), k, error in zip(lifted, table.curvature()[:, 0].tolist(), table.errors):
+        if error is None:
             vertex_id[r, c] = len(vertices)
             vertices.append(p.coords)  # type: ignore[arg-type]
             curvatures.append(k)
+    dropped = nx * ny - len(vertices)
 
     faces: list[tuple[int, int, int]] = []
     for r in range(nx - 1):

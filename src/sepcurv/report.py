@@ -3,7 +3,7 @@
 A report file is one '#'-prefixed header line carrying the timestamp (the
 only non-deterministic bytes in the file) followed by a canonical body:
 sorted-key, two-space-indented JSON, or CSV records.  For fixed inputs and
-seed the body is byte-identical regardless of thread count or generation
+seed the body is byte-identical regardless of point chunking or generation
 time; `read_report_body` strips the header so callers can compare bodies
 directly.
 """
@@ -80,6 +80,8 @@ def report_body_json(
             "spread": report.spread,
             "verdict": report.verdict,
             "constant_estimate": report.constant_estimate,
+            "flagged": report.flagged_count,
+            "max_engine_rel_dev": report.max_engine_rel_dev,
         },
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .curvature import ScanPolicy, constk_residual, scan_constancy
+from .curvature import ScanPolicy, pair_table, scan_constancy
 from .errors import SepcurvError
 from .expr import parse_function
 from .families import (
@@ -199,13 +199,8 @@ def run_constant_suite(
     n = 4 if 4 in dims else dims[0]
     flat = make_cobb_douglas_sqrt(1.0, n)
     points, _ = sample_points(flat, [(0.5, 2.0)] * (n - 1), 25, [seed, 20, n], (0.05, 8.0))
-    pairs = [(i, j) for ix, i in enumerate(flat.non_height) for j in flat.non_height[ix + 1:]]
-    worst_min = math.inf
-    for k0 in NONZERO_K0S:
-        smallest = min(
-            abs(constk_residual(flat, p, i, j, k0)) for p in points for i, j in pairs
-        )
-        worst_min = min(worst_min, smallest)
+    table = pair_table(flat, points)
+    worst_min = min(float(abs(table.constk(k0)).min()) for k0 in NONZERO_K0S)
     ok = worst_min > CONTROL_MIN_SPREAD
     rows.append(
         SuiteRow(

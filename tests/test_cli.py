@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import sepcurv
 from sepcurv import SuiteRow, read_report_body
 from sepcurv.cli import main
 
@@ -71,10 +73,14 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_module_entry_point():
+    # the child interpreter imports the same package this test imported
+    package_root = os.path.dirname(os.path.dirname(sepcurv.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sepcurv.cli", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "sepcurv 1.0.0" in proc.stdout
@@ -180,6 +186,30 @@ def test_scan_writes_report(tmp_path, capsys):
     assert doc["summary"]["points"] == 12
     assert doc["summary"]["verdict"] == "constant"
     assert abs(doc["summary"]["constant_estimate"] - 0.25) <= 1e-9
+    assert doc["summary"]["flagged"] == 0
+    assert doc["summary"]["max_engine_rel_dev"] <= 1e-12
+
+
+def test_scan_flagged_record_reported_undetermined(tmp_path, capsys, monkeypatch):
+    from sepcurv import curvature
+
+    real_gauss = curvature._gauss
+
+    def one_disagreement(table, u, w):
+        k, errors = real_gauss(table, u, w)
+        k[0, 0] *= 1.0 + 1e-6
+        return k, errors
+
+    monkeypatch.setattr(curvature, "_gauss", one_disagreement)
+    out = str(tmp_path / "report.json")
+    assert main(["scan", sphere4_spec(tmp_path), "--out", out]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("verdict: undetermined (spread ")
+    assert "<= tol 1e-07) (1 pair records flagged by the engine cross-check)" in printed
+    summary = json.loads(read_report_body(out))["summary"]
+    assert summary["flagged"] == 1
+    assert summary["verdict"] == "undetermined"
+    assert summary["constant_estimate"] is None
 
 
 def test_scan_identical_across_threads_and_runs(tmp_path):
@@ -327,6 +357,21 @@ def test_certify_failure_exit_1(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL  rigged" in out
     assert "0/1 checks passed" in out
+
+
+def test_certify_seed_reproduces_rows(capsys):
+    outputs = []
+    for seed in ("5", "5", "6"):
+        assert main(["certify", "flat", "--dims", "4", "--count", "10", "--seed", seed]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    observed = [[line.split("  ")[-1] for line in out.splitlines()[:-1]] for out in outputs]
+    assert observed[0] != observed[2]
+
+
+def test_certify_negative_seed_exit_2(capsys):
+    assert main(["certify", "flat", "--seed", "-1"]) == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -6,10 +6,12 @@ import pytest
 
 from sepcurv import (
     DegeneratePlaneError,
-    PlaneSection,
     RegularityError,
+    PlaneSection,
     ScanPolicy,
+    SepcurvError,
     SeparableSurface,
+    SurfacePoint,
     constk_residual,
     coordinate_plane,
     flatness_residual,
@@ -22,6 +24,7 @@ from sepcurv import (
     solve_height,
 )
 
+from sepcurv import curvature
 from oracles import brute_coordinate_k, brute_sectional
 
 INF = math.inf
@@ -444,12 +447,175 @@ def test_scan_respects_k0_policy():
         assert rec.residual_constk is None
 
 
+def mixed_failure_points():
+    """Hand-built points on a log/exp/sin/x^2 surface: regular points mixed
+    with a domain error, an overflow inside a jet, a near-zero height slope
+    and a coordinate frame too steep to span a plane (the engines need no
+    on-surface certificate)."""
+    s = SeparableSurface(
+        (
+            parse_function("log(x)", (0.0, INF)),
+            parse_function("exp(x)"),
+            parse_function("sin(x)"),
+            parse_function("x^2 - 4"),
+        )
+    )
+    coords = [
+        (0.5, 0.3, 0.2, 1.5),
+        (-1.0, 0.2, 0.1, 1.0),      # DomainError: log outside (0, inf)
+        (1.2, -0.4, 0.9, -1.1),
+        (1.0, 800.0, 0.1, 1.0),     # NonFiniteError: exp overflows
+        (2.0, 0.1, -0.3, 0.8),
+        (1.0, 0.2, 0.1, 1e-10),     # RegularityError: height slope 2e-10
+        (0.9, 0.6, 1.1, 1.9),
+        (1e-3, 7.0, 0.1, 1e-8),     # DegeneratePlaneError: frames of (1, 2) nearly dependent
+    ]
+    return s, [SurfacePoint(c, 0.0) for c in coords]
+
+
+def point_error(s, p):
+    """The first error the point-wise engines raise at p, as a scan records it."""
+    try:
+        for i, j in combinations(s.non_height, 2):
+            sectional_special(s, p, i, j)
+            sectional_oracle(s, p, coordinate_plane(s, p, i, j))
+    except SepcurvError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def assert_rel(got, want):
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_scan_matches_point_wise_engines():
+    s, pts = mixed_failure_points()
+    policy = ScanPolicy(oblique_per_point=3, seed=5, k0=1.0)
+    report = scan_constancy(s, pts, policy)
+    messages = [point_error(s, p) for p in pts]
+    kinds = [m and m.split(":")[0] for m in messages]
+    assert kinds == [
+        None, "DomainError", None, "NonFiniteError", None, "RegularityError", None,
+        "DegeneratePlaneError",
+    ]
+    by_sample = {}
+    for rec in report.records:
+        by_sample.setdefault(rec.sample, []).append(rec)
+    assert sorted(by_sample) == list(range(len(pts)))
+    for pos, (p, message) in enumerate(zip(pts, messages)):
+        recs = by_sample[pos]
+        if message is not None:
+            assert [(r.kind, r.error) for r in recs] == [("error", message)]
+            continue
+        pairs = [r for r in recs if r.kind == "pair"]
+        assert [(r.i, r.j) for r in pairs] == list(combinations(s.non_height, 2))
+        for r in pairs:
+            assert_rel(r.k_special, sectional_special(s, p, r.i, r.j))
+            assert_rel(r.k_oracle, sectional_oracle(s, p, coordinate_plane(s, p, r.i, r.j)))
+            assert_rel(r.residual_flat, flatness_residual(s, p, r.i, r.j))
+            assert_rel(r.residual_constk, constk_residual(s, p, r.i, r.j, 1.0))
+        rng = np.random.default_rng([5, pos])
+        planes = [r for r in recs if r.kind == "plane"]
+        assert len(planes) == 3
+        for r in planes:
+            assert PlaneSection(r.u, r.w) == random_tangent_plane(s, p, rng)
+            assert_rel(r.k_oracle, sectional_oracle(s, p, PlaneSection(r.u, r.w)))
+    assert report.failure_count == 4
+
+
+REAL_DEFAULT_RNG = np.random.default_rng
+
+
+class RejectFirstDraw:
+    """Generator stub whose first draw pairs a vector with itself, which the
+    plane draw must reject; later draws come from the real stream."""
+
+    def __init__(self, seed):
+        self.gen = REAL_DEFAULT_RNG(seed)
+        self.first = True
+
+    def standard_normal(self, shape):
+        out = self.gen.standard_normal(shape)
+        if self.first:
+            self.first = False
+            draws = out.reshape(-1, 2, shape[-1])
+            draws[0, 1] = draws[0, 0]
+        return out
+
+
+def planes_at(report, pos):
+    return [PlaneSection(r.u, r.w) for r in report.records if r.sample == pos and r.kind == "plane"]
+
+
+def test_scan_rejected_draw_falls_back_to_sequential_planes(monkeypatch):
+    s, pts = sphere_points(4, 2.0, 3, 67)
+    policy = ScanPolicy(oblique_per_point=4, seed=67)
+    plain = scan_constancy(s, pts, policy)
+    monkeypatch.setattr(np.random, "default_rng", RejectFirstDraw)
+    report = scan_constancy(s, pts, policy)
+    for pos, p in enumerate(pts):
+        rng = RejectFirstDraw([67, pos])
+        want = [random_tangent_plane(s, p, rng) for _ in range(4)]
+        got = planes_at(report, pos)
+        assert got == want
+        assert got[0] != planes_at(plain, pos)[0]
+    assert report.verdict == "constant"
+
+
 def test_scan_thread_count_does_not_change_records():
     s, pts = sphere_points(4, 2.0, 20, 64)
+    s_err, pts_err = mixed_failure_points()
+    for surface, points in ((s, pts), (s_err, pts_err)):
+        policy = ScanPolicy(oblique_per_point=6, seed=64)
+        solo = scan_constancy(surface, points, policy, threads=1)
+        assert {r.kind for r in solo.records} >= {"pair", "plane"}
+        for threads in (2, 3, len(points), len(points) + 5):
+            assert scan_constancy(surface, points, policy, threads=threads) == solo
+    assert solo.failure_count == 4
+
+
+def test_scan_bounds_planes_per_chunk(monkeypatch):
+    s, pts = sphere_points(4, 2.0, 20, 64)
     policy = ScanPolicy(oblique_per_point=6, seed=64)
-    solo = scan_constancy(s, pts, policy, threads=1)
-    multi = scan_constancy(s, pts, policy, threads=4)
-    assert solo == multi
+    whole = scan_constancy(s, pts, policy)
+    sizes = []
+    real_chunk = curvature._chunk_records
+
+    def spy(surface, points, *rest):
+        sizes.append(len(points))
+        return real_chunk(surface, points, *rest)
+
+    monkeypatch.setattr(curvature, "_chunk_records", spy)
+    monkeypatch.setattr(curvature, "CHUNK_PLANES", 30)
+    # 20 points x (3 pairs + 6 planes) = 180 planes: at least 6 chunks
+    assert scan_constancy(s, pts, policy) == whole
+    assert sorted(sizes) == [3, 3, 3, 3, 4, 4]
+
+
+def test_scan_flagged_record_blocks_constant_verdict(monkeypatch):
+    s, pts = sphere_points(4, 2.0, 6, 68)
+    policy = ScanPolicy(seed=68)
+    clean = scan_constancy(s, pts, policy)
+    assert clean.verdict == "constant"
+    assert clean.flagged_count == 0
+    assert clean.max_engine_rel_dev <= 1e-12
+
+    real_gauss = curvature._gauss
+
+    def one_disagreement(table, u, w):
+        k, errors = real_gauss(table, u, w)
+        k[0, 0] *= 1.0 + 1e-6
+        return k, errors
+
+    monkeypatch.setattr(curvature, "_gauss", one_disagreement)
+    report = scan_constancy(s, pts, policy)
+    assert report.flagged_count == 1
+    assert [r.flagged for r in report.records].count(True) == 1
+    assert report.records[0].flagged
+    assert report.spread <= policy.constancy_tol
+    assert report.verdict == "undetermined"
+    assert report.constant_estimate is None
+    assert abs(report.max_engine_rel_dev - 0.25e-6) <= 1e-12
 
 
 def test_scan_needs_two_samples():

@@ -89,6 +89,8 @@ def synthetic_report():
         spread=0.25,
         verdict="not constant",
         constant_estimate=None,
+        flagged_count=1,
+        max_engine_rel_dev=0.05,
     )
 
 
@@ -140,6 +142,8 @@ def test_json_top_level_fields():
         "spread": 0.25,
         "verdict": "not constant",
         "constant_estimate": None,
+        "flagged": 1,
+        "max_engine_rel_dev": 0.05,
     }
 
 
