@@ -17,20 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import __version__
-from .curvature import (
-    DEFAULT_CONSTANCY_TOL,
-    ScanPolicy,
-    constk_residual,
-    coordinate_plane,
-    flatness_residual,
-    scan_constancy,
-    sectional_oracle,
-    sectional_special,
-)
+from .curvature import DEFAULT_CONSTANCY_TOL, ScanPolicy, _gauss, _one_pair, scan_constancy
 from .errors import (
     DegeneratePlaneError,
     DomainError,
@@ -114,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_tol(flag_value: float | None, spec_value: float | None) -> float:
     if flag_value is not None:
-        if not flag_value > 0.0:
-            raise SpecFileError(f"--tol must be positive, got {flag_value!r}")
+        if not 0.0 < flag_value < math.inf:
+            raise SpecFileError(f"--tol must be positive and finite, got {flag_value!r}")
         return flag_value
     if spec_value is not None:
         return spec_value
@@ -125,8 +117,8 @@ def _resolve_tol(flag_value: float | None, spec_value: float | None) -> float:
             value = float(env)
         except ValueError as exc:
             raise SpecFileError(f"{ENV_TOL} must be a number, got {env!r}") from exc
-        if not value > 0.0:
-            raise SpecFileError(f"{ENV_TOL} must be positive, got {env!r}")
+        if not 0.0 < value < math.inf:
+            raise SpecFileError(f"{ENV_TOL} must be positive and finite, got {env!r}")
         return value
     return DEFAULT_CONSTANCY_TOL
 
@@ -166,11 +158,17 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     surface = spec.surface
     partial = _parse_floats(ns.point, surface.n - 1, "--point")
     i, j = _eval_pair(spec, ns.pair)
+    if ns.k0 is not None and not math.isfinite(ns.k0):
+        raise SpecFileError(f"--k0 must be finite, got {ns.k0!r}")
     point = solve_height(surface, partial, spec.bracket)
-    k_special = sectional_special(surface, point, i, j)
-    k_oracle = sectional_oracle(surface, point, coordinate_plane(surface, point, i, j))
-    flat = flatness_residual(surface, point, i, j)
-    constk = constk_residual(surface, point, i, j, ns.k0) if ns.k0 is not None else None
+    # one gated jet table for the pair, as in a scan record
+    table = _one_pair(surface, point, i, j)
+    k_oracle, plane_errors = _gauss(table.jets, *table.frames(surface.height))
+    if plane_errors[0, 0] is not None:
+        raise plane_errors[0, 0]
+    k_special, k_oracle = float(table.curvature()[0, 0]), float(k_oracle[0, 0])
+    flat = float(table.flat[0, 0])
+    constk = float(table.constk(ns.k0)[0, 0]) if ns.k0 is not None else None
     if ns.format == "json":
         doc = {
             "coords": list(point.coords),

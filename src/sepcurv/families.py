@@ -17,23 +17,20 @@ Constructors return `SeparableSurface` instances built from explicit ASTs:
 * `make_cobb_douglas_perturbed`: engineered non-example, one log coefficient
   nudged off the flat family's value.
 
-`FamilySpec` is the declarative form used by surface-spec files; its
-`default_ranges`/`default_bracket` keep every draw on the branch each
-family is built on.
+`FAMILIES` holds each spec kind's parameter schema, constructor call and
+default sampling boxes and height bracket, for `FamilySpec` (the spec-file
+form) to read; its value parsers also check the rest of a spec file.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import SpecFileError
 from .expr import BinOp, Call, Const, Function1D, Neg, Node, Pow, Var, eval_jet2, parse_function
 from .geometry import SeparableSurface
-
-FAMILY_KINDS = ("hyperplane", "cylinder", "cobb_douglas_sqrt", "hypersphere", "log_ode")
-
 
 def _affine(lam: float, mu: float) -> Node:
     """AST for lam*x + mu with minimal node count."""
@@ -77,6 +74,8 @@ def _log_term(coef: float, shift: float, offset: float) -> Node:
 
 
 def _resolve_height(n: int, height: int | None) -> int:
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
     h = n if height is None else height
     if not 1 <= h <= n:
         raise ValueError(f"height index {height!r} outside 1..{n}")
@@ -122,8 +121,6 @@ def make_cylinder(
     coordinates, ascending by coordinate index (defaults: slope 1, intercept
     0).  The profile may sit at any non-height slot via `profile_slot`.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
     h = _resolve_height(n, height)
     if not 1 <= profile_slot <= n:
         raise ValueError(f"profile_slot {profile_slot} outside 1..{n}")
@@ -159,8 +156,6 @@ def make_cobb_douglas_sqrt(
     a = float(a)
     if not a > 0.0:
         raise ValueError(f"scale constant A must be positive, got {a!r}")
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
     h = _resolve_height(n, height)
     shifts = [0.0] * n if shifts is None else [float(v) for v in shifts]
     if len(shifts) != n:
@@ -192,8 +187,6 @@ def make_log_ode(
     lam = float(lam)
     if lam == 0.0:
         raise ValueError("lam must be nonzero")
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
     h = _resolve_height(n, height)
     shifts = [0.0] * n if shifts is None else [float(v) for v in shifts]
     betas = [0.0] * n if betas is None else [float(v) for v in betas]
@@ -270,22 +263,175 @@ def ode_residual_subcase21(f: Function1D, lam_k: float, x: float) -> float:
     return jet.d2 - jet.d1 * jet.d1 / lam_k
 
 
-def _as_float_list(value, name: str, length: int) -> list[float]:
-    if not isinstance(value, (list, tuple)) or len(value) != length:
-        raise SpecFileError(f"{name} must be a list of {length} numbers")
+# Spec value parsers: each takes a JSON value and where it came from, and
+# returns the parsed value or raises `SpecFileError`.  Booleans are not numbers.
+
+
+def finite(value, where: str) -> float:
+    """A finite number."""
     try:
-        return [float(v) for v in value]
-    except (TypeError, ValueError) as exc:
-        raise SpecFileError(f"{name} must contain only numbers: {exc}") from exc
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise SpecFileError(f"{where} must be a finite number, got {value!r}")
+
+
+def integer(value, where: str, lo: int = 1, hi: float = math.inf) -> int:
+    """An integer in lo..hi."""
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        bound = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+        raise SpecFileError(f"{where} must be an integer {bound}, got {value!r}")
+    return value
+
+
+def _pair(value, where: str, shape: str):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise SpecFileError(f"{where} must be {shape}")
+    return value
+
+
+def interval(value, where: str) -> tuple[float, float]:
+    """[lo, hi] with lo < hi, a finite distance apart so that uniform draws
+    over it stay finite."""
+    lo, hi = (finite(v, where) for v in _pair(value, where, "[lo, hi]"))
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise SpecFileError(f"{where} needs lo < hi a finite distance apart, got [{lo!r}, {hi!r}]")
+    return (lo, hi)
+
+
+def domain(value, where: str) -> tuple[float, float]:
+    """Open interval [lo, hi] whose null ends (or a null value) are unbounded."""
+    lo, hi = _pair([None, None] if value is None else value, where, "[lo, hi], null for unbounded")
+    lo = -math.inf if lo is None else finite(lo, where)
+    hi = math.inf if hi is None else finite(hi, where)
+    if not lo < hi:
+        raise SpecFileError(f"{where} needs lo < hi, got [{lo!r}, {hi!r}]")
+    return (lo, hi)
+
+
+def numbers(length: int):
+    """Parser of a list of `length` finite numbers."""
+
+    def parse(value, where: str) -> list[float]:
+        try:
+            if isinstance(value, (list, tuple)) and len(value) == length:
+                return [finite(v, where) for v in value]
+        except SpecFileError:
+            pass
+        raise SpecFileError(f"{where} must be a list of {length} finite numbers, got {value!r}")
+
+    return parse
+
+
+def _clipped_box(surface: SeparableSurface, **params):
+    """Hyperplanes and cylinders: boxes inside each coordinate's domain,
+    clipped to [-2, 2]; the bracket covers 1.5 times the largest |f_k| over
+    the boxes, divided by the affine height's slope."""
+    ranges: list[tuple[float, float]] = []
+    bound = 1.0
+    for k in surface.non_height:
+        f = surface.funcs[k - 1]
+        lo, hi = f.domain
+        a = -2.0 if lo == -math.inf else lo + 0.1 * min(hi - lo, 1.0)
+        b = 2.0 if hi == math.inf else hi - 0.1 * min(hi - lo, 1.0)
+        a, b = max(a, -2.0), min(b, 2.0)
+        if not a < b:
+            raise SpecFileError(f"cannot derive a default range inside domain ({lo!r}, {hi!r})")
+        ranges.append((a, b))
+        bound += 1.5 * max(abs(eval_jet2(f, a + (b - a) * t / 32.0).v) for t in range(33))
+    # affine height: slope from the jet, intercept from the value
+    jet = eval_jet2(surface.funcs[surface.height - 1], 0.0)
+    m = (bound + abs(jet.v)) / abs(jet.d1) + 1.0
+    return ranges, (-m, m)
+
+
+def _shifted_box(surface: SeparableSurface, shifts: Sequence[float], scale: float):
+    """Graphs x_h + mu_h = scale * sqrt(prod (x_k + mu_k)): boxes with
+    0.5 <= x_k + mu_k <= 2 and a bracket around the graph's height there."""
+    n, mu_h = surface.n, shifts[surface.height - 1]
+    ranges = [(0.5 - shifts[k - 1], 2.0 - shifts[k - 1]) for k in surface.non_height]
+    lo = 0.9 * scale * 0.5 ** ((n - 1) / 2.0) - mu_h
+    hi = 1.1 * scale * 2.0 ** ((n - 1) / 2.0) - mu_h
+    return ranges, (lo, hi)
+
+
+def _sphere_box(surface: SeparableSurface, center: Sequence[float], radius: float):
+    """Boxes well inside the ball, so the lift is single-valued, and a
+    bracket over the upper cap."""
+    half = radius / (2.0 * math.sqrt(surface.n - 1))
+    ranges = [(center[k - 1] - half, center[k - 1] + half) for k in surface.non_height]
+    c_h = center[surface.height - 1]
+    return ranges, (c_h + 0.1 * radius, c_h + 1.01 * radius)
+
+
+REQUIRED = object()   # schema default of a parameter a spec must give
+
+
+@dataclass(frozen=True)
+class Family:
+    """One kind: `params(n)` maps each parameter to (parser, default),
+    `make(n, height, **values)` builds the surface from the parsed values,
+    and `box(surface, **values)` gives sampling boxes (one per non-height
+    coordinate) and a height bracket that keep draws on the regular branch."""
+
+    params: Callable[[int], dict[str, tuple[Callable, object]]]
+    make: Callable[..., SeparableSurface]
+    box: Callable[..., tuple[list[tuple[float, float]], tuple[float, float]]]
+
+
+FAMILIES: dict[str, Family] = {
+    "hyperplane": Family(
+        lambda n: {"coeffs": (numbers(n), REQUIRED), "offset": (finite, 0.0)},
+        lambda n, height, coeffs, offset: make_hyperplane(coeffs, offset, height),
+        _clipped_box,
+    ),
+    "cylinder": Family(
+        lambda n: {
+            "profile_expr": (lambda value, where: str(value), "x^2"),
+            "profile_domain": (domain, (-math.inf, math.inf)),
+            "lin": (numbers(n - 1), None),
+            "offsets": (numbers(n - 1), None),
+            "profile_slot": (integer, 1),
+        },
+        lambda n, height, profile_expr, profile_domain, lin, offsets, profile_slot: make_cylinder(
+            parse_function(profile_expr, profile_domain), n, lin, offsets, profile_slot, height
+        ),
+        _clipped_box,
+    ),
+    "cobb_douglas_sqrt": Family(
+        lambda n: {"a": (finite, REQUIRED), "shifts": (numbers(n), [0.0] * n)},
+        lambda n, height, a, shifts: make_cobb_douglas_sqrt(a, n, shifts, height),
+        lambda surface, a, shifts: _shifted_box(surface, shifts, a),
+    ),
+    "hypersphere": Family(
+        lambda n: {"center": (numbers(n), [0.0] * n), "radius": (finite, REQUIRED)},
+        lambda n, height, center, radius: make_hypersphere(center, radius, height),
+        _sphere_box,
+    ),
+    "log_ode": Family(
+        lambda n: {
+            "lam": (finite, REQUIRED),
+            "shifts": (numbers(n), [0.0] * n),
+            "betas": (numbers(n), [0.0] * n),
+        },
+        lambda n, height, lam, shifts, betas: make_log_ode(lam, n, shifts, betas, height),
+        # the graph's scale A solves 2 lam log A + sum beta_k = 0
+        lambda surface, lam, shifts, betas: _shifted_box(
+            surface, shifts, math.exp(-math.fsum(betas) / (2.0 * lam))
+        ),
+    ),
+}
+FAMILY_KINDS = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     """Declarative family instance: a kind plus its parameters.
 
-    The spec-file shorthand for generated surfaces.  `build()` materializes
-    the surface; `default_ranges()` and `default_bracket()` give sampling
-    boxes and a height bracket that keep draws on the regular branch."""
+    The spec-file shorthand for generated surfaces, read through the kind's
+    `FAMILIES` entry.  `build()` materializes the surface; `defaults()`
+    also gives its default sampling boxes and height bracket."""
 
     kind: str
     n: int
@@ -293,14 +439,14 @@ class FamilySpec:
     height: int | None = None
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
+        if self.kind not in FAMILIES:
             raise SpecFileError(
                 f"unknown family kind {self.kind!r}; valid kinds: {', '.join(FAMILY_KINDS)}"
             )
-        if not isinstance(self.n, int) or self.n < 3:
-            raise SpecFileError(f"family n must be an integer >= 3, got {self.n!r}")
+        integer(self.n, "family integer 'n'", 3)
+        if self.height is not None:
+            integer(self.height, "family height", 1, self.n)
         object.__setattr__(self, "params", dict(self.params))
-        _resolve_height(self.n, self.height)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "FamilySpec":
@@ -308,138 +454,41 @@ class FamilySpec:
         kind = data.pop("kind", None)
         if not isinstance(kind, str):
             raise SpecFileError("family needs a string 'kind'")
-        n = data.pop("n", None)
-        if not isinstance(n, int):
-            raise SpecFileError("family needs an integer 'n'")
-        height = data.pop("height", None)
-        if height is not None and not isinstance(height, int):
-            raise SpecFileError("family height must be an integer")
+        n, height = data.pop("n", None), data.pop("height", None)
         return cls(kind, n, data, height)
 
-    def _param(self, name: str, default=None, required: bool = False):
-        if required and name not in self.params:
-            raise SpecFileError(f"family kind {self.kind!r} requires parameter {name!r}")
-        return self.params.get(name, default)
-
-    def _known_params(self, names: set[str]) -> None:
-        unknown = set(self.params) - names
+    def _build(self) -> tuple[SeparableSurface, dict[str, object]]:
+        schema = FAMILIES[self.kind].params(self.n)
+        unknown = set(self.params) - set(schema)
         if unknown:
             raise SpecFileError(
                 f"unknown parameters for family kind {self.kind!r}: {sorted(unknown)}"
             )
+        values = {}
+        for name, (parse, default) in schema.items():
+            if name in self.params:
+                values[name] = parse(self.params[name], f"family parameter {name!r}")
+            elif default is REQUIRED:
+                raise SpecFileError(f"family kind {self.kind!r} requires parameter {name!r}")
+            else:
+                values[name] = default
+        try:
+            return FAMILIES[self.kind].make(self.n, self.height, **values), values
+        except ValueError as exc:
+            raise SpecFileError(f"family {self.kind!r}: {exc}") from exc
 
     def build(self) -> SeparableSurface:
-        n, h = self.n, self.height
-        if self.kind == "hyperplane":
-            self._known_params({"coeffs", "offset"})
-            coeffs = _as_float_list(self._param("coeffs", required=True), "coeffs", n)
-            return make_hyperplane(coeffs, float(self._param("offset", 0.0)), h)
-        if self.kind == "cylinder":
-            self._known_params({"profile_expr", "profile_domain", "lin", "offsets", "profile_slot"})
-            expr = self._param("profile_expr", "x^2")
-            dom = self._param("profile_domain")
-            domain = (-math.inf, math.inf)
-            if dom is not None:
-                if not isinstance(dom, (list, tuple)) or len(dom) != 2:
-                    raise SpecFileError("profile_domain must be [lo, hi] (null ends allowed)")
-                domain = (
-                    -math.inf if dom[0] is None else float(dom[0]),
-                    math.inf if dom[1] is None else float(dom[1]),
-                )
-            profile = parse_function(str(expr), domain)
-            lin = self._param("lin")
-            offsets = self._param("offsets")
-            return make_cylinder(
-                profile,
-                n,
-                None if lin is None else _as_float_list(lin, "lin", n - 1),
-                None if offsets is None else _as_float_list(offsets, "offsets", n - 1),
-                int(self._param("profile_slot", 1)),
-                h,
-            )
-        if self.kind == "cobb_douglas_sqrt":
-            self._known_params({"a", "shifts"})
-            shifts = self._param("shifts")
-            return make_cobb_douglas_sqrt(
-                float(self._param("a", required=True)),
-                n,
-                None if shifts is None else _as_float_list(shifts, "shifts", n),
-                h,
-            )
-        if self.kind == "hypersphere":
-            self._known_params({"center", "radius"})
-            center = self._param("center", [0.0] * n)
-            return make_hypersphere(
-                _as_float_list(center, "center", n),
-                float(self._param("radius", required=True)),
-                h,
-            )
-        self._known_params({"lam", "shifts", "betas"})
-        shifts = self._param("shifts")
-        betas = self._param("betas")
-        return make_log_ode(
-            float(self._param("lam", required=True)),
-            n,
-            None if shifts is None else _as_float_list(shifts, "shifts", n),
-            None if betas is None else _as_float_list(betas, "betas", n),
-            h,
-        )
+        return self._build()[0]
 
-    def default_ranges(self) -> list[tuple[float, float]]:
-        """Per non-height coordinate sampling boxes, ascending by index."""
-        surface = self.build()
-        n, h = self.n, surface.height
-        if self.kind in ("hyperplane", "cylinder"):
-            ranges: list[tuple[float, float]] = []
-            for k in surface.non_height:
-                lo, hi = surface.funcs[k - 1].domain
-                a = -2.0 if lo == -math.inf else lo + 0.1 * min(hi - lo, 1.0)
-                b = 2.0 if hi == math.inf else hi - 0.1 * min(hi - lo, 1.0)
-                a, b = max(a, -2.0), min(b, 2.0)
-                if not a < b:
-                    raise SpecFileError(
-                        f"cannot derive a default range inside domain ({lo!r}, {hi!r})"
-                    )
-                ranges.append((a, b))
-            return ranges
-        if self.kind in ("cobb_douglas_sqrt", "log_ode"):
-            shifts = self.params.get("shifts") or [0.0] * n
-            return [(0.5 - float(shifts[k - 1]), 2.0 - float(shifts[k - 1])) for k in surface.non_height]
-        # hypersphere: stay well inside the ball so the lift is single-valued
-        center = _as_float_list(self.params.get("center", [0.0] * n), "center", n)
-        radius = float(self.params["radius"])
-        half = radius / (2.0 * math.sqrt(n - 1))
-        return [(center[k - 1] - half, center[k - 1] + half) for k in surface.non_height]
-
-    def default_bracket(self) -> tuple[float, float]:
-        """Height bracket guaranteed to straddle the lift for default ranges."""
-        surface = self.build()
-        n, h = self.n, surface.height
-        if self.kind in ("hyperplane", "cylinder"):
-            bound = 1.0
-            for k, rng in zip(surface.non_height, self.default_ranges()):
-                f = surface.funcs[k - 1]
-                grid = [rng[0] + (rng[1] - rng[0]) * t / 32.0 for t in range(33)]
-                bound += 1.5 * max(abs(eval_jet2(f, x).v) for x in grid)
-            fh = surface.funcs[h - 1]
-            # affine height: slope from the jet, intercept from the value
-            jet = eval_jet2(fh, 0.0)
-            slope, intercept = jet.d1, jet.v
-            m = (bound + abs(intercept)) / abs(slope) + 1.0
-            return (-m, m)
-        if self.kind in ("cobb_douglas_sqrt", "log_ode"):
-            shifts = self.params.get("shifts") or [0.0] * n
-            betas = self.params.get("betas") or [0.0] * n
-            if self.kind == "cobb_douglas_sqrt":
-                a_eff = float(self.params["a"])
-            else:
-                lam = float(self.params["lam"])
-                a_eff = math.exp(-math.fsum(float(b) for b in betas) / (2.0 * lam))
-            mu_h = float(shifts[h - 1])
-            lo = 0.9 * a_eff * 0.5 ** ((n - 1) / 2.0) - mu_h
-            hi = 1.1 * a_eff * 2.0 ** ((n - 1) / 2.0) - mu_h
-            return (lo, hi)
-        center = _as_float_list(self.params.get("center", [0.0] * n), "center", n)
-        radius = float(self.params["radius"])
-        c_h = center[h - 1]
-        return (c_h + 0.1 * radius, c_h + 1.01 * radius)
+    def defaults(self) -> tuple[SeparableSurface, list[tuple[float, float]], tuple[float, float]]:
+        """The surface, built once, with its default sampling boxes (one per
+        non-height coordinate, ascending by index) and height bracket."""
+        surface, values = self._build()
+        where = f"family {self.kind!r}: default"
+        try:
+            ranges, bracket = FAMILIES[self.kind].box(surface, **values)
+        except OverflowError as exc:
+            raise SpecFileError(f"{where} bracket overflows: {exc}") from exc
+        # far from the origin a box or bracket can collapse in rounding
+        ranges = [interval(r, f"{where} range") for r in ranges]
+        return surface, ranges, interval(bracket, f"{where} bracket")

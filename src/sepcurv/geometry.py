@@ -138,7 +138,8 @@ class JetTable:
 
     `sq_norm` is ||grad F||^2 per point, summed exactly (`math.fsum`).  A
     point whose jets fail keeps zero rows and its `DomainError` or
-    `NonFiniteError` in `jet_errors`.
+    `NonFiniteError` in `jet_errors`.  A point whose `sq_norm` overflows
+    reads inf there and gets a `NonFiniteError` too.
     """
 
     d1: np.ndarray
@@ -190,6 +191,7 @@ def jet_table(surface: SeparableSurface, points: Sequence[SurfacePoint]) -> JetT
     """Evaluate every f_k's 2-jet once per point with the scalar `Jet2` (so
     values match `surface.jets` bit for bit) and stack them into a table."""
     d1, d2 = np.zeros((len(points), surface.n)), np.zeros((len(points), surface.n))
+    sq_norm = np.zeros(len(points))
     errors: list[SepcurvError | None] = [None] * len(points)
     for p, point in enumerate(points):
         try:
@@ -199,7 +201,12 @@ def jet_table(surface: SeparableSurface, points: Sequence[SurfacePoint]) -> JetT
             continue
         d1[p] = [j.d1 for j in jets]
         d2[p] = [j.d2 for j in jets]
-    sq_norm = np.array([fsum(d * d for d in row) for row in d1.tolist()], dtype=float)
+        try:
+            sq_norm[p] = fsum(j.d1 * j.d1 for j in jets)
+        except OverflowError:
+            sq_norm[p] = math.inf
+        if sq_norm[p] == math.inf:
+            errors[p] = NonFiniteError(f"||grad F||^2 overflows at {point.coords!r}")
     return JetTable(d1, d2, sq_norm, tuple(errors))
 
 

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 
 from .errors import ParseError, SpecFileError
 from .expr import Function1D, parse_function
-from .families import FamilySpec
+from .families import FamilySpec, domain, finite, integer, interval
 from .geometry import SeparableSurface
 
 FORMAT_VERSION = 1
@@ -57,30 +56,6 @@ class LoadedSpec:
 
 def spec_digest(raw: bytes) -> str:
     return "sha256:" + hashlib.sha256(raw).hexdigest()
-
-
-def _domain_from(value, where: str) -> tuple[float, float]:
-    if value is None:
-        return (-math.inf, math.inf)
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise SpecFileError(f"{where}: domain must be [lo, hi] with null for unbounded")
-    lo = -math.inf if value[0] is None else float(value[0])
-    hi = math.inf if value[1] is None else float(value[1])
-    if not lo < hi:
-        raise SpecFileError(f"{where}: domain needs lo < hi, got [{value[0]}, {value[1]}]")
-    return (lo, hi)
-
-
-def _pair_of_floats(value, where: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise SpecFileError(f"{where} must be [lo, hi]")
-    try:
-        lo, hi = float(value[0]), float(value[1])
-    except (TypeError, ValueError) as exc:
-        raise SpecFileError(f"{where} must contain two numbers: {exc}") from exc
-    if not lo < hi:
-        raise SpecFileError(f"{where} needs lo < hi, got [{lo!r}, {hi!r}]")
-    return (lo, hi)
 
 
 def load_spec(path: str) -> LoadedSpec:
@@ -122,15 +97,9 @@ def load_spec(path: str) -> LoadedSpec:
     unknown = set(sampling) - {"count", "seed", "ranges", "oblique_planes"}
     if unknown:
         raise SpecFileError(f"{path}: unknown sampling keys {sorted(unknown)}")
-    count = sampling.get("count", 100)
-    seed = sampling.get("seed", 0)
-    oblique = sampling.get("oblique_planes", 0)
-    if not isinstance(count, int) or count < 1:
-        raise SpecFileError(f"{path}: sampling.count must be a positive integer")
-    if not isinstance(seed, int) or seed < 0:
-        raise SpecFileError(f"{path}: sampling.seed must be a non-negative integer")
-    if not isinstance(oblique, int) or oblique < 0:
-        raise SpecFileError(f"{path}: sampling.oblique_planes must be a non-negative integer")
+    count = integer(sampling.get("count", 100), f"{path}: sampling.count", 1)
+    seed = integer(sampling.get("seed", 0), f"{path}: sampling.seed", 0)
+    oblique = integer(sampling.get("oblique_planes", 0), f"{path}: sampling.oblique_planes", 0)
 
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict):
@@ -140,19 +109,15 @@ def load_spec(path: str) -> LoadedSpec:
         raise SpecFileError(f"{path}: unknown tolerance keys {sorted(unknown)}")
     constancy_tol = tolerances.get("constancy")
     if constancy_tol is not None:
-        constancy_tol = float(constancy_tol)
+        constancy_tol = finite(constancy_tol, f"{path}: tolerances.constancy")
         if not constancy_tol > 0.0:
             raise SpecFileError(f"{path}: tolerances.constancy must be positive")
 
     grid = data.get("grid")
     if grid is not None:
-        if (
-            not isinstance(grid, (list, tuple))
-            or len(grid) != 2
-            or not all(isinstance(g, int) and g >= 2 for g in grid)
-        ):
-            raise SpecFileError(f"{path}: grid must be [nx, ny] with integers >= 2")
-        grid = (grid[0], grid[1])
+        if not isinstance(grid, (list, tuple)) or len(grid) != 2:
+            raise SpecFileError(f"{path}: grid must be [nx, ny]")
+        grid = tuple(integer(g, f"{path}: grid", 2) for g in grid)
 
     ranges = None
     if "ranges" in sampling:
@@ -160,8 +125,7 @@ def load_spec(path: str) -> LoadedSpec:
         if not isinstance(raw_ranges, (list, tuple)):
             raise SpecFileError(f"{path}: sampling.ranges must be a list of [lo, hi]")
         ranges = tuple(
-            _pair_of_floats(r, f"{path}: sampling.ranges[{k}]")
-            for k, r in enumerate(raw_ranges)
+            interval(r, f"{path}: sampling.ranges[{k}]") for k, r in enumerate(raw_ranges)
         )
 
     if has_family:
@@ -174,14 +138,14 @@ def load_spec(path: str) -> LoadedSpec:
         if not isinstance(data["family"], dict):
             raise SpecFileError(f"{path}: 'family' must be an object")
         family = FamilySpec.from_dict(data["family"])
-        surface = family.build()
-        bracket = (
-            _pair_of_floats(data["bracket"], f"{path}: bracket")
-            if "bracket" in data
-            else family.default_bracket()
-        )
-        if ranges is None:
-            ranges = tuple(family.default_ranges())
+        # with both overrides, a family without derivable defaults still loads
+        if ranges is None or "bracket" not in data:
+            surface, default_ranges, bracket = family.defaults()
+            ranges = tuple(default_ranges) if ranges is None else ranges
+        else:
+            surface = family.build()
+        if "bracket" in data:
+            bracket = interval(data["bracket"], f"{path}: bracket")
     else:
         if "bracket" in data:
             raise SpecFileError(
@@ -197,9 +161,7 @@ def load_spec(path: str) -> LoadedSpec:
             raise SpecFileError(
                 f"{path}: n = {declared_n} inconsistent with {n} function entries"
             )
-        height = data.get("height_index", n)
-        if not isinstance(height, int) or not 1 <= height <= n:
-            raise SpecFileError(f"{path}: height_index must be an integer in 1..{n}")
+        height = integer(data.get("height_index", n), f"{path}: height_index", 1, n)
         funcs: list[Function1D] = []
         bracket = None
         for k, item in enumerate(items):
@@ -211,9 +173,9 @@ def load_spec(path: str) -> LoadedSpec:
                 raise SpecFileError(f"{where}: unknown keys {sorted(unknown)}")
             if "expr" not in item or not isinstance(item["expr"], str):
                 raise SpecFileError(f"{where} needs a string 'expr'")
-            domain = _domain_from(item.get("domain"), where)
+            dom = domain(item.get("domain"), f"{where}: domain")
             try:
-                funcs.append(parse_function(item["expr"], domain))
+                funcs.append(parse_function(item["expr"], dom))
             except ParseError as exc:
                 raise SpecFileError(f"{where}: {exc}") from exc
             if "bracket" in item:
@@ -221,7 +183,7 @@ def load_spec(path: str) -> LoadedSpec:
                     raise SpecFileError(
                         f"{where}: only the height entry (index {height}) takes a bracket"
                     )
-                bracket = _pair_of_floats(item["bracket"], f"{where}: bracket")
+                bracket = interval(item["bracket"], f"{where}: bracket")
         if bracket is None:
             raise SpecFileError(
                 f"{path}: the height entry functions[{height - 1}] needs a bracket"

@@ -21,13 +21,7 @@ from typing import Sequence
 from .curvature import ScanPolicy, pair_table, scan_constancy
 from .errors import SepcurvError
 from .expr import parse_function
-from .families import (
-    make_cobb_douglas_perturbed,
-    make_cobb_douglas_sqrt,
-    make_cylinder,
-    make_hyperplane,
-    make_hypersphere,
-)
+from .families import FamilySpec, make_cobb_douglas_perturbed
 from .geometry import SeparableSurface, sample_points
 
 FLAT_TOL = 1e-9           # max |K| accepted as flat
@@ -136,18 +130,15 @@ def run_flat_suite(
     """Flat families scan to K = 0; engineered controls refuse to."""
     rows: list[SuiteRow] = []
     for n in dims:
-        surface = make_hyperplane([1.0] * n, offset=0.5)
-        report, _ = _scan(surface, [(-2.0, 2.0)] * (n - 1), (-12.0, 12.0), count, (seed, 0, n))
-        rows.append(_flat_row("hyperplane(1,...,1)", n, report))
-
-        profile = parse_function("x^2")
-        surface = make_cylinder(profile, n)
-        report, _ = _scan(surface, [(-2.0, 2.0)] * (n - 1), (-16.0, 16.0), count, (seed, 1, n))
-        rows.append(_flat_row("cylinder(x^2)", n, report))
-
-        surface = make_cobb_douglas_sqrt(1.0, n)
-        report, _ = _scan(surface, [(0.5, 2.0)] * (n - 1), (0.05, 8.0), count, (seed, 2, n))
-        rows.append(_flat_row("cobb_douglas_sqrt(A=1)", n, report))
+        families = (
+            ("hyperplane(1,...,1)",
+             FamilySpec("hyperplane", n, {"coeffs": [1.0] * n, "offset": 0.5})),
+            ("cylinder(x^2)", FamilySpec("cylinder", n, {"profile_expr": "x^2"})),
+            ("cobb_douglas_sqrt(A=1)", FamilySpec("cobb_douglas_sqrt", n, {"a": 1.0})),
+        )
+        for ordinal, (name, family) in enumerate(families):
+            report, _ = _scan(*family.defaults(), count, (seed, ordinal, n))
+            rows.append(_flat_row(name, n, report))
     rows.extend(_control_rows(dims, count, seed, 3))
     return rows
 
@@ -165,16 +156,8 @@ def run_constant_suite(
     rows: list[SuiteRow] = []
     for n in dims:
         for r in radii:
-            surface = make_hypersphere([0.0] * n, r)
-            half = r / (2.0 * math.sqrt(n - 1))
-            report, _ = _scan(
-                surface,
-                [(-half, half)] * (n - 1),
-                (0.1 * r, 1.01 * r),
-                count,
-                (seed, 10, n, int(r * 1000)),
-                oblique=oblique,
-            )
+            family = FamilySpec("hypersphere", n, {"radius": r})
+            report, _ = _scan(*family.defaults(), count, (seed, 10, n, int(r * 1000)), oblique)
             target = 1.0 / (r * r)
             if report.k_min is None:
                 ok, observed = False, "no values"
@@ -197,8 +180,8 @@ def run_constant_suite(
 
     # a flat family must fail every nonzero constant-curvature residual
     n = 4 if 4 in dims else dims[0]
-    flat = make_cobb_douglas_sqrt(1.0, n)
-    points, _ = sample_points(flat, [(0.5, 2.0)] * (n - 1), 25, [seed, 20, n], (0.05, 8.0))
+    flat, ranges, bracket = FamilySpec("cobb_douglas_sqrt", n, {"a": 1.0}).defaults()
+    points, _ = sample_points(flat, ranges, 25, [seed, 20, n], bracket)
     table = pair_table(flat, points)
     worst_min = min(float(abs(table.constk(k0)).min()) for k0 in NONZERO_K0S)
     ok = worst_min > CONTROL_MIN_SPREAD

@@ -6,7 +6,17 @@ import sys
 import pytest
 
 import sepcurv
-from sepcurv import SuiteRow, read_report_body
+from sepcurv import (
+    SuiteRow,
+    constk_residual,
+    coordinate_plane,
+    flatness_residual,
+    load_spec,
+    read_report_body,
+    sectional_oracle,
+    sectional_special,
+    solve_height,
+)
 from sepcurv.cli import main
 
 
@@ -112,6 +122,15 @@ def test_eval_pair_and_k0(tmp_path, capsys):
     assert doc["pair"] == [2, 3]
     assert doc["k0"] == 1.0
     assert abs(doc["constk_residual"]) <= 1e-9
+    # one jet table gives what the point-wise functions give, bit for bit
+    loaded = load_spec(spec)
+    s = loaded.surface
+    p = solve_height(s, [0.5, 0.5, 0.5], loaded.bracket)
+    assert doc["coords"] == list(p.coords)
+    assert doc["k_special"] == sectional_special(s, p, 2, 3)
+    assert doc["k_oracle"] == sectional_oracle(s, p, coordinate_plane(s, p, 2, 3))
+    assert doc["flatness_residual"] == flatness_residual(s, p, 2, 3)
+    assert doc["constk_residual"] == constk_residual(s, p, 2, 3, 1.0)
 
 
 def test_eval_human_output(tmp_path, capsys):
@@ -147,6 +166,7 @@ def test_eval_default_pair_skips_height(tmp_path, capsys):
         ["--point", "0,0,0", "--pair", "1,1"],       # repeated index
         ["--point", "0,0,0", "--pair", "1,4"],       # names the height
         ["--point", "0,0,0", "--pair", "1,x"],       # not an integer
+        ["--point", "0,0,0", "--k0", "inf"],         # not finite
     ],
 )
 def test_eval_usage_errors(tmp_path, capsys, extra):
@@ -164,6 +184,29 @@ def test_eval_unsolvable_point_exit_3(tmp_path, capsys):
     spec = sphere4_spec(tmp_path)
     assert main(["eval", spec, "--point", "2.5,0,0"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "first, height, bracket",
+    [
+        ("1e154*x", "1e154*x", [-2.0, 0.0]),   # finite squares that fsum cannot add
+        ("1e155*x", "x", [-1e156, 0.0]),       # one square already past the largest float
+    ],
+)
+def test_gradient_norm_overflow_exit_3(tmp_path, capsys, first, height, bracket):
+    doc = {
+        "format_version": 1,
+        "functions": [
+            {"expr": first}, {"expr": "x"}, {"expr": "x"}, {"expr": height, "bracket": bracket},
+        ],
+        "sampling": {"count": 5, "ranges": [[0.5, 1.0]] * 3},
+    }
+    spec = write_spec(tmp_path, doc)
+    assert main(["scan", spec, "--out", str(tmp_path / "r.json")]) == 3
+    assert main(["eval", spec, "--point", "0.6,0.6,0.6"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error:") and "overflows" in line for line in err)
 
 
 # ------------------------------------------------------------------- scan
@@ -319,7 +362,7 @@ def test_flag_beats_spec_tol(tmp_path, capsys):
     assert "verdict: non-constant" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("env", ["abc", "-5", "0"])
+@pytest.mark.parametrize("env", ["abc", "-5", "0", "inf"])
 def test_bad_env_tol_exit_2(tmp_path, capsys, monkeypatch, env):
     spec = sphere4_spec(tmp_path)
     monkeypatch.setenv("SEPCURV_TOL", env)
@@ -331,6 +374,54 @@ def test_bad_tol_flag_exit_2(tmp_path, capsys):
     spec = sphere4_spec(tmp_path)
     assert main(["scan", spec, "--out", str(tmp_path / "r.json"), "--tol", "-1"]) == 2
     assert "--tol must be positive" in capsys.readouterr().err
+    assert main(["scan", spec, "--out", str(tmp_path / "r.json"), "--tol", "inf"]) == 2
+    assert "--tol must be positive and finite" in capsys.readouterr().err
+
+
+# ------------------------------------------------------ bad spec values
+
+SPHERE4 = {"kind": "hypersphere", "n": 4, "radius": 2.0}
+BIG = "<1e309>"     # written as the JSON number 1e309, which reads as inf
+
+
+@pytest.mark.parametrize(
+    "family, extra, message",
+    [
+        ({**SPHERE4, "radius": -2}, {}, "radius must be positive"),
+        ({**SPHERE4, "radius": "abc"}, {}, "'radius' must be a finite number"),
+        ({**SPHERE4, "center": [0, 0, BIG, 0]}, {}, "'center' must be a list of 4 finite"),
+        ({**SPHERE4, "height": True}, {}, "family height"),
+        ({**SPHERE4, "height": 9}, {}, "family height"),
+        ({"kind": "cylinder", "n": 4, "profile_domain": ["a", 1]}, {}, "'profile_domain'"),
+        ({"kind": "cylinder", "n": 4, "profile_domain": [2, 1]}, {}, "lo < hi"),
+        ({"kind": "cylinder", "n": 4, "profile_slot": "x"}, {}, "'profile_slot'"),
+        ({"kind": "cobb_douglas_sqrt", "n": 4, "a": -1}, {}, "A must be positive"),
+        ({"kind": "log_ode", "n": 4, "lam": 0}, {}, "lam must be nonzero"),
+        (
+            {"kind": "log_ode", "n": 4, "lam": 0.001, "betas": [0, 0, 0, -10]},
+            {},
+            "default bracket overflows",
+        ),
+        ({"kind": "hyperplane", "n": 4, "coeffs": [1, 1, 1, 0]}, {}, "lam_4 must be nonzero"),
+        # defaults that collapse to one float far from the origin
+        ({**SPHERE4, "center": [0, 0, 0, 1e308]}, {}, "default bracket needs lo < hi"),
+        ({"kind": "log_ode", "n": 4, "lam": 1, "shifts": [-1e308, 0, 0, 0]}, {}, "default range"),
+        (SPHERE4, {"tolerances": {"constancy": "x"}}, "tolerances.constancy"),
+        (SPHERE4, {"tolerances": {"constancy": BIG}}, "tolerances.constancy"),
+        (SPHERE4, {"sampling": {"count": True}}, "sampling.count"),
+        (SPHERE4, {"sampling": {"seed": True}}, "sampling.seed"),
+        (SPHERE4, {"sampling": {"ranges": [[0, BIG], [0, 1], [0, 1]]}}, "sampling.ranges[0]"),
+        (SPHERE4, {"sampling": {"ranges": [[-1e308, 1e308], [0, 1], [0, 1]]}}, "finite distance"),
+    ],
+)
+def test_bad_spec_values_exit_2(tmp_path, capsys, family, extra, message):
+    text = json.dumps({"format_version": 1, "family": family, **extra})
+    path = tmp_path / "bad.json"
+    path.write_text(text.replace(f'"{BIG}"', "1e309"), encoding="utf-8")
+    assert main(["scan", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert message in err[0]
 
 
 # ---------------------------------------------------------------- certify

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations
 
@@ -7,8 +8,10 @@ from sepcurv import (
     FAMILY_KINDS,
     FamilySpec,
     ScanPolicy,
+    SeparableSurface,
     SpecFileError,
     ensure_regular,
+    load_spec,
     log_family_lambdas,
     make_cobb_douglas_perturbed,
     make_cobb_douglas_sqrt,
@@ -23,13 +26,12 @@ from sepcurv import (
     sectional_special,
     solve_height,
 )
+from sepcurv import families
 
 
 def scan_with_defaults(spec: FamilySpec, count: int = 30, seed: int = 9, **policy):
-    surface = spec.build()
-    pts, fails = sample_points(
-        surface, spec.default_ranges(), count, seed, spec.default_bracket()
-    )
+    surface, ranges, bracket = spec.defaults()
+    pts, fails = sample_points(surface, ranges, count, seed, bracket)
     assert not fails
     return scan_constancy(surface, pts, ScanPolicy(seed=seed, **policy))
 
@@ -141,8 +143,8 @@ def test_cobb_douglas_graph_identity():
     a = 1.5
     shifts = (0.25, 0.0, -0.5, 1.0)
     spec = FamilySpec("cobb_douglas_sqrt", 4, {"a": a, "shifts": list(shifts)})
-    s = spec.build()
-    pts, fails = sample_points(s, spec.default_ranges(), 20, 3, spec.default_bracket())
+    s, ranges, bracket = spec.defaults()
+    pts, fails = sample_points(s, ranges, 20, 3, bracket)
     assert not fails
     for p in pts:
         prod = math.prod(x + m for x, m in zip(p.coords[:3], shifts[:3]))
@@ -338,15 +340,19 @@ def test_family_spec_parameter_type_errors():
         FamilySpec("hyperplane", 4, {"coeffs": [1.0, "x", 1.0, 1.0]}).build()
     with pytest.raises(SpecFileError, match="profile_domain"):
         FamilySpec("cylinder", 4, {"profile_domain": [0.0]}).build()
+    with pytest.raises(SpecFileError, match="finite number"):
+        FamilySpec("hypersphere", 4, {"radius": True}).build()
+    # a constructor's own ValueError leaves build() as a spec error
+    with pytest.raises(SpecFileError, match="radius must be positive"):
+        FamilySpec("hypersphere", 4, {"radius": -2.0}).build()
 
 
 def test_cylinder_spec_profile_domain():
     spec = FamilySpec(
         "cylinder", 4, {"profile_expr": "log(x)", "profile_domain": [0.0, None]}
     )
-    s = spec.build()
+    s, ranges, _ = spec.defaults()
     assert s.funcs[0].domain == (0.0, math.inf)
-    ranges = spec.default_ranges()
     assert ranges[0] == (0.1, 2.0)
     assert ranges[1] == (-2.0, 2.0)
 
@@ -361,26 +367,49 @@ def test_family_kinds_frozen_list():
     )
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        FamilySpec("hyperplane", 4, {"coeffs": [1.0, -2.0, 3.0, 1.0], "offset": 0.5}),
-        FamilySpec("cylinder", 4, {"profile_expr": "exp(x)", "lin": [1.0, 1.0, 2.0]}),
-        FamilySpec("cobb_douglas_sqrt", 5, {"a": 1.5, "shifts": [0.5, 0.0, -0.25, 0.0, 1.0]}),
-        FamilySpec("log_ode", 4, {"lam": -0.8, "betas": [0.1, 0.0, 0.0, -0.2]}),
-        FamilySpec("hypersphere", 5, {"center": [0.5, -1.0, 2.0, 0.0, 1.0], "radius": 1.5}, height=2),
-    ],
-    ids=lambda sp: sp.kind,
-)
-def test_default_sampling_never_fails(spec):
-    surface = spec.build()
-    ranges = spec.default_ranges()
+EXAMPLES = {
+    "hyperplane": FamilySpec("hyperplane", 4, {"coeffs": [1.0, -2.0, 3.0, 1.0], "offset": 0.5}),
+    "cylinder": FamilySpec("cylinder", 4, {"profile_expr": "exp(x)", "lin": [1.0, 1.0, 2.0]}),
+    "cobb_douglas_sqrt": FamilySpec(
+        "cobb_douglas_sqrt", 5, {"a": 1.5, "shifts": [0.5, 0.0, -0.25, 0.0, 1.0]}
+    ),
+    "log_ode": FamilySpec("log_ode", 4, {"lam": -0.8, "betas": [0.1, 0.0, 0.0, -0.2]}),
+    "hypersphere": FamilySpec(
+        "hypersphere", 5, {"center": [0.5, -1.0, 2.0, 0.0, 1.0], "radius": 1.5}, height=2
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_default_sampling_never_fails(kind):
+    spec = EXAMPLES[kind]
+    surface, ranges, bracket = spec.defaults()
     assert len(ranges) == surface.n - 1
-    pts, fails = sample_points(surface, ranges, 50, 42, spec.default_bracket())
+    pts, fails = sample_points(surface, ranges, 50, 42, bracket)
     assert not fails
     assert len(pts) == 50
     for p in pts:
         ensure_regular(surface, p)
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_load_spec_builds_family_once(tmp_path, monkeypatch, kind):
+    spec = EXAMPLES[kind]
+    family = {"kind": kind, "n": spec.n, **spec.params}
+    if spec.height is not None:
+        family["height"] = spec.height
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"format_version": 1, "family": family}), encoding="utf-8")
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return SeparableSurface(*args, **kwargs)
+
+    monkeypatch.setattr(families, "SeparableSurface", counting)
+    loaded = load_spec(str(path))
+    assert len(built) == 1
+    assert (loaded.ranges, loaded.bracket) == (tuple(spec.defaults()[1]), spec.defaults()[2])
 
 
 def test_solve_height_on_family_with_moved_height():
