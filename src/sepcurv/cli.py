@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import __version__
-from .curvature import DEFAULT_CONSTANCY_TOL, ScanPolicy, _gauss, _one_pair, scan_constancy
+from .curvature import DEFAULT_CONSTANCY_TOL, ScanPolicy, _gauss, pair_table, scan_constancy
 from .errors import (
     DegeneratePlaneError,
     DomainError,
@@ -34,10 +34,11 @@ from .errors import (
     SolveError,
     SpecFileError,
 )
-from .geometry import sample_points, solve_height
+from .families import MAX_N, integer
+from .geometry import _lift, sample_points
 from .meshing import build_mesh, write_curvature_csv, write_obj
 from .report import report_body_csv, report_body_json, write_report
-from .specfile import LoadedSpec, load_spec
+from .specfile import MAX_COUNT, LoadedSpec, load_spec
 from .suites import DEFAULT_SEED, format_rows, run_constant_suite, run_flat_suite
 
 ENV_TOL = "SEPCURV_TOL"
@@ -160,10 +161,13 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     i, j = _eval_pair(spec, ns.pair)
     if ns.k0 is not None and not math.isfinite(ns.k0):
         raise SpecFileError(f"--k0 must be finite, got {ns.k0!r}")
-    point = solve_height(surface, partial, spec.bracket)
-    # one gated jet table for the pair, as in a scan record
-    table = _one_pair(surface, point, i, j)
-    k_oracle, plane_errors = _gauss(table.jets, *table.frames(surface.height))
+    lift = _lift(surface, [partial], spec.bracket)
+    if lift.failures:
+        raise lift.failures[0]
+    point = lift.points[0]
+    # the lift's gated jet table gives every figure, as in a scan record
+    table = pair_table(surface, lift.table, [(min(i, j), max(i, j))])
+    k_oracle, plane_errors = _gauss(lift.table, *table.frames(surface.height))
     if plane_errors[0, 0] is not None:
         raise plane_errors[0, 0]
     k_special, k_oracle = float(table.curvature()[0, 0]), float(k_oracle[0, 0])
@@ -197,9 +201,7 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     spec = load_spec(ns.spec)
     if spec.ranges is None:
         raise SpecFileError(f"{ns.spec}: sampling.ranges is required for scanning")
-    seed = spec.seed if ns.seed is None else ns.seed
-    if seed < 0:
-        raise SpecFileError(f"--seed must be non-negative, got {seed}")
+    seed = integer(spec.seed if ns.seed is None else ns.seed, "--seed", 0)
     tol = _resolve_tol(ns.tol, spec.constancy_tol)
     points, failures = sample_points(
         spec.surface, spec.ranges, spec.count, seed, spec.bracket
@@ -240,20 +242,16 @@ def _cmd_certify(ns: argparse.Namespace) -> int:
     dims = None
     if ns.dims is not None:
         try:
-            dims = tuple(int(p.strip()) for p in ns.dims.split(","))
+            dims = [int(p.strip()) for p in ns.dims.split(",")]
         except ValueError as exc:
             raise SpecFileError(f"--dims must be comma-separated integers: {exc}") from exc
-        if any(d < 3 for d in dims):
-            raise SpecFileError("--dims entries must be >= 3")
-    if ns.count < 2:
-        raise SpecFileError("--count must be at least 2")
-    seed = DEFAULT_SEED if ns.seed is None else ns.seed
-    if seed < 0:
-        raise SpecFileError(f"--seed must be non-negative, got {seed}")
+        dims = tuple(integer(d, "--dims entry", 3, MAX_N) for d in dims)
+    count = integer(ns.count, "--count", 2, MAX_COUNT)
+    seed = integer(DEFAULT_SEED if ns.seed is None else ns.seed, "--seed", 0)
     if ns.suite == "flat":
-        rows = run_flat_suite(dims or (4, 5, 6), count=ns.count, seed=seed)
+        rows = run_flat_suite(dims or (4, 5, 6), count=count, seed=seed)
     else:
-        rows = run_constant_suite(dims=dims or (4, 5), count=ns.count, seed=seed)
+        rows = run_constant_suite(dims=dims or (4, 5), count=count, seed=seed)
     print(format_rows(rows))
     return 0 if all(r.ok for r in rows) else 1
 

@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegeneratePlaneError, SepcurvError
+from .errors import DegeneratePlaneError, describe
 from .geometry import JetTable, SeparableSurface, SurfacePoint, jet_table, point_jets
 
 EQUIVALENCE_RTOL = 1e-9        # |k_special - k_oracle| <= rtol * max(1, |k_oracle|)
@@ -108,15 +108,14 @@ class PairTable:
     """Closed-form terms of Q coordinate pairs at P points, as (P, Q) arrays.
 
     `flat` is the closed-form numerator (the flatness residual) and `s` the
-    pair's f_i'^2 + f_j'^2 + f_h'^2.  `errors` holds each point's first jet
-    or regularity failure; the rows of failed points are meaningless.
+    pair's f_i'^2 + f_j'^2 + f_h'^2.  Rows of points that fail the table's
+    gates (`jets.errors`) are meaningless.
     """
 
     pairs: tuple[tuple[int, int], ...]
     jets: JetTable
     flat: np.ndarray
     s: np.ndarray
-    errors: tuple[SepcurvError | None, ...]
 
     def curvature(self) -> np.ndarray:
         with np.errstate(all="ignore"):
@@ -136,13 +135,12 @@ class PairTable:
 
 def pair_table(
     surface: SeparableSurface,
-    points: Sequence[SurfacePoint],
+    table: JetTable,
     pairs: Sequence[tuple[int, int]] | None = None,
 ) -> PairTable:
-    """Evaluate the closed-form terms at every point (one jet table) for the
-    given 1-based ascending pairs, by default every non-height pair."""
+    """The closed-form terms of a jet table's points for the given 1-based
+    ascending pairs, by default every non-height pair."""
     pairs = tuple(combinations(surface.non_height, 2) if pairs is None else pairs)
-    table = jet_table(surface, points)
     lo, hi = ([k - 1 for k in col] for col in zip(*pairs))
     h = [surface.height - 1]
     p, q, r = table.d1[:, lo], table.d1[:, hi], table.d1[:, h]
@@ -152,17 +150,18 @@ def pair_table(
     with np.errstate(all="ignore"):
         flat = p * p * qq * rr + q * q * pp * rr + r * r * pp * qq
         s = p * p + q * q + r * r
-    return PairTable(pairs, table, flat, s, tuple(table.errors(surface.height)))
+    return PairTable(pairs, table, flat, s)
 
 
 def _one_pair(
     surface: SeparableSurface, point: SurfacePoint, i: int, j: int, gated: bool = True
 ) -> PairTable:
-    table = pair_table(surface, [point], [_pair_sorted(surface, i, j)])
-    error = table.errors[0] if gated else table.jets.jet_errors[0]
+    pair = _pair_sorted(surface, i, j)
+    table = jet_table(surface, [point])
+    error = table.errors(surface.height)[0] if gated else table.jet_errors[0]
     if error is not None:
         raise error
-    return table
+    return pair_table(surface, table, [pair])
 
 
 def _gauss(table: JetTable, u: np.ndarray, w: np.ndarray):
@@ -368,10 +367,6 @@ class CurvatureReport:
     max_engine_rel_dev: float | None = None
 
 
-def _describe(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 def _chunk_records(
     surface: SeparableSurface,
     points: Sequence[SurfacePoint],
@@ -381,12 +376,14 @@ def _chunk_records(
 ) -> list[ScanRecord]:
     """Records of the points at positions start, start + 1, ... from one jet
     table: both pair engines and every oblique plane evaluated as arrays."""
-    table = pair_table(surface, points, pairs)
-    jets, nq, m = table.jets, len(pairs), policy.oblique_per_point
+    jets = jet_table(surface, points)
+    errors = jets.errors(surface.height)
+    table = pair_table(surface, jets, pairs)
+    nq, m = len(pairs), policy.oblique_per_point
     u, w = table.frames(surface.height)
     draw_errors: dict[tuple[int, int], DegeneratePlaneError] = {}
     if m:
-        regular = [p for p, exc in enumerate(table.errors) if exc is None]
+        regular = [p for p, exc in enumerate(errors) if exc is None]
         raw = np.zeros((len(points), m, 2, surface.n))
         for p in regular:
             raw[p] = np.random.default_rng([policy.seed, start + p]).standard_normal(raw.shape[1:])
@@ -417,9 +414,9 @@ def _chunk_records(
     records: list[ScanRecord] = []
     for p, point in enumerate(points):
         rec = partial(ScanRecord, start + p, point.coords)
-        error = table.errors[p] or next((e for e in plane_errors[p, :nq] if e is not None), None)
+        error = errors[p] or next((e for e in plane_errors[p, :nq] if e is not None), None)
         if error is not None:
-            records.append(rec("error", error=_describe(error)))
+            records.append(rec("error", error=describe(error)))
             continue
         records.extend(
             rec("pair", i=i, j=j, k_special=ks[p][q], k_oracle=k[p][q], residual_flat=flat[p][q],
@@ -429,7 +426,7 @@ def _chunk_records(
         for r in range(m):
             exc = plane_errors[p, nq + r]
             records.append(
-                rec("error", error=_describe(exc)) if exc is not None
+                rec("error", error=describe(exc)) if exc is not None
                 else rec("plane", u=tuple(u[p][r]), w=tuple(w[p][r]), k_oracle=k[p][nq + r])
             )
     return records

@@ -55,3 +55,8 @@ class SpecFileError(SepcurvError, ValueError):
 
 class MeshError(SepcurvError):
     """Mesh export could not produce a usable mesh."""
+
+
+def describe(exc: Exception) -> str:
+    """A failure as reports record it: 'ClassName: message'."""
+    return f"{type(exc).__name__}: {exc}"

@@ -32,45 +32,34 @@ from .errors import SpecFileError
 from .expr import BinOp, Call, Const, Function1D, Neg, Node, Pow, Var, eval_jet2, parse_function
 from .geometry import SeparableSurface
 
+def _plus(node: Node, c: float) -> Node:
+    """AST for node + c: the node itself for c = 0, a subtraction for c < 0."""
+    if c == 0.0:
+        return node
+    if c < 0.0:
+        return BinOp("-", node, Const(-c))
+    return BinOp("+", node, Const(c))
+
+
 def _affine(lam: float, mu: float) -> Node:
     """AST for lam*x + mu with minimal node count."""
     if lam == 0.0:
         return Const(mu)
-    term: Node
     if lam == 1.0:
-        term = Var()
-    elif lam == -1.0:
-        term = Neg(Var())
-    else:
-        term = BinOp("*", Const(lam), Var())
-    if mu == 0.0:
-        return term
-    if mu < 0.0:
-        return BinOp("-", term, Const(-mu))
-    return BinOp("+", term, Const(mu))
-
-
-def _shifted_var(shift: float) -> Node:
-    """AST for x + shift."""
-    if shift == 0.0:
-        return Var()
-    if shift < 0.0:
-        return BinOp("-", Var(), Const(-shift))
-    return BinOp("+", Var(), Const(shift))
+        return _plus(Var(), mu)
+    if lam == -1.0:
+        return _plus(Neg(Var()), mu)
+    return _plus(BinOp("*", Const(lam), Var()), mu)
 
 
 def _log_term(coef: float, shift: float, offset: float) -> Node:
     """AST for coef*log(x + shift) + offset."""
-    node: Node = Call("log", _shifted_var(shift))
+    node: Node = Call("log", _plus(Var(), shift))
     if coef == -1.0:
         node = Neg(node)
     elif coef != 1.0:
         node = BinOp("*", Const(coef), node)
-    if offset == 0.0:
-        return node
-    if offset < 0.0:
-        return BinOp("-", node, Const(-offset))
-    return BinOp("+", node, Const(offset))
+    return _plus(node, offset)
 
 
 def _resolve_height(n: int, height: int | None) -> int:
@@ -225,12 +214,10 @@ def make_hypersphere(
     if n < 3:
         raise ValueError(f"need at least 3 center coordinates, got {n}")
     h = _resolve_height(n, height)
-    funcs: list[Function1D] = []
-    for k, c in enumerate(center):
-        node: Node = Pow(_shifted_var(-c), 2.0)
-        if k == h - 1:
-            node = BinOp("-", node, Const(radius * radius))
-        funcs.append(Function1D(node))
+    funcs = [
+        Function1D(_plus(Pow(_plus(Var(), -c), 2.0), -radius * radius if k == h - 1 else 0.0))
+        for k, c in enumerate(center)
+    ]
     return SeparableSurface(tuple(funcs), h)
 
 
@@ -280,7 +267,7 @@ def finite(value, where: str) -> float:
 def integer(value, where: str, lo: int = 1, hi: float = math.inf) -> int:
     """An integer in lo..hi."""
     if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
-        bound = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+        bound = f">= {lo}" if hi == math.inf else f">= {lo} and <= {hi}"
         raise SpecFileError(f"{where} must be an integer {bound}, got {value!r}")
     return value
 
@@ -366,6 +353,7 @@ def _sphere_box(surface: SeparableSurface, center: Sequence[float], radius: floa
 
 
 REQUIRED = object()   # schema default of a parameter a spec must give
+MAX_N = 100           # largest dimension a family (or `certify --dims`) takes
 
 
 @dataclass(frozen=True)
@@ -443,7 +431,7 @@ class FamilySpec:
             raise SpecFileError(
                 f"unknown family kind {self.kind!r}; valid kinds: {', '.join(FAMILY_KINDS)}"
             )
-        integer(self.n, "family integer 'n'", 3)
+        integer(self.n, "family integer 'n'", 3, MAX_N)
         if self.height is not None:
             integer(self.height, "family height", 1, self.n)
         object.__setattr__(self, "params", dict(self.params))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import fsum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import (
     RegularityError,
     SepcurvError,
     SolveError,
+    describe,
 )
 from .expr import Function1D
 from .jets import Jet2
@@ -187,27 +188,38 @@ class JetTable:
         return out
 
 
+def _stack(n: int, rows: Iterable[tuple]) -> JetTable:
+    """Table of (coords, the point's n jets or the error that stopped them)
+    rows, read once."""
+    d1, d2, sq_norm, errors = [], [], [], []
+    for coords, jets in rows:
+        error = jets if isinstance(jets, SepcurvError) else None
+        if error is not None:
+            jets = (Jet2(0.0),) * n   # a failed point keeps zero rows
+        d1.append([j.d1 for j in jets])
+        d2.append([j.d2 for j in jets])
+        try:
+            sq_norm.append(fsum(j.d1 * j.d1 for j in jets))
+        except OverflowError:
+            sq_norm.append(math.inf)
+        if sq_norm[-1] == math.inf:
+            error = NonFiniteError(f"||grad F||^2 overflows at {coords!r}")
+        errors.append(error)
+    shape = (len(sq_norm), n)
+    return JetTable(np.reshape(d1, shape), np.reshape(d2, shape), np.array(sq_norm), tuple(errors))
+
+
 def jet_table(surface: SeparableSurface, points: Sequence[SurfacePoint]) -> JetTable:
     """Evaluate every f_k's 2-jet once per point with the scalar `Jet2` (so
     values match `surface.jets` bit for bit) and stack them into a table."""
-    d1, d2 = np.zeros((len(points), surface.n)), np.zeros((len(points), surface.n))
-    sq_norm = np.zeros(len(points))
-    errors: list[SepcurvError | None] = [None] * len(points)
-    for p, point in enumerate(points):
+
+    def row(point: SurfacePoint) -> tuple:
         try:
-            jets = surface.jets(point.coords)
+            return point.coords, surface.jets(point.coords)
         except (DomainError, NonFiniteError) as exc:
-            errors[p] = exc
-            continue
-        d1[p] = [j.d1 for j in jets]
-        d2[p] = [j.d2 for j in jets]
-        try:
-            sq_norm[p] = fsum(j.d1 * j.d1 for j in jets)
-        except OverflowError:
-            sq_norm[p] = math.inf
-        if sq_norm[p] == math.inf:
-            errors[p] = NonFiniteError(f"||grad F||^2 overflows at {point.coords!r}")
-    return JetTable(d1, d2, sq_norm, tuple(errors))
+            return point.coords, exc.with_traceback(None)
+
+    return _stack(surface.n, map(row, points))
 
 
 def point_jets(
@@ -251,21 +263,16 @@ def tangent_frame(surface: SeparableSurface, point: SurfacePoint) -> TangentFram
     return TangentFrame(basis, d1 / gradnorm, gram, second)
 
 
-def solve_height(
-    surface: SeparableSurface,
-    partial: Sequence[float],
-    bracket: tuple[float, float],
-    max_iterations: int = MAX_SOLVE_ITERATIONS,
-) -> SurfacePoint:
-    """Lift partial coordinates onto the surface by solving for the height.
-
-    The root of g(t) = f_h(t) + sum of the other f_k is isolated by a
-    sign-change bracket and refined with Newton steps from exact jet slopes,
-    falling back to bisection whenever a Newton step leaves the bracket or
-    fails to shrink the residual fast enough.  The accepted root satisfies
-    the scale-relative on-surface tolerance, and its height slope must clear
-    the regularity threshold.
-    """
+def _root(
+    surface: SeparableSurface, partial: Sequence[float], bracket: tuple[float, float],
+    max_iterations: int,
+) -> tuple[SurfacePoint, tuple[Jet2, ...]]:
+    """Solve one partial's height: Newton steps on g(t) = f_h(t) + sum of the
+    other f_k, with a bisection step whenever Newton would leave the
+    sign-change bracket or stall, until |g| meets the scale-relative
+    on-surface tolerance.  Returns the point and the 2-jets the solve
+    evaluated there (the other coordinates' from its start, the height's at
+    the root), in coordinate order."""
     n = surface.n
     h0 = surface.height - 1
     partial = [float(v) for v in partial]
@@ -282,29 +289,25 @@ def solve_height(
         )
 
     other_funcs = [surface.funcs[k] for k in range(n) if k != h0]
-    vals = [f.jet(x).v for f, x in zip(other_funcs, partial)]
-    rest = fsum(vals)
-    abs_rest = fsum(abs(v) for v in vals)
+    others = [f.jet(x) for f, x in zip(other_funcs, partial)]
+    rest = fsum(j.v for j in others)
+    abs_rest = fsum(abs(j.v) for j in others)
 
     def residual_tol(height_value: float) -> float:
         return ON_SURFACE_RTOL * max(1.0, abs_rest + abs(height_value))
 
-    def accept(t: float, jet: Jet2) -> SurfacePoint:
-        if abs(jet.d1) < REGULARITY_EPS:
-            raise RegularityError(
-                f"height slope |f'_{surface.height}| = {abs(jet.d1):.3e} below "
-                f"regularity threshold {REGULARITY_EPS:g} at solved root t = {t!r}"
-            )
-        return SurfacePoint(surface.insert_height(partial, t), abs(jet.v + rest))
+    def root(t: float, jet: Jet2) -> tuple[SurfacePoint, tuple[Jet2, ...]]:
+        point = SurfacePoint(surface.insert_height(partial, t), abs(jet.v + rest))
+        return point, (*others[:h0], jet, *others[h0:])
 
     jlo = fh.jet(lo)
     glo = jlo.v + rest
     if abs(glo) <= residual_tol(jlo.v):
-        return accept(lo, jlo)
+        return root(lo, jlo)
     jhi = fh.jet(hi)
     ghi = jhi.v + rest
     if abs(ghi) <= residual_tol(jhi.v):
-        return accept(hi, jhi)
+        return root(hi, jhi)
     if (glo < 0.0) == (ghi < 0.0):
         raise BracketError(
             f"no sign change in bracket ({lo!r}, {hi!r}): "
@@ -320,7 +323,7 @@ def solve_height(
         jet = fh.jet(t)
         gx = jet.v + rest
         if abs(gx) <= residual_tol(jet.v):
-            return accept(t, jet)
+            return root(t, jet)
         if gx < 0.0:
             a = t
         else:
@@ -344,21 +347,81 @@ def solve_height(
     )
 
 
+class _Lift(NamedTuple):
+    """The draws that lifted (draw indices, points, their jet table) and each
+    other draw's failure by draw index."""
+
+    index: list[int]
+    points: list[SurfacePoint]
+    table: JetTable
+    failures: dict[int, SepcurvError]
+
+
+def _lift(
+    surface: SeparableSurface,
+    partials: Iterable[Sequence[float]],
+    bracket: tuple[float, float],
+    max_iterations: int = MAX_SOLVE_ITERATIONS,
+) -> _Lift:
+    """Solve each partial's height (`_root`), table the jets each solve
+    evaluated at its root and gate the table once (`JetTable.errors`)."""
+    index, points, failures = [], [], {}
+
+    def solved():
+        for i, partial in enumerate(partials):
+            try:
+                point, jets = _root(surface, partial, bracket, max_iterations)
+            except (SolveError, DomainError, NonFiniteError) as exc:
+                failures[i] = exc.with_traceback(None)   # frees the solve's frames
+            else:
+                index.append(i)
+                points.append(point)
+                yield point.coords, jets
+
+    table = _stack(surface.n, solved())
+    gate = table.errors(surface.height)
+    failures.update((index[p], exc) for p, exc in enumerate(gate) if exc is not None)
+    keep = [p for p, exc in enumerate(gate) if exc is None]
+    survivors = JetTable(table.d1[keep], table.d2[keep], table.sq_norm[keep], (None,) * len(keep))
+    return _Lift([index[p] for p in keep], [points[p] for p in keep], survivors, failures)
+
+
+def solve_height(
+    surface: SeparableSurface,
+    partial: Sequence[float],
+    bracket: tuple[float, float],
+    max_iterations: int = MAX_SOLVE_ITERATIONS,
+) -> SurfacePoint:
+    """Lift partial coordinates onto the surface by solving for the height.
+
+    The one-partial case of the lift shared with `sample_points`,
+    `build_mesh` and `sepcurv eval`: a safeguarded Newton/bisection solve in
+    the bracket, then the regularity gates on the jets at the root.  Raises
+    the first failure: a `SolveError`, a jet's `DomainError` or
+    `NonFiniteError`, a `RegularityError`, or a `NonFiniteError` when
+    ||grad F||^2 overflows at the root.
+    """
+    lift = _lift(surface, [partial], bracket, max_iterations)
+    if lift.failures:
+        raise lift.failures[0]
+    return lift.points[0]
+
+
 def sample_points(
     surface: SeparableSurface,
     ranges: Sequence[tuple[float, float]],
     count: int,
     seed,
     bracket: tuple[float, float],
-    max_iterations: int = MAX_SOLVE_ITERATIONS,
 ) -> tuple[list[SurfacePoint], list[tuple[int, str]]]:
     """Draw seeded uniform partial coordinates and lift each onto the surface.
 
     `ranges` gives one (lo, hi) box per non-height coordinate, ascending by
-    coordinate index.  Returns surviving points in draw order plus
-    (draw_index, reason) entries for draws that failed the domain check, the
-    solve, or the regularity gates.  Failures are recorded, never fatal.
-    The same seed always produces the same draws.
+    coordinate index.  The draws share one lift (`solve_height`'s solve and
+    gates; no point's jets are evaluated twice).  Returns surviving points
+    in draw order plus (draw_index, reason) entries for the draws that
+    failed; failures are recorded, never fatal.  The same seed always
+    produces the same draws.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
@@ -372,19 +435,5 @@ def sample_points(
         raise ValueError("every sampling range needs lo < hi")
     rng = np.random.default_rng(seed)
     partials = rng.uniform(lows, highs, size=(count, surface.n - 1))
-
-    lifted: list[tuple[int, SurfacePoint]] = []
-    failures: dict[int, str] = {}
-    for i in range(count):
-        try:
-            lifted.append((i, solve_height(surface, partials[i].tolist(), bracket, max_iterations)))
-        except (SolveError, RegularityError, DomainError, NonFiniteError, OffSurfaceError) as exc:
-            failures[i] = f"{type(exc).__name__}: {exc}"
-    gate = jet_table(surface, [p for _, p in lifted]).errors(surface.height)
-    points: list[SurfacePoint] = []
-    for (i, p), exc in zip(lifted, gate):
-        if exc is None:
-            points.append(p)
-        else:
-            failures[i] = f"{type(exc).__name__}: {exc}"
-    return points, sorted(failures.items())
+    lift = _lift(surface, partials.tolist(), bracket)
+    return lift.points, sorted((i, describe(exc)) for i, exc in lift.failures.items())

@@ -19,14 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .curvature import pair_table
-from .errors import (
-    DomainError,
-    MeshError,
-    NonFiniteError,
-    RegularityError,
-    SolveError,
-)
-from .geometry import SeparableSurface, solve_height
+from .errors import MeshError
+from .geometry import SeparableSurface, _lift
 
 
 @dataclass(frozen=True)
@@ -60,24 +54,12 @@ def build_mesh(
     a_vals = np.linspace(float(ranges[0][0]), float(ranges[0][1]), nx)
     b_vals = np.linspace(float(ranges[1][0]), float(ranges[1][1]), ny)
 
-    lifted = []
-    for r in range(nx):
-        for c in range(ny):
-            partial = [float(a_vals[r]), float(b_vals[c])]
-            try:
-                lifted.append((r, c, solve_height(surface, partial, bracket)))
-            except (SolveError, RegularityError, DomainError, NonFiniteError):
-                pass
-    # one jet table for every lifted node: its gates drop irregular nodes
-    table = pair_table(surface, [p for _, _, p in lifted], [(i, j)])
-    vertices: list[tuple[float, float, float]] = []
-    curvatures: list[float] = []
+    # one lift (solve, table and gates) for every node, row-major
+    lift = _lift(surface, ([a, b] for a in a_vals.tolist() for b in b_vals.tolist()), bracket)
+    vertices = [p.coords for p in lift.points]
+    curvatures = pair_table(surface, lift.table, [(i, j)]).curvature()[:, 0].tolist()
     vertex_id = np.full((nx, ny), -1, dtype=int)
-    for (r, c, p), k, error in zip(lifted, table.curvature()[:, 0].tolist(), table.errors):
-        if error is None:
-            vertex_id[r, c] = len(vertices)
-            vertices.append(p.coords)  # type: ignore[arg-type]
-            curvatures.append(k)
+    vertex_id.flat[lift.index] = np.arange(len(vertices))
     dropped = nx * ny - len(vertices)
 
     faces: list[tuple[int, int, int]] = []

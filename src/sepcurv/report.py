@@ -29,21 +29,22 @@ def _vector(values) -> str:
     return ";".join(repr(float(v)) for v in values)
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return _vector(value) if isinstance(value, list) else str(value)
+
+
 def _record_dict(rec: ScanRecord) -> dict:
+    """A record's fields by kind: the JSON record, and the CSV row's cells."""
     out: dict = {"sample": rec.sample, "kind": rec.kind, "coords": list(rec.coords)}
     if rec.kind == "pair":
-        out["i"] = rec.i
-        out["j"] = rec.j
-        out["k_special"] = rec.k_special
-        out["k_oracle"] = rec.k_oracle
-        out["residual_flat"] = rec.residual_flat
+        out.update(i=rec.i, j=rec.j, k_special=rec.k_special, k_oracle=rec.k_oracle,
+                   residual_flat=rec.residual_flat, flagged=rec.flagged)
         if rec.residual_constk is not None:
             out["residual_constk"] = rec.residual_constk
-        out["flagged"] = rec.flagged
     elif rec.kind == "plane":
-        out["u"] = list(rec.u)
-        out["w"] = list(rec.w)
-        out["k_oracle"] = rec.k_oracle
+        out.update(u=list(rec.u), w=list(rec.w), k_oracle=rec.k_oracle)
     else:
         out["error"] = rec.error
     return out
@@ -91,40 +92,15 @@ def report_body_csv(
     report: CurvatureReport,
     sampling_failures: Sequence[tuple[int, str]] = (),
 ) -> str:
-    """Record-level CSV export with the same determinism contract as JSON."""
-
-    def cell(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
+    """Record-level CSV export with the same determinism contract as JSON:
+    each row is a `_record_dict` layout, a missing or null cell empty."""
+    rows = [_record_dict(rec) for rec in report.records]
+    rows += [dict(sample=idx, kind="sample_error", error=msg) for idx, msg in sampling_failures]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for rec in report.records:
-        writer.writerow(
-            [
-                cell(rec.sample),
-                cell(rec.kind),
-                cell(rec.i),
-                cell(rec.j),
-                cell(rec.k_special),
-                cell(rec.k_oracle),
-                cell(rec.residual_flat),
-                cell(rec.residual_constk),
-                cell(rec.flagged if rec.kind == "pair" else None),
-                cell(rec.error),
-                _vector(rec.coords),
-                _vector(rec.u) if rec.u is not None else "",
-                _vector(rec.w) if rec.w is not None else "",
-            ]
-        )
-    for idx, msg in sampling_failures:
-        writer.writerow(
-            [cell(idx), "sample_error", "", "", "", "", "", "", "", cell(msg), "", "", ""]
-        )
+    for row in rows:
+        writer.writerow([_cell(row.get(column)) for column in _CSV_COLUMNS])
     return buf.getvalue()
 
 

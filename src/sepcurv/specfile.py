@@ -6,17 +6,17 @@ Schema (format_version 1): a JSON object with exactly one of
     "functions": [{"expr": str, "domain": [lo|null, hi|null],
                    "bracket": [lo, hi]  (height entry only, required there)},
                   ...]
-    "family":    {"kind": str, "n": int, "height"?: int, ...kind parameters}
+    "family":    {"kind": str, "n": int (3..100), "height"?: int, ...kind parameters}
 
 plus optional blocks
 
     "n":            int   (functions form only; must match the list length)
     "height_index": int   (functions form only; default n)
     "bracket":      [lo, hi]   (family form only; overrides the default)
-    "sampling":     {"count"?: int, "seed"?: int, "ranges"?: [[lo, hi], ...],
-                     "oblique_planes"?: int}
+    "sampling":     {"count"?: int (1..100000), "seed"?: int (>= 0),
+                     "ranges"?: [[lo, hi], ...], "oblique_planes"?: int (0..1000)}
     "tolerances":   {"constancy"?: float}
-    "grid":         [nx, ny]   (mesh export, n = 3 only)
+    "grid":         [nx, ny]   (mesh export, n = 3 only; each 2..512)
 
 Domain ends of null mean unbounded.  Family kinds and their parameters are
 documented in `sepcurv.families`; families supply default sampling ranges
@@ -36,6 +36,9 @@ from .families import FamilySpec, domain, finite, integer, interval
 from .geometry import SeparableSurface
 
 FORMAT_VERSION = 1
+MAX_COUNT = 100_000     # largest sampling.count (and `certify --count`)
+MAX_OBLIQUE = 1_000     # largest sampling.oblique_planes
+MAX_GRID = 512          # largest mesh grid side
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,7 @@ def load_spec(path: str) -> LoadedSpec:
         raise SpecFileError(f"cannot read spec file {path!r}: {exc}") from exc
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also an integer past Python's digit limit
         raise SpecFileError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SpecFileError(f"{path}: top level must be a JSON object")
@@ -97,9 +100,10 @@ def load_spec(path: str) -> LoadedSpec:
     unknown = set(sampling) - {"count", "seed", "ranges", "oblique_planes"}
     if unknown:
         raise SpecFileError(f"{path}: unknown sampling keys {sorted(unknown)}")
-    count = integer(sampling.get("count", 100), f"{path}: sampling.count", 1)
-    seed = integer(sampling.get("seed", 0), f"{path}: sampling.seed", 0)
-    oblique = integer(sampling.get("oblique_planes", 0), f"{path}: sampling.oblique_planes", 0)
+    where = f"{path}: sampling."
+    count = integer(sampling.get("count", 100), where + "count", 1, MAX_COUNT)
+    seed = integer(sampling.get("seed", 0), where + "seed", 0)
+    oblique = integer(sampling.get("oblique_planes", 0), where + "oblique_planes", 0, MAX_OBLIQUE)
 
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict):
@@ -117,7 +121,7 @@ def load_spec(path: str) -> LoadedSpec:
     if grid is not None:
         if not isinstance(grid, (list, tuple)) or len(grid) != 2:
             raise SpecFileError(f"{path}: grid must be [nx, ny]")
-        grid = tuple(integer(g, f"{path}: grid", 2) for g in grid)
+        grid = tuple(integer(g, f"{path}: grid", 2, MAX_GRID) for g in grid)
 
     ranges = None
     if "ranges" in sampling:

@@ -22,7 +22,7 @@ from .curvature import ScanPolicy, pair_table, scan_constancy
 from .errors import SepcurvError
 from .expr import parse_function
 from .families import FamilySpec, make_cobb_douglas_perturbed
-from .geometry import SeparableSurface, sample_points
+from .geometry import SeparableSurface, jet_table, sample_points
 
 FLAT_TOL = 1e-9           # max |K| accepted as flat
 SPHERE_TOL = 1e-9         # max |K - 1/r^2| and spread accepted as constant
@@ -182,7 +182,7 @@ def run_constant_suite(
     n = 4 if 4 in dims else dims[0]
     flat, ranges, bracket = FamilySpec("cobb_douglas_sqrt", n, {"a": 1.0}).defaults()
     points, _ = sample_points(flat, ranges, 25, [seed, 20, n], bracket)
-    table = pair_table(flat, points)
+    table = pair_table(flat, jet_table(flat, points))
     worst_min = min(float(abs(table.constk(k0)).min()) for k0 in NONZERO_K0S)
     ok = worst_min > CONTROL_MIN_SPREAD
     rows.append(

@@ -19,6 +19,8 @@ from sepcurv import (
 )
 from sepcurv.cli import main
 
+from lifts import spy_second_evaluations
+
 
 def write_spec(tmp_path, doc, name="spec.json"):
     p = tmp_path / name
@@ -131,6 +133,14 @@ def test_eval_pair_and_k0(tmp_path, capsys):
     assert doc["k_oracle"] == sectional_oracle(s, p, coordinate_plane(s, p, 2, 3))
     assert doc["flatness_residual"] == flatness_residual(s, p, 2, 3)
     assert doc["constk_residual"] == constk_residual(s, p, 2, 3, 1.0)
+
+
+def test_eval_evaluates_lifted_jets_once(tmp_path, capsys, monkeypatch):
+    spec = sphere4_spec(tmp_path)
+    calls = spy_second_evaluations(monkeypatch)
+    assert main(["eval", spec, "--point", "0.5,0.5,0.5", "--pair", "3,1", "--k0", "1.0"]) == 0
+    assert calls == []
+    assert json.loads(capsys.readouterr().out)["pair"] == [3, 1]
 
 
 def test_eval_human_output(tmp_path, capsys):
@@ -290,7 +300,7 @@ def test_scan_seed_override_changes_report(tmp_path):
 def test_scan_negative_seed_exit_2(tmp_path, capsys):
     spec = sphere4_spec(tmp_path)
     assert main(["scan", spec, "--out", str(tmp_path / "r.json"), "--seed", "-1"]) == 2
-    assert "non-negative" in capsys.readouterr().err
+    assert "--seed must be an integer >= 0" in capsys.readouterr().err
 
 
 def test_scan_requires_ranges(tmp_path, capsys):
@@ -412,6 +422,12 @@ BIG = "<1e309>"     # written as the JSON number 1e309, which reads as inf
         (SPHERE4, {"sampling": {"seed": True}}, "sampling.seed"),
         (SPHERE4, {"sampling": {"ranges": [[0, BIG], [0, 1], [0, 1]]}}, "sampling.ranges[0]"),
         (SPHERE4, {"sampling": {"ranges": [[-1e308, 1e308], [0, 1], [0, 1]]}}, "finite distance"),
+        # integers past a bound, before anything is allocated for them
+        ({**SPHERE4, "n": 10**400}, {}, "family integer 'n'"),
+        (SPHERE4, {"sampling": {"count": 10**400}}, "sampling.count"),
+        (SPHERE4, {"sampling": {"count": 10**13}}, "sampling.count"),
+        (SPHERE4, {"sampling": {"oblique_planes": 10**400}}, "sampling.oblique_planes"),
+        (SPHERE4, {"grid": [10**400, 4]}, "grid"),
     ],
 )
 def test_bad_spec_values_exit_2(tmp_path, capsys, family, extra, message):
@@ -422,6 +438,16 @@ def test_bad_spec_values_exit_2(tmp_path, capsys, family, extra, message):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert message in err[0]
+
+
+def test_spec_integer_past_digit_limit_exit_2(tmp_path, capsys):
+    # Python refuses to read an integer of more than 4300 digits
+    path = tmp_path / "big.json"
+    family = '{"kind": "hypersphere", "radius": 2.0, "n": 1' + "0" * 5000 + "}"
+    path.write_text('{"format_version": 1, "family": ' + family + "}", encoding="utf-8")
+    assert main(["scan", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "not valid JSON" in err[0]
 
 
 # ---------------------------------------------------------------- certify
@@ -462,7 +488,7 @@ def test_certify_seed_reproduces_rows(capsys):
 
 def test_certify_negative_seed_exit_2(capsys):
     assert main(["certify", "flat", "--seed", "-1"]) == 2
-    assert "--seed must be non-negative" in capsys.readouterr().err
+    assert "--seed must be an integer >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -471,6 +497,9 @@ def test_certify_negative_seed_exit_2(capsys):
         ["certify", "flat", "--dims", "2"],
         ["certify", "flat", "--dims", "4,x"],
         ["certify", "flat", "--count", "1"],
+        ["certify", "flat", "--count", str(10**400)],
+        ["certify", "flat", "--dims", str(10**400)],
+        ["certify", "constant", "--dims", "4,101"],
     ],
 )
 def test_certify_usage_errors(capsys, argv):

@@ -27,6 +27,7 @@ from sepcurv import (
     solve_height,
 )
 from sepcurv import families
+from sepcurv.expr import BinOp, Call, Const, Neg, Pow, Var
 
 
 def scan_with_defaults(spec: FamilySpec, count: int = 30, seed: int = 9, **policy):
@@ -416,3 +417,111 @@ def test_solve_height_on_family_with_moved_height():
     s = make_cobb_douglas_sqrt(1.0, 4, height=2)
     p = solve_height(s, (1.0, 1.0, 1.0), (0.05, 8.0))
     assert p.coords[1] == pytest.approx(1.0, abs=1e-12)
+
+
+# Each family's ASTs, pinned node for node: the "node plus a constant" rule
+# (`families._plus`) must keep every shape, and so every `to_source` text.
+FAMILY_ASTS = {
+    "hyperplane": (
+        EXAMPLES["hyperplane"].build,
+        [
+            Var(),
+            BinOp("*", Const(-2.0), Var()),
+            BinOp("*", Const(3.0), Var()),
+            BinOp("+", Var(), Const(0.5)),
+        ],
+    ),
+    "cylinder": (
+        EXAMPLES["cylinder"].build,
+        [
+            Call("exp", Var()),
+            Var(),
+            Var(),
+            BinOp("*", Const(2.0), Var()),
+        ],
+    ),
+    "cobb_douglas_sqrt": (
+        EXAMPLES["cobb_douglas_sqrt"].build,
+        [
+            Neg(Call("log", BinOp("+", Var(), Const(0.5)))),
+            Neg(Call("log", Var())),
+            Neg(Call("log", BinOp("-", Var(), Const(0.25)))),
+            Neg(Call("log", Var())),
+            BinOp(
+                "-",
+                BinOp("*", Const(2.0), Call("log", BinOp("+", Var(), Const(1.0)))),
+                Const(0.8109302162163288),
+            ),
+        ],
+    ),
+    "log_ode": (
+        EXAMPLES["log_ode"].build,
+        [
+            BinOp("+", BinOp("*", Const(0.8), Call("log", Var())), Const(0.1)),
+            BinOp("*", Const(0.8), Call("log", Var())),
+            BinOp("*", Const(0.8), Call("log", Var())),
+            BinOp("-", BinOp("*", Const(-1.6), Call("log", Var())), Const(0.2)),
+        ],
+    ),
+    "hypersphere": (
+        EXAMPLES["hypersphere"].build,
+        [
+            Pow(BinOp("-", Var(), Const(0.5)), 2.0),
+            BinOp("-", Pow(BinOp("+", Var(), Const(1.0)), 2.0), Const(2.25)),
+            Pow(BinOp("-", Var(), Const(2.0)), 2.0),
+            Pow(Var(), 2.0),
+            Pow(BinOp("-", Var(), Const(1.0)), 2.0),
+        ],
+    ),
+    "hyperplane_edges": (
+        lambda: make_hyperplane([0.0, -1.0, 1.0, -3.0], -2.5),
+        [
+            Const(0.0),
+            Neg(Var()),
+            Var(),
+            BinOp("-", BinOp("*", Const(-3.0), Var()), Const(2.5)),
+        ],
+    ),
+    "cylinder_edges": (
+        lambda: make_cylinder(parse_function("x^2"), 4, [-1.0, 0.0, 2.0], [-1.5, 2.0, 0.0]),
+        [
+            Pow(Var(), 2.0),
+            BinOp("-", Neg(Var()), Const(1.5)),
+            Const(2.0),
+            BinOp("*", Const(2.0), Var()),
+        ],
+    ),
+    "log_ode_edges": (
+        lambda: make_log_ode(1.0, 3, [0.0, -0.5, 2.0], [-1.0, 0.0, 3.0]),
+        [
+            BinOp("-", Neg(Call("log", Var())), Const(1.0)),
+            Neg(Call("log", BinOp("-", Var(), Const(0.5)))),
+            BinOp(
+                "+", BinOp("*", Const(2.0), Call("log", BinOp("+", Var(), Const(2.0)))), Const(3.0)
+            ),
+        ],
+    ),
+    "perturbed": (
+        lambda: make_cobb_douglas_perturbed(1.0, 4, 0.05),
+        [
+            BinOp("*", Const(-1.1), Call("log", Var())),
+            Neg(Call("log", Var())),
+            Neg(Call("log", Var())),
+            BinOp("*", Const(2.0), Call("log", Var())),
+        ],
+    ),
+    "hypersphere_edges": (
+        lambda: make_hypersphere([0.0, -1.5, 2.0], 0.5),
+        [
+            Pow(Var(), 2.0),
+            Pow(BinOp("+", Var(), Const(1.5)), 2.0),
+            BinOp("-", Pow(BinOp("-", Var(), Const(2.0)), 2.0), Const(0.25)),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_ASTS)
+def test_family_asts_keep_their_shape(name):
+    build, expected = FAMILY_ASTS[name]
+    assert [f.ast for f in build().funcs] == expected

@@ -7,6 +7,7 @@ from sepcurv import (
     BracketError,
     ConvergenceError,
     DomainError,
+    NonFiniteError,
     OffSurfaceError,
     RegularityError,
     SeparableSurface,
@@ -18,6 +19,7 @@ from sepcurv import (
     unit_normal,
 )
 
+from lifts import MIXED_BRACKET, MIXED_RANGES, mixed_surface, solve_verdicts, spy_second_evaluations
 from oracles import brute_second_form, fd_unit_normal
 
 INF = math.inf
@@ -182,6 +184,14 @@ def test_solve_flags_singular_root():
     s = SeparableSurface(fs)
     with pytest.raises(RegularityError, match="height slope"):
         solve_height(s, (0.5, -0.5), (-5.0, 5.0))
+
+
+def test_solve_flags_gradient_norm_overflow():
+    # each square is finite, their sum is not; the root itself is regular
+    fs = (parse_function("1e154*x"), parse_function("1e154*x"), parse_function("x"))
+    s = SeparableSurface(fs)
+    with pytest.raises(NonFiniteError, match="overflows"):
+        solve_height(s, (1e-154, -1e-154), (-1.0, 1.0))
 
 
 def test_solve_iteration_cap():
@@ -363,3 +373,23 @@ def test_sample_points_validation():
         sample_points(s, [(-1.0, 1.0), (1.0, 1.0), (-1.0, 1.0)], 5, 1, (0.05, 1.01))
     with pytest.raises(ValueError):
         sample_points(s, [(-1.0, 1.0)] * 3, 5, -1, (0.05, 1.01))
+
+
+def test_sample_points_drops_what_solve_height_rejects():
+    s = mixed_surface()
+    pts, fails = sample_points(s, MIXED_RANGES, 80, 5, MIXED_BRACKET)
+    lows, highs = zip(*MIXED_RANGES)
+    draws = np.random.default_rng(5).uniform(lows, highs, size=(80, 2)).tolist()
+    verdicts = solve_verdicts(s, draws, MIXED_BRACKET)
+    kinds = {v.split(":")[0] for v in verdicts if v}
+    assert kinds == {"BracketError", "DomainError", "RegularityError"}
+    assert fails == [(i, v) for i, v in enumerate(verdicts) if v]
+    kept = [d for d, v in zip(draws, verdicts) if v is None]
+    assert [p.coords for p in pts] == [solve_height(s, d, MIXED_BRACKET).coords for d in kept]
+
+
+def test_sample_points_evaluates_lifted_jets_once(monkeypatch):
+    calls = spy_second_evaluations(monkeypatch)
+    pts, fails = sample_points(mixed_surface(), MIXED_RANGES, 40, 5, MIXED_BRACKET)
+    assert pts and fails
+    assert calls == []

@@ -8,9 +8,12 @@ from sepcurv import (
     SeparableSurface,
     build_mesh,
     parse_function,
+    solve_height,
     write_curvature_csv,
     write_obj,
 )
+
+from lifts import MIXED_BRACKET, MIXED_RANGES, mixed_surface, solve_verdicts, spy_second_evaluations
 
 
 def sphere3(radius=1.0):
@@ -135,6 +138,30 @@ def test_height_slot_respected():
         assert x3 == a_vals[idx % 4]
         assert x1 > 0.0
         assert abs(x1 * x1 + x2 * x2 + x3 * x3 - 1.0) <= 1e-12
+
+
+def test_mesh_drops_what_solve_height_rejects():
+    s = mixed_surface()
+    mesh = build_mesh(s, MIXED_RANGES, (24, 9), MIXED_BRACKET)
+    nodes = [
+        [a, b]
+        for a in np.linspace(*MIXED_RANGES[0], 24).tolist()
+        for b in np.linspace(*MIXED_RANGES[1], 9).tolist()
+    ]
+    verdicts = solve_verdicts(s, nodes, MIXED_BRACKET)
+    assert {v.split(":")[0] for v in verdicts if v} == {
+        "BracketError", "DomainError", "RegularityError",
+    }
+    kept = [node for node, v in zip(nodes, verdicts) if v is None]
+    assert list(mesh.vertices) == [solve_height(s, node, MIXED_BRACKET).coords for node in kept]
+    assert mesh.dropped == len(nodes) - len(kept)
+
+
+def test_mesh_evaluates_lifted_jets_once(monkeypatch):
+    calls = spy_second_evaluations(monkeypatch)
+    mesh = build_mesh(mixed_surface(), MIXED_RANGES, (12, 9), MIXED_BRACKET)
+    assert mesh.dropped and mesh.vertices
+    assert calls == []
 
 
 def test_too_few_vertices_is_mesh_error():
