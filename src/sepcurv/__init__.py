@@ -46,6 +46,7 @@ from .families import (
     make_cobb_douglas_perturbed,
     make_cobb_douglas_sqrt,
     make_cylinder,
+    make_exp_control,
     make_hyperplane,
     make_hypersphere,
     make_log_ode,
@@ -72,7 +73,7 @@ from .report import (
     write_report,
 )
 from .specfile import FORMAT_VERSION, LoadedSpec, load_spec, spec_digest
-from .suites import SuiteRow, make_exp_control, run_constant_suite, run_flat_suite
+from .suites import SuiteRow, run_constant_suite, run_flat_suite
 
 __version__ = "1.0.0"
 

@@ -5,9 +5,9 @@ Constructors return `SeparableSurface` instances built from explicit ASTs:
 * `make_hyperplane`: every f_k affine.
 * `make_cylinder`: one non-affine profile coordinate, all others affine,
   the height coordinate strictly affine with nonzero slope.
-* `make_cobb_douglas_sqrt`: f_k = -log(x_k + mu_k) off the height and
-  f_h = 2 log(x_h + mu_h) - 2 log(A); its graph is
-  x_h + mu_h = A * sqrt(prod (x_k + mu_k)).
+* `make_cobb_douglas_sqrt`: the lam = 1 member of `make_log_ode`,
+  f_k = -log(x_k + mu_k) off the height and f_h = 2 log(x_h + mu_h) - 2 log(A);
+  its graph is x_h + mu_h = A * sqrt(prod (x_k + mu_k)).
 * `make_log_ode`: the one-parameter logarithmic family
   f_k = -lam log(x_k + mu_k) + beta_k, f_h = 2 lam log(x_h + mu_h) + beta_h,
   whose members all satisfy f_k'' = f_k'^2 / lam_k with lam_k = lam off the
@@ -16,6 +16,8 @@ Constructors return `SeparableSurface` instances built from explicit ASTs:
   the height function; curvature 1/r^2 on every tangent plane.
 * `make_cobb_douglas_perturbed`: engineered non-example, one log coefficient
   nudged off the flat family's value.
+* `make_exp_control`: engineered non-example, f_k = exp(x_k); its sampling
+  boxes and bracket come from `exp_control_box`.
 
 `FAMILIES` holds each spec kind's parameter schema, constructor call and
 default sampling boxes and height bracket, for `FamilySpec` (the spec-file
@@ -25,6 +27,7 @@ form) to read; its value parsers also check the rest of a spec file.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -138,26 +141,16 @@ def make_cobb_douglas_sqrt(
 ) -> SeparableSurface:
     """Graph of x_h + mu_h = A sqrt(prod_k (x_k + mu_k)); flat everywhere.
 
-    Realized with f_k = -log(x_k + mu_k) off the height and
-    f_h = 2 log(x_h + mu_h) - 2 log(A); each domain is (-mu_k, inf).
-    A must be positive.
+    The lam = 1 member of `make_log_ode` with beta_h = -2 log(A): f_k =
+    -log(x_k + mu_k) off the height and f_h = 2 log(x_h + mu_h) - 2 log(A);
+    each domain is (-mu_k, inf).  A must be positive.
     """
     a = float(a)
     if not a > 0.0:
         raise ValueError(f"scale constant A must be positive, got {a!r}")
     h = _resolve_height(n, height)
-    shifts = [0.0] * n if shifts is None else [float(v) for v in shifts]
-    if len(shifts) != n:
-        raise ValueError(f"shifts must have length {n}")
-    beta_h = -2.0 * math.log(a)
-    funcs = [
-        Function1D(
-            _log_term(2.0 if k == h - 1 else -1.0, shifts[k], beta_h if k == h - 1 else 0.0),
-            (-shifts[k], math.inf),
-        )
-        for k in range(n)
-    ]
-    return SeparableSurface(tuple(funcs), h)
+    betas = [-2.0 * math.log(a) if k == h else 0.0 for k in range(1, n + 1)]
+    return make_log_ode(1.0, n, shifts, betas, height)
 
 
 def make_log_ode(
@@ -240,6 +233,26 @@ def make_cobb_douglas_perturbed(
     return SeparableSurface(tuple(funcs), base.height)
 
 
+def make_exp_control(n: int, height: int | None = None) -> SeparableSurface:
+    """Engineered non-example: f_k = exp(x_k) off the height and
+    f_h = exp(x_h) - n, so the surface is nonempty but nowhere close to
+    constant curvature."""
+    h = _resolve_height(n, height)
+    funcs = [
+        parse_function(f"exp(x) - {float(n)!r}" if k == h else "exp(x)")
+        for k in range(1, n + 1)
+    ]
+    return SeparableSurface(tuple(funcs), h)
+
+
+def exp_control_box(n: int) -> tuple[list[tuple[float, float]], tuple[float, float]]:
+    """Sampling boxes and height bracket of `make_exp_control(n)`: the boxes
+    keep the off-height sum of exp(x_k) below n, so exp(t) = n - sum has a
+    root, and that root lies below log n because the sum is positive."""
+    hi = 0.2 if n <= 5 else 0.0
+    return [(-0.5, hi)] * (n - 1), (-6.0, math.log(n))
+
+
 def ode_residual_subcase21(f: Function1D, lam_k: float, x: float) -> float:
     """Residual of f'' = f'^2 / lam_k at x; zero along the logarithmic family
     with its constructed coefficient vector."""
@@ -265,10 +278,10 @@ def finite(value, where: str) -> float:
 
 
 def integer(value, where: str, lo: int = 1, hi: float = math.inf) -> int:
-    """An integer in lo..hi."""
+    """An integer in lo..hi; the message abbreviates a long rejected value."""
     if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
         bound = f">= {lo}" if hi == math.inf else f">= {lo} and <= {hi}"
-        raise SpecFileError(f"{where} must be an integer {bound}, got {value!r}")
+        raise SpecFileError(f"{where} must be an integer {bound}, got {reprlib.repr(value)}")
     return value
 
 

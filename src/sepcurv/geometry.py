@@ -264,8 +264,7 @@ def tangent_frame(surface: SeparableSurface, point: SurfacePoint) -> TangentFram
 
 
 def _root(
-    surface: SeparableSurface, partial: Sequence[float], bracket: tuple[float, float],
-    max_iterations: int,
+    surface: SeparableSurface, partial: Sequence[float], bracket: tuple[float, float]
 ) -> tuple[SurfacePoint, tuple[Jet2, ...]]:
     """Solve one partial's height: Newton steps on g(t) = f_h(t) + sum of the
     other f_k, with a bisection step whenever Newton would leave the
@@ -319,7 +318,7 @@ def _root(
     t = 0.5 * (lo + hi)
     step_prev = abs(hi - lo)
     gx = math.inf
-    for _ in range(max_iterations):
+    for _ in range(MAX_SOLVE_ITERATIONS):
         jet = fh.jet(t)
         gx = jet.v + rest
         if abs(gx) <= residual_tol(jet.v):
@@ -343,7 +342,7 @@ def _root(
             )
         t = nxt
     raise ConvergenceError(
-        f"no convergence after {max_iterations} iterations; last residual {gx:.3e}"
+        f"no convergence after {MAX_SOLVE_ITERATIONS} iterations; last residual {gx:.3e}"
     )
 
 
@@ -361,7 +360,6 @@ def _lift(
     surface: SeparableSurface,
     partials: Iterable[Sequence[float]],
     bracket: tuple[float, float],
-    max_iterations: int = MAX_SOLVE_ITERATIONS,
 ) -> _Lift:
     """Solve each partial's height (`_root`), table the jets each solve
     evaluated at its root and gate the table once (`JetTable.errors`)."""
@@ -370,7 +368,7 @@ def _lift(
     def solved():
         for i, partial in enumerate(partials):
             try:
-                point, jets = _root(surface, partial, bracket, max_iterations)
+                point, jets = _root(surface, partial, bracket)
             except (SolveError, DomainError, NonFiniteError) as exc:
                 failures[i] = exc.with_traceback(None)   # frees the solve's frames
             else:
@@ -390,7 +388,6 @@ def solve_height(
     surface: SeparableSurface,
     partial: Sequence[float],
     bracket: tuple[float, float],
-    max_iterations: int = MAX_SOLVE_ITERATIONS,
 ) -> SurfacePoint:
     """Lift partial coordinates onto the surface by solving for the height.
 
@@ -401,7 +398,7 @@ def solve_height(
     `NonFiniteError`, a `RegularityError`, or a `NonFiniteError` when
     ||grad F||^2 overflows at the root.
     """
-    lift = _lift(surface, [partial], bracket, max_iterations)
+    lift = _lift(surface, [partial], bracket)
     if lift.failures:
         raise lift.failures[0]
     return lift.points[0]

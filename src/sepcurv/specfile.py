@@ -54,7 +54,6 @@ class LoadedSpec:
     constancy_tol: float | None
     grid: tuple[int, int] | None
     digest: str
-    family: FamilySpec | None
 
 
 def spec_digest(raw: bytes) -> str:
@@ -155,7 +154,6 @@ def load_spec(path: str) -> LoadedSpec:
             raise SpecFileError(
                 f"{path}: in the functions form the bracket belongs to the height entry"
             )
-        family = None
         items = data["functions"]
         if not isinstance(items, list) or len(items) < 3:
             raise SpecFileError(f"{path}: 'functions' must list at least 3 entries")
@@ -209,5 +207,4 @@ def load_spec(path: str) -> LoadedSpec:
         constancy_tol=constancy_tol,
         grid=grid,
         digest=spec_digest(raw),
-        family=family,
     )

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .curvature import ScanPolicy, pair_table, scan_constancy
-from .errors import SepcurvError
-from .expr import parse_function
-from .families import FamilySpec, make_cobb_douglas_perturbed
+from .errors import SolveError
+from .families import FamilySpec, exp_control_box, make_cobb_douglas_perturbed, make_exp_control
 from .geometry import SeparableSurface, jet_table, sample_points
 
 FLAT_TOL = 1e-9           # max |K| accepted as flat
@@ -42,29 +41,6 @@ class SuiteRow:
     ok: bool
 
 
-def make_exp_control(n: int, height: int | None = None) -> SeparableSurface:
-    """Engineered non-example: f_k = exp(x_k) off the height and
-    f_h = exp(x_h) - n, so the surface is nonempty but nowhere close to
-    constant curvature."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    h = n if height is None else height
-    funcs = [
-        parse_function(f"exp(x) - {float(n)!r}" if k == h else "exp(x)")
-        for k in range(1, n + 1)
-    ]
-    return SeparableSurface(tuple(funcs), h)
-
-
-def exp_control_ranges(n: int) -> list[tuple[float, float]]:
-    # keep sum exp(x_k) < n so the height equation exp(t) = n - sum stays solvable
-    hi = 0.2 if n <= 5 else 0.0
-    return [(-0.5, hi)] * (n - 1)
-
-
-EXP_CONTROL_BRACKET = (-6.0, 2.0)
-
-
 def _scan(
     surface: SeparableSurface,
     ranges: Sequence[tuple[float, float]],
@@ -75,12 +51,19 @@ def _scan(
 ):
     points, failures = sample_points(surface, ranges, count, list(seed_entropy), bracket)
     if len(points) < 2:
-        raise SepcurvError(
+        raise SolveError(
             f"only {len(points)} of {count} draws lifted onto the surface "
             f"({len(failures)} failures)"
         )
     policy = ScanPolicy(oblique_per_point=oblique, seed=int(seed_entropy[0]))
-    return scan_constancy(surface, points, policy), points
+    return scan_constancy(surface, points, policy)
+
+
+def _control_flat(dims: Sequence[int]):
+    """The controls' dimension and the Cobb-Douglas graph (A = 1) there, with
+    its family default boxes and bracket, which the controls sample with."""
+    n = 4 if 4 in dims else dims[0]
+    return n, FamilySpec("cobb_douglas_sqrt", n, {"a": 1.0}).defaults()
 
 
 def _flat_row(name: str, n: int, report) -> SuiteRow:
@@ -108,16 +91,14 @@ def _control_row(name: str, n: int, report) -> SuiteRow:
 
 
 def _control_rows(dims: Sequence[int], count: int, seed: int, base_ordinal: int) -> list[SuiteRow]:
-    n = 4 if 4 in dims else dims[0]
-    rows = []
+    # moving one log coefficient by 2 eps scales the graph's height by
+    # x_1^eps, inside the flat member's bracket margins over its boxes
+    n, (_, ranges, bracket) = _control_flat(dims)
     perturbed = make_cobb_douglas_perturbed(1.0, n, 0.05)
-    ranges = [(0.5, 2.0)] * (n - 1)
-    report, _ = _scan(perturbed, ranges, (0.05, 8.0), count, (seed, base_ordinal, n))
-    rows.append(_control_row("cobb_douglas_perturbed(eps=0.05)", n, report))
+    report = _scan(perturbed, ranges, bracket, count, (seed, base_ordinal, n))
+    rows = [_control_row("cobb_douglas_perturbed(eps=0.05)", n, report)]
     control = make_exp_control(n)
-    report, _ = _scan(
-        control, exp_control_ranges(n), EXP_CONTROL_BRACKET, count, (seed, base_ordinal + 1, n)
-    )
+    report = _scan(control, *exp_control_box(n), count, (seed, base_ordinal + 1, n))
     rows.append(_control_row("exp_control", n, report))
     return rows
 
@@ -137,7 +118,7 @@ def run_flat_suite(
             ("cobb_douglas_sqrt(A=1)", FamilySpec("cobb_douglas_sqrt", n, {"a": 1.0})),
         )
         for ordinal, (name, family) in enumerate(families):
-            report, _ = _scan(*family.defaults(), count, (seed, ordinal, n))
+            report = _scan(*family.defaults(), count, (seed, ordinal, n))
             rows.append(_flat_row(name, n, report))
     rows.extend(_control_rows(dims, count, seed, 3))
     return rows
@@ -157,7 +138,7 @@ def run_constant_suite(
     for n in dims:
         for r in radii:
             family = FamilySpec("hypersphere", n, {"radius": r})
-            report, _ = _scan(*family.defaults(), count, (seed, 10, n, int(r * 1000)), oblique)
+            report = _scan(*family.defaults(), count, (seed, 10, n, int(r * 1000)), oblique)
             target = 1.0 / (r * r)
             if report.k_min is None:
                 ok, observed = False, "no values"
@@ -179,8 +160,7 @@ def run_constant_suite(
             )
 
     # a flat family must fail every nonzero constant-curvature residual
-    n = 4 if 4 in dims else dims[0]
-    flat, ranges, bracket = FamilySpec("cobb_douglas_sqrt", n, {"a": 1.0}).defaults()
+    n, (flat, ranges, bracket) = _control_flat(dims)
     points, _ = sample_points(flat, ranges, 25, [seed, 20, n], bracket)
     table = pair_table(flat, jet_table(flat, points))
     worst_min = min(float(abs(table.constk(k0)).min()) for k0 in NONZERO_K0S)

@@ -507,6 +507,33 @@ def test_certify_usage_errors(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["flat", "constant"])
+def test_certify_high_dimension_exits_0_or_1(capsys, suite):
+    # the controls' boxes and brackets follow n, so every draw can lift
+    assert main(["certify", suite, "--dims", "40", "--count", "2"]) in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "checks passed" in captured.out
+
+
+def test_certify_too_few_lifts_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr("sepcurv.suites.sample_points", lambda *a: ([], [(0, "BracketError: x")]))
+    assert main(["certify", "flat", "--dims", "4", "--count", "2"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: only 0 of 2 draws lifted onto the surface (1 failures)"]
+
+
+def test_integer_message_abbreviates_the_value(tmp_path, capsys):
+    assert main(["certify", "flat", "--count", str(10**400)]) == 2
+    doc = {"format_version": 1, "family": SPHERE4, "sampling": {"count": 10**400}}
+    path = write_spec(tmp_path, doc)
+    assert main(["scan", path, "--out", str(tmp_path / "r.json")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(len(line) < 200 for line in lines)
+    assert "--count must be an integer >= 2 and <= 100000, got 1000" in lines[0]
+    assert "sampling.count must be an integer >= 1 and <= 100000, got 1000" in lines[1]
+
+
 # ------------------------------------------------------------------- mesh
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sepcurv import geometry
 from sepcurv import (
     BracketError,
     ConvergenceError,
@@ -194,9 +195,10 @@ def test_solve_flags_gradient_norm_overflow():
         solve_height(s, (1e-154, -1e-154), (-1.0, 1.0))
 
 
-def test_solve_iteration_cap():
+def test_solve_iteration_cap(monkeypatch):
+    monkeypatch.setattr(geometry, "MAX_SOLVE_ITERATIONS", 1)
     with pytest.raises(ConvergenceError, match="no convergence after 1 iterations"):
-        solve_height(sphere(4, 2.0), (0.3, -0.2, 0.5), (0.2, 2.02), max_iterations=1)
+        solve_height(sphere(4, 2.0), (0.3, -0.2, 0.5), (0.2, 2.02))
 
 
 # ------------------------------------------------------- normals and frames

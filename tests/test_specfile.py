@@ -44,7 +44,6 @@ def test_family_spec_with_defaults(tmp_path):
     spec = load_spec(path)
     assert spec.surface.n == 4
     assert spec.surface.height == 4
-    assert spec.family is not None and spec.family.kind == "hypersphere"
     assert spec.bracket == (0.2, 2.02)
     half = 2.0 / (2.0 * math.sqrt(3.0))
     assert spec.ranges == ((-half, half),) * 3
@@ -79,7 +78,6 @@ def test_functions_spec(tmp_path):
     spec = load_spec(write(tmp_path, functions_doc()))
     assert spec.surface.n == 4
     assert spec.surface.height == 4
-    assert spec.family is None
     assert spec.bracket == (-40.0, 40.0)
     assert spec.ranges is None
     assert spec.surface.funcs[1].source() == "exp(x) - 1.0"

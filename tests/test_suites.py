@@ -1,14 +1,8 @@
 import pytest
 
-from sepcurv import make_exp_control
-from sepcurv.suites import (
-    EXP_CONTROL_BRACKET,
-    SuiteRow,
-    exp_control_ranges,
-    format_rows,
-    run_constant_suite,
-    run_flat_suite,
-)
+from sepcurv import FamilySpec, make_cobb_douglas_perturbed, make_exp_control
+from sepcurv.families import MAX_N, exp_control_box
+from sepcurv.suites import SuiteRow, format_rows, run_constant_suite, run_flat_suite
 
 
 def test_flat_suite_single_dimension():
@@ -81,11 +75,38 @@ def test_exp_control_shape():
         make_exp_control(2)
 
 
-def test_exp_control_ranges_narrow_with_dimension():
-    assert exp_control_ranges(4) == [(-0.5, 0.2)] * 3
-    assert exp_control_ranges(5) == [(-0.5, 0.2)] * 4
-    assert exp_control_ranges(6) == [(-0.5, 0.0)] * 5
-    assert EXP_CONTROL_BRACKET == (-6.0, 2.0)
+def corner_residuals(surface, ranges, bracket):
+    """g(t) = f_h(t) + sum of the other f_k at both bracket ends, at every
+    corner of the boxes.  Every non-height coordinate but the first shares
+    one function and box, so a corner is the first coordinate's end plus how
+    many of the others sit at their upper end."""
+    (lo1, hi1), (lo, hi) = ranges[:2]
+    f1, f = surface.funcs[0], surface.funcs[1]
+    assert all(g.source() == f.source() for g in surface.funcs[1:-1])
+    assert ranges == [(lo1, hi1)] + [(lo, hi)] * (surface.n - 2)
+    fh = surface.funcs[surface.height - 1]
+    ends = [fh.jet(t).v for t in bracket]
+    for x1 in (lo1, hi1):
+        for m in range(surface.n - 1):
+            rest = f1.jet(x1).v + m * f.jet(hi).v + (surface.n - 2 - m) * f.jet(lo).v
+            yield [e + rest for e in ends]
+
+
+@pytest.mark.parametrize("n", range(3, MAX_N + 1))
+def test_exp_control_bracket_straddles_every_corner(n):
+    control = make_exp_control(n)
+    ranges, bracket = exp_control_box(n)
+    for g_lo, g_hi in corner_residuals(control, ranges, bracket):
+        assert g_lo < 0.0 < g_hi
+
+
+@pytest.mark.parametrize("n", range(3, MAX_N + 1))
+def test_perturbed_control_heights_inside_bracket(n):
+    # the perturbed control samples with the flat member's default box and bracket
+    _, ranges, bracket = FamilySpec("cobb_douglas_sqrt", n, {"a": 1.0}).defaults()
+    perturbed = make_cobb_douglas_perturbed(1.0, n, 0.05)
+    for g_lo, g_hi in corner_residuals(perturbed, ranges, bracket):
+        assert g_lo < 0.0 < g_hi
 
 
 def test_format_rows_table():
