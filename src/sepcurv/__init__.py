@@ -9,6 +9,8 @@ valid for arbitrary tangent planes.  Scans judge whether curvature is
 constant; residuals certify flatness and constant-curvature candidates.
 """
 
+from types import ModuleType as _ModuleType
+
 from .curvature import (
     DEFAULT_CONSTANCY_TOL,
     EQUIVALENCE_RTOL,
@@ -77,72 +79,8 @@ from .suites import SuiteRow, run_constant_suite, run_flat_suite
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BracketError",
-    "ConvergenceError",
-    "CurvatureReport",
-    "DEFAULT_CONSTANCY_TOL",
-    "DegeneratePlaneError",
-    "DomainError",
-    "EQUIVALENCE_RTOL",
-    "FAMILY_KINDS",
-    "FORMAT_VERSION",
-    "FamilySpec",
-    "Function1D",
-    "Jet2",
-    "LoadedSpec",
-    "MeshError",
-    "MeshResult",
-    "NonFiniteError",
-    "ON_SURFACE_RTOL",
-    "OffSurfaceError",
-    "ParseError",
-    "PlaneSection",
-    "REGULARITY_EPS",
-    "RegularityError",
-    "ScanPolicy",
-    "ScanRecord",
-    "SepcurvError",
-    "SeparableSurface",
-    "SolveError",
-    "SpecFileError",
-    "SuiteRow",
-    "SurfacePoint",
-    "TangentFrame",
-    "build_mesh",
-    "constk_residual",
-    "coordinate_plane",
-    "ensure_regular",
-    "eval_jet2",
-    "flatness_residual",
-    "log_family_lambdas",
-    "load_spec",
-    "make_cobb_douglas_perturbed",
-    "make_cobb_douglas_sqrt",
-    "make_cylinder",
-    "make_exp_control",
-    "make_hyperplane",
-    "make_hypersphere",
-    "make_log_ode",
-    "ode_residual_subcase21",
-    "parse",
-    "parse_function",
-    "random_tangent_plane",
-    "read_report_body",
-    "report_body_csv",
-    "report_body_json",
-    "run_constant_suite",
-    "run_flat_suite",
-    "sample_points",
-    "scan_constancy",
-    "sectional_oracle",
-    "sectional_special",
-    "solve_height",
-    "spec_digest",
-    "tangent_frame",
-    "to_source",
-    "unit_normal",
-    "write_curvature_csv",
-    "write_obj",
-    "write_report",
-]
+# the public names are exactly the ones imported above
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -22,9 +22,10 @@ along a surface exactly when every coordinate-pair curvature vanishes.
 4 is internal to the residual's normalization, public curvature values are
 always K itself.
 
-Every engine runs on a jet table (`geometry.jet_table`): each f_k's 2-jet
-evaluated once per point with the scalar `Jet2` and stacked into P x n
-arrays of f_k' and f_k''.  The regularity gates, the closed form, both
+Every engine runs on a jet table (`geometry.jet_table`): each f_k's 2-jets
+evaluated by one array walk over all points (`expr.eval_jets`, the same bits
+as the one-point `eval_jet2`) and stacked into P x n arrays of f_k' and
+f_k''.  The regularity gates, the closed form, both
 residuals, the coordinate frames and the Gauss engine with its tangency and
 independence checks are array expressions over that table, for all points
 and planes at once.  Sums over coordinates run in a fixed order, so a row's

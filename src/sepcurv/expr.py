@@ -20,16 +20,23 @@ constant.
 `to_source` renders an AST back to text such that parsing the result yields
 an equal AST, and `parse_function` pairs an AST with an open evaluation
 domain.  Evaluation propagates `Jet2` values, so first and second
-derivatives are exact up to rounding.
+derivatives are exact up to rounding.  `eval_jets` walks the AST once over
+an array of points with array-valued jets, keeping each point's first
+failure; `eval_jet2` is its one-point case, so a point's jet and error do
+not depend on the other points in the array.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import DomainError, NonFiniteError, ParseError
+import numpy as np
+
+from .errors import DomainError, NonFiniteError, ParseError, SepcurvError
 from .jets import Jet2, Number
 
 
@@ -269,9 +276,10 @@ class Function1D:
     def source(self) -> str:
         return to_source(self.ast)
 
-    def contains(self, x: float) -> bool:
+    def contains(self, x):
+        """Whether x (a float, or each element of an array) is in the domain."""
         lo, hi = self.domain
-        return lo < x < hi
+        return (lo < x) & (x < hi)
 
     def jet(self, x: Number) -> Jet2:
         return eval_jet2(self, x)
@@ -282,51 +290,89 @@ def parse_function(src: str, domain: tuple[float, float] = (-math.inf, math.inf)
     return Function1D(parse(src), domain)
 
 
-def _eval(node: Node, seed: Jet2) -> Jet2:
-    if isinstance(node, Const):
-        if not math.isfinite(node.value):
-            raise NonFiniteError(f"non-finite constant {node.value!r}")
-        return Jet2.constant(node.value)
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_ELEMENT_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+
+
+def _walk(node: Node, seed: Jet2, failed: dict[int, Exception]) -> Jet2:
+    """node's 2-jets at every point of `seed`'s arrays.  Each point's first
+    failure in evaluation order (left operand before right, operand before
+    operator) goes into `failed` under the point's index; a failed point's
+    channels read nan from its failing node on, which no later node raises
+    on."""
     if isinstance(node, Var):
         return seed
+    if isinstance(node, Const):
+        if not math.isfinite(node.value):
+            error = NonFiniteError(f"non-finite constant {node.value!r}")
+            for p in range(seed.v.size):
+                failed.setdefault(p, error)
+        zero = np.zeros_like(seed.v)
+        return Jet2(np.full_like(seed.v, node.value), zero, zero)
     if isinstance(node, Neg):
-        return -_eval(node.operand, seed)
+        return -_walk(node.operand, seed, failed)
     if isinstance(node, Pow):
-        out = _eval(node.base, seed).power(node.exponent)
+        args, op = (_walk(node.base, seed, failed),), partial(Jet2.power, exponent=node.exponent)
     elif isinstance(node, Call):
-        arg = _eval(node.arg, seed)
-        out = getattr(arg, node.func)()
+        args, op = (_walk(node.arg, seed, failed),), getattr(Jet2, node.func)
     else:
-        a = _eval(node.left, seed)
-        b = _eval(node.right, seed)
-        if node.op == "+":
-            out = a + b
-        elif node.op == "-":
-            out = a - b
-        elif node.op == "*":
-            out = a * b
-        else:
-            out = a / b
-    if not out.is_finite():
-        raise NonFiniteError(f"non-finite value in {to_source(node)!r}")
+        left = _walk(node.left, seed, failed)
+        args, op = (left, _walk(node.right, seed, failed)), _BINARY[node.op]
+    try:
+        out = op(*args)
+    except _ELEMENT_ERRORS:   # some element raised: every point runs again
+        out = Jet2(*(np.full_like(seed.v, math.nan) for _ in range(3)))
+    # a point whose array result is not finite runs again on floats, so it
+    # fails as the scalar jet does: raising, or with a non-finite channel
+    for p in np.flatnonzero(~out.is_finite()).tolist():
+        jet = None
+        if p not in failed:
+            try:
+                jet = op(*(Jet2(float(a.v[p]), float(a.d1[p]), float(a.d2[p])) for a in args))
+            except _ELEMENT_ERRORS as exc:
+                failed[p] = exc.with_traceback(None)
+        if jet is not None and not jet.is_finite():
+            failed[p], jet = NonFiniteError(f"non-finite value in {to_source(node)!r}"), None
+        values = (math.nan,) * 3 if jet is None else (jet.v, jet.d1, jet.d2)
+        out.v[p], out.d1[p], out.d2[p] = values
     return out
 
 
+def eval_jets(f: Function1D, x: np.ndarray) -> tuple[Jet2, dict[int, SepcurvError]]:
+    """f's 2-jets at every point of a float64 array, one walk of f's AST.
+
+    Returns the jets as one `Jet2` of arrays and each failing point's error
+    by index; a failing point's channels read 0.  Every other point's jet,
+    and every error, equals `eval_jet2` at that point bit for bit and text
+    for text: the per-point rules are the same, element by element.
+    """
+    x = np.asarray(x, dtype=float)
+    lo, hi = f.domain
+    inside = f.contains(x)
+    failed: dict[int, Exception] = {
+        p: DomainError(f"x = {float(x[p])!r} outside open domain ({lo!r}, {hi!r})")
+        for p in np.flatnonzero(~inside).tolist()
+    }
+    with np.errstate(all="ignore"):   # a nan seed raises nowhere
+        seed = Jet2(np.where(inside, x, math.nan), np.ones(x.size), np.zeros(x.size))
+        jet = _walk(f.ast, seed, failed)
+    for p, exc in failed.items():
+        if not isinstance(exc, SepcurvError):   # an element raised inside an operation
+            failed[p] = NonFiniteError(f"evaluating {f.source()!r} at x = {float(x[p])!r}: {exc}")
+            failed[p].__cause__ = exc
+        jet.v[p] = jet.d1[p] = jet.d2[p] = 0.0
+    return jet, dict(sorted(failed.items()))
+
+
 def eval_jet2(f: Function1D, x: Number) -> Jet2:
-    """Evaluate f's 2-jet at x.
+    """Evaluate f's 2-jet at x: the one-point case of `eval_jets`.
 
     Raises `DomainError` if x is outside the declared open domain and
     `NonFiniteError` if any intermediate value fails to be finite (log of a
     non-positive value, division by zero, overflow, zero base with negative
-    exponent).
+    exponent); the error names the first failing node in evaluation order.
     """
-    x = float(x)
-    lo, hi = f.domain
-    if not lo < x < hi:
-        raise DomainError(f"x = {x!r} outside open domain ({lo!r}, {hi!r})")
-    try:
-        return _eval(f.ast, Jet2.variable(x))
-    except NonFiniteError:
-        raise
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise NonFiniteError(f"evaluating {f.source()!r} at x = {x!r}: {exc}") from exc
+    jet, errors = eval_jets(f, np.array([float(x)]))
+    if errors:
+        raise errors[0]
+    return Jet2(float(jet.v[0]), float(jet.d1[0]), float(jet.d2[0]))

@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .errors import SpecFileError
-from .expr import BinOp, Call, Const, Function1D, Neg, Node, Pow, Var, eval_jet2, parse_function
+from .expr import (
+    BinOp, Call, Const, Function1D, Neg, Node, Pow, Var, eval_jet2, eval_jets, parse_function,
+)
 from .geometry import SeparableSurface
 
 def _plus(node: Node, c: float) -> Node:
@@ -339,7 +341,10 @@ def _clipped_box(surface: SeparableSurface, **params):
         if not a < b:
             raise SpecFileError(f"cannot derive a default range inside domain ({lo!r}, {hi!r})")
         ranges.append((a, b))
-        bound += 1.5 * max(abs(eval_jet2(f, a + (b - a) * t / 32.0).v) for t in range(33))
+        jet, errors = eval_jets(f, [a + (b - a) * t / 32.0 for t in range(33)])
+        if errors:
+            raise next(iter(errors.values()))   # the first failing grid point's
+        bound += 1.5 * max(map(abs, jet.v.tolist()))
     # affine height: slope from the jet, intercept from the value
     jet = eval_jet2(surface.funcs[surface.height - 1], 0.0)
     m = (bound + abs(jet.v)) / abs(jet.d1) + 1.0

@@ -28,10 +28,9 @@ from .errors import (
     OffSurfaceError,
     RegularityError,
     SepcurvError,
-    SolveError,
     describe,
 )
-from .expr import Function1D
+from .expr import Function1D, eval_jets
 from .jets import Jet2
 
 REGULARITY_EPS = 1e-8      # lower bound for both ||grad F|| and |f'_height|
@@ -124,14 +123,6 @@ class SeparableSurface:
             )
         return SurfacePoint(coords, residual)
 
-    def insert_height(self, partial: Sequence[float], height_value: float) -> tuple[float, ...]:
-        """Merge partial non-height coordinates with a height value."""
-        if len(partial) != self.n - 1:
-            raise ValueError(f"expected {self.n - 1} partial coordinates, got {len(partial)}")
-        coords = list(partial)
-        coords.insert(self.height - 1, height_value)
-        return tuple(float(c) for c in coords)
-
 
 @dataclass(frozen=True)
 class JetTable:
@@ -188,38 +179,40 @@ class JetTable:
         return out
 
 
-def _stack(n: int, rows: Iterable[tuple]) -> JetTable:
-    """Table of (coords, the point's n jets or the error that stopped them)
-    rows, read once."""
-    d1, d2, sq_norm, errors = [], [], [], []
-    for coords, jets in rows:
-        error = jets if isinstance(jets, SepcurvError) else None
-        if error is not None:
-            jets = (Jet2(0.0),) * n   # a failed point keeps zero rows
-        d1.append([j.d1 for j in jets])
-        d2.append([j.d2 for j in jets])
+def _table(coords: np.ndarray, d1: np.ndarray, d2: np.ndarray, jet_errors: dict) -> JetTable:
+    """Table of P x n jet columns at P x n `coords`, given each failed
+    point's jet error by index: a failed point keeps zero rows, and a point
+    whose ||grad F||^2 (`math.fsum` of its row) overflows gets a
+    `NonFiniteError`."""
+    errors = [jet_errors.get(p) for p in range(len(coords))]
+    d1[list(jet_errors)] = d2[list(jet_errors)] = 0.0
+    sq_norm = []
+    with np.errstate(over="ignore"):
+        squares = (d1 * d1).tolist()
+    for p, row in enumerate(squares):
         try:
-            sq_norm.append(fsum(j.d1 * j.d1 for j in jets))
+            sq_norm.append(fsum(row))
         except OverflowError:
             sq_norm.append(math.inf)
         if sq_norm[-1] == math.inf:
-            error = NonFiniteError(f"||grad F||^2 overflows at {coords!r}")
-        errors.append(error)
-    shape = (len(sq_norm), n)
-    return JetTable(np.reshape(d1, shape), np.reshape(d2, shape), np.array(sq_norm), tuple(errors))
+            errors[p] = NonFiniteError(f"||grad F||^2 overflows at {tuple(coords[p].tolist())!r}")
+    return JetTable(d1, d2, np.array(sq_norm), tuple(errors))
+
+
+def _columns(funcs: Sequence[Function1D], x: np.ndarray):
+    """Each function's jets over its column of the P x m array x, one array
+    walk each, as P x m arrays of values, f' and f'', and each point's first
+    failure in column order."""
+    jets, failed = zip(*(eval_jets(f, column) for f, column in zip(funcs, x.T)))
+    errors = {p: exc for errs in reversed(failed) for p, exc in errs.items()}
+    return (*(np.array([getattr(j, c) for j in jets]).T for c in ("v", "d1", "d2")), errors)
 
 
 def jet_table(surface: SeparableSurface, points: Sequence[SurfacePoint]) -> JetTable:
-    """Evaluate every f_k's 2-jet once per point with the scalar `Jet2` (so
+    """Evaluate each f_k's 2-jets once over all points (`expr.eval_jets`, so
     values match `surface.jets` bit for bit) and stack them into a table."""
-
-    def row(point: SurfacePoint) -> tuple:
-        try:
-            return point.coords, surface.jets(point.coords)
-        except (DomainError, NonFiniteError) as exc:
-            return point.coords, exc.with_traceback(None)
-
-    return _stack(surface.n, map(row, points))
+    coords = np.array([p.coords for p in points], dtype=float).reshape(len(points), surface.n)
+    return _table(coords, *_columns(surface.funcs, coords)[1:])
 
 
 def point_jets(
@@ -263,89 +256,6 @@ def tangent_frame(surface: SeparableSurface, point: SurfacePoint) -> TangentFram
     return TangentFrame(basis, d1 / gradnorm, gram, second)
 
 
-def _root(
-    surface: SeparableSurface, partial: Sequence[float], bracket: tuple[float, float]
-) -> tuple[SurfacePoint, tuple[Jet2, ...]]:
-    """Solve one partial's height: Newton steps on g(t) = f_h(t) + sum of the
-    other f_k, with a bisection step whenever Newton would leave the
-    sign-change bracket or stall, until |g| meets the scale-relative
-    on-surface tolerance.  Returns the point and the 2-jets the solve
-    evaluated there (the other coordinates' from its start, the height's at
-    the root), in coordinate order."""
-    n = surface.n
-    h0 = surface.height - 1
-    partial = [float(v) for v in partial]
-    if len(partial) != n - 1:
-        raise ValueError(f"expected {n - 1} partial coordinates, got {len(partial)}")
-    fh = surface.funcs[h0]
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValueError(f"bracket ends must be increasing, got ({lo!r}, {hi!r})")
-    dlo, dhi = fh.domain
-    if not (dlo < lo and hi < dhi):
-        raise DomainError(
-            f"bracket ({lo!r}, {hi!r}) not inside height domain ({dlo!r}, {dhi!r})"
-        )
-
-    other_funcs = [surface.funcs[k] for k in range(n) if k != h0]
-    others = [f.jet(x) for f, x in zip(other_funcs, partial)]
-    rest = fsum(j.v for j in others)
-    abs_rest = fsum(abs(j.v) for j in others)
-
-    def residual_tol(height_value: float) -> float:
-        return ON_SURFACE_RTOL * max(1.0, abs_rest + abs(height_value))
-
-    def root(t: float, jet: Jet2) -> tuple[SurfacePoint, tuple[Jet2, ...]]:
-        point = SurfacePoint(surface.insert_height(partial, t), abs(jet.v + rest))
-        return point, (*others[:h0], jet, *others[h0:])
-
-    jlo = fh.jet(lo)
-    glo = jlo.v + rest
-    if abs(glo) <= residual_tol(jlo.v):
-        return root(lo, jlo)
-    jhi = fh.jet(hi)
-    ghi = jhi.v + rest
-    if abs(ghi) <= residual_tol(jhi.v):
-        return root(hi, jhi)
-    if (glo < 0.0) == (ghi < 0.0):
-        raise BracketError(
-            f"no sign change in bracket ({lo!r}, {hi!r}): "
-            f"g(lo) = {glo:.6e}, g(hi) = {ghi:.6e}"
-        )
-
-    # orient so g(a) < 0 < g(b); a, b need not be ordered
-    a, b = (lo, hi) if glo < 0.0 else (hi, lo)
-    t = 0.5 * (lo + hi)
-    step_prev = abs(hi - lo)
-    gx = math.inf
-    for _ in range(MAX_SOLVE_ITERATIONS):
-        jet = fh.jet(t)
-        gx = jet.v + rest
-        if abs(gx) <= residual_tol(jet.v):
-            return root(t, jet)
-        if gx < 0.0:
-            a = t
-        else:
-            b = t
-        lo_c, hi_c = (a, b) if a < b else (b, a)
-        trial = t - gx / jet.d1 if jet.d1 != 0.0 else math.nan
-        if lo_c < trial < hi_c and abs(2.0 * gx) <= abs(step_prev * jet.d1):
-            step_prev = abs(trial - t)
-            nxt = trial
-        else:
-            nxt = 0.5 * (a + b)
-            step_prev = abs(nxt - t)
-        if nxt == a or nxt == b:
-            raise ConvergenceError(
-                f"bracket collapsed at t = {t!r} with residual {gx:.3e} still above "
-                f"tolerance {residual_tol(jet.v):.3e}"
-            )
-        t = nxt
-    raise ConvergenceError(
-        f"no convergence after {MAX_SOLVE_ITERATIONS} iterations; last residual {gx:.3e}"
-    )
-
-
 class _Lift(NamedTuple):
     """The draws that lifted (draw indices, points, their jet table) and each
     other draw's failure by draw index."""
@@ -361,27 +271,109 @@ def _lift(
     partials: Iterable[Sequence[float]],
     bracket: tuple[float, float],
 ) -> _Lift:
-    """Solve each partial's height (`_root`), table the jets each solve
-    evaluated at its root and gate the table once (`JetTable.errors`)."""
-    index, points, failures = [], [], {}
+    """Solve every partial's height, table the jets the solve evaluated (the
+    other coordinates' at its start, the height's at the root) and gate the
+    table once (`JetTable.errors`).
 
-    def solved():
-        for i, partial in enumerate(partials):
-            try:
-                point, jets = _root(surface, partial, bracket)
-            except (SolveError, DomainError, NonFiniteError) as exc:
-                failures[i] = exc.with_traceback(None)   # frees the solve's frames
-            else:
-                index.append(i)
-                points.append(point)
-                yield point.coords, jets
+    Per partial, the solve is Newton's method on g(t) = f_h(t) + the sum of
+    the other f_k, with a bisection step whenever Newton would leave the
+    sign-change bracket or stall, until |g| meets the scale-relative
+    on-surface tolerance.  The partials step together: each step walks f_h
+    once over the partials still unsolved, and a partial leaves when it is
+    accepted or fails, so its root, jets and failure are its own solve's.
+    """
+    n, h0 = surface.n, surface.height - 1
+    rows = [[float(v) for v in partial] for partial in partials]
+    for row in rows:
+        if len(row) != n - 1:
+            raise ValueError(f"expected {n - 1} partial coordinates, got {len(row)}")
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not lo < hi:
+        raise ValueError(f"bracket ends must be increasing, got ({lo!r}, {hi!r})")
+    given = np.array(rows, dtype=float).reshape(len(rows), n - 1)
+    fh = surface.funcs[h0]
+    values, d1, d2, failures = _columns([f for k, f in enumerate(surface.funcs) if k != h0], given)
+    dlo, dhi = fh.domain
+    if not (dlo < lo and hi < dhi):   # every partial fails, before its jets are read
+        message = f"bracket ({lo!r}, {hi!r}) not inside height domain ({dlo!r}, {dhi!r})"
+        failures = {p: DomainError(message) for p in range(len(given))}
+    active = np.array([p for p in range(len(given)) if p not in failures], dtype=int)
+    rest, abs_rest = np.zeros(len(given)), np.zeros(len(given))
+    for p, row in zip(active.tolist(), values[active].tolist()):
+        rest[p], abs_rest[p] = fsum(row), fsum(abs(v) for v in row)
+    root = np.full((4, len(given)), math.nan)   # t, |g|, f_h' and f_h'' at each root
 
-    table = _stack(surface.n, solved())
+    def step(t):
+        """Walk f_h at the active partials' t: fail each partial whose jet
+        fails, settle each whose |g| meets its tolerance, and return the jet,
+        g, the tolerance and the mask of the partials still going."""
+        jet, errors = eval_jets(fh, t)
+        failures.update((int(active[q]), exc) for q, exc in errors.items())
+        g = jet.v + rest[active]
+        tol = ON_SURFACE_RTOL * np.fmax(1.0, abs_rest[active] + np.abs(jet.v))
+        done = np.abs(g) <= tol
+        done[list(errors)] = False
+        root[:, active[done]] = t[done], np.abs(g[done]), jet.d1[done], jet.d2[done]
+        going = ~done
+        going[list(errors)] = False
+        return jet, g, tol, going
+
+    # the bracket ends, where a partial may be accepted as well
+    g_end = np.zeros((2, len(given)))
+    for k, end in enumerate((lo, hi)):
+        _, g, _, going = step(np.full(active.size, end))
+        g_end[k, active] = g
+        active = active[going]
+    glo, ghi = g_end[:, active]
+    same = (glo < 0.0) == (ghi < 0.0)
+    for p, gl, gh in zip(active[same].tolist(), glo[same].tolist(), ghi[same].tolist()):
+        failures[p] = BracketError(
+            f"no sign change in bracket ({lo!r}, {hi!r}): g(lo) = {gl:.6e}, g(hi) = {gh:.6e}"
+        )
+    active, glo = active[~same], glo[~same]
+
+    # orient so g(a) < 0 < g(b); a, b need not be ordered
+    a, b = np.where(glo < 0.0, lo, hi), np.where(glo < 0.0, hi, lo)
+    t = np.full(active.size, 0.5 * (lo + hi))
+    step_prev = np.full(active.size, abs(hi - lo))
+    gx = np.full(active.size, math.inf)
+    for _ in range(MAX_SOLVE_ITERATIONS):
+        if not active.size:
+            break
+        jet, g, tol, going = step(t)
+        a, b = np.where(g < 0.0, t, a), np.where(g < 0.0, b, t)
+        lo_c, hi_c = np.where(a < b, a, b), np.where(a < b, b, a)
+        with np.errstate(all="ignore"):
+            trial = np.where(jet.d1 != 0.0, t - g / jet.d1, math.nan)
+        newton = (lo_c < trial) & (trial < hi_c) & (np.abs(2.0 * g) <= np.abs(step_prev * jet.d1))
+        nxt = np.where(newton, trial, 0.5 * (a + b))
+        collapsed = going & ((nxt == a) | (nxt == b))
+        for p, tc, gc, tolc in zip(*(v[collapsed].tolist() for v in (active, t, g, tol))):
+            failures[p] = ConvergenceError(
+                f"bracket collapsed at t = {tc!r} with residual {gc:.3e} still above "
+                f"tolerance {tolc:.3e}"
+            )
+        going &= ~collapsed
+        active, a, b, gx = active[going], a[going], b[going], g[going]
+        t, step_prev = nxt[going], np.abs(nxt - t)[going]
+    for p, g in zip(active.tolist(), gx.tolist()):
+        failures[p] = ConvergenceError(
+            f"no convergence after {MAX_SOLVE_ITERATIONS} iterations; last residual {g:.3e}"
+        )
+
+    solved = np.flatnonzero(~np.isnan(root[0]))
+    coords = np.insert(given[solved], h0, root[0, solved], axis=1)
+    d1, d2 = (np.insert(d[solved], h0, root[k, solved], axis=1) for d, k in ((d1, 2), (d2, 3)))
+    table = _table(coords, d1, d2, {})
+    index = solved.tolist()
+    failures = dict(sorted(failures.items()))
     gate = table.errors(surface.height)
     failures.update((index[p], exc) for p, exc in enumerate(gate) if exc is not None)
     keep = [p for p, exc in enumerate(gate) if exc is None]
+    residuals = root[1, solved][keep].tolist()
+    points = [SurfacePoint(tuple(c), r) for c, r in zip(coords[keep].tolist(), residuals)]
     survivors = JetTable(table.d1[keep], table.d2[keep], table.sq_norm[keep], (None,) * len(keep))
-    return _Lift([index[p] for p in keep], [points[p] for p in keep], survivors, failures)
+    return _Lift([index[p] for p in keep], points, survivors, failures)
 
 
 def solve_height(

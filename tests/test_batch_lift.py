@@ -1,0 +1,285 @@
+"""The array jet walk and the batched height lift against the scalar
+reference in `reference_lift`: same bits, same failure texts, whatever
+the batch around a point holds."""
+
+import math
+
+import numpy as np
+import pytest
+
+from sepcurv import SeparableSurface, SurfacePoint, geometry, parse_function
+from sepcurv.errors import describe
+from sepcurv.expr import eval_jet2, eval_jets
+from sepcurv.geometry import _lift, jet_table
+
+from corpus import EXPRESSIONS
+from lifts import MIXED_BRACKET, MIXED_RANGES, mixed_surface
+from reference_lift import reference_jet2, reference_jet_table, reference_lift
+
+INF = math.inf
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def reference_point(f, x):
+    """(v, d1, d2) or the failure text of the scalar walk at x."""
+    try:
+        j = reference_jet2(f, x)
+    except Exception as exc:   # every failure is compared by its text
+        return describe(exc)
+    return (j.v, j.d1, j.d2)
+
+
+def walk_points(f, xs) -> list:
+    """(v, d1, d2) or the failure text of one array walk, per point."""
+    jet, errors = eval_jets(f, np.asarray(xs, dtype=float))
+    out = []
+    for p in range(len(xs)):
+        if p in errors:
+            assert (jet.v[p], jet.d1[p], jet.d2[p]) == (0.0, 0.0, 0.0)
+            out.append(describe(errors[p]))
+        else:
+            out.append((float(jet.v[p]), float(jet.d1[p]), float(jet.d2[p])))
+    return out
+
+
+def assert_same(got: list, want: list):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, str):
+            assert g == w
+        else:
+            assert not isinstance(g, str), g
+            assert bits(g) == bits(w)
+
+
+def corpus_points(sample: tuple[float, float], domain: tuple[float, float]) -> list[float]:
+    """56 seeded draws in the sampling interval, then 8 edge points: the
+    domain's ends and values that overflow, divide by zero or leave it."""
+    rng = np.random.default_rng(64)
+    draws = rng.uniform(*sample, size=56).tolist()
+    lo, hi = domain
+    edges = [lo if math.isfinite(lo) else -1e300, hi if math.isfinite(hi) else 1e300]
+    return draws + edges + [0.0, -1.0, 1.0, 800.0, -800.0, -4.0]
+
+
+@pytest.mark.parametrize("source, domain, sample", EXPRESSIONS)
+def test_walk_matches_scalar_reference_on_corpus(source, domain, sample):
+    f = parse_function(source, domain)
+    xs = corpus_points(sample, domain)
+    assert len(xs) == 64
+    assert_same(walk_points(f, xs), [reference_point(f, x) for x in xs])
+
+
+@pytest.mark.parametrize("source, domain, sample", EXPRESSIONS[::4])
+def test_walk_is_chunk_invariant(source, domain, sample):
+    f = parse_function(source, domain)
+    xs = corpus_points(sample, domain)
+    one_by_one = [walk_points(f, [x])[0] for x in xs]
+    assert_same(walk_points(f, xs), one_by_one)
+    for x, want in zip(xs, one_by_one):
+        if isinstance(want, str):
+            with pytest.raises(Exception) as info:
+                eval_jet2(f, x)
+            assert describe(info.value) == want
+        else:
+            j = eval_jet2(f, x)
+            assert bits((j.v, j.d1, j.d2)) == bits(want)
+
+
+# ----------------------------------------------- numerical edges in a batch
+
+EDGES = [
+    ("exp(x)", (-INF, INF), [1.5, 800.0, -2.0],
+     "NonFiniteError: evaluating 'exp(x)' at x = 800.0: math range error"),
+    ("sin(exp(x))", (-INF, INF), [0.5, 800.0, 1.25],
+     "NonFiniteError: evaluating 'sin(exp(x))' at x = 800.0: math range error"),
+    ("exp(x)*exp(x)", (-INF, INF), [1.0, 400.0, -3.0],
+     "NonFiniteError: non-finite value in 'exp(x)*exp(x)'"),
+    ("1/(x - 1)", (-INF, INF), [0.5, 1.0, 2.0],
+     "NonFiniteError: evaluating '1.0/(x - 1.0)' at x = 1.0: float division by zero"),
+    ("log(x - 1)", (-INF, INF), [2.0, 0.5, 3.0],
+     "NonFiniteError: evaluating 'log(x - 1.0)' at x = 0.5: log of non-positive value -0.5"),
+    ("(x - 1)^0.5", (-INF, INF), [2.0, 0.0, 5.0],
+     "NonFiniteError: evaluating '(x - 1.0)^0.5' at x = 0.0: non-integer exponent 0.5 "
+     "requires a positive base, got -1.0"),
+    ("x^-1", (-INF, INF), [1.0, 0.0, -2.0],
+     "NonFiniteError: evaluating 'x^-1.0' at x = 0.0: math domain error"),
+    ("log(x)", (0.0, INF), [1.0, 0.0, 2.0],
+     "DomainError: x = 0.0 outside open domain (0.0, inf)"),
+    ("log(x)", (0.0, 3.0), [1.0, 3.0, 2.0],
+     "DomainError: x = 3.0 outside open domain (0.0, 3.0)"),
+]
+
+
+@pytest.mark.parametrize("source, domain, xs, message", EDGES)
+def test_one_failing_point_keeps_its_text_and_its_neighbours_bits(source, domain, xs, message):
+    f = parse_function(source, domain)
+    got = walk_points(f, xs)
+    assert got[1] == message
+    assert_same(got, [reference_point(f, x) for x in xs])
+    # the neighbours read what they read alone
+    assert_same([got[0], got[2]], [walk_points(f, [xs[0]])[0], walk_points(f, [xs[2]])[0]])
+
+
+def test_non_finite_constant_fails_every_point_after_earlier_failures():
+    f = parse_function("log(x) + 1e999")
+    got = walk_points(f, [-1.0, 1.0, 2.0])
+    assert got == [
+        "NonFiniteError: evaluating 'log(x) + inf' at x = -1.0: log of non-positive value -1.0",
+        "NonFiniteError: non-finite constant inf",
+        "NonFiniteError: non-finite constant inf",
+    ]
+    assert got == [reference_point(f, x) for x in (-1.0, 1.0, 2.0)]
+
+
+def assert_same_lift(surface, partials, bracket):
+    """The batched lift equals the per-partial reference lift: indices,
+    coordinates and residuals, table bits, failure texts in order."""
+    got = _lift(surface, partials, bracket)
+    index, points, table, failures = reference_lift(surface, partials, bracket)
+    assert got.index == index
+    assert [repr(p.coords) for p in got.points] == [repr(p.coords) for p in points]
+    assert bits([p.residual for p in got.points]) == bits([p.residual for p in points])
+    for name in ("d1", "d2", "sq_norm"):
+        assert bits(getattr(got.table, name)) == bits(getattr(table, name))
+    assert got.table.jet_errors == table.jet_errors
+    assert [(i, describe(e)) for i, e in got.failures.items()] == [
+        (i, describe(e)) for i, e in failures.items()
+    ]
+    return got
+
+
+def test_lift_root_at_a_bracket_end_among_interior_roots():
+    s = SeparableSurface(tuple(parse_function("x") for _ in range(4)))
+    lift = assert_same_lift(s, [(0.5, 0.25, 1.0), (1.0, 2.0, 3.0), (-3.0, 1.0, -4.0)], (-6.0, 6.0))
+    assert [p.coords[3] for p in lift.points] == [-1.75, -6.0, 6.0]
+
+
+def test_lift_near_zero_slope_among_regular_roots():
+    s = SeparableSurface((parse_function("x"), parse_function("x"), parse_function("x^3")))
+    lift = assert_same_lift(s, [(0.5, 0.3), (0.5, -0.5), (-1.0, 0.2)], (-5.0, 5.0))
+    assert lift.index == [0, 2]
+    assert describe(lift.failures[1]).startswith("RegularityError: height slope |f'_3| = ")
+
+
+def test_lift_bracket_collapse_among_roots():
+    s = SeparableSurface(tuple(map(parse_function, ("x", "x", "1e20*x - 1e19"))))
+    lift = assert_same_lift(s, [(0.0, 0.0), (1e-3, 2e-3), (0.3, -0.3)], (-1.0, 1.0))
+    assert lift.index == [0, 2]
+    assert describe(lift.failures[1]) == (
+        "ConvergenceError: bracket collapsed at t = 0.09999999999999999 with residual "
+        "3.000e-03 still above tolerance 1.000e-12"
+    )
+
+
+def test_lift_height_jet_failing_mid_solve_among_roots():
+    # Newton on the linear g lands on t = -rest in one step; at t = 0.5 the
+    # zero-weight log term has no value
+    s = SeparableSurface((parse_function("x"), parse_function("x"),
+                          parse_function("x + 0*log((x - 0.5)^2)")))
+    lift = assert_same_lift(s, [(0.25, 0.5), (-0.25, -0.25), (0.1, -0.2)], (-1.0, 1.0))
+    assert lift.index == [0, 2]
+    message = (
+        "NonFiniteError: evaluating 'x + 0.0*log((x - 0.5)^2.0)' at x = 0.5: "
+        "log of non-positive value 0.0"
+    )
+    assert describe(lift.failures[1]) == message
+    # the first iterate is t = 0.5; a failed jet reads 0 there, which must
+    # not pass for a root of g = 0 + rest when rest = 0
+    lift = assert_same_lift(s, [(0.5, 0.5), (0.0, 0.0)], (-1.0, 2.0))
+    assert lift.index == [0] and describe(lift.failures[1]) == message
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 5])
+def test_lift_iteration_cap_read_at_call_time(monkeypatch, cap):
+    monkeypatch.setattr(geometry, "MAX_SOLVE_ITERATIONS", cap)
+    s = SeparableSurface((parse_function("x^2"), parse_function("x^2"),
+                          parse_function("x^2 - 1.0", (0.0, INF))))
+    partials = [(0.0, 0.0), (0.1, 0.2), (0.3, 0.4), (0.6, 0.0), (0.5, 0.5)]
+    lift = assert_same_lift(s, partials, (0.5, 1.5))
+    capped = [i for i, e in lift.failures.items() if "no convergence" in str(e)]
+    assert capped and all(f"after {cap} iterations" in str(lift.failures[i]) for i in capped)
+    if cap == 0:
+        assert describe(lift.failures[1]).endswith("last residual inf")
+
+
+# ------------------------------------------------- whole lifts and tables
+
+
+def dsl_surface() -> SeparableSurface:
+    """n = 8: the benchmark's nested exp/log/sin/cos/power/division shapes
+    with fixed coefficients, over an increasing height."""
+    shapes = (
+        "0.75*exp(sin(1.0*x)) + log(1 + x^2)/2.0",
+        "cos(0.75*x)^2/(1 + exp(-1.0*x)) + 2.0*x",
+        "exp(0.75*x)*sin(x)^2 - log(2 + cos(1.0*x))",
+        "(x^3 - 0.75*x)/(2 + x^2) + sin(exp(1.0*x))",
+        "log(2.0 + exp(0.75*x))*cos(1.0*x)",
+        "sin(0.75*x + cos(1.0*x))^2 + exp(-x^2)",
+        "x^2*exp(sin(0.75*x))/(3 + cos(x))",
+        "3*x + 0.5*sin(2*x) + exp(0.25*x)",
+    )
+    return SeparableSurface(tuple(parse_function(s) for s in shapes))
+
+
+def mesh_surface() -> SeparableSurface:
+    return SeparableSurface((parse_function("exp(x)"), parse_function("x^2 + sin(x)"),
+                             parse_function("exp(x) - 4.0")))
+
+
+def test_lift_matches_reference_on_mixed_surface():
+    partials = np.random.default_rng(5).uniform(*zip(*MIXED_RANGES), size=(200, 2)).tolist()
+    lift = assert_same_lift(mixed_surface(), partials, MIXED_BRACKET)
+    kinds = {describe(e).split(":")[0] for e in lift.failures.values()}
+    assert kinds == {"BracketError", "DomainError", "RegularityError"}
+
+
+def test_lift_matches_reference_on_mesh_grid():
+    a = np.linspace(-2.0, 1.9, 64).tolist()
+    b = np.linspace(-2.2, 1.6, 64).tolist()
+    lift = assert_same_lift(mesh_surface(), [[x, y] for x in a for y in b], (-20.0, 3.0))
+    assert 0 < len(lift.index) < 64 * 64
+
+
+def test_lift_matches_reference_on_dsl_surface():
+    partials = np.random.default_rng(8).uniform(-1.5, 1.5, size=(120, 7)).tolist()
+    lift = assert_same_lift(dsl_surface(), partials, (-4.0, -0.5))
+    assert lift.index and lift.failures
+
+
+def test_lift_is_chunk_invariant():
+    s = mixed_surface()
+    partials = np.random.default_rng(6).uniform(*zip(*MIXED_RANGES), size=(40, 2)).tolist()
+    whole = _lift(s, partials, MIXED_BRACKET)
+    points, failures = [], {}
+    for i, partial in enumerate(partials):
+        one = _lift(s, [partial], MIXED_BRACKET)
+        points += [repr((i, p.coords, p.residual)) for p in one.points]
+        failures.update((i, describe(e)) for e in one.failures.values())
+    assert [repr((i, p.coords, p.residual)) for i, p in zip(whole.index, whole.points)] == points
+    assert {i: describe(e) for i, e in whole.failures.items()} == failures
+
+
+def test_jet_table_matches_reference():
+    s = dsl_surface()
+    lift = _lift(s, np.random.default_rng(9).uniform(-1.5, 1.5, size=(30, 7)).tolist(), (-4.0, 0.5))
+    # lifted points, and points where a jet fails (exp(750) in f_3, f_2
+    # before f_7) between them
+    points = list(lift.points)
+    points[3:3] = [SurfacePoint((0.1, 0.2, 1000.0, 0.1, 0.2, 0.3, 0.4, 0.5), 0.0)]
+    points[9:9] = [SurfacePoint((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 1e200, 0.0), 0.0)]
+    # and a gradient norm whose square overflows
+    steep = SeparableSurface(tuple(map(parse_function, ("1e154*x", "1e154*x^2", "x"))))
+    cases = [(s, points, [3, 9]),
+             (steep, [SurfacePoint((1.0, 0.1, 0.0), 0.0), SurfacePoint((1.0, 1.0, 1.0), 0.0)], [1])]
+    for surface, pts, failing in cases:
+        got, want = jet_table(surface, pts), reference_jet_table(surface, pts)
+        for name in ("d1", "d2", "sq_norm"):
+            assert bits(getattr(got, name)) == bits(getattr(want, name))
+        assert [e and describe(e) for e in got.jet_errors] == [
+            e and describe(e) for e in want.jet_errors
+        ]
+        assert [p for p, e in enumerate(got.jet_errors) if e is not None] == failing

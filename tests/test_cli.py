@@ -98,6 +98,50 @@ def test_module_entry_point():
     assert "sepcurv 1.0.0" in proc.stdout
 
 
+RUNTIME_CHECK = """
+import contextlib, io, json, os, sys
+before = set(sys.modules)
+from sepcurv.cli import main
+specs, out = sys.argv[1], sys.argv[2]
+runs = [
+    ["eval", os.path.join(specs, "hypersphere_r2_n4.json"), "--point", "0.5,0.5,0.5"],
+    ["mesh", os.path.join(specs, "sphere3_mesh.json"), "--out", os.path.join(out, "m.obj")],
+    ["certify", "flat", "--dims", "4", "--count", "4"],
+    ["certify", "constant", "--dims", "4", "--count", "4"],
+] + [
+    ["scan", os.path.join(specs, name), "--out", os.path.join(out, name + ".csv"), "--format", "csv"]
+    for name in ("cobb_douglas_n5.json", "hypersphere_r2_n4.json", "raw_functions_n4.json")
+]
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+allowed = set(sys.stdlib_module_names) | {"numpy", "sepcurv"}
+# modules loaded from files; numpy's compiled extensions also register
+# file-less Cython runtime modules (cython_runtime, _cython_3_...)
+foreign = sorted(
+    m for m in set(sys.modules) - before
+    if m.partition(".")[0] not in allowed and getattr(sys.modules[m], "__file__", None)
+)
+print(json.dumps({"codes": codes, "foreign": foreign}))
+"""
+
+
+def test_runtime_imports_only_stdlib_and_numpy(tmp_path):
+    # the package may depend on numpy alone at run time, whatever else is installed
+    package_root = os.path.dirname(os.path.dirname(sepcurv.__file__))
+    specs = os.path.join(os.path.dirname(package_root), "specs")
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNTIME_CHECK, specs, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0, 0, 0, 0], "foreign": []}
+
+
 # ------------------------------------------------------------------- eval
 
 

@@ -68,12 +68,12 @@ def test_height_validation():
         SeparableSurface(fs, height=2.0)
 
 
-def test_insert_height_position():
+def test_lift_puts_height_in_its_slot():
     fs = tuple(parse_function("x") for _ in range(4))
     s = SeparableSurface(fs, height=2)
-    assert s.insert_height((9.0, 8.0, 7.0), 5.0) == (9.0, 5.0, 8.0, 7.0)
+    assert solve_height(s, (9.0, 8.0, 7.0), (-30.0, 30.0)).coords == (9.0, -24.0, 8.0, 7.0)
     with pytest.raises(ValueError):
-        s.insert_height((9.0, 8.0), 5.0)
+        solve_height(s, (9.0, 8.0), (-30.0, 30.0))
 
 
 def test_jets_length_check():
