@@ -8,6 +8,11 @@ Exit codes
     4  mesh export produced fewer than 3 valid vertices
     5  unexpected internal error
 
+Each flag goes after the one subcommand that reads it: eval --point --pair
+--k0 --format; scan --out --seed --tol --threads (>= 1) --format; certify
+--dims --count --seed; mesh --out.  The top-level parser takes only
+--version; any other placement is a usage error (exit 2).
+
 The constancy tolerance resolves in precedence order: --tol flag, then the
 spec file's tolerances.constancy, then the SEPCURV_TOL environment
 variable, then the built-in default of 1e-7.
@@ -39,35 +44,9 @@ from .geometry import _lift, sample_points
 from .meshing import build_mesh, write_curvature_csv, write_obj
 from .report import report_body_csv, report_body_json, write_report
 from .specfile import MAX_COUNT, LoadedSpec, load_spec
-from .suites import DEFAULT_SEED, format_rows, run_constant_suite, run_flat_suite
+from .suites import format_rows, run_constant_suite, run_flat_suite
 
 ENV_TOL = "SEPCURV_TOL"
-
-
-def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # the same flags exist on the main parser and every subparser so they may
-    # appear on either side of the subcommand; the subparser copies suppress
-    # their defaults so a pre-subcommand value is not clobbered
-    def default(value):
-        return argparse.SUPPRESS if suppress else value
-
-    parser.add_argument(
-        "--seed", type=int, default=default(None),
-        help="override the spec file's sampling seed",
-    )
-    parser.add_argument(
-        "--tol", type=float, default=default(None),
-        help="override the constancy tolerance",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=default(1),
-        help="number of sequential point chunks a scan is split into "
-        "(output is identical for any value)",
-    )
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default=default("json"),
-        help="report body format",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,29 +56,34 @@ def build_parser() -> argparse.ArgumentParser:
         "f1(x1) + ... + fn(xn) = 0.",
     )
     parser.add_argument("--version", action="version", version=f"sepcurv {__version__}")
-    _add_global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="curvature of one point and coordinate pair")
-    _add_global_flags(p, suppress=True)
     p.add_argument("spec", help="surface-spec JSON file")
     p.add_argument("--point", required=True, help="comma-separated non-height coordinates")
     p.add_argument("--pair", default=None, help="coordinate pair i,j (default: first two non-height)")
     p.add_argument("--k0", type=float, default=None, help="also report the constant-curvature residual")
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
 
     p = sub.add_parser("scan", help="sample points and test curvature constancy")
-    _add_global_flags(p, suppress=True)
     p.add_argument("spec", help="surface-spec JSON file")
     p.add_argument("--out", required=True, help="report file to write")
+    p.add_argument("--seed", type=int, default=None, help="override the spec file's sampling seed")
+    p.add_argument("--tol", type=float, default=None, help="override the constancy tolerance")
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="number (>= 1) of sequential point chunks the scan is split into "
+        "(output is identical for any value)",
+    )
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="report body format")
 
     p = sub.add_parser("certify", help="run a built-in family certification suite")
-    _add_global_flags(p, suppress=True)
     p.add_argument("suite", choices=("flat", "constant"))
     p.add_argument("--dims", default=None, help="comma-separated dimension sweep")
-    p.add_argument("--count", type=int, default=100, help="sample points per scan")
+    p.add_argument("--count", type=int, default=None, help="sample points per scan")
+    p.add_argument("--seed", type=int, default=None, help="base seed of the suite's scans")
 
     p = sub.add_parser("mesh", help="export a triangulated mesh (n = 3 only)")
-    _add_global_flags(p, suppress=True)
     p.add_argument("spec", help="surface-spec JSON file")
     p.add_argument("--out", required=True, help="OBJ file to write")
     return parser
@@ -203,6 +187,7 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
         raise SpecFileError(f"{ns.spec}: sampling.ranges is required for scanning")
     seed = integer(spec.seed if ns.seed is None else ns.seed, "--seed", 0)
     tol = _resolve_tol(ns.tol, spec.constancy_tol)
+    threads = integer(ns.threads, "--threads", 1)
     points, failures = sample_points(
         spec.surface, spec.ranges, spec.count, seed, spec.bracket
     )
@@ -214,7 +199,7 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     policy = ScanPolicy(
         oblique_per_point=spec.oblique, seed=seed, constancy_tol=tol
     )
-    report = scan_constancy(spec.surface, points, policy, threads=max(1, ns.threads))
+    report = scan_constancy(spec.surface, points, policy, threads=threads)
     if ns.format == "json":
         body = report_body_json(
             report,
@@ -239,19 +224,19 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
 
 
 def _cmd_certify(ns: argparse.Namespace) -> int:
-    dims = None
+    # only the given flags are passed, so the suites' signatures hold the defaults
+    given = {}
     if ns.dims is not None:
         try:
             dims = [int(p.strip()) for p in ns.dims.split(",")]
         except ValueError as exc:
             raise SpecFileError(f"--dims must be comma-separated integers: {exc}") from exc
-        dims = tuple(integer(d, "--dims entry", 3, MAX_N) for d in dims)
-    count = integer(ns.count, "--count", 2, MAX_COUNT)
-    seed = integer(DEFAULT_SEED if ns.seed is None else ns.seed, "--seed", 0)
-    if ns.suite == "flat":
-        rows = run_flat_suite(dims or (4, 5, 6), count=count, seed=seed)
-    else:
-        rows = run_constant_suite(dims=dims or (4, 5), count=count, seed=seed)
+        given["dims"] = tuple(integer(d, "--dims entry", 3, MAX_N) for d in dims)
+    if ns.count is not None:
+        given["count"] = integer(ns.count, "--count", 2, MAX_COUNT)
+    if ns.seed is not None:
+        given["seed"] = integer(ns.seed, "--seed", 0)
+    rows = (run_flat_suite if ns.suite == "flat" else run_constant_suite)(**given)
     print(format_rows(rows))
     return 0 if all(r.ok for r in rows) else 1
 

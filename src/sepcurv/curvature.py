@@ -88,13 +88,6 @@ def _pair_sorted(surface: SeparableSurface, i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def _finite_k0(k0: float) -> float:
-    k0 = float(k0)
-    if not math.isfinite(k0):
-        raise ValueError(f"k0 must be finite, got {k0!r}")
-    return k0
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sum of a * b over the last axis, accumulated left to right."""
     prod = a * b
@@ -129,7 +122,9 @@ class PairTable:
 
     def constk(self, k0: float) -> np.ndarray:
         """`constk_residual` of every point and pair."""
-        k0 = _finite_k0(k0)
+        k0 = float(k0)
+        if not math.isfinite(k0):
+            raise ValueError(f"k0 must be finite, got {k0!r}")
         with np.errstate(all="ignore"):
             return k0 * self.s * self.jets.sq_norm[:, None] - 4.0 * self.flat
 
@@ -154,15 +149,9 @@ def pair_table(
     return PairTable(pairs, table, flat, s)
 
 
-def _one_pair(
-    surface: SeparableSurface, point: SurfacePoint, i: int, j: int, gated: bool = True
-) -> PairTable:
+def _one_pair(surface: SeparableSurface, point: SurfacePoint, i: int, j: int) -> PairTable:
     pair = _pair_sorted(surface, i, j)
-    table = jet_table(surface, [point])
-    error = table.errors(surface.height)[0] if gated else table.jet_errors[0]
-    if error is not None:
-        raise error
-    return pair_table(surface, table, [pair])
+    return pair_table(surface, point_jets(surface, point, surface.height), [pair])
 
 
 def _gauss(table: JetTable, u: np.ndarray, w: np.ndarray):
@@ -231,7 +220,11 @@ def flatness_residual(surface: SeparableSurface, point: SurfacePoint, i: int, j:
 
     Involves no division, so it stays defined where regularity fails.
     """
-    return float(_one_pair(surface, point, i, j, gated=False).flat[0, 0])
+    pair = _pair_sorted(surface, i, j)
+    table = jet_table(surface, [point])
+    if table.jet_errors[0] is not None:
+        raise table.jet_errors[0]
+    return float(pair_table(surface, table, [pair]).flat[0, 0])
 
 
 def constk_residual(
@@ -243,7 +236,6 @@ def constk_residual(
     k0 * (X_i + X_j + X_h) * (sum_k X_k) - (X_i X_j' X_h' + X_j X_i' X_h'
     + X_h X_i' X_j'); it equals 4 * (X_i + X_j + X_h) * (sum_k X_k) * (k0/4 - K).
     """
-    k0 = _finite_k0(k0)
     return float(_one_pair(surface, point, i, j).constk(k0)[0, 0])
 
 

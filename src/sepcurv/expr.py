@@ -3,11 +3,12 @@
 Grammar (whitespace between tokens is insignificant):
 
     expr     := term (('+' | '-') term)*
-    term     := factor (('*' | '/') factor)*
-    factor   := base ('^' exponent)?
-    base     := NUMBER | 'x' | FUNC '(' expr ')' | '(' expr ')' | '-' factor
+    term     := unary (('*' | '/') unary)*
+    unary    := '-' unary | power
+    power    := atom ('^' exponent)?
     exponent := '-'? NUMBER
-    FUNC     := 'exp' | 'log' | 'sin' | 'cos'
+    atom     := NUMBER | 'x' | FUNC '(' expr ')' | '(' expr ')'
+    FUNC     := exp | log | sin | cos
     NUMBER   := digits ['.' digits] [('e' | 'E') ['+' | '-'] digits]
 
 '+', '-', '*', '/' are left-associative.  Power binds tighter than unary
@@ -145,14 +146,21 @@ class _Parser:
         return node
 
     def term(self) -> Node:
-        node = self.factor()
+        node = self.unary()
         while self.peek()[0] == "op" and self.peek()[1] in "*/":
             op = self.advance()[1]
-            node = BinOp(op, node, self.factor())
+            node = BinOp(op, node, self.unary())
         return node
 
-    def factor(self) -> Node:
-        node = self.base()
+    def unary(self) -> Node:
+        if self.peek()[:2] != ("op", "-"):
+            return self.power()
+        self.advance()
+        operand = self.unary()
+        return Const(-operand.value) if isinstance(operand, Const) else Neg(operand)
+
+    def power(self) -> Node:
+        node = self.atom()
         if self.peek()[0] == "op" and self.peek()[1] == "^":
             self.advance()
             return Pow(node, self.exponent())
@@ -170,7 +178,7 @@ class _Parser:
         self.advance()
         return sign * float(text)
 
-    def base(self) -> Node:
+    def atom(self) -> Node:
         kind, text, cp = self.advance()
         if kind == "num":
             return Const(float(text))
@@ -193,11 +201,6 @@ class _Parser:
             if not (k2 == "op" and t2 == ")"):
                 raise self.fail("expected ')'", cp2)
             return node
-        if kind == "op" and text == "-":
-            operand = self.factor()
-            if isinstance(operand, Const):
-                return Const(-operand.value)
-            return Neg(operand)
         if kind == "end":
             raise self.fail("unexpected end of input", cp)
         raise self.fail(

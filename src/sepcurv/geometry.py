@@ -104,19 +104,21 @@ class SeparableSurface:
         return [j.v for j in self.jets(coords)]
 
     def on_surface_tol(self, values: Iterable[float]) -> float:
-        return ON_SURFACE_RTOL * max(1.0, fsum(abs(v) for v in values))
+        return ON_SURFACE_RTOL * max(1.0, _fsum(abs(v) for v in values))
 
     def point(self, coords: Sequence[float]) -> SurfacePoint:
         """Certify explicit coordinates as a surface point.
 
         Raises `OffSurfaceError` if the residual exceeds the scale-relative
-        tolerance; use `solve_height` to produce points from partial
-        coordinates instead.
+        tolerance, or `NonFiniteError` if the sum of |f_k| overflows; use
+        `solve_height` to produce points from partial coordinates instead.
         """
         coords = tuple(float(c) for c in coords)
         values = self.values(coords)
-        residual = abs(fsum(values))
         tol = self.on_surface_tol(values)
+        if tol == math.inf:
+            raise NonFiniteError(f"sum of |f_k| overflows at {coords!r}")
+        residual = abs(fsum(values))
         if residual > tol:
             raise OffSurfaceError(
                 f"|sum f_k| = {residual:.6e} exceeds tolerance {tol:.6e} at {coords!r}"
@@ -179,24 +181,26 @@ class JetTable:
         return out
 
 
+def _fsum(row: Iterable[float]) -> float:
+    """`math.fsum` of finite terms, or inf where their exact sum overflows."""
+    try:
+        return fsum(row)
+    except OverflowError:
+        return math.inf
+
+
 def _table(coords: np.ndarray, d1: np.ndarray, d2: np.ndarray, jet_errors: dict) -> JetTable:
     """Table of P x n jet columns at P x n `coords`, given each failed
     point's jet error by index: a failed point keeps zero rows, and a point
-    whose ||grad F||^2 (`math.fsum` of its row) overflows gets a
+    whose ||grad F||^2 (`_fsum` of its row) overflows gets a
     `NonFiniteError`."""
     errors = [jet_errors.get(p) for p in range(len(coords))]
     d1[list(jet_errors)] = d2[list(jet_errors)] = 0.0
-    sq_norm = []
     with np.errstate(over="ignore"):
-        squares = (d1 * d1).tolist()
-    for p, row in enumerate(squares):
-        try:
-            sq_norm.append(fsum(row))
-        except OverflowError:
-            sq_norm.append(math.inf)
-        if sq_norm[-1] == math.inf:
-            errors[p] = NonFiniteError(f"||grad F||^2 overflows at {tuple(coords[p].tolist())!r}")
-    return JetTable(d1, d2, np.array(sq_norm), tuple(errors))
+        sq_norm = np.array([_fsum(row) for row in (d1 * d1).tolist()])
+    for p in np.flatnonzero(sq_norm == math.inf).tolist():
+        errors[p] = NonFiniteError(f"||grad F||^2 overflows at {tuple(coords[p].tolist())!r}")
+    return JetTable(d1, d2, sq_norm, tuple(errors))
 
 
 def _columns(funcs: Sequence[Function1D], x: np.ndarray):
@@ -300,17 +304,21 @@ def _lift(
     active = np.array([p for p in range(len(given)) if p not in failures], dtype=int)
     rest, abs_rest = np.zeros(len(given)), np.zeros(len(given))
     for p, row in zip(active.tolist(), values[active].tolist()):
-        rest[p], abs_rest[p] = fsum(row), fsum(abs(v) for v in row)
+        rest[p], abs_rest[p] = _fsum(row), _fsum(abs(v) for v in row)
     root = np.full((4, len(given)), math.nan)   # t, |g|, f_h' and f_h'' at each root
 
     def step(t):
         """Walk f_h at the active partials' t: fail each partial whose jet
-        fails, settle each whose |g| meets its tolerance, and return the jet,
-        g, the tolerance and the mask of the partials still going."""
+        fails or whose sum of |f_k| overflows, settle each whose |g| meets
+        its tolerance, and return the jet, g, the tolerance and the going mask."""
         jet, errors = eval_jets(fh, t)
+        with np.errstate(over="ignore"):
+            g = jet.v + rest[active]
+            tol = ON_SURFACE_RTOL * np.fmax(1.0, abs_rest[active] + np.abs(jet.v))
+        for q in np.flatnonzero(tol == math.inf).tolist():   # it would accept any t
+            at = (*rows[active[q]][:h0], float(t[q]), *rows[active[q]][h0:])
+            errors.setdefault(q, NonFiniteError(f"sum of |f_k| overflows at {at!r}"))
         failures.update((int(active[q]), exc) for q, exc in errors.items())
-        g = jet.v + rest[active]
-        tol = ON_SURFACE_RTOL * np.fmax(1.0, abs_rest[active] + np.abs(jet.v))
         done = np.abs(g) <= tol
         done[list(errors)] = False
         root[:, active[done]] = t[done], np.abs(g[done]), jet.d1[done], jet.d2[done]

@@ -1,7 +1,10 @@
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +20,7 @@ from sepcurv import (
     sectional_special,
     solve_height,
 )
-from sepcurv.cli import main
+from sepcurv.cli import build_parser, main
 
 from lifts import spy_second_evaluations
 
@@ -142,6 +145,85 @@ def test_runtime_imports_only_stdlib_and_numpy(tmp_path):
     assert result == {"codes": [0, 0, 0, 0, 0, 0, 0], "foreign": []}
 
 
+# ------------------------------------------------------------------ flags
+
+SUBCOMMAND_FLAGS = {
+    "eval": {"--point", "--pair", "--k0", "--format"},
+    "scan": {"--out", "--seed", "--tol", "--threads", "--format"},
+    "certify": {"--dims", "--count", "--seed"},
+    "mesh": {"--out"},
+}
+
+
+def _options(parser):
+    return {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    parser = build_parser()
+    assert _options(parser) == {"--version"}
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {name: _options(p) for name, p in sub.choices.items()} == SUBCOMMAND_FLAGS
+
+
+def _valid_argv(tmp_path, command):
+    """An invocation of `command` that exits 0, writing under tmp_path."""
+    return {
+        "eval": ["eval", sphere4_spec(tmp_path), "--point", "0.1,0.2,-0.3"],
+        "scan": ["scan", sphere4_spec(tmp_path), "--out", str(tmp_path / "out")],
+        "certify": ["certify", "flat", "--dims", "4", "--count", "3"],
+        "mesh": ["mesh", sphere3_mesh_spec(tmp_path), "--out", str(tmp_path / "out")],
+    }[command]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--seed", "3"), ("eval", "--tol", "1e-3"), ("eval", "--threads", "2"),
+    ("certify", "--tol", "nan"), ("certify", "--threads", "2"), ("certify", "--format", "csv"),
+    ("mesh", "--seed", "3"), ("mesh", "--tol", "-5"), ("mesh", "--threads", "-9"),
+    ("mesh", "--format", "csv"),
+])
+def test_flag_the_subcommand_does_not_read_exit_2(tmp_path, capsys, command, flag, value):
+    assert main(_valid_argv(tmp_path, command) + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "3"), ("--tol", "1e-3"), ("--threads", "2"), ("--format", "csv"),
+])
+def test_flag_before_the_subcommand_exit_2(tmp_path, capsys, flag, value):
+    assert main([flag, value] + _valid_argv(tmp_path, "scan")) == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out").exists()
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_commands() -> list[str]:
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("sepcurv ")]
+
+
+def test_readme_shows_every_subcommand():
+    assert {shlex.split(line)[1] for line in _readme_commands()} == set(SUBCOMMAND_FLAGS)
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_runs(tmp_path, capsys, monkeypatch, line):
+    # spec paths are relative to the repository root; outputs go to tmp_path
+    monkeypatch.chdir(REPO_ROOT)
+    argv = shlex.split(line)[1:]
+    if "--out" in argv:
+        k = argv.index("--out") + 1
+        argv[k] = str(tmp_path / argv[k])
+    assert main(argv) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
 # ------------------------------------------------------------------- eval
 
 
@@ -263,6 +345,33 @@ def test_gradient_norm_overflow_exit_3(tmp_path, capsys, first, height, bracket)
     assert all(line.startswith("error:") and "overflows" in line for line in err)
 
 
+@pytest.mark.parametrize(
+    "first, second, height",
+    [
+        ("1e308 + 0*x", "1e308 + 0*x", "x"),
+        ("1e308 + 0*x", "-1e308 + 0*x", "x"),     # sums to 0, its magnitudes overflow
+        ("1.5e308 + 0*x", "x", "1e308 + x"),     # overflows only with the height's value
+    ],
+)
+def test_value_sum_overflow_exit_3_or_4(tmp_path, capsys, first, second, height):
+    doc = {
+        "format_version": 1,
+        "functions": [{"expr": first}, {"expr": second}, {"expr": height, "bracket": [-1, 1]}],
+        "sampling": {"count": 5, "ranges": [[0.0, 1.0]] * 2},
+        "grid": [4, 4],
+    }
+    spec = write_spec(tmp_path, doc)
+    assert main(["eval", spec, "--point", "0.1,0.2"]) == 3
+    assert capsys.readouterr().err == "error: sum of |f_k| overflows at (0.1, 0.2, -1.0)\n"
+    assert main(["scan", spec, "--out", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "NonFiniteError: sum of |f_k| overflows" in err[0]
+    assert main(["mesh", spec, "--out", str(tmp_path / "m.obj")]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: only 0 grid nodes lifted onto the surface; need at least 3"
+    ]
+
+
 # ------------------------------------------------------------------- scan
 
 
@@ -323,7 +432,7 @@ def test_scan_csv_format(tmp_path):
     spec = sphere4_spec(tmp_path)
     first = str(tmp_path / "a.csv")
     second = str(tmp_path / "b.csv")
-    assert main(["--format", "csv", "scan", spec, "--out", first]) == 0
+    assert main(["scan", spec, "--out", first, "--format", "csv"]) == 0
     assert main(["scan", spec, "--out", second, "--format", "csv", "--threads", "2"]) == 0
     body = read_report_body(first)
     assert body == read_report_body(second)
@@ -345,6 +454,14 @@ def test_scan_negative_seed_exit_2(tmp_path, capsys):
     spec = sphere4_spec(tmp_path)
     assert main(["scan", spec, "--out", str(tmp_path / "r.json"), "--seed", "-1"]) == 2
     assert "--seed must be an integer >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_scan_threads_below_one_exit_2(tmp_path, capsys, threads):
+    spec = sphere4_spec(tmp_path)
+    assert main(["scan", spec, "--out", str(tmp_path / "r.json"), "--threads", threads]) == 2
+    assert f"--threads must be an integer >= 1, got {threads}" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_scan_requires_ranges(tmp_path, capsys):
@@ -518,6 +635,18 @@ def test_certify_failure_exit_1(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL  rigged" in out
     assert "0/1 checks passed" in out
+
+
+@pytest.mark.parametrize("suite", ["flat", "constant"])
+def test_certify_passes_only_the_given_flags(capsys, monkeypatch, suite):
+    # the suites' own signatures hold the defaults of --dims, --count and --seed
+    calls = []
+    rows = [SuiteRow("rigged", 4, "constant 0", "constant 0", True)]
+    monkeypatch.setattr(f"sepcurv.cli.run_{suite}_suite", lambda **k: calls.append(k) or rows)
+    assert main(["certify", suite]) == 0
+    assert main(["certify", suite, "--dims", "5,4", "--count", "7", "--seed", "0"]) == 0
+    assert calls == [{}, {"dims": (5, 4), "count": 7, "seed": 0}]
+    capsys.readouterr()
 
 
 def test_certify_seed_reproduces_rows(capsys):

@@ -1,5 +1,6 @@
 import math
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sepcurv import (
     parse_function,
     to_source,
 )
+from sepcurv import expr
 from sepcurv.expr import FUNCTION_NAMES, BinOp, Call, Const, Neg, Pow, Var
 
 from corpus import EXPRESSIONS
@@ -46,6 +48,20 @@ def test_cubic_minus_linear_ast():
 def test_unary_minus_binds_looser_than_power():
     assert parse("-x^2") == Neg(Pow(Var(), 2.0))
     assert parse("(-x)^2") == Pow(Neg(Var()), 2.0)
+
+
+@pytest.mark.parametrize(
+    "src, ast",
+    [
+        ("-x^2", Neg(Pow(Var(), 2.0))),
+        ("-2^2", Neg(Pow(Const(2.0), 2.0))),
+        ("(-x^2)^3", Pow(Neg(Pow(Var(), 2.0)), 3.0)),
+        ("-(x^2)^3", Neg(Pow(Pow(Var(), 2.0), 3.0))),
+        ("--2", Const(2.0)),
+    ],
+)
+def test_unary_minus_asts(src, ast):
+    assert parse(src) == ast
 
 
 def test_negative_literal_folds():
@@ -105,6 +121,27 @@ def test_parse_error_offsets(src, offset, fragment):
     assert info.value.offset == offset
     assert fragment in str(info.value)
     assert f"(byte {offset})" in str(info.value)
+
+
+@pytest.mark.parametrize("src", ["x^2^3", "-x^2^3", "--x^2^3", "2*-x^2^3"])
+def test_power_does_not_chain_after_unary_minus(src):
+    # power := atom ('^' exponent)?, and a unary minus is no atom
+    with pytest.raises(ParseError) as info:
+        parse(src)
+    assert info.value.offset == src.rindex("^")
+    assert "unexpected trailing input '^'" in str(info.value)
+    with pytest.raises(ValueError, match="trailing input"):
+        ref_parse(src)
+
+
+def test_readme_states_the_parser_grammar():
+    def grammar(text):
+        lines = [line.strip() for line in text.splitlines()]
+        start = next(i for i, line in enumerate(lines) if line.startswith("expr     :="))
+        return lines[start:lines.index("", start)]
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert grammar(readme.replace("```", "")) == grammar(expr.__doc__)
 
 
 def test_whitespace_only_is_empty():

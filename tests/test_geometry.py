@@ -195,6 +195,28 @@ def test_solve_flags_gradient_norm_overflow():
         solve_height(s, (1e-154, -1e-154), (-1.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "first, second, height",
+    [
+        ("1e308 + 0*x", "1e308 + 0*x", "x"),
+        ("1e308 + 0*x", "-1e308 + 0*x", "x"),     # sums to 0, its magnitudes overflow
+        ("1.5e308 + 0*x", "x", "1e308 + x"),     # overflows only with the height's value
+    ],
+)
+def test_value_sum_overflow_is_non_finite(first, second, height):
+    # finite values whose sum of magnitudes overflows fail at the first
+    # bracket end: an infinite tolerance would accept any root
+    s = SeparableSurface(tuple(parse_function(e) for e in (first, second, height)))
+    message = r"sum of \|f_k\| overflows at \(0.1, 0.2, -1.0\)$"
+    with pytest.raises(NonFiniteError, match=message):
+        solve_height(s, (0.1, 0.2), (-1.0, 1.0))
+    with pytest.raises(NonFiniteError, match=message):
+        s.point((0.1, 0.2, -1.0))
+    points, failures = sample_points(s, [(0.0, 1.0)] * 2, 3, 0, (-1.0, 1.0))
+    assert points == [] and len(failures) == 3
+    assert all("NonFiniteError: sum of |f_k|" in f for _, f in failures)
+
+
 def test_solve_iteration_cap(monkeypatch):
     monkeypatch.setattr(geometry, "MAX_SOLVE_ITERATIONS", 1)
     with pytest.raises(ConvergenceError, match="no convergence after 1 iterations"):
