@@ -86,6 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mesh", help="export a triangulated mesh (n = 3 only)")
     p.add_argument("spec", help="surface-spec JSON file")
     p.add_argument("--out", required=True, help="OBJ file to write")
+    for p in sub.choices.values():   # reports a flag it does not read, with its usage line
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -265,7 +267,9 @@ def _cmd_mesh(ns: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns, unread = parser.parse_known_args(argv)
+        if unread:
+            ns.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {

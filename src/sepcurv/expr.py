@@ -21,10 +21,10 @@ constant.
 `to_source` renders an AST back to text such that parsing the result yields
 an equal AST, and `parse_function` pairs an AST with an open evaluation
 domain.  Evaluation propagates `Jet2` values, so first and second
-derivatives are exact up to rounding.  `eval_jets` walks the AST once over
-an array of points with array-valued jets, keeping each point's first
-failure; `eval_jet2` is its one-point case, so a point's jet and error do
-not depend on the other points in the array.
+derivatives are exact up to rounding.  The evaluators are `eval_jets`, one
+walk of the AST over an array of points keeping each point's first failure,
+and its one-point case `eval_jet2`; so a point's jet and error do not
+depend on the other points in the array.
 """
 
 from __future__ import annotations
@@ -284,9 +284,6 @@ class Function1D:
         lo, hi = self.domain
         return (lo < x) & (x < hi)
 
-    def jet(self, x: Number) -> Jet2:
-        return eval_jet2(self, x)
-
 
 def parse_function(src: str, domain: tuple[float, float] = (-math.inf, math.inf)) -> Function1D:
     """Parse source text into a `Function1D` on the given open domain."""
@@ -301,8 +298,8 @@ def _walk(node: Node, seed: Jet2, failed: dict[int, Exception]) -> Jet2:
     """node's 2-jets at every point of `seed`'s arrays.  Each point's first
     failure in evaluation order (left operand before right, operand before
     operator) goes into `failed` under the point's index; a failed point's
-    channels read nan from its failing node on, which no later node raises
-    on."""
+    channels read nan from its failing node on.  An array operation never
+    raises, so only the points it leaves non-finite run again on floats."""
     if isinstance(node, Var):
         return seed
     if isinstance(node, Const):
@@ -321,23 +318,19 @@ def _walk(node: Node, seed: Jet2, failed: dict[int, Exception]) -> Jet2:
     else:
         left = _walk(node.left, seed, failed)
         args, op = (left, _walk(node.right, seed, failed)), _BINARY[node.op]
-    try:
-        out = op(*args)
-    except _ELEMENT_ERRORS:   # some element raised: every point runs again
-        out = Jet2(*(np.full_like(seed.v, math.nan) for _ in range(3)))
-    # a point whose array result is not finite runs again on floats, so it
-    # fails as the scalar jet does: raising, or with a non-finite channel
+    out = op(*args)
+    # a point whose array result is not finite runs again on floats, where
+    # it carries the same bits, to fail as the float jet does: raising, or
+    # with a non-finite channel
     for p in np.flatnonzero(~out.is_finite()).tolist():
-        jet = None
         if p not in failed:
             try:
-                jet = op(*(Jet2(float(a.v[p]), float(a.d1[p]), float(a.d2[p])) for a in args))
+                op(*(Jet2(float(a.v[p]), float(a.d1[p]), float(a.d2[p])) for a in args))
             except _ELEMENT_ERRORS as exc:
                 failed[p] = exc.with_traceback(None)
-        if jet is not None and not jet.is_finite():
-            failed[p], jet = NonFiniteError(f"non-finite value in {to_source(node)!r}"), None
-        values = (math.nan,) * 3 if jet is None else (jet.v, jet.d1, jet.d2)
-        out.v[p], out.d1[p], out.d2[p] = values
+            else:
+                failed[p] = NonFiniteError(f"non-finite value in {to_source(node)!r}")
+        out.v[p] = out.d1[p] = out.d2[p] = math.nan
     return out
 
 

@@ -8,7 +8,8 @@ slope is bounded away from zero.
 
 grad F = (f_1'(x_1), ..., f_n'(x_n)) and the ambient Hessian of F is
 diagonal, so every geometric quantity here reduces to the 2-jets of the f_k
-and is exact up to rounding.
+and is exact up to rounding.  Every jet comes from one `expr.eval_jets`
+walk per coordinate over all the points at hand.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import (
     describe,
 )
 from .expr import Function1D, eval_jets
-from .jets import Jet2
 
 REGULARITY_EPS = 1e-8      # lower bound for both ||grad F|| and |f'_height|
 ON_SURFACE_RTOL = 1e-12    # residual tolerance relative to max(1, sum |f_k|)
@@ -95,27 +95,20 @@ class SeparableSurface:
         """1-based coordinate indices excluding the height, ascending."""
         return tuple(k for k in range(1, self.n + 1) if k != self.height)
 
-    def jets(self, coords: Sequence[float]) -> tuple[Jet2, ...]:
-        if len(coords) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(coords)}")
-        return tuple(f.jet(x) for f, x in zip(self.funcs, coords))
-
-    def values(self, coords: Sequence[float]) -> list[float]:
-        return [j.v for j in self.jets(coords)]
-
-    def on_surface_tol(self, values: Iterable[float]) -> float:
-        return ON_SURFACE_RTOL * max(1.0, _fsum(abs(v) for v in values))
-
     def point(self, coords: Sequence[float]) -> SurfacePoint:
         """Certify explicit coordinates as a surface point.
 
-        Raises `OffSurfaceError` if the residual exceeds the scale-relative
-        tolerance, or `NonFiniteError` if the sum of |f_k| overflows; use
-        `solve_height` to produce points from partial coordinates instead.
+        Raises the first failing jet's error, `NonFiniteError` if the sum of
+        |f_k| overflows, or `OffSurfaceError` if the residual exceeds the
+        scale-relative tolerance; `solve_height` lifts partial coordinates.
         """
         coords = tuple(float(c) for c in coords)
-        values = self.values(coords)
-        tol = self.on_surface_tol(values)
+        if len(coords) != self.n:
+            raise ValueError(f"expected {self.n} coordinates, got {len(coords)}")
+        (values,), _, _, errors = _columns(self.funcs, np.array([coords]))
+        if errors:
+            raise errors[0]
+        tol = ON_SURFACE_RTOL * max(1.0, _fsum(abs(v) for v in values))
         if tol == math.inf:
             raise NonFiniteError(f"sum of |f_k| overflows at {coords!r}")
         residual = abs(fsum(values))
@@ -213,8 +206,9 @@ def _columns(funcs: Sequence[Function1D], x: np.ndarray):
 
 
 def jet_table(surface: SeparableSurface, points: Sequence[SurfacePoint]) -> JetTable:
-    """Evaluate each f_k's 2-jets once over all points (`expr.eval_jets`, so
-    values match `surface.jets` bit for bit) and stack them into a table."""
+    """Evaluate each f_k's 2-jets once over all points (one `expr.eval_jets`
+    walk per coordinate, so values match `eval_jet2` bit for bit) and stack
+    them into a table."""
     coords = np.array([p.coords for p in points], dtype=float).reshape(len(points), surface.n)
     return _table(coords, *_columns(surface.funcs, coords)[1:])
 

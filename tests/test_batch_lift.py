@@ -11,6 +11,7 @@ from sepcurv import SeparableSurface, SurfacePoint, geometry, parse_function
 from sepcurv.errors import describe
 from sepcurv.expr import eval_jet2, eval_jets
 from sepcurv.geometry import _lift, jet_table
+from sepcurv.jets import Jet2
 
 from corpus import EXPRESSIONS
 from lifts import MIXED_BRACKET, MIXED_RANGES, mixed_surface
@@ -111,6 +112,16 @@ EDGES = [
      "DomainError: x = 0.0 outside open domain (0.0, inf)"),
     ("log(x)", (0.0, 3.0), [1.0, 3.0, 2.0],
      "DomainError: x = 3.0 outside open domain (0.0, 3.0)"),
+    # math.pow of a zero base does not raise, so the array power marks it
+    ("x^2.5", (-INF, INF), [2.0, 0.0, 0.5],
+     "NonFiniteError: evaluating 'x^2.5' at x = 0.0: non-integer exponent 2.5 "
+     "requires a positive base, got 0.0"),
+    ("x^3.5", (-INF, INF), [1.5, -0.0, 3.0],
+     "NonFiniteError: evaluating 'x^3.5' at x = -0.0: non-integer exponent 3.5 "
+     "requires a positive base, got -0.0"),
+    ("(x - 1)^2.5", (-INF, INF), [2.0, 1.0, 1.5],
+     "NonFiniteError: evaluating '(x - 1.0)^2.5' at x = 1.0: non-integer exponent 2.5 "
+     "requires a positive base, got 0.0"),
 ]
 
 
@@ -122,6 +133,29 @@ def test_one_failing_point_keeps_its_text_and_its_neighbours_bits(source, domain
     assert_same(got, [reference_point(f, x) for x in xs])
     # the neighbours read what they read alone
     assert_same([got[0], got[2]], [walk_points(f, [xs[0]])[0], walk_points(f, [xs[2]])[0]])
+
+
+def test_only_the_failing_point_runs_again_on_floats(monkeypatch):
+    reruns = []
+
+    def spy(name):
+        method = getattr(Jet2, name)
+
+        def recorded(self, *args, **kwargs):
+            if not isinstance(self.v, np.ndarray):
+                reruns.append((name, self.v))
+            return method(self, *args, **kwargs)
+
+        return recorded
+
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__",
+                 "exp", "log", "sin", "cos", "power"):
+        monkeypatch.setattr(Jet2, name, spy(name))
+    xs = np.linspace(-2.0, 2.0, 4096)
+    xs[1234] = 800.0
+    _, errors = eval_jets(parse_function("sin(exp(x))*x^2 + log(1 + x^2)"), xs)
+    assert list(errors) == [1234]
+    assert reruns == [("exp", 800.0)]
 
 
 def test_non_finite_constant_fails_every_point_after_earlier_failures():

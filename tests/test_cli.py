@@ -190,6 +190,17 @@ def test_flag_the_subcommand_does_not_read_exit_2(tmp_path, capsys, command, fla
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--seed", "3"), ("scan", "--dims", "4"), ("certify", "--tol", "1"),
+    ("mesh", "--tol", "1"),
+])
+def test_unread_flag_shows_the_subcommands_usage(tmp_path, capsys, command, flag, value):
+    assert main(_valid_argv(tmp_path, command) + [flag, value]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"usage: sepcurv {command} ")
+    assert err[-1] == f"sepcurv {command}: error: unrecognized arguments: {flag} {value}"
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--seed", "3"), ("--tol", "1e-3"), ("--threads", "2"), ("--format", "csv"),
 ])

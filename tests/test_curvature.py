@@ -14,7 +14,9 @@ from sepcurv import (
     SurfacePoint,
     constk_residual,
     coordinate_plane,
+    eval_jet2,
     flatness_residual,
+    make_cobb_douglas_sqrt,
     parse_function,
     random_tangent_plane,
     sample_points,
@@ -189,6 +191,21 @@ def test_sphere_matches_brute_force():
     assert abs(got - want) <= 1e-9
 
 
+def test_cobb_douglas_n4_is_flat_on_coordinate_pairs_only():
+    # x_4 = sqrt(x_1 x_2 x_3) at (1, 1, 1, 1): every 2x2 principal minor of
+    # its shape operator is 0, but the operator has rank 3, so an oblique
+    # plane such as span{X_1 + X_2, X_3} has K = -2/49
+    s = make_cobb_douglas_sqrt(1.0, 4)
+    p = s.point((1.0, 1.0, 1.0, 1.0))
+    for i, j in combinations(s.non_height, 2):
+        assert abs(sectional_special(s, p, i, j)) <= 1e-15
+        assert abs(sectional_oracle(s, p, coordinate_plane(s, p, i, j))) <= 1e-15
+    x12, x3 = coordinate_plane(s, p, 1, 2), coordinate_plane(s, p, 1, 3).w
+    u = tuple(a + b for a, b in zip(x12.u, x12.w))
+    assert abs(sectional_oracle(s, p, PlaneSection(u, x3)) + 2.0 / 49.0) <= 1e-12
+    assert abs(brute_sectional(s, p.coords, u, x3) + 2.0 / 49.0) <= 1e-12
+
+
 # ------------------------------------------------- engine cross-validation
 
 
@@ -230,11 +247,15 @@ def test_oracle_invariant_under_plane_reparametrization():
 # ------------------------------------------------------------ residuals
 
 
+def gradient(s, p) -> list[float]:
+    """f_k'(x_k) of every coordinate at a point."""
+    return [eval_jet2(f, x).d1 for f, x in zip(s.funcs, p.coords)]
+
+
 def test_flatness_matches_curvature_times_denominator():
     s, pts = mixed_points(10, 14)
     for p in pts:
-        jets = s.jets(p.coords)
-        d1 = [j.d1 for j in jets]
+        d1 = gradient(s, p)
         total = math.fsum(d * d for d in d1)
         for i, j in combinations(s.non_height, 2):
             ks = sectional_special(s, p, i, j)
@@ -263,8 +284,7 @@ def test_constk_vanishes_on_matching_sphere():
     s, pts = sphere_points(4, radius, 10, 31)
     k0 = 4.0 / (radius * radius)
     for p in pts:
-        jets = s.jets(p.coords)
-        X = [j.d1 * j.d1 for j in jets]
+        X = [d * d for d in gradient(s, p)]
         scale = 4.0 * (X[0] + X[1] + X[3]) * math.fsum(X)
         assert abs(constk_residual(s, p, 1, 2, k0)) <= 1e-12 * scale
 
@@ -272,8 +292,7 @@ def test_constk_vanishes_on_matching_sphere():
 def test_constk_identity_links_residual_to_curvature():
     s, pts = mixed_points(8, 25)
     for p in pts:
-        jets = s.jets(p.coords)
-        X = [j.d1 * j.d1 for j in jets]
+        X = [d * d for d in gradient(s, p)]
         for i, j in combinations(s.non_height, 2):
             ks = sectional_special(s, p, i, j)
             big_s = X[i - 1] + X[j - 1] + X[s.height - 1]
@@ -320,7 +339,7 @@ def test_oracle_rejects_bad_planes():
         sectional_oracle(s, p, PlaneSection((0.0,) * 4, good.w))
     with pytest.raises(DegeneratePlaneError, match="dependent"):
         sectional_oracle(s, p, PlaneSection(good.u, tuple(2.0 * c for c in good.u)))
-    grad = tuple(j.d1 for j in s.jets(p.coords))
+    grad = tuple(gradient(s, p))
     with pytest.raises(DegeneratePlaneError, match="not tangent"):
         sectional_oracle(s, p, PlaneSection(grad, good.w))
     with pytest.raises(ValueError, match="length"):
@@ -359,7 +378,7 @@ def test_random_planes_are_tangent_unit_pairs():
     s, pts = mixed_points(3, 6)
     rng = np.random.default_rng(123)
     for p in pts:
-        grad = np.array([j.d1 for j in s.jets(p.coords)])
+        grad = np.array(gradient(s, p))
         normal = grad / np.linalg.norm(grad)
         for _ in range(5):
             section = random_tangent_plane(s, p, rng)

@@ -1,0 +1,48 @@
+"""Repository hygiene: README's Python examples run, and no module imports
+a name it never uses."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = REPO_ROOT / "src" / "sepcurv"
+
+
+def _readme_python_blocks() -> list[str]:
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+
+
+def test_readme_has_python_examples():
+    assert len(_readme_python_blocks()) >= 3
+
+
+@pytest.mark.parametrize("index", range(len(_readme_python_blocks())))
+def test_readme_python_block_runs(tmp_path, monkeypatch, index):
+    monkeypatch.chdir(tmp_path)
+    source = _readme_python_blocks()[index]
+    exec(compile(source, f"README.md python block {index}", "exec"), {"__name__": "__readme__"})
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+)
+def test_module_uses_every_name_it_imports(module):
+    assert _unused_imports(PACKAGE / module) == []

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,21 +31,11 @@ def assert_jet_close(a: Jet2, b: Jet2, rel: float = 1e-12, scale: float = 0.0):
 
 
 def test_variable_seed():
-    assert channels(Jet2.variable(5.0)) == (5.0, 1.0, 0.0)
+    assert channels(Jet2(5.0, 1.0)) == (5.0, 1.0, 0.0)
 
 
 def test_constant_seed():
-    assert channels(Jet2.constant(-2.5)) == (-2.5, 0.0, 0.0)
-
-
-def test_scalar_coercion():
-    x = Jet2.variable(2.0)
-    assert (x + 1).v == 3.0
-    assert (1 + x).v == 3.0
-    assert (3 * x).d1 == 3.0
-    assert (x - 1).v == 1.0
-    assert (1 - x).d1 == -1.0
-    assert (1 / x).v == 0.5
+    assert channels(Jet2(-2.5)) == (-2.5, 0.0, 0.0)
 
 
 @given(jets, jets)
@@ -96,36 +87,36 @@ def test_product_rule_second_order():
 
 
 def test_quotient_matches_power():
-    x = Jet2.variable(1.7)
-    assert_jet_close(Jet2.constant(1.0) / x, x.power(-1.0))
+    x = Jet2(1.7, 1.0)
+    assert_jet_close(Jet2(1.0) / x, x.power(-1.0))
 
 
 def test_exp_jet_channels_equal():
-    j = Jet2.variable(0.8).exp()
+    j = Jet2(0.8, 1.0).exp()
     assert j.v == j.d1 == j.d2 == math.exp(0.8)
 
 
 def test_log_jet_at_two():
-    j = Jet2.variable(2.0).log()
+    j = Jet2(2.0, 1.0).log()
     assert channels(j) == (math.log(2.0), 0.5, -0.25)
 
 
 def test_log_rejects_non_positive():
     with pytest.raises(ValueError):
-        Jet2.variable(0.0).log()
+        Jet2(0.0, 1.0).log()
     with pytest.raises(ValueError):
-        Jet2.variable(-1.0).log()
+        Jet2(-1.0, 1.0).log()
 
 
 @given(st.floats(min_value=0.01, max_value=100.0))
 def test_exp_log_round_trip(x):
-    assert_jet_close(Jet2.variable(x).log().exp(), Jet2.variable(x), rel=1e-12)
+    assert_jet_close(Jet2(x, 1.0).log().exp(), Jet2(x, 1.0), rel=1e-12)
 
 
 @given(st.floats(min_value=-10.0, max_value=10.0))
 def test_sin_cos_pythagorean(x):
-    s = Jet2.variable(x).sin()
-    c = Jet2.variable(x).cos()
+    s = Jet2(x, 1.0).sin()
+    c = Jet2(x, 1.0).cos()
     total = s * s + c * c
     assert abs(total.v - 1.0) <= 4e-16
     assert abs(total.d1) <= 4e-15
@@ -135,56 +126,79 @@ def test_sin_cos_pythagorean(x):
 def test_sin_derivative_chain():
     # sin(x) at x: (sin, cos, -sin), exact library values
     x = 1.1
-    j = Jet2.variable(x).sin()
+    j = Jet2(x, 1.0).sin()
     assert channels(j) == (math.sin(x), math.cos(x), -math.sin(x))
-    k = Jet2.variable(x).cos()
+    k = Jet2(x, 1.0).cos()
     assert channels(k) == (math.cos(x), -math.sin(x), -math.cos(x))
 
 
 def test_power_integer_negative_base():
-    j = Jet2.variable(-2.0).power(3.0)
+    j = Jet2(-2.0, 1.0).power(3.0)
     assert channels(j) == (-8.0, 12.0, -12.0)
 
 
 def test_power_square():
-    j = Jet2.variable(3.0).power(2.0)
+    j = Jet2(3.0, 1.0).power(2.0)
     assert channels(j) == (9.0, 6.0, 2.0)
 
 
 def test_power_fractional():
-    j = Jet2.variable(4.0).power(0.5)
+    j = Jet2(4.0, 1.0).power(0.5)
     assert channels(j) == (2.0, 0.25, -1.0 / 32.0)
 
 
 def test_power_of_non_variable_base():
     # chain rule through an inner jet: (x^2)^1.5 = x^3 for x > 0
     x = 1.3
-    inner = Jet2.variable(x).power(2.0)
-    assert_jet_close(inner.power(1.5), Jet2.variable(x).power(3.0), rel=1e-14)
+    inner = Jet2(x, 1.0).power(2.0)
+    assert_jet_close(inner.power(1.5), Jet2(x, 1.0).power(3.0), rel=1e-14)
 
 
 def test_power_fractional_rejects_negative_base():
     with pytest.raises(ValueError):
-        Jet2.variable(-1.0).power(0.5)
+        Jet2(-1.0, 1.0).power(0.5)
     with pytest.raises(ValueError):
-        Jet2.variable(0.0).power(0.5)
+        Jet2(0.0, 1.0).power(0.5)
 
 
 def test_power_zero_base_integer_exponents():
-    assert channels(Jet2.variable(0.0).power(2.0)) == (0.0, 0.0, 2.0)
-    assert channels(Jet2.variable(0.0).power(1.0)) == (0.0, 1.0, 0.0)
-    assert channels(Jet2.variable(0.0).power(0.0)) == (1.0, 0.0, 0.0)
-    assert channels(Jet2.variable(0.0).power(3.0)) == (0.0, 0.0, 0.0)
+    assert channels(Jet2(0.0, 1.0).power(2.0)) == (0.0, 0.0, 2.0)
+    assert channels(Jet2(0.0, 1.0).power(1.0)) == (0.0, 1.0, 0.0)
+    assert channels(Jet2(0.0, 1.0).power(0.0)) == (1.0, 0.0, 0.0)
+    assert channels(Jet2(0.0, 1.0).power(3.0)) == (0.0, 0.0, 0.0)
 
 
 def test_power_zero_base_negative_exponent_rejected():
     with pytest.raises(ValueError):
-        Jet2.variable(0.0).power(-1.0)
+        Jet2(0.0, 1.0).power(-1.0)
 
 
 def test_division_by_zero_value_raises():
     with pytest.raises(ZeroDivisionError):
-        Jet2.constant(1.0) / Jet2.variable(0.0)
+        Jet2(1.0) / Jet2(0.0, 1.0)
+
+
+def test_array_elements_read_nan_where_floats_raise():
+    # log of a non-positive value, an overflowing exp, a fractional power of
+    # a non-positive base and 0^-1; the other elements keep the float bits
+    xs = [2.0, 0.0, -1.0, 800.0]
+    arr = Jet2(np.array(xs), np.ones(4), np.zeros(4))
+    cases = [
+        (Jet2.log, [1, 2]),
+        (Jet2.exp, [3]),
+        (lambda j: j.power(2.5), [1, 2]),
+        (lambda j: j.power(-1.0), [1]),
+    ]
+    for op, bad in cases:
+        with np.errstate(all="ignore"):
+            got = op(arr)
+        for p, x in enumerate(xs):
+            if p in bad:
+                assert math.isnan(got.v[p])
+                with pytest.raises((ValueError, OverflowError)):
+                    op(Jet2(x, 1.0))
+            else:
+                assert (got.v[p], got.d1[p], got.d2[p]) == channels(op(Jet2(x, 1.0)))
 
 
 def test_is_finite():

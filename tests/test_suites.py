@@ -1,6 +1,6 @@
 import pytest
 
-from sepcurv import FamilySpec, make_cobb_douglas_perturbed, make_exp_control
+from sepcurv import FamilySpec, eval_jet2, make_cobb_douglas_perturbed, make_exp_control
 from sepcurv.families import MAX_N, exp_control_box
 from sepcurv.suites import SuiteRow, format_rows, run_constant_suite, run_flat_suite
 
@@ -85,10 +85,11 @@ def corner_residuals(surface, ranges, bracket):
     assert all(g.source() == f.source() for g in surface.funcs[1:-1])
     assert ranges == [(lo1, hi1)] + [(lo, hi)] * (surface.n - 2)
     fh = surface.funcs[surface.height - 1]
-    ends = [fh.jet(t).v for t in bracket]
+    ends = [eval_jet2(fh, t).v for t in bracket]
+    f_lo, f_hi = eval_jet2(f, lo).v, eval_jet2(f, hi).v
     for x1 in (lo1, hi1):
         for m in range(surface.n - 1):
-            rest = f1.jet(x1).v + m * f.jet(hi).v + (surface.n - 2 - m) * f.jet(lo).v
+            rest = eval_jet2(f1, x1).v + m * f_hi + (surface.n - 2 - m) * f_lo
             yield [e + rest for e in ends]
 
 
