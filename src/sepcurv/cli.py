@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from . import __version__
@@ -47,6 +48,7 @@ from .specfile import MAX_COUNT, LoadedSpec, load_spec
 from .suites import format_rows, run_constant_suite, run_flat_suite
 
 ENV_TOL = "SEPCURV_TOL"
+_SIGNED_VALUE = re.compile(r"-\.?\d")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,6 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="OBJ file to write")
     for p in sub.choices.values():   # reports a flag it does not read, with its usage line
         p.set_defaults(parser=p)
+        # argparse reads a '-' token as a flag unless it is one plain number;
+        # no flag here starts '-<digit>', so '-0.1,0.2' or '-1e-3' is a value
+        p._negative_number_matcher = _SIGNED_VALUE
     return parser
 
 

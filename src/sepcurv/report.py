@@ -6,6 +6,15 @@ sorted-key, two-space-indented JSON, or CSV records.  For fixed inputs and
 seed the body is byte-identical regardless of point chunking or generation
 time; `read_report_body` strips the header so callers can compare bodies
 directly.
+
+The JSON records are written directly, one template per record kind (their
+keys are fixed and already sorted), because `json.dumps` with `indent` runs
+CPython's pure-Python encoder and cost more than the scan itself.  The body
+is byte-identical to `json.dumps(doc, sort_keys=True, indent=2)`: floats go
+through `float.__repr__` (NaN and infinities as `NaN`, `Infinity`,
+`-Infinity`), strings through `json.encoder.encode_basestring_ascii`, and
+the small report shell still through `json.dumps`.  The tests compare the
+body with that encoder (`tests/reference_report.py`) byte for byte.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import csv
 import io
 import json
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .curvature import CurvatureReport, ScanRecord
@@ -23,31 +33,63 @@ _CSV_COLUMNS = (
     "sample", "kind", "i", "j", "k_special", "k_oracle",
     "residual_flat", "residual_constk", "flagged", "error", "coords", "u", "w",
 )
+_repr = float.__repr__
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_ITEM = ",\n        "      # between the elements of a record's float list
+_RECORDS = '\n  "records": '
 
 
-def _vector(values) -> str:
-    return ";".join(repr(float(v)) for v in values)
+def _num(x: float) -> str:
+    """A float as `json.dumps` writes it; only nan and inf reprs hold an 'n'."""
+    text = _repr(x)
+    return _NONFINITE[text] if "n" in text else text
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    return _vector(value) if isinstance(value, list) else str(value)
+def _floats(values) -> str:
+    """A non-empty float list as `json.dumps(indent=2)` writes it as a
+    record field."""
+    text = _ITEM.join(map(_repr, values))
+    if "n" in text:
+        text = _ITEM.join(map(_num, values))
+    return f"[\n        {text}\n      ]"
 
 
-def _record_dict(rec: ScanRecord) -> dict:
-    """A record's fields by kind: the JSON record, and the CSV row's cells."""
-    out: dict = {"sample": rec.sample, "kind": rec.kind, "coords": list(rec.coords)}
-    if rec.kind == "pair":
-        out.update(i=rec.i, j=rec.j, k_special=rec.k_special, k_oracle=rec.k_oracle,
-                   residual_flat=rec.residual_flat, flagged=rec.flagged)
-        if rec.residual_constk is not None:
-            out["residual_constk"] = rec.residual_constk
-    elif rec.kind == "plane":
-        out.update(u=list(rec.u), w=list(rec.w), k_oracle=rec.k_oracle)
-    else:
-        out["error"] = rec.error
-    return out
+def _records_json(records: Sequence[ScanRecord]) -> str:
+    """The `records` array at depth 1 of the body."""
+    if not records:
+        return "[]"
+    out = []
+    coords_of, coords = None, ""
+    for rec in records:
+        if rec.coords is not coords_of:   # a sample's records share its coords
+            coords_of, coords = rec.coords, _floats(rec.coords)
+        if rec.kind == "pair":
+            constk = ("" if rec.residual_constk is None
+                      else f'      "residual_constk": {_num(rec.residual_constk)},\n')
+            out.append(
+                f'    {{\n      "coords": {coords},\n'
+                f'      "flagged": {"true" if rec.flagged else "false"},\n'
+                f'      "i": {rec.i},\n      "j": {rec.j},\n'
+                f'      "k_oracle": {_num(rec.k_oracle)},\n'
+                f'      "k_special": {_num(rec.k_special)},\n'
+                f'      "kind": "pair",\n{constk}'
+                f'      "residual_flat": {_num(rec.residual_flat)},\n'
+                f'      "sample": {rec.sample}\n    }}'
+            )
+        elif rec.kind == "plane":
+            out.append(
+                f'    {{\n      "coords": {coords},\n'
+                f'      "k_oracle": {_num(rec.k_oracle)},\n'
+                f'      "kind": "plane",\n      "sample": {rec.sample},\n'
+                f'      "u": {_floats(rec.u)},\n      "w": {_floats(rec.w)}\n    }}'
+            )
+        else:
+            out.append(
+                f'    {{\n      "coords": {coords},\n'
+                f'      "error": {encode_basestring_ascii(rec.error)},\n'
+                f'      "kind": "error",\n      "sample": {rec.sample}\n    }}'
+            )
+    return "[\n" + ",\n".join(out) + "\n  ]"
 
 
 def report_body_json(
@@ -58,7 +100,7 @@ def report_body_json(
     sampling_failures: Sequence[tuple[int, str]] = (),
 ) -> str:
     """Canonical JSON body: sorted keys, 2-space indent, trailing newline."""
-    doc = {
+    shell = {
         "format_version": REPORT_FORMAT_VERSION,
         "tool": "sepcurv",
         "tool_version": tool_version,
@@ -70,7 +112,7 @@ def report_body_json(
         "sampling_failures": [
             {"draw_index": idx, "error": msg} for idx, msg in sampling_failures
         ],
-        "records": [_record_dict(rec) for rec in report.records],
+        "records": None,
         "summary": {
             "points": report.point_count,
             "values": report.value_count,
@@ -85,7 +127,13 @@ def report_body_json(
             "max_engine_rel_dev": report.max_engine_rel_dev,
         },
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # a JSON string holds no raw newline, so this depth-1 key line is unique
+    head, tail = json.dumps(shell, sort_keys=True, indent=2).split(_RECORDS + "null", 1)
+    return f"{head}{_RECORDS}{_records_json(report.records)}{tail}\n"
+
+
+def _vector(values) -> str:
+    return ";".join(repr(float(v)) for v in values)
 
 
 def report_body_csv(
@@ -93,14 +141,32 @@ def report_body_csv(
     sampling_failures: Sequence[tuple[int, str]] = (),
 ) -> str:
     """Record-level CSV export with the same determinism contract as JSON:
-    each row is a `_record_dict` layout, a missing or null cell empty."""
-    rows = [_record_dict(rec) for rec in report.records]
-    rows += [dict(sample=idx, kind="sample_error", error=msg) for idx, msg in sampling_failures]
+    one row per record, a field the record's kind lacks (or a pair's unset
+    `residual_constk`) left empty, then one `sample_error` row per rejected
+    draw."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_cell(row.get(column)) for column in _CSV_COLUMNS])
+    coords_of, coords = None, ""
+    for rec in report.records:
+        if rec.coords is not coords_of:   # a sample's records share its coords
+            coords_of, coords = rec.coords, _vector(rec.coords)
+        if rec.kind == "pair":
+            constk = "" if rec.residual_constk is None else str(rec.residual_constk)
+            writer.writerow((
+                str(rec.sample), "pair", str(rec.i), str(rec.j), str(rec.k_special),
+                str(rec.k_oracle), str(rec.residual_flat), constk, str(rec.flagged),
+                "", coords, "", "",
+            ))
+        elif rec.kind == "plane":
+            writer.writerow((
+                str(rec.sample), "plane", "", "", "", str(rec.k_oracle), "", "", "", "",
+                coords, _vector(rec.u), _vector(rec.w),
+            ))
+        else:
+            writer.writerow((str(rec.sample), "error") + ("",) * 7 + (rec.error, coords, "", ""))
+    for idx, msg in sampling_failures:
+        writer.writerow((str(idx), "sample_error") + ("",) * 7 + (msg, "", "", ""))
     return buf.getvalue()
 
 

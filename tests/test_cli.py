@@ -253,6 +253,22 @@ def test_eval_json_output(tmp_path, capsys):
     assert abs(doc["flatness_residual"]) > 1e-3      # spheres are nowhere flat
 
 
+@pytest.mark.parametrize("values", [
+    ["--point", "-0.1,0.2,0.3"],
+    ["--point", "-.1,0.2,0.3"],
+    ["--point", "-1e-1,0.2,0.3", "--k0", "-1e-3"],
+])
+def test_eval_takes_values_with_a_leading_minus(tmp_path, capsys, values):
+    spec = sphere4_spec(tmp_path)
+    glued = [f"{flag}={value}" for flag, value in zip(values[::2], values[1::2])]
+    assert main(["eval", spec, *glued]) == 0
+    expected = capsys.readouterr().out
+    assert main(["eval", spec, *values]) == 0
+    out = capsys.readouterr().out
+    assert out == expected
+    assert json.loads(out)["coords"][:3] == [-0.1, 0.2, 0.3]
+
+
 def test_eval_pair_and_k0(tmp_path, capsys):
     spec = sphere4_spec(tmp_path)
     # the residual tests k0 against 4K, so a radius-2 sphere zeroes at k0 = 1

@@ -1,8 +1,14 @@
 import csv
+import dataclasses
 import io
 import json
 import math
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+import sepcurv.cli
 from sepcurv import (
     CurvatureReport,
     ScanPolicy,
@@ -16,6 +22,9 @@ from sepcurv import (
     scan_constancy,
     write_report,
 )
+from sepcurv.cli import main
+
+from reference_report import reference_body_csv, reference_body_json
 
 CSV_COLUMNS = [
     "sample", "kind", "i", "j", "k_special", "k_oracle",
@@ -298,3 +307,135 @@ def test_bodies_identical_for_equal_scans(tmp_path):
     kw = {"input_digest": "sha256:x", "tool_version": "1.0.0"}
     assert report_body_json(first, **kw) == report_body_json(second, **kw)
     assert report_body_csv(first) == report_body_csv(second)
+
+
+# ----------------------------------------------------- oracle byte checks
+
+SPECS = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.json"))
+SUBNORMAL = 5e-324
+ODD_TEXT = 'DomainError: say "hi" \\ back\nline two, caf\u00e9 \u2603 \U0001d4b3'
+ODD_FAILURES = [(0, ODD_TEXT), (7, ""), (11, "SolveError: tab\there")]
+KW = {"input_digest": "sha256:abc", "tool_version": "1.0.0"}
+
+
+def assert_bodies_match(report, sampling_failures=()):
+    """Both writers against the `json.dumps`/dict-row oracle, byte for byte."""
+    body = report_body_json(report, sampling_failures=sampling_failures, **KW)
+    assert body == reference_body_json(report, sampling_failures=sampling_failures, **KW)
+    csv_body = report_body_csv(report, sampling_failures=sampling_failures)
+    assert csv_body == reference_body_csv(report, sampling_failures=sampling_failures)
+    return body
+
+
+def same_float(a, b):
+    return float(a).hex() == float(b).hex()
+
+
+def odd_report():
+    """Every float field of every record kind holds a value `json.dumps`
+    special-cases or that only repr round-trips."""
+    odd = [math.nan, math.inf, -math.inf, -0.0, SUBNORMAL, -SUBNORMAL, 1e-300, 1e300]
+    records = []
+    for s, x in enumerate(odd):
+        coords = (x, 0.1 + 0.2, -x)
+        records += [
+            ScanRecord(sample=s, coords=coords, kind="pair", i=0, j=1, k_special=x,
+                       k_oracle=-x, residual_flat=x, residual_constk=x, flagged=s % 2 == 0),
+            ScanRecord(sample=s, coords=coords, kind="pair", i=0, j=2, k_special=1.0,
+                       k_oracle=x, residual_flat=-x, flagged=False),
+            ScanRecord(sample=s, coords=coords, kind="plane", u=(x, 1.0, -x),
+                       w=(-0.0, x, 2.5), k_oracle=x),
+            ScanRecord(sample=s, coords=coords, kind="error", error=ODD_TEXT),
+        ]
+    return dataclasses.replace(synthetic_report(), records=tuple(records),
+                               k_min=-math.inf, k_max=math.nan, spread=-0.0)
+
+
+def numpy_report():
+    """The synthetic report with every float an `np.float64`."""
+    f = np.float64
+
+    def vec(values):
+        return tuple(f(v) for v in values)
+
+    records = []
+    for rec in synthetic_report().records:
+        changes = {"coords": vec(rec.coords)}
+        for name in ("k_special", "k_oracle", "residual_flat", "residual_constk"):
+            if getattr(rec, name) is not None:
+                changes[name] = f(getattr(rec, name))
+        for name in ("u", "w"):
+            if getattr(rec, name) is not None:
+                changes[name] = vec(getattr(rec, name))
+        records.append(dataclasses.replace(rec, **changes))
+    return dataclasses.replace(synthetic_report(), records=tuple(records),
+                               k_mean=f(1.0 / 3.0))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda p: p.name)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_scan_bodies_match_oracle(tmp_path, monkeypatch, spec, fmt):
+    seen = []
+    writer = f"report_body_{fmt}"
+
+    def spy(report, **kwargs):
+        seen.append((report, kwargs))
+        return getattr(sepcurv.report, writer)(report, **kwargs)
+
+    monkeypatch.setattr(sepcurv.cli, writer, spy)
+    out = str(tmp_path / f"r.{fmt}")
+    assert main(["scan", str(spec), "--out", out, "--format", fmt]) == 0
+    (report, kwargs), = seen
+    oracle = reference_body_json if fmt == "json" else reference_body_csv
+    assert read_report_body(out) == oracle(report, **kwargs)
+
+
+@pytest.mark.parametrize("k0", [None, 0.25])
+def test_scan_bodies_match_oracle_with_and_without_k0(k0):
+    report = sphere_report(k0=k0, oblique=3, count=4)
+    body = assert_bodies_match(report)
+    has_constk = ['"residual_constk"' in line for line in body.splitlines()]
+    assert any(has_constk) == (k0 is not None)
+
+
+def test_error_records_and_sampling_failures_match_oracle():
+    body = assert_bodies_match(synthetic_report(), ODD_FAILURES)
+    assert json.loads(body)["sampling_failures"][0]["error"] == ODD_TEXT
+    assert body.isascii()
+
+
+def test_nonfinite_signed_zero_and_subnormal_values_match_oracle():
+    report = odd_report()
+    body = assert_bodies_match(report, ODD_FAILURES)
+    assert "NaN" in body and "-Infinity" in body and "5e-324" in body
+
+
+def test_numpy_floats_match_oracle():
+    assert_bodies_match(numpy_report())
+
+
+def test_empty_sampling_failures_and_records_match_oracle():
+    body = assert_bodies_match(synthetic_report(), [])
+    assert '"sampling_failures": [],' in body
+    empty = dataclasses.replace(synthetic_report(), records=())
+    assert '"records": [],' in assert_bodies_match(empty, [])
+
+
+@pytest.mark.parametrize("make", [odd_report, numpy_report, lambda: sphere_report(k0=0.25)])
+def test_json_body_round_trips_every_float(make):
+    report = make()
+    records = json.loads(report_body_json(report, **KW))["records"]
+    assert len(records) == len(report.records)
+    for rec, parsed in zip(report.records, records):
+        assert parsed["kind"] == rec.kind and parsed["sample"] == rec.sample
+        fields = {"coords": rec.coords}
+        if rec.kind == "plane":
+            fields.update(u=rec.u, w=rec.w, k_oracle=(rec.k_oracle,))
+        elif rec.kind == "pair":
+            for name in ("k_special", "k_oracle", "residual_flat", "residual_constk"):
+                if getattr(rec, name) is not None:
+                    fields[name] = (getattr(rec, name),)
+        for name, values in fields.items():
+            got = parsed[name] if isinstance(parsed[name], list) else [parsed[name]]
+            assert len(got) == len(values)
+            assert all(same_float(a, b) for a, b in zip(got, values)), name
