@@ -1,11 +1,13 @@
 """Command-line interface: eval, scan, certify, mesh.
 
-Exit codes
+Exit codes (a `SepcurvError` exits with its class's `exit_code`)
     0  success
     1  certification suite failure
-    2  spec-file / expression parse error or bad usage
-    3  regularity violation or root-solve failure
-    4  mesh export produced fewer than 3 valid vertices
+    2  bad usage, `SpecFileError` or `ParseError` (spec file, expression)
+    3  every other `SepcurvError`: `RegularityError`, `SolveError` (with
+       `BracketError`, `ConvergenceError`), `DomainError`, `NonFiniteError`,
+       `OffSurfaceError`, `DegeneratePlaneError`
+    4  `MeshError`: mesh export produced fewer than 3 valid vertices
     5  unexpected internal error
 
 Each flag goes after the one subcommand that reads it: eval --point --pair
@@ -21,6 +23,7 @@ variable, then the built-in default of 1e-7.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -28,26 +31,18 @@ import re
 import sys
 
 from . import __version__
-from .curvature import DEFAULT_CONSTANCY_TOL, ScanPolicy, _gauss, pair_table, scan_constancy
-from .errors import (
-    DegeneratePlaneError,
-    DomainError,
-    MeshError,
-    NonFiniteError,
-    OffSurfaceError,
-    ParseError,
-    RegularityError,
-    SolveError,
-    SpecFileError,
-)
+from .curvature import DEFAULT_CONSTANCY_TOL, ScanPolicy, _gauss, pair_table, sample_and_scan
+from .errors import SepcurvError, SpecFileError
 from .families import MAX_N, integer
-from .geometry import _lift, sample_points
+from .geometry import _lift
 from .meshing import build_mesh, write_curvature_csv, write_obj
-from .report import report_body_csv, report_body_json, write_report
+from .report import _vector, report_body_csv, report_body_json, write_report
 from .specfile import MAX_COUNT, LoadedSpec, load_spec
 from .suites import format_rows, run_constant_suite, run_flat_suite
 
 ENV_TOL = "SEPCURV_TOL"
+_EVAL_COLUMNS = ("coords", "residual", "i", "j", "k_special", "k_oracle",
+                 "flatness_residual", "k0", "constk_residual")
 _SIGNED_VALUE = re.compile(r"-\.?\d")
 
 
@@ -164,27 +159,25 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     k_special, k_oracle = float(table.curvature()[0, 0]), float(k_oracle[0, 0])
     flat = float(table.flat[0, 0])
     constk = float(table.constk(ns.k0)[0, 0]) if ns.k0 is not None else None
+    doc = {
+        "coords": list(point.coords),
+        "residual": point.residual,
+        "pair": [i, j],
+        "k_special": k_special,
+        "k_oracle": k_oracle,
+        "flatness_residual": flat,
+    }
+    if constk is not None:
+        doc["k0"] = ns.k0
+        doc["constk_residual"] = constk
     if ns.format == "json":
-        doc = {
-            "coords": list(point.coords),
-            "residual": point.residual,
-            "pair": [i, j],
-            "k_special": k_special,
-            "k_oracle": k_oracle,
-            "flatness_residual": flat,
-        }
-        if constk is not None:
-            doc["k0"] = ns.k0
-            doc["constk_residual"] = constk
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
-        print(f"point: {point.coords!r}  (residual {point.residual:.3e})")
-        print(f"pair: ({i}, {j})")
-        print(f"K closed form:  {k_special!r}")
-        print(f"K Gauss oracle: {k_oracle!r}")
-        print(f"flatness residual: {flat!r}")
-        if constk is not None:
-            print(f"constant-K residual (k0={ns.k0!r}): {constk!r}")
+        # the scan CSV's conventions: repr floats, ';'-joined vectors, unset cells empty
+        cells = {**doc, "coords": _vector(point.coords), "i": i, "j": j}
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(_EVAL_COLUMNS)
+        writer.writerow(cells.get(column) for column in _EVAL_COLUMNS)
     return 0
 
 
@@ -195,18 +188,10 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     seed = integer(spec.seed if ns.seed is None else ns.seed, "--seed", 0)
     tol = _resolve_tol(ns.tol, spec.constancy_tol)
     threads = integer(ns.threads, "--threads", 1)
-    points, failures = sample_points(
-        spec.surface, spec.ranges, spec.count, seed, spec.bracket
+    policy = ScanPolicy(oblique_per_point=spec.oblique, seed=seed, constancy_tol=tol)
+    report, failures = sample_and_scan(
+        spec.surface, spec.ranges, spec.count, seed, spec.bracket, policy, threads
     )
-    if len(points) < 2:
-        raise SolveError(
-            f"only {len(points)} of {spec.count} draws lifted onto the surface; "
-            f"first failure: {failures[0][1] if failures else 'n/a'}"
-        )
-    policy = ScanPolicy(
-        oblique_per_point=spec.oblique, seed=seed, constancy_tol=tol
-    )
-    report = scan_constancy(spec.surface, points, policy, threads=threads)
     if ns.format == "json":
         body = report_body_json(
             report,
@@ -285,22 +270,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[ns.command](ns)
-    except (SpecFileError, ParseError) as exc:
+    except SepcurvError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        RegularityError,
-        SolveError,
-        DomainError,
-        NonFiniteError,
-        OffSurfaceError,
-        DegeneratePlaneError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except MeshError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
     except Exception as exc:  # contract: anything unexpected is exit 5
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5

@@ -14,7 +14,8 @@ hypersurface engine built from the Gauss equation
 for an orthonormalized tangent pair (X, Y), where H is the ambient Hessian
 pairing of F (diagonal here, entries f_k'').  Agreement of the two engines
 on coordinate planes is the package's primary cross-check; `scan_constancy`
-sweeps both over sampled points and reports whether K is constant.
+sweeps both over sampled points and reports whether K is constant, and
+`sample_and_scan` draws and lifts those points first.
 
 `flatness_residual` is the numerator of the closed form: identically zero
 along a surface exactly when every coordinate-pair curvature vanishes.
@@ -45,8 +46,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegeneratePlaneError, describe
-from .geometry import JetTable, SeparableSurface, SurfacePoint, jet_table, point_jets
+from .errors import DegeneratePlaneError, SolveError, describe
+from .geometry import JetTable, SeparableSurface, SurfacePoint, jet_table, point_jets, sample_points
 
 EQUIVALENCE_RTOL = 1e-9        # |k_special - k_oracle| <= rtol * max(1, |k_oracle|)
 DEFAULT_CONSTANCY_TOL = 1e-7
@@ -493,3 +494,20 @@ def scan_constancy(
         flagged_count=flagged_count,
         max_engine_rel_dev=max_dev,
     )
+
+
+def sample_and_scan(
+    surface: SeparableSurface, ranges: Sequence[tuple[float, float]], count: int, seed,
+    bracket: tuple[float, float], policy: ScanPolicy, threads: int = 1,
+) -> tuple[CurvatureReport, list[tuple[int, str]]]:
+    """Lift `count` draws onto the surface (`sample_points`, `seed` seeding
+    the draws) and scan the lifted points (`scan_constancy`).  Returns the
+    report and the sampling failures as (draw index, text) pairs; fewer than
+    2 lifted draws raise a `SolveError` naming the first failure."""
+    points, failures = sample_points(surface, ranges, count, seed, bracket)
+    if len(points) < 2:
+        raise SolveError(
+            f"only {len(points)} of {count} draws lifted onto the surface; "
+            f"first failure: {failures[0][1] if failures else 'n/a'}"
+        )
+    return scan_constancy(surface, points, policy, threads=threads), failures

@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries its command-line exit status as `exit_code`: 2 for
+malformed input, 4 for a mesh, 3 (from `SepcurvError`) for every other.
+"""
 
 
 class SepcurvError(Exception):
     """Base class for every error this package raises deliberately."""
+
+    exit_code = 3
 
 
 class ParseError(SepcurvError, ValueError):
@@ -11,6 +17,8 @@ class ParseError(SepcurvError, ValueError):
     `offset` is a byte offset into the UTF-8 encoding of the input, pointing
     at the first byte the parser could not make sense of.
     """
+
+    exit_code = 2
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte {offset})")
@@ -52,9 +60,13 @@ class DegeneratePlaneError(SepcurvError, ValueError):
 class SpecFileError(SepcurvError, ValueError):
     """Malformed or inconsistent surface-spec file."""
 
+    exit_code = 2
+
 
 class MeshError(SepcurvError):
     """Mesh export could not produce a usable mesh."""
+
+    exit_code = 4
 
 
 def describe(exc: Exception) -> str:

@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .curvature import ScanPolicy, pair_table, scan_constancy
-from .errors import SolveError
+from .curvature import ScanPolicy, pair_table, sample_and_scan
 from .families import FamilySpec, exp_control_box, make_cobb_douglas_perturbed, make_exp_control
 from .geometry import SeparableSurface, jet_table, sample_points
 
@@ -49,14 +48,8 @@ def _scan(
     seed_entropy: Sequence[int],
     oblique: int = 0,
 ):
-    points, failures = sample_points(surface, ranges, count, list(seed_entropy), bracket)
-    if len(points) < 2:
-        raise SolveError(
-            f"only {len(points)} of {count} draws lifted onto the surface "
-            f"({len(failures)} failures)"
-        )
     policy = ScanPolicy(oblique_per_point=oblique, seed=int(seed_entropy[0]))
-    return scan_constancy(surface, points, policy)
+    return sample_and_scan(surface, ranges, count, list(seed_entropy), bracket, policy)[0]
 
 
 def _control_flat(dims: Sequence[int]):

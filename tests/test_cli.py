@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import shlex
@@ -21,6 +22,7 @@ from sepcurv import (
     solve_height,
 )
 from sepcurv.cli import build_parser, main
+from sepcurv.errors import ParseError, SepcurvError
 
 from lifts import spy_second_evaluations
 
@@ -296,13 +298,25 @@ def test_eval_evaluates_lifted_jets_once(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["pair"] == [3, 1]
 
 
-def test_eval_human_output(tmp_path, capsys):
+@pytest.mark.parametrize("extra", [[], ["--pair", "3,1", "--k0", "1.0"]])
+def test_eval_csv_output_matches_json(tmp_path, capsys, extra):
     spec = sphere4_spec(tmp_path)
-    assert main(["eval", spec, "--point", "0,0,0", "--format", "csv"]) == 0
-    out = capsys.readouterr().out
-    assert "K closed form:" in out
-    assert "K Gauss oracle:" in out
-    assert "flatness residual:" in out
+    argv = ["eval", spec, "--point", "0.5,-0.25,0.125", *extra]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--format", "csv"]) == 0
+    header, row = csv.reader(capsys.readouterr().out.splitlines())
+    assert header == ["coords", "residual", "i", "j", "k_special", "k_oracle",
+                      "flatness_residual", "k0", "constk_residual"]
+    cells = dict(zip(header, row, strict=True))
+    assert [float(c).hex() for c in cells.pop("coords").split(";")] == [
+        c.hex() for c in doc.pop("coords")
+    ]
+    assert [int(cells.pop("i")), int(cells.pop("j"))] == doc.pop("pair")
+    # an unset k0 leaves its two cells empty; every other cell is the JSON float's bits
+    bits = {k: float(v).hex() for k, v in cells.items() if v}
+    assert bits == {k: v.hex() for k, v in doc.items()}
+    assert [k for k, v in cells.items() if not v] == ([] if extra else ["k0", "constk_residual"])
 
 
 def test_eval_default_pair_skips_height(tmp_path, capsys):
@@ -716,11 +730,24 @@ def test_certify_high_dimension_exits_0_or_1(capsys, suite):
     assert "checks passed" in captured.out
 
 
+def _no_lifts(*args):
+    return [], [(0, "BracketError: x")]
+
+
 def test_certify_too_few_lifts_exit_3(capsys, monkeypatch):
-    monkeypatch.setattr("sepcurv.suites.sample_points", lambda *a: ([], [(0, "BracketError: x")]))
+    monkeypatch.setattr("sepcurv.curvature.sample_points", _no_lifts)
     assert main(["certify", "flat", "--dims", "4", "--count", "2"]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: only 0 of 2 draws lifted onto the surface (1 failures)"]
+    assert err == ["error: only 0 of 2 draws lifted onto the surface; first failure: BracketError: x"]
+
+
+def test_scan_too_few_lifts_exit_3(tmp_path, capsys, monkeypatch):
+    # the same step and line as certify's above
+    monkeypatch.setattr("sepcurv.curvature.sample_points", _no_lifts)
+    assert main(["scan", sphere4_spec(tmp_path), "--out", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: only 0 of 12 draws lifted onto the surface; first failure: BracketError: x"]
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_integer_message_abbreviates_the_value(tmp_path, capsys):
@@ -795,6 +822,47 @@ def test_mesh_requires_ranges(tmp_path, capsys):
 
 
 # ---------------------------------------------------------- internal error
+
+
+EXIT_CODES = {
+    "SepcurvError": 3,
+    "ParseError": 2,
+    "DomainError": 3,
+    "NonFiniteError": 3,
+    "RegularityError": 3,
+    "SolveError": 3,
+    "BracketError": 3,
+    "ConvergenceError": 3,
+    "OffSurfaceError": 3,
+    "DegeneratePlaneError": 3,
+    "SpecFileError": 2,
+    "MeshError": 4,
+}
+
+
+def _error_classes(cls=SepcurvError):
+    yield cls
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("sepcurv."):
+            yield from _error_classes(sub)
+
+
+def test_every_error_class_has_a_documented_exit_code():
+    assert {cls.__name__ for cls in _error_classes()} == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", EXIT_CODES)
+def test_error_class_exit_code(tmp_path, capsys, monkeypatch, name):
+    spec = sphere3_mesh_spec(tmp_path)
+    cls = next(c for c in _error_classes() if c.__name__ == name)
+    exc = cls("wires crossed", 7) if issubclass(cls, ParseError) else cls("wires crossed")
+
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("sepcurv.cli.build_mesh", boom)
+    assert main(["mesh", spec, "--out", str(tmp_path / "m.obj")]) == EXIT_CODES[name]
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 def test_unexpected_exception_exit_5(tmp_path, capsys, monkeypatch):
