@@ -59,12 +59,9 @@ from .geometry import (
     REGULARITY_EPS,
     SeparableSurface,
     SurfacePoint,
-    TangentFrame,
     ensure_regular,
     sample_points,
     solve_height,
-    tangent_frame,
-    unit_normal,
 )
 from .jets import Jet2
 from .meshing import MeshResult, build_mesh, write_curvature_csv, write_obj

@@ -141,7 +141,8 @@ def make_cylinder(
 def make_cobb_douglas_sqrt(
     a: float, n: int, shifts: Sequence[float] | None = None, height: int | None = None
 ) -> SeparableSurface:
-    """Graph of x_h + mu_h = A sqrt(prod_k (x_k + mu_k)); flat everywhere.
+    """Graph of x_h + mu_h = A sqrt(prod_k (x_k + mu_k)); K = 0 on every
+    coordinate-pair plane, flat only for n = 3 (see `make_log_ode`).
 
     The lam = 1 member of `make_log_ode` with beta_h = -2 log(A): f_k =
     -log(x_k + mu_k) off the height and f_h = 2 log(x_h + mu_h) - 2 log(A);
@@ -163,10 +164,13 @@ def make_log_ode(
     height: int | None = None,
 ) -> SeparableSurface:
     """Logarithmic family f_k = -lam log(x_k + mu_k) + beta_k with the height
-    carrying coefficient 2 lam; flat for every lam != 0.
+    carrying coefficient 2 lam (lam != 0).
 
     Every member satisfies f_k'' = f_k'^2 / lam_k for the coefficient vector
-    from `log_family_lambdas(n, lam)`.
+    from `log_family_lambdas(n, lam)`, so K = 0 on every coordinate-pair
+    plane.  For n = 3 that plane is the whole tangent plane and the surface
+    is flat; for n >= 4 oblique planes are not: at (1, 1, 1, 1) on the
+    n = 4, lam = 1 member, span{X_1 + X_2, X_3} has K = -2/49.
     """
     lam = float(lam)
     if lam == 0.0:

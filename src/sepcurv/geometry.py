@@ -1,4 +1,4 @@
-"""Separable hypersurfaces: points, normals, tangent frames, height solves.
+"""Separable hypersurfaces: points, jet tables, regularity gates, height solves.
 
 A surface is the zero set of F(x) = f_1(x_1) + ... + f_n(x_n) with each f_k
 a single-variable function on an open interval.  One coordinate (the
@@ -44,24 +44,6 @@ class SurfacePoint:
 
     coords: tuple[float, ...]
     residual: float
-
-
-@dataclass(frozen=True)
-class TangentFrame:
-    """Tangent basis, unit normal and fundamental forms at a surface point.
-
-    Row r of `basis` is the tangent vector with 1 in the r-th non-height
-    slot and -f'_k/f'_h in the height slot.  `gram` holds the pairwise inner
-    products of those rows.  `second_form` holds II(X_r, X_s) for the
-    gradient-directed unit normal N with the convention
-    II(X, Y) = <-dN(X), Y>, i.e. minus the ambient Hessian pairing of F
-    divided by ||grad F||.
-    """
-
-    basis: np.ndarray        # shape (n-1, n)
-    normal: np.ndarray       # shape (n,)
-    gram: np.ndarray         # shape (n-1, n-1)
-    second_form: np.ndarray  # shape (n-1, n-1)
 
 
 @dataclass(frozen=True)
@@ -227,31 +209,6 @@ def point_jets(
 def ensure_regular(surface: SeparableSurface, point: SurfacePoint) -> float:
     """Check both regularity gates at a point; returns ||grad F||."""
     return float(point_jets(surface, point, surface.height).gradnorm[0])
-
-
-def unit_normal(surface: SeparableSurface, point: SurfacePoint) -> np.ndarray:
-    """Gradient-directed unit normal grad F / ||grad F|| at a surface point."""
-    return point_jets(surface, point).normal[0]
-
-
-def tangent_frame(surface: SeparableSurface, point: SurfacePoint) -> TangentFrame:
-    """Coordinate tangent basis with Gram matrix and second fundamental form.
-
-    For non-height coordinates k the basis vector is X_k = e_k - (f'_k/f'_h) e_h,
-    so the Gram matrix is I + t t^T with t_k = f'_k/f'_h, and the second
-    fundamental form is -(diag(f''_k) + (f''_h/f'_h^2) g g^T)/||grad F|| with
-    g the non-height gradient entries.
-    """
-    table = point_jets(surface, point, surface.height)
-    d1, d2, gradnorm = table.d1[0], table.d2[0], table.gradnorm[0]
-    h0 = surface.height - 1
-    others = [k - 1 for k in surface.non_height]
-    basis = table.frames(surface.height, surface.non_height)[0]
-    gram = np.eye(surface.n - 1) + np.outer(basis[:, h0], basis[:, h0])
-    second = -(
-        np.diag(d2[others]) + np.outer(d1[others], d1[others]) * (d2[h0] / d1[h0] ** 2)
-    ) / gradnorm
-    return TangentFrame(basis, d1 / gradnorm, gram, second)
 
 
 class _Lift(NamedTuple):

@@ -13,7 +13,7 @@ plus optional blocks
     "n":            int   (functions form only; must match the list length)
     "height_index": int   (functions form only; default n)
     "bracket":      [lo, hi]   (family form only; overrides the default)
-    "sampling":     {"count"?: int (1..100000), "seed"?: int (>= 0),
+    "sampling":     {"count"?: int (2..100000), "seed"?: int (>= 0),
                      "ranges"?: [[lo, hi], ...], "oblique_planes"?: int (0..1000)}
     "tolerances":   {"constancy"?: float}
     "grid":         [nx, ny]   (mesh export, n = 3 only; each 2..512)
@@ -100,7 +100,7 @@ def load_spec(path: str) -> LoadedSpec:
     if unknown:
         raise SpecFileError(f"{path}: unknown sampling keys {sorted(unknown)}")
     where = f"{path}: sampling."
-    count = integer(sampling.get("count", 100), where + "count", 1, MAX_COUNT)
+    count = integer(sampling.get("count", 100), where + "count", 2, MAX_COUNT)
     seed = integer(sampling.get("seed", 0), where + "seed", 0)
     oblique = integer(sampling.get("oblique_planes", 0), where + "oblique_planes", 0, MAX_OBLIQUE)
 

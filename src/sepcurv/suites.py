@@ -1,12 +1,13 @@
 """Built-in certification suites over the generated families.
 
-The flat suite scans every flat family (hyperplane, parabolic cylinder,
-Cobb-Douglas square-root graph) across a dimension sweep and expects
-curvature constant at zero, then runs two engineered controls that must
-come out non-constant.  The constant suite scans hyperspheres across radii
-and dimensions, expecting curvature constant at 1/r^2, and verifies that a
-flat family fails every nonzero constant-curvature residual while the same
-controls again come out non-constant.
+The flat suite scans the hyperplane, the parabolic cylinder and the
+Cobb-Douglas square-root graph across a dimension sweep on coordinate-pair
+planes and expects curvature constant at zero there (for n >= 4 the
+Cobb-Douglas graph is flat on those planes only), then runs two engineered
+controls that must come out non-constant.  The constant suite scans
+hyperspheres across radii and dimensions, expecting curvature constant at
+1/r^2, and verifies that a flat family fails every nonzero constant-curvature
+residual while the same controls again come out non-constant.
 
 Suites are pure functions of their arguments: sampling seeds derive from
 (base seed, row ordinal, n), so repeat runs reproduce row for row.
@@ -101,7 +102,7 @@ def run_flat_suite(
     count: int = 100,
     seed: int = DEFAULT_SEED,
 ) -> list[SuiteRow]:
-    """Flat families scan to K = 0; engineered controls refuse to."""
+    """Flat families scan to K = 0 on coordinate pairs; the controls refuse to."""
     rows: list[SuiteRow] = []
     for n in dims:
         families = (

@@ -630,6 +630,8 @@ BIG = "<1e309>"     # written as the JSON number 1e309, which reads as inf
         (SPHERE4, {"sampling": {"count": 10**13}}, "sampling.count"),
         (SPHERE4, {"sampling": {"oblique_planes": 10**400}}, "sampling.oblique_planes"),
         (SPHERE4, {"grid": [10**400, 4]}, "grid"),
+        # a scan needs two lifted draws, so one draw is a spec error, not a solve failure
+        (SPHERE4, {"sampling": {"count": 1}}, "sampling.count must be an integer >= 2 and <= 100000, got 1"),
     ],
 )
 def test_bad_spec_values_exit_2(tmp_path, capsys, family, extra, message):
@@ -758,7 +760,7 @@ def test_integer_message_abbreviates_the_value(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2 and all(len(line) < 200 for line in lines)
     assert "--count must be an integer >= 2 and <= 100000, got 1000" in lines[0]
-    assert "sampling.count must be an integer >= 1 and <= 100000, got 1000" in lines[1]
+    assert "sampling.count must be an integer >= 2 and <= 100000, got 1000" in lines[1]
 
 
 # ------------------------------------------------------------------- mesh

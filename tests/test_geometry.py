@@ -13,16 +13,14 @@ from sepcurv import (
     RegularityError,
     SeparableSurface,
     ensure_regular,
-    eval_jet2,
     parse_function,
+    random_tangent_plane,
     sample_points,
     solve_height,
-    tangent_frame,
-    unit_normal,
 )
 
 from lifts import MIXED_BRACKET, MIXED_RANGES, mixed_surface, solve_verdicts, spy_second_evaluations
-from oracles import brute_second_form, fd_unit_normal
+from oracles import fd_unit_normal
 
 INF = math.inf
 
@@ -223,13 +221,13 @@ def test_solve_iteration_cap(monkeypatch):
         solve_height(sphere(4, 2.0), (0.3, -0.2, 0.5), (0.2, 2.02))
 
 
-# ------------------------------------------------------- normals and frames
+# ------------------------------------------------------------------ normals
 
 
 def test_unit_normal_log_surface():
     s = log_surface()
     p = s.point((1.0, 1.0, 1.0, 1.0))
-    normal = unit_normal(s, p)
+    normal = geometry.point_jets(s, p).normal[0]
     root7 = math.sqrt(7.0)
     expected = np.array([-1.0, -1.0, -1.0, 2.0]) / root7
     assert np.allclose(normal, expected, atol=1e-15, rtol=0.0)
@@ -241,7 +239,7 @@ def test_unit_normal_rejects_singular_gradient():
     bogus = SeparableSurface(tuple(parse_function("x^2") for _ in range(4)))
     p = bogus.point((0.0, 0.0, 0.0, 0.0))
     with pytest.raises(RegularityError, match="gradient norm"):
-        unit_normal(bogus, p)
+        random_tangent_plane(bogus, p, np.random.default_rng(0))
     with pytest.raises(RegularityError, match="gradient norm"):
         ensure_regular(bogus, p)
 
@@ -254,78 +252,6 @@ def test_ensure_regular_checks_height_slope():
 
     with pytest.raises(RegularityError, match="height slope"):
         ensure_regular(s, p)
-
-
-def test_tangent_frame_log_surface_frozen():
-    s = log_surface()
-    frame = tangent_frame(s, s.point((1.0, 1.0, 1.0, 1.0)))
-    root7 = math.sqrt(7.0)
-    assert np.allclose(frame.gram, np.eye(3) + 0.25, atol=1e-15, rtol=0.0)
-    want_second = np.full((3, 3), 0.5 / root7)
-    np.fill_diagonal(want_second, -0.5 / root7)
-    assert np.allclose(frame.second_form, want_second, atol=1e-15, rtol=0.0)
-
-
-def test_tangent_frame_sphere_pole_exact():
-    s = sphere(4, 2.0)
-    frame = tangent_frame(s, s.point((0.0, 0.0, 0.0, 2.0)))
-    assert np.array_equal(frame.basis, np.eye(3, 4))
-    assert np.array_equal(frame.gram, np.eye(3))
-    # II = -1/2 I against the outward normal e_4: principal curvatures of a
-    # radius-2 sphere, exact in floats
-    assert np.array_equal(frame.normal, np.array([0.0, 0.0, 0.0, 1.0]))
-    assert np.array_equal(frame.second_form, -0.5 * np.eye(3))
-
-
-@pytest.mark.parametrize(
-    "build, partial, bracket",
-    [
-        (lambda: sphere(4, 2.0), (0.3, -0.2, 0.5), (0.2, 2.02)),
-        (lambda: sphere(5, 1.0), (0.2, 0.1, -0.3, 0.2), (0.1, 1.01)),
-        (lambda: log_surface(4), (2.0, 0.8, 1.3), (0.25, 4.0)),
-        (
-            lambda: SeparableSurface(
-                (
-                    parse_function("exp(x)"),
-                    parse_function("x^2"),
-                    parse_function("sin(x)"),
-                    parse_function("2*x + 5"),
-                )
-            ),
-            (0.4, -0.7, 0.9),
-            (-30.0, 30.0),
-        ),
-    ],
-)
-def test_tangent_frame_invariants(build, partial, bracket):
-    s = build()
-    p = solve_height(s, partial, bracket)
-    frame = tangent_frame(s, p)
-    grad = np.array([eval_jet2(f, x).d1 for f, x in zip(s.funcs, p.coords)])
-
-    assert frame.basis.shape == (s.n - 1, s.n)
-    assert abs(np.linalg.norm(frame.normal) - 1.0) <= 1e-15
-    # rows are tangent: orthogonal to the gradient
-    assert np.max(np.abs(frame.basis @ grad)) <= 1e-12 * max(1.0, np.max(np.abs(grad)))
-    # gram really is the basis Gram matrix
-    assert np.allclose(frame.gram, frame.basis @ frame.basis.T, atol=1e-14, rtol=1e-14)
-    # symmetry of both bilinear forms is exact
-    assert np.array_equal(frame.gram, frame.gram.T)
-    assert np.array_equal(frame.second_form, frame.second_form.T)
-
-
-@pytest.mark.parametrize(
-    "build, coords",
-    [
-        (lambda: log_surface(4), (1.0, 1.0, 1.0, 1.0)),
-        (lambda: sphere(4, 2.0), (0.3, -0.2, 0.5, math.sqrt(3.62))),
-    ],
-)
-def test_second_form_matches_finite_differences(build, coords):
-    s = build()
-    frame = tangent_frame(s, s.point(coords))
-    want = np.array(brute_second_form(s, coords))
-    assert np.allclose(frame.second_form, want, atol=1e-8, rtol=1e-8)
 
 
 # ---------------------------------------------------------------- sampling

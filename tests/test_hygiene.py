@@ -1,11 +1,14 @@
-"""Repository hygiene: README's Python examples run, and no module imports
-a name it never uses."""
+"""Repository hygiene: README's Python examples run, no module imports a
+name it never uses, and every public name has a caller or a reader outside
+the tests."""
 
 import ast
 import re
 from pathlib import Path
 
 import pytest
+
+import sepcurv
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = REPO_ROOT / "src" / "sepcurv"
@@ -46,3 +49,30 @@ def _unused_imports(path: Path) -> list[str]:
 )
 def test_module_uses_every_name_it_imports(module):
     assert _unused_imports(PACKAGE / module) == []
+
+
+def _src_references() -> set[str]:
+    """Every name and attribute a package module other than `__init__.py`
+    refers to."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a name only tests use is dead weight: put it to work or delete it
+    readers = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "perfbench").glob("*.py"))]
+    text = "\n".join(p.read_text(encoding="utf-8") for p in readers)
+    referenced = _src_references()
+    unused = [
+        name for name in sepcurv.__all__
+        if name not in referenced and not re.search(rf"\b{name}\b", text)
+    ]
+    assert unused == []

@@ -178,6 +178,7 @@ def test_unknown_keys_rejected(tmp_path):
         ({"oblique_planes": -1}, "oblique_planes"),
         ({"ranges": "wide"}, "ranges"),
         ({"ranges": [[1.0, 1.0], [0.0, 1.0], [0.0, 1.0]]}, "lo < hi"),
+        ({"count": 1}, "count"),
     ],
 )
 def test_sampling_validation(tmp_path, sampling, message):
