@@ -33,7 +33,6 @@ from .errors import (
     DomainError,
     MeshError,
     NonFiniteError,
-    OffSurfaceError,
     ParseError,
     RegularityError,
     SepcurvError,

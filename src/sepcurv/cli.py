@@ -3,10 +3,11 @@
 Exit codes (a `SepcurvError` exits with its class's `exit_code`)
     0  success
     1  certification suite failure
-    2  bad usage, `SpecFileError` or `ParseError` (spec file, expression)
+    2  bad usage (also an `--out` path that cannot be written),
+       `SpecFileError` or `ParseError` (spec file, expression)
     3  every other `SepcurvError`: `RegularityError`, `SolveError` (with
        `BracketError`, `ConvergenceError`), `DomainError`, `NonFiniteError`,
-       `OffSurfaceError`, `DegeneratePlaneError`
+       `DegeneratePlaneError`
     4  `MeshError`: mesh export produced fewer than 3 valid vertices
     5  unexpected internal error
 
@@ -118,7 +119,18 @@ def _parse_floats(text: str, expected: int, what: str) -> list[float]:
         raise SpecFileError(f"{what} must be comma-separated numbers: {exc}") from exc
     if len(values) != expected:
         raise SpecFileError(f"{what} needs {expected} values, got {len(values)}")
+    for value in values:
+        if not math.isfinite(value):
+            raise SpecFileError(f"{what} values must be finite, got {value!r}")
     return values
+
+
+def _write(path: str, write, *args) -> None:
+    """Call `write(path, *args)`; a path that cannot be written is a usage error."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise SpecFileError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _eval_pair(spec: LoadedSpec, pair_text: str | None) -> tuple[int, int]:
@@ -201,7 +213,7 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
         )
     else:
         body = report_body_csv(report, sampling_failures=failures)
-    write_report(ns.out, body)
+    _write(ns.out, write_report, body)
     line = f"verdict: {report.verdict}"
     if report.spread is not None:
         rel = "<=" if report.spread <= tol else ">"
@@ -241,9 +253,9 @@ def _cmd_mesh(ns: argparse.Namespace) -> int:
         raise SpecFileError(f"{ns.spec}: sampling.ranges is required for meshing")
     grid = spec.grid if spec.grid is not None else (32, 32)
     mesh = build_mesh(spec.surface, spec.ranges, grid, spec.bracket)
-    write_obj(ns.out, mesh)
+    _write(ns.out, write_obj, mesh)
     sidecar = os.path.splitext(ns.out)[0] + "_curvature.csv"
-    write_curvature_csv(sidecar, mesh)
+    _write(sidecar, write_curvature_csv, mesh)
     k_lo, k_hi = min(mesh.curvatures), max(mesh.curvatures)
     print(
         f"mesh: {len(mesh.vertices)} vertices, {len(mesh.faces)} triangles, "

@@ -289,15 +289,13 @@ class ScanPolicy:
 
     `oblique_per_point` adds that many random tangent planes per point on
     top of all coordinate pairs; their curvatures enter the summary
-    statistics.  `k0` (when set) adds a constant-curvature residual per pair
-    record.  Seeds must be non-negative; per-point substreams are derived
+    statistics.  Seeds must be non-negative; per-point substreams are derived
     from (seed, point position), so results are independent of chunking.
     """
 
     oblique_per_point: int = 0
     seed: int = 0
     constancy_tol: float = DEFAULT_CONSTANCY_TOL
-    k0: float | None = None
 
     def __post_init__(self):
         if self.oblique_per_point < 0:
@@ -322,7 +320,6 @@ class ScanRecord:
     k_special: float | None = None
     k_oracle: float | None = None
     residual_flat: float | None = None
-    residual_constk: float | None = None
     flagged: bool = False
     error: str | None = None
 
@@ -402,7 +399,6 @@ def _chunk_records(
     ks = table.curvature()
     with np.errstate(all="ignore"):
         flagged = np.abs(ks - k[:, :nq]) > EQUIVALENCE_RTOL * np.maximum(1.0, np.abs(k[:, :nq]))
-    rc = table.constk(policy.k0).tolist() if policy.k0 is not None else None
     ks, k, flat, flagged = ks.tolist(), k.tolist(), table.flat.tolist(), flagged.tolist()
     u, w = u[:, nq:].tolist(), w[:, nq:].tolist()
     records: list[ScanRecord] = []
@@ -414,7 +410,7 @@ def _chunk_records(
             continue
         records.extend(
             rec("pair", i=i, j=j, k_special=ks[p][q], k_oracle=k[p][q], residual_flat=flat[p][q],
-                residual_constk=rc[p][q] if rc else None, flagged=flagged[p][q])
+                flagged=flagged[p][q])
             for q, (i, j) in enumerate(pairs)
         )
         for r in range(m):

@@ -49,10 +49,6 @@ class ConvergenceError(SolveError):
     """Root refinement exhausted its iteration budget."""
 
 
-class OffSurfaceError(SepcurvError, ValueError):
-    """Coordinates do not satisfy the implicit equation within tolerance."""
-
-
 class DegeneratePlaneError(SepcurvError, ValueError):
     """Plane section spanned by (nearly) dependent or non-tangent vectors."""
 

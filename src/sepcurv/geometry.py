@@ -26,7 +26,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     NonFiniteError,
-    OffSurfaceError,
     RegularityError,
     SepcurvError,
     describe,
@@ -34,13 +33,15 @@ from .errors import (
 from .expr import Function1D, eval_jets
 
 REGULARITY_EPS = 1e-8      # lower bound for both ||grad F|| and |f'_height|
-ON_SURFACE_RTOL = 1e-12    # residual tolerance relative to max(1, sum |f_k|)
+ON_SURFACE_RTOL = 1e-12    # |g| tolerance relative to max(1, sum |f_k|)
 MAX_SOLVE_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
 class SurfacePoint:
-    """Coordinates certified to satisfy |sum f_k| <= tolerance."""
+    """A point as the height lift returns it (`solve_height`,
+    `sample_points`): `coords` with the solved height, and `residual` the
+    |g| that met the on-surface tolerance there."""
 
     coords: tuple[float, ...]
     residual: float
@@ -76,29 +77,6 @@ class SeparableSurface:
     def non_height(self) -> tuple[int, ...]:
         """1-based coordinate indices excluding the height, ascending."""
         return tuple(k for k in range(1, self.n + 1) if k != self.height)
-
-    def point(self, coords: Sequence[float]) -> SurfacePoint:
-        """Certify explicit coordinates as a surface point.
-
-        Raises the first failing jet's error, `NonFiniteError` if the sum of
-        |f_k| overflows, or `OffSurfaceError` if the residual exceeds the
-        scale-relative tolerance; `solve_height` lifts partial coordinates.
-        """
-        coords = tuple(float(c) for c in coords)
-        if len(coords) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(coords)}")
-        (values,), _, _, errors = _columns(self.funcs, np.array([coords]))
-        if errors:
-            raise errors[0]
-        tol = ON_SURFACE_RTOL * max(1.0, _fsum(abs(v) for v in values))
-        if tol == math.inf:
-            raise NonFiniteError(f"sum of |f_k| overflows at {coords!r}")
-        residual = abs(fsum(values))
-        if residual > tol:
-            raise OffSurfaceError(
-                f"|sum f_k| = {residual:.6e} exceeds tolerance {tol:.6e} at {coords!r}"
-            )
-        return SurfacePoint(coords, residual)
 
 
 @dataclass(frozen=True)

@@ -64,15 +64,13 @@ def _records_json(records: Sequence[ScanRecord]) -> str:
         if rec.coords is not coords_of:   # a sample's records share its coords
             coords_of, coords = rec.coords, _floats(rec.coords)
         if rec.kind == "pair":
-            constk = ("" if rec.residual_constk is None
-                      else f'      "residual_constk": {_num(rec.residual_constk)},\n')
             out.append(
                 f'    {{\n      "coords": {coords},\n'
                 f'      "flagged": {"true" if rec.flagged else "false"},\n'
                 f'      "i": {rec.i},\n      "j": {rec.j},\n'
                 f'      "k_oracle": {_num(rec.k_oracle)},\n'
                 f'      "k_special": {_num(rec.k_special)},\n'
-                f'      "kind": "pair",\n{constk}'
+                f'      "kind": "pair",\n'
                 f'      "residual_flat": {_num(rec.residual_flat)},\n'
                 f'      "sample": {rec.sample}\n    }}'
             )
@@ -141,9 +139,9 @@ def report_body_csv(
     sampling_failures: Sequence[tuple[int, str]] = (),
 ) -> str:
     """Record-level CSV export with the same determinism contract as JSON:
-    one row per record, a field the record's kind lacks (or a pair's unset
-    `residual_constk`) left empty, then one `sample_error` row per rejected
-    draw."""
+    one row per record, a field the record's kind lacks left empty (so is
+    every `residual_constk` cell, which no scan fills), then one
+    `sample_error` row per rejected draw."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
@@ -152,10 +150,9 @@ def report_body_csv(
         if rec.coords is not coords_of:   # a sample's records share its coords
             coords_of, coords = rec.coords, _vector(rec.coords)
         if rec.kind == "pair":
-            constk = "" if rec.residual_constk is None else str(rec.residual_constk)
             writer.writerow((
                 str(rec.sample), "pair", str(rec.i), str(rec.j), str(rec.k_special),
-                str(rec.k_oracle), str(rec.residual_flat), constk, str(rec.flagged),
+                str(rec.k_oracle), str(rec.residual_flat), "", str(rec.flagged),
                 "", coords, "", "",
             ))
         elif rec.kind == "plane":

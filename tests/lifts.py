@@ -43,8 +43,8 @@ def solve_verdicts(surface, partials, bracket) -> list[str | None]:
 
 
 def spy_second_evaluations(monkeypatch) -> list[str]:
-    """Record every call of `jet_table` (in each module that imports it) and
-    of `SeparableSurface.point`: the ways to evaluate a known point's jets."""
+    """Record every call of `jet_table` (in each module that imports it): the
+    way to evaluate a known point's jets."""
     calls: list[str] = []
 
     def spy(name, fn):
@@ -57,5 +57,4 @@ def spy_second_evaluations(monkeypatch) -> list[str]:
     for key, module in list(sys.modules.items()):
         if key.startswith("sepcurv.") and hasattr(module, "jet_table"):
             monkeypatch.setattr(module, "jet_table", spy(f"{key}.jet_table", module.jet_table))
-    monkeypatch.setattr(SeparableSurface, "point", spy("SeparableSurface.point", SeparableSurface.point))
     return calls

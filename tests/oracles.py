@@ -14,6 +14,7 @@ import re
 import mpmath
 
 from sepcurv.expr import BinOp, Call, Const, Function1D, Neg, Node, Pow, Var
+from sepcurv.geometry import SurfacePoint
 
 mpmath.mp.dps = 50
 
@@ -69,6 +70,30 @@ def fd_jet(f: Function1D, x: float) -> tuple[float, float, float]:
 
 _GRAD_H = mpmath.mpf("1e-12")
 _NORMAL_T = mpmath.mpf("1e-10")
+_ON_SURFACE_RTOL = mpmath.mpf(1e-12)
+
+
+def surface_point(surface, coords) -> SurfacePoint:
+    """Explicit coordinates checked to lie on the surface, as a `SurfacePoint`.
+
+    Every f_k is evaluated at 50 digits, and |sum f_k| must be at most
+    1e-12 * max(1, sum |f_k|): the lift's scale-relative rule without its
+    float rounding.  `residual` is that |sum f_k|.
+    """
+    coords = tuple(float(c) for c in coords)
+    if len(coords) != surface.n:
+        raise AssertionError(f"expected {surface.n} coordinates, got {coords!r}")
+    for f, x in zip(surface.funcs, coords):
+        if not f.domain[0] < x < f.domain[1]:
+            raise AssertionError(f"{x!r} outside the domain {f.domain!r}")
+    values = [mp_value(f.ast, x) for f, x in zip(surface.funcs, coords)]
+    residual = abs(mpmath.fsum(values))
+    tol = _ON_SURFACE_RTOL * max(1, mpmath.fsum(abs(v) for v in values))
+    if not residual <= tol:
+        raise AssertionError(
+            f"|sum f_k| = {float(residual):.6e} exceeds {float(tol):.6e} at {coords!r}"
+        )
+    return SurfacePoint(coords, float(residual))
 
 
 def _mp_gradient(surface, coords) -> list[mpmath.mpf]:

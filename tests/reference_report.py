@@ -40,8 +40,6 @@ def reference_record_dict(rec: ScanRecord) -> dict:
     if rec.kind == "pair":
         out.update(i=rec.i, j=rec.j, k_special=rec.k_special, k_oracle=rec.k_oracle,
                    residual_flat=rec.residual_flat, flagged=rec.flagged)
-        if rec.residual_constk is not None:
-            out["residual_constk"] = rec.residual_constk
     elif rec.kind == "plane":
         out.update(u=list(rec.u), w=list(rec.w), k_oracle=rec.k_oracle)
     else:

@@ -40,7 +40,7 @@ from sepcurv.suites import run_flat_suite
 
 from conftest import record_acceptance
 from corpus import EXPRESSIONS
-from oracles import fd_jet
+from oracles import fd_jet, surface_point
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -163,7 +163,7 @@ def test_acceptance_3_engines_agree_on_random_sections():
             fh = funcs[h - 1]
             funcs[h - 1] = Function1D(BinOp("-", fh.ast, Const(shift)), fh.domain)
             surface = SeparableSurface(tuple(funcs), h)
-            point = surface.point(coords)
+            point = surface_point(surface, coords)
             others = surface.non_height
             pick = rng.choice(len(others), size=2, replace=False)
             a, b = others[int(pick[0])], others[int(pick[1])]

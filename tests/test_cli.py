@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -344,6 +345,9 @@ def test_eval_default_pair_skips_height(tmp_path, capsys):
         ["--point", "0,0,0", "--pair", "1,4"],       # names the height
         ["--point", "0,0,0", "--pair", "1,x"],       # not an integer
         ["--point", "0,0,0", "--k0", "inf"],         # not finite
+        ["--point", "nan,0,0"],                      # a point entry not finite
+        ["--point", "0,inf,0"],
+        ["--point", "0,0,1e400"],                    # overflows to inf
     ],
 )
 def test_eval_usage_errors(tmp_path, capsys, extra):
@@ -479,6 +483,18 @@ def test_scan_csv_format(tmp_path):
     assert body == read_report_body(second)
     assert body.splitlines()[0].startswith("sample,kind,i,j,k_special")
     assert len(body.splitlines()) == 1 + 12 * 5
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_scan_unwritable_out_exit_2(tmp_path, capsys, fmt):
+    spec = sphere4_spec(tmp_path)
+    missing = str(tmp_path / "no" / "such" / f"r.{fmt}")
+    assert main(["scan", spec, "--out", missing, "--format", fmt]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {missing!r}: No such file or directory\n"
+    )
+    assert main(["scan", spec, "--out", str(tmp_path), "--format", fmt]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {str(tmp_path)!r}: Is a directory\n"
 
 
 def test_scan_seed_override_changes_report(tmp_path):
@@ -787,6 +803,20 @@ def test_mesh_writes_obj_and_sidecar(tmp_path, capsys):
         assert abs(float(row.split(",")[1]) - 1.0) <= 1e-9
 
 
+def test_mesh_unwritable_out_exit_2(tmp_path, capsys):
+    spec = sphere3_mesh_spec(tmp_path)
+    missing = str(tmp_path / "no" / "m.obj")
+    assert main(["mesh", spec, "--out", missing]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {missing!r}: No such file or directory\n"
+    )
+    # the OBJ is written, its sidecar's path is a directory
+    (tmp_path / "m_curvature.csv").mkdir()
+    sidecar = str(tmp_path / "m_curvature.csv")
+    assert main(["mesh", spec, "--out", str(tmp_path / "m.obj")]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {sidecar!r}: Is a directory\n"
+
+
 def test_mesh_deterministic(tmp_path):
     spec = sphere3_mesh_spec(tmp_path)
     a, b = str(tmp_path / "a.obj"), str(tmp_path / "b.obj")
@@ -835,7 +865,6 @@ EXIT_CODES = {
     "SolveError": 3,
     "BracketError": 3,
     "ConvergenceError": 3,
-    "OffSurfaceError": 3,
     "DegeneratePlaneError": 3,
     "SpecFileError": 2,
     "MeshError": 4,
@@ -851,6 +880,23 @@ def _error_classes(cls=SepcurvError):
 
 def test_every_error_class_has_a_documented_exit_code():
     assert {cls.__name__ for cls in _error_classes()} == set(EXIT_CODES)
+
+
+def _readme_exit_code_table() -> set[tuple[str, int]]:
+    """(class name, code) for each error class README's exit-code table names."""
+    section = (REPO_ROOT / "README.md").read_text(encoding="utf-8").split("### Exit codes", 1)[1]
+    pairs = set()
+    for line in section.split("\n\n", 2)[1].splitlines():
+        code, meaning = line.strip("|").split("|")[:2]
+        if code.strip().isdigit():
+            pairs.update((name, int(code)) for name in re.findall(r"`(\w+Error)`", meaning))
+    return pairs
+
+
+def test_readme_exit_code_table_matches_errors():
+    # the base class is named in row 3, "every other `SepcurvError`"
+    classes = {(cls.__name__, cls.exit_code) for cls in _error_classes()}
+    assert _readme_exit_code_table() == classes
 
 
 @pytest.mark.parametrize("name", EXIT_CODES)

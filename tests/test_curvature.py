@@ -27,7 +27,7 @@ from sepcurv import (
 )
 
 from sepcurv import curvature
-from oracles import brute_coordinate_k, brute_sectional
+from oracles import brute_coordinate_k, brute_sectional, surface_point
 
 INF = math.inf
 
@@ -148,7 +148,7 @@ def test_log_surface_flat_everywhere():
 
 def test_sphere_frozen_point():
     s = sphere(4, 2.0)
-    p = s.point((0.3, -0.2, 0.5, math.sqrt(3.62)))
+    p = surface_point(s, (0.3, -0.2, 0.5, math.sqrt(3.62)))
     ks = sectional_special(s, p, 1, 2)
     ko = sectional_oracle(s, p, coordinate_plane(s, p, 1, 2))
     assert abs(ks - 0.25) <= 1e-15
@@ -183,7 +183,7 @@ def test_sphere_oblique_planes():
 
 def test_sphere_matches_brute_force():
     s = sphere(4, 2.0)
-    p = s.point((0.3, -0.2, 0.5, math.sqrt(3.62)))
+    p = surface_point(s, (0.3, -0.2, 0.5, math.sqrt(3.62)))
     assert abs(brute_coordinate_k(s, p.coords, 1, 2) - 0.25) <= 1e-9
     section = random_tangent_plane(s, p, np.random.default_rng(6))
     got = sectional_oracle(s, p, section)
@@ -196,7 +196,7 @@ def test_cobb_douglas_n4_is_flat_on_coordinate_pairs_only():
     # its shape operator is 0, but the operator has rank 3, so an oblique
     # plane such as span{X_1 + X_2, X_3} has K = -2/49
     s = make_cobb_douglas_sqrt(1.0, 4)
-    p = s.point((1.0, 1.0, 1.0, 1.0))
+    p = surface_point(s, (1.0, 1.0, 1.0, 1.0))
     for i, j in combinations(s.non_height, 2):
         assert abs(sectional_special(s, p, i, j)) <= 1e-15
         assert abs(sectional_oracle(s, p, coordinate_plane(s, p, i, j))) <= 1e-15
@@ -267,7 +267,7 @@ def test_flatness_matches_curvature_times_denominator():
 def test_flatness_survives_singular_points():
     # no division inside: defined even where the gradient vanishes
     s = SeparableSurface(tuple(parse_function("x^2") for _ in range(4)))
-    p = s.point((0.0, 0.0, 0.0, 0.0))
+    p = surface_point(s, (0.0, 0.0, 0.0, 0.0))
     assert flatness_residual(s, p, 1, 2) == 0.0
     with pytest.raises(RegularityError):
         sectional_special(s, p, 1, 2)
@@ -275,7 +275,7 @@ def test_flatness_survives_singular_points():
 
 def test_constk_frozen_log_surface_value():
     s = log_surface()
-    p = s.point((1.0, 1.0, 1.0, 1.0))
+    p = surface_point(s, (1.0, 1.0, 1.0, 1.0))
     assert constk_residual(s, p, 1, 2, 1.0) == 42.0
 
 
@@ -443,7 +443,7 @@ def test_scan_records_regularity_failures():
     good = solve_height(s, (0.3, -0.2, 0.5), (0.2, 2.02))
     good2 = solve_height(s, (0.1, 0.4, -0.2), (0.2, 2.02))
     # on the surface to 1e-20, but the height slope is 2e-10
-    equator = s.point((1.0, 1.0, math.sqrt(2.0), 1e-10))
+    equator = surface_point(s, (1.0, 1.0, math.sqrt(2.0), 1e-10))
     report = scan_constancy(s, [good, equator, good2], ScanPolicy())
     errors = [rec for rec in report.records if rec.kind == "error"]
     assert len(errors) == 1
@@ -453,17 +453,6 @@ def test_scan_records_regularity_failures():
     assert report.value_count == 6
     assert report.verdict == "constant"
     assert abs(report.constant_estimate - 0.25) <= 1e-9
-
-
-def test_scan_respects_k0_policy():
-    s, pts = log_points(4, 5, 63)
-    with_k0 = scan_constancy(s, pts, ScanPolicy(seed=63, k0=1.0))
-    without = scan_constancy(s, pts, ScanPolicy(seed=63))
-    for rec in with_k0.records:
-        assert rec.residual_constk is not None
-        assert abs(rec.residual_constk) > 1e-3
-    for rec in without.records:
-        assert rec.residual_constk is None
 
 
 def mixed_failure_points():
@@ -509,7 +498,7 @@ def assert_rel(got, want):
 
 def test_scan_matches_point_wise_engines():
     s, pts = mixed_failure_points()
-    policy = ScanPolicy(oblique_per_point=3, seed=5, k0=1.0)
+    policy = ScanPolicy(oblique_per_point=3, seed=5)
     report = scan_constancy(s, pts, policy)
     messages = [point_error(s, p) for p in pts]
     kinds = [m and m.split(":")[0] for m in messages]
@@ -532,7 +521,6 @@ def test_scan_matches_point_wise_engines():
             assert_rel(r.k_special, sectional_special(s, p, r.i, r.j))
             assert_rel(r.k_oracle, sectional_oracle(s, p, coordinate_plane(s, p, r.i, r.j)))
             assert_rel(r.residual_flat, flatness_residual(s, p, r.i, r.j))
-            assert_rel(r.residual_constk, constk_residual(s, p, r.i, r.j, 1.0))
         rng = np.random.default_rng([5, pos])
         planes = [r for r in recs if r.kind == "plane"]
         assert len(planes) == 3

@@ -29,6 +29,8 @@ from sepcurv import (
 from sepcurv import families
 from sepcurv.expr import BinOp, Call, Const, Neg, Pow, Var
 
+from oracles import surface_point
+
 
 def scan_with_defaults(spec: FamilySpec, count: int = 30, seed: int = 9, **policy):
     surface, ranges, bracket = spec.defaults()
@@ -236,7 +238,7 @@ def test_hypersphere_membership_and_curvature():
     assert s.height == 2
     pole = list(center)
     pole[1] += radius
-    p = s.point(pole)
+    p = surface_point(s, pole)
     assert p.residual == 0.0
     spec = FamilySpec(
         "hypersphere", 5, {"center": list(center), "radius": radius}, height=2
@@ -297,7 +299,7 @@ def test_family_spec_from_dict_round_trip():
     assert spec.height is None
     assert spec.params == {"radius": 2.0, "center": [0.0, 0.0, 0.0, 0.0]}
     s = spec.build()
-    p = s.point((0.0, 0.0, 0.0, 2.0))
+    p = surface_point(s, (0.0, 0.0, 0.0, 2.0))
     assert sectional_special(s, p, 1, 2) == 0.25
 
 

@@ -9,7 +9,6 @@ from sepcurv import (
     ConvergenceError,
     DomainError,
     NonFiniteError,
-    OffSurfaceError,
     RegularityError,
     SeparableSurface,
     ensure_regular,
@@ -20,7 +19,7 @@ from sepcurv import (
 )
 
 from lifts import MIXED_BRACKET, MIXED_RANGES, mixed_surface, solve_verdicts, spy_second_evaluations
-from oracles import fd_unit_normal
+from oracles import fd_unit_normal, surface_point
 
 INF = math.inf
 
@@ -75,30 +74,31 @@ def test_lift_puts_height_in_its_slot():
         solve_height(s, (9.0, 8.0), (-30.0, 30.0))
 
 
-def test_jets_length_check():
-    with pytest.raises(ValueError):
-        sphere(4, 1.0).point((0.0, 0.0, 0.0))
-
-
 # ------------------------------------------------------------------ points
+# the on-surface oracle `oracles.surface_point`, which the checks below that
+# lifted points lie on the surface use
 
 
 def test_point_accepts_exact_coordinates():
-    p = log_surface().point((1.0, 1.0, 1.0, 1.0))
+    p = surface_point(log_surface(), (1.0, 1.0, 1.0, 1.0))
     assert p.residual == 0.0
     assert p.coords == (1.0, 1.0, 1.0, 1.0)
 
 
 def test_point_rejects_off_surface():
-    with pytest.raises(OffSurfaceError, match="exceeds tolerance"):
-        log_surface().point((1.1, 1.0, 1.0, 1.0))
+    with pytest.raises(AssertionError, match="exceeds"):
+        surface_point(log_surface(), (1.1, 1.0, 1.0, 1.0))
+    with pytest.raises(AssertionError, match="outside the domain"):
+        surface_point(log_surface(), (-1.0, 1.0, 1.0, 1.0))
 
 
 def test_point_tolerance_is_scale_relative():
     # residual 5e-13 on O(1) values is accepted, surface sum ~ 1e-13 scale
     s = linear_surface()
-    p = s.point((1.0, 2.0, -3.0, 5e-13))
+    p = surface_point(s, (1.0, 2.0, -3.0, 5e-13))
     assert p.residual == 5e-13
+    with pytest.raises(AssertionError, match="exceeds"):
+        surface_point(s, (1.0, 2.0, -3.0, 1e-11))
 
 
 # ------------------------------------------------------------ height solve
@@ -116,7 +116,7 @@ def test_solve_sphere_frozen_height():
     p = solve_height(s, (0.3, -0.2, 0.5), (0.2, 2.02))
     assert p.coords[3] == pytest.approx(math.sqrt(3.62), abs=1e-12)
     assert p.coords[3] == pytest.approx(1.9026297590440449, abs=1e-12)
-    s.point(p.coords)   # |sum f_k| within the on-surface tolerance
+    surface_point(s, p.coords)
 
 
 def test_solve_is_deterministic():
@@ -208,8 +208,6 @@ def test_value_sum_overflow_is_non_finite(first, second, height):
     message = r"sum of \|f_k\| overflows at \(0.1, 0.2, -1.0\)$"
     with pytest.raises(NonFiniteError, match=message):
         solve_height(s, (0.1, 0.2), (-1.0, 1.0))
-    with pytest.raises(NonFiniteError, match=message):
-        s.point((0.1, 0.2, -1.0))
     points, failures = sample_points(s, [(0.0, 1.0)] * 2, 3, 0, (-1.0, 1.0))
     assert points == [] and len(failures) == 3
     assert all("NonFiniteError: sum of |f_k|" in f for _, f in failures)
@@ -226,7 +224,7 @@ def test_solve_iteration_cap(monkeypatch):
 
 def test_unit_normal_log_surface():
     s = log_surface()
-    p = s.point((1.0, 1.0, 1.0, 1.0))
+    p = surface_point(s, (1.0, 1.0, 1.0, 1.0))
     normal = geometry.point_jets(s, p).normal[0]
     root7 = math.sqrt(7.0)
     expected = np.array([-1.0, -1.0, -1.0, 2.0]) / root7
@@ -237,7 +235,7 @@ def test_unit_normal_log_surface():
 def test_unit_normal_rejects_singular_gradient():
     # all slopes vanish at the common vertex of the squares
     bogus = SeparableSurface(tuple(parse_function("x^2") for _ in range(4)))
-    p = bogus.point((0.0, 0.0, 0.0, 0.0))
+    p = surface_point(bogus, (0.0, 0.0, 0.0, 0.0))
     with pytest.raises(RegularityError, match="gradient norm"):
         random_tangent_plane(bogus, p, np.random.default_rng(0))
     with pytest.raises(RegularityError, match="gradient norm"):
@@ -248,7 +246,7 @@ def test_ensure_regular_checks_height_slope():
     # gradient is fine but the height slope vanishes
     fs = (parse_function("x"), parse_function("x"), parse_function("x^2 - 2"))
     s = SeparableSurface(fs)
-    p = s.point((1.0, 1.0, 0.0))
+    p = surface_point(s, (1.0, 1.0, 0.0))
 
     with pytest.raises(RegularityError, match="height slope"):
         ensure_regular(s, p)
@@ -288,7 +286,7 @@ def test_sample_points_records_failures():
     assert fails, "expected some draws outside the unit ball"
     assert all(reason.startswith("BracketError") for _, reason in fails)
     for p in pts:
-        s.point(p.coords)   # |sum f_k| within the on-surface tolerance
+        surface_point(s, p.coords)
         ensure_regular(s, p)
 
 

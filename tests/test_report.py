@@ -32,18 +32,18 @@ CSV_COLUMNS = [
 ]
 
 
-def sphere_report(k0=None, oblique=2, count=3):
+def sphere_report(oblique=2, count=3):
     fs = [parse_function("x^2") for _ in range(3)]
     fs.append(parse_function("x^2 - 4.0"))
     surface = SeparableSurface(tuple(fs))
     pts, fails = sample_points(surface, [(-0.5, 0.5)] * 3, count, 5, (0.2, 2.02))
     assert not fails
-    policy = ScanPolicy(oblique_per_point=oblique, seed=9, k0=k0)
+    policy = ScanPolicy(oblique_per_point=oblique, seed=9)
     return scan_constancy(surface, pts, policy)
 
 
 def synthetic_report():
-    """Hand-built report exercising every record kind and optional field."""
+    """Hand-built report exercising every record kind and both flag values."""
     records = (
         ScanRecord(
             sample=0,
@@ -65,7 +65,6 @@ def synthetic_report():
             k_special=0.5,
             k_oracle=0.5,
             residual_flat=0.0,
-            residual_constk=42.0,
             flagged=True,
         ),
         ScanRecord(
@@ -160,7 +159,7 @@ def test_json_record_shapes():
     body = report_body_json(
         synthetic_report(), input_digest="sha256:abc", tool_version="1.0.0"
     )
-    plain_pair, constk_pair, plane, error = json.loads(body)["records"]
+    plain_pair, flagged_pair, plane, error = json.loads(body)["records"]
 
     assert set(plain_pair) == {
         "sample", "kind", "coords", "i", "j",
@@ -171,9 +170,8 @@ def test_json_record_shapes():
     assert plain_pair["k_oracle"] == 0.1 + 0.2
     assert plain_pair["flagged"] is False
 
-    assert set(constk_pair) == set(plain_pair) | {"residual_constk"}
-    assert constk_pair["residual_constk"] == 42.0
-    assert constk_pair["flagged"] is True
+    assert set(flagged_pair) == set(plain_pair)
+    assert flagged_pair["flagged"] is True
 
     assert set(plane) == {"sample", "kind", "coords", "u", "w", "k_oracle"}
     assert plane["u"] == [1.0, 0.0, 0.0]
@@ -184,7 +182,7 @@ def test_json_record_shapes():
 
 
 def test_json_floats_survive_round_trip():
-    surface_report = sphere_report(k0=0.25)
+    surface_report = sphere_report()
     body = report_body_json(
         surface_report, input_digest="sha256:x", tool_version="1.0.0"
     )
@@ -192,7 +190,7 @@ def test_json_floats_survive_round_trip():
     for rec, parsed in zip(surface_report.records, doc["records"]):
         if rec.kind == "pair":
             assert parsed["k_special"] == rec.k_special
-            assert parsed["residual_constk"] == rec.residual_constk
+            assert parsed["residual_flat"] == rec.residual_flat
         else:
             assert parsed["k_oracle"] == rec.k_oracle
             assert parsed["u"] == list(rec.u)
@@ -201,9 +199,8 @@ def test_json_floats_survive_round_trip():
 
 
 def test_json_omits_constk_without_k0():
-    body = report_body_json(
-        sphere_report(k0=None), input_digest="sha256:x", tool_version="1.0.0"
-    )
+    # a scan fills no constant-curvature residual: `eval --k0` reports it
+    body = report_body_json(sphere_report(), input_digest="sha256:x", tool_version="1.0.0")
     for rec in json.loads(body)["records"]:
         assert "residual_constk" not in rec
 
@@ -228,9 +225,9 @@ def test_csv_layout():
     assert plain_pair["coords"] == "1.0;2.0;3.0"
     assert plain_pair["u"] == "" and plain_pair["w"] == ""
 
-    constk_pair = dict(zip(CSV_COLUMNS, rows[2]))
-    assert constk_pair["residual_constk"] == "42.0"
-    assert constk_pair["flagged"] == "True"
+    flagged_pair = dict(zip(CSV_COLUMNS, rows[2]))
+    assert flagged_pair["residual_constk"] == ""
+    assert flagged_pair["flagged"] == "True"
 
     plane = dict(zip(CSV_COLUMNS, rows[3]))
     assert plane["kind"] == "plane"
@@ -251,7 +248,7 @@ def test_csv_layout():
 
 
 def test_csv_cells_restore_exact_floats():
-    report = sphere_report(k0=0.25)
+    report = sphere_report()
     rows = list(csv.reader(io.StringIO(report_body_csv(report))))
     assert len(rows) == 1 + len(report.records)
     for rec, row in zip(report.records, rows[1:]):
@@ -302,8 +299,8 @@ def test_read_report_body_strips_all_header_lines(tmp_path):
 
 
 def test_bodies_identical_for_equal_scans(tmp_path):
-    first = sphere_report(k0=0.25)
-    second = sphere_report(k0=0.25)
+    first = sphere_report()
+    second = sphere_report()
     kw = {"input_digest": "sha256:x", "tool_version": "1.0.0"}
     assert report_body_json(first, **kw) == report_body_json(second, **kw)
     assert report_body_csv(first) == report_body_csv(second)
@@ -340,7 +337,7 @@ def odd_report():
         coords = (x, 0.1 + 0.2, -x)
         records += [
             ScanRecord(sample=s, coords=coords, kind="pair", i=0, j=1, k_special=x,
-                       k_oracle=-x, residual_flat=x, residual_constk=x, flagged=s % 2 == 0),
+                       k_oracle=-x, residual_flat=x, flagged=s % 2 == 0),
             ScanRecord(sample=s, coords=coords, kind="pair", i=0, j=2, k_special=1.0,
                        k_oracle=x, residual_flat=-x, flagged=False),
             ScanRecord(sample=s, coords=coords, kind="plane", u=(x, 1.0, -x),
@@ -361,7 +358,7 @@ def numpy_report():
     records = []
     for rec in synthetic_report().records:
         changes = {"coords": vec(rec.coords)}
-        for name in ("k_special", "k_oracle", "residual_flat", "residual_constk"):
+        for name in ("k_special", "k_oracle", "residual_flat"):
             if getattr(rec, name) is not None:
                 changes[name] = f(getattr(rec, name))
         for name in ("u", "w"):
@@ -390,12 +387,13 @@ def test_cli_scan_bodies_match_oracle(tmp_path, monkeypatch, spec, fmt):
     assert read_report_body(out) == oracle(report, **kwargs)
 
 
-@pytest.mark.parametrize("k0", [None, 0.25])
-def test_scan_bodies_match_oracle_with_and_without_k0(k0):
-    report = sphere_report(k0=k0, oblique=3, count=4)
+def test_scan_bodies_match_oracle():
+    report = sphere_report(oblique=3, count=4)
     body = assert_bodies_match(report)
-    has_constk = ['"residual_constk"' in line for line in body.splitlines()]
-    assert any(has_constk) == (k0 is not None)
+    assert '"residual_constk"' not in body
+    rows = list(csv.DictReader(io.StringIO(report_body_csv(report))))
+    assert len(rows) == len(report.records)
+    assert {row["residual_constk"] for row in rows} == {""}
 
 
 def test_error_records_and_sampling_failures_match_oracle():
@@ -421,7 +419,7 @@ def test_empty_sampling_failures_and_records_match_oracle():
     assert '"records": [],' in assert_bodies_match(empty, [])
 
 
-@pytest.mark.parametrize("make", [odd_report, numpy_report, lambda: sphere_report(k0=0.25)])
+@pytest.mark.parametrize("make", [odd_report, numpy_report, lambda: sphere_report()])
 def test_json_body_round_trips_every_float(make):
     report = make()
     records = json.loads(report_body_json(report, **KW))["records"]
@@ -432,9 +430,8 @@ def test_json_body_round_trips_every_float(make):
         if rec.kind == "plane":
             fields.update(u=rec.u, w=rec.w, k_oracle=(rec.k_oracle,))
         elif rec.kind == "pair":
-            for name in ("k_special", "k_oracle", "residual_flat", "residual_constk"):
-                if getattr(rec, name) is not None:
-                    fields[name] = (getattr(rec, name),)
+            for name in ("k_special", "k_oracle", "residual_flat"):
+                fields[name] = (getattr(rec, name),)
         for name, values in fields.items():
             got = parsed[name] if isinstance(parsed[name], list) else [parsed[name]]
             assert len(got) == len(values)
