@@ -15,7 +15,6 @@ from .curvature import (
     DEFAULT_CONSTANCY_TOL,
     EQUIVALENCE_RTOL,
     CurvatureReport,
-    PlaneSection,
     ScanPolicy,
     ScanRecord,
     constk_residual,

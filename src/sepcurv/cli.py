@@ -6,8 +6,8 @@ Exit codes (a `SepcurvError` exits with its class's `exit_code`)
     2  bad usage (also an `--out` path that cannot be written),
        `SpecFileError` or `ParseError` (spec file, expression)
     3  every other `SepcurvError`: `RegularityError`, `SolveError` (with
-       `BracketError`, `ConvergenceError`), `DomainError`, `NonFiniteError`,
-       `DegeneratePlaneError`
+       `BracketError`, `ConvergenceError`), `DomainError`, `NonFiniteError`
+       (also an `eval` figure that is not finite), `DegeneratePlaneError`
     4  `MeshError`: mesh export produced fewer than 3 valid vertices
     5  unexpected internal error
 
@@ -33,7 +33,7 @@ import sys
 
 from . import __version__
 from .curvature import DEFAULT_CONSTANCY_TOL, ScanPolicy, _gauss, pair_table, sample_and_scan
-from .errors import SepcurvError, SpecFileError
+from .errors import NonFiniteError, SepcurvError, SpecFileError
 from .families import MAX_N, integer
 from .geometry import _lift
 from .meshing import build_mesh, write_curvature_csv, write_obj
@@ -182,6 +182,10 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     if constk is not None:
         doc["k0"] = ns.k0
         doc["constk_residual"] = constk
+    bad = [f"{key} = {value!r}" for key, value in doc.items()
+           if isinstance(value, float) and not math.isfinite(value)]
+    if bad:
+        raise NonFiniteError(f"non-finite result: {', '.join(bad)}")
     if ns.format == "json":
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:

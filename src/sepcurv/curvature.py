@@ -56,26 +56,6 @@ PLANE_RETRIES = 100
 CHUNK_PLANES = 1 << 14         # planes per scan chunk, bounding its arrays' memory
 
 
-@dataclass(frozen=True)
-class PlaneSection:
-    """A 2-plane in the tangent space, spanned by ambient vectors u and w.
-
-    Vectors must be tangent at the point they are used (normal component
-    within `PLANE_EPS` after normalization) and independent (the wedge norm
-    of the normalized pair above `PLANE_EPS`); `sectional_oracle` enforces
-    both and orthonormalizes internally.
-    """
-
-    u: tuple[float, ...]
-    w: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", tuple(float(c) for c in self.u))
-        object.__setattr__(self, "w", tuple(float(c) for c in self.w))
-        if len(self.u) != len(self.w):
-            raise ValueError("spanning vectors must have equal length")
-
-
 def _pair_sorted(surface: SeparableSurface, i: int, j: int) -> tuple[int, int]:
     """Validate a 1-based non-height coordinate pair; returns it sorted."""
     n = surface.n
@@ -155,20 +135,24 @@ def _one_pair(surface: SeparableSurface, point: SurfacePoint, i: int, j: int) ->
     return pair_table(surface, point_jets(surface, point, surface.height), [pair])
 
 
+def _unit_pair(u: np.ndarray, w: np.ndarray):
+    """The norms of u and w, the unit vectors, and y = w - <w, u> u for the
+    unit pair with its norm, the wedge norm: unlike sqrt(1 - cos^2) this
+    keeps full precision when the vectors are nearly dependent."""
+    nu, nw = np.sqrt(_dot(u, u)), np.sqrt(_dot(w, w))
+    u, w = u / nu[..., None], w / nw[..., None]
+    y = w - _dot(u, w)[..., None] * u
+    return nu, nw, u, w, y, np.sqrt(_dot(y, y))
+
+
 def _gauss(table: JetTable, u: np.ndarray, w: np.ndarray):
     """Gauss-equation K of the planes spanned by u[p, r] and w[p, r] (shape
     (P, R, n)) at table point p, plus an array holding the
     `DegeneratePlaneError` of each plane that fails a check (else None)."""
     gradnorm, normal, hess = table.gradnorm[:, None], table.normal[:, None], table.d2[:, None]
     with np.errstate(all="ignore"):
-        nu, nw = np.sqrt(_dot(u, u)), np.sqrt(_dot(w, w))
-        u = u / nu[..., None]
-        w = w / nw[..., None]
+        nu, nw, u, w, y, wedge = _unit_pair(u, w)
         drift_u, drift_w = np.abs(_dot(u, normal)), np.abs(_dot(w, normal))
-        # wedge norm of the unit pair as |w - <w, u> u|: unlike sqrt(1 - cos^2)
-        # this keeps full precision when the vectors are nearly dependent
-        y = w - _dot(u, w)[..., None] * u
-        wedge = np.sqrt(_dot(y, y))
         y = y / wedge[..., None]
         hxx, hyy, hxy = _dot(hess * u, u), _dot(hess * y, y), _dot(hess * u, y)
         k = (hxx * hyy - hxy * hxy) / (gradnorm * gradnorm)
@@ -199,12 +183,8 @@ def _tangent_pairs(raw: np.ndarray, normal: np.ndarray):
     normal = normal[..., None, :]
     with np.errstate(all="ignore"):
         vecs = raw - _dot(raw, normal)[..., None] * normal
-        norms = np.sqrt(_dot(vecs, vecs))
-        units = vecs / norms[..., None]
-        u, w = units[..., 0, :], units[..., 1, :]
-        y = w - _dot(u, w)[..., None] * u
-        wedge = np.sqrt(_dot(y, y))
-    return u, w, ~(norms < 1e-6).any(axis=-1) & (wedge > PLANE_EPS)
+        nu, nw, u, w, _, wedge = _unit_pair(vecs[..., 0, :], vecs[..., 1, :])
+    return u, w, (nu >= 1e-6) & (nw >= 1e-6) & (wedge > PLANE_EPS)
 
 
 def sectional_special(surface: SeparableSurface, point: SurfacePoint, i: int, j: int) -> float:
@@ -240,25 +220,29 @@ def constk_residual(
     return float(_one_pair(surface, point, i, j).constk(k0)[0, 0])
 
 
-def coordinate_plane(surface: SeparableSurface, point: SurfacePoint, i: int, j: int) -> PlaneSection:
-    """The tangent plane spanned by the frame vectors of coordinates i and j."""
+def coordinate_plane(surface: SeparableSurface, point: SurfacePoint, i: int, j: int) -> np.ndarray:
+    """The tangent plane spanned by the frame vectors of coordinates i and j,
+    as a (2, n) array whose rows are those vectors."""
     u, w = _one_pair(surface, point, i, j).frames(surface.height)
-    return PlaneSection(tuple(u[0, 0].tolist()), tuple(w[0, 0].tolist()))
+    return np.concatenate([u[0], w[0]])
 
 
-def sectional_oracle(surface: SeparableSurface, point: SurfacePoint, section: PlaneSection) -> float:
+def sectional_oracle(surface: SeparableSurface, point: SurfacePoint, plane) -> float:
     """Gauss-equation curvature of an arbitrary tangent 2-plane.
 
-    Orthonormalizes the section's spanning pair, pairs it with the diagonal
-    ambient Hessian of F, and divides by ||grad F||^2.  Independent of the
-    closed form: no height coordinate, no coordinate-pair structure.
+    `plane` is any (2, n) array-like whose rows u and w span the plane;
+    another shape is a `ValueError`.  Both rows must be tangent at the point
+    (normal component within `PLANE_EPS` after normalization) and
+    independent (the wedge norm of the normalized pair above `PLANE_EPS`),
+    else a `DegeneratePlaneError`.  Orthonormalizes the pair, pairs it with
+    the diagonal ambient Hessian of F, and divides by ||grad F||^2.
+    Independent of the closed form: no height coordinate, no coordinate-pair
+    structure.
     """
-    table = point_jets(surface, point)
-    if len(section.u) != surface.n:
-        raise ValueError(
-            f"section vectors have length {len(section.u)}, surface needs {surface.n}"
-        )
-    k, errors = _gauss(table, np.array([[section.u]]), np.array([[section.w]]))
+    plane = np.asarray(plane, dtype=float)
+    if plane.shape != (2, surface.n):
+        raise ValueError(f"plane must have shape (2, {surface.n}), got {plane.shape}")
+    k, errors = _gauss(point_jets(surface, point), *plane[:, None, None])
     if errors[0, 0] is not None:
         raise errors[0, 0]
     return float(k[0, 0])
@@ -266,8 +250,9 @@ def sectional_oracle(surface: SeparableSurface, point: SurfacePoint, section: Pl
 
 def random_tangent_plane(
     surface: SeparableSurface, point: SurfacePoint, rng: np.random.Generator
-) -> PlaneSection:
-    """Draw a uniformly random tangent 2-plane at a regular point.
+) -> np.ndarray:
+    """Draw a uniformly random tangent 2-plane at a regular point, as a
+    (2, n) array of unit spanning rows.
 
     Projects a pair of standard-normal ambient vectors onto the tangent
     space and normalizes them; nearly dependent draws are rejected and
@@ -277,7 +262,7 @@ def random_tangent_plane(
     for _ in range(PLANE_RETRIES):
         u, w, ok = _tangent_pairs(rng.standard_normal((2, surface.n)), normal)
         if ok:
-            return PlaneSection(tuple(u.tolist()), tuple(w.tolist()))
+            return np.array([u, w])
     raise DegeneratePlaneError(
         f"no independent tangent plane found after {PLANE_RETRIES} draws"
     )
@@ -331,13 +316,14 @@ class ScanRecord:
 class CurvatureReport:
     """Scan outcome: per-plane records plus summary statistics.
 
-    `verdict` is "constant" iff the spread (max - min over every curvature
-    value) is at most the constancy tolerance and no pair record is
-    flagged, "non-constant" if the spread exceeds the tolerance, and
-    "undetermined" when no value could be computed or a flagged record
-    leaves a small spread unconfirmed.  `constant_estimate` is the mean,
+    `k_min`, `k_max`, `k_mean` and `spread` (max - min) range over the
+    finite curvature values.  `verdict` is "non-constant" if the spread
+    exceeds the constancy tolerance, "constant" if it does not, every value
+    is finite and no pair record is flagged, and "undetermined" otherwise
+    (also when no value is finite).  `constant_estimate` is the mean,
     reported only for a "constant" verdict.  `max_engine_rel_dev` is the
-    largest |k_special - k_oracle| / max(1, |k_oracle|) over pair records.
+    largest finite |k_special - k_oracle| / max(1, |k_oracle|) over pair
+    records.
     """
 
     n: int
@@ -386,11 +372,9 @@ def _chunk_records(
             rng = np.random.default_rng([policy.seed, start + p])
             for r in range(m):
                 try:
-                    section = random_tangent_plane(surface, points[p], rng)
+                    pu[p, r], pw[p, r] = random_tangent_plane(surface, points[p], rng)
                 except DegeneratePlaneError as exc:
                     draw_errors[p, r] = exc
-                else:
-                    pu[p, r], pw[p, r] = section.u, section.w
         u, w = np.concatenate([u, pu], axis=1), np.concatenate([w, pw], axis=1)
     k, plane_errors = _gauss(jets, u, w)
     for (p, r), exc in draw_errors.items():
@@ -398,7 +382,9 @@ def _chunk_records(
 
     ks = table.curvature()
     with np.errstate(all="ignore"):
-        flagged = np.abs(ks - k[:, :nq]) > EQUIVALENCE_RTOL * np.maximum(1.0, np.abs(k[:, :nq]))
+        ko = k[:, :nq]
+        # a non-finite value in either engine fails the comparison, so it is flagged
+        flagged = ~(np.abs(ks - ko) <= EQUIVALENCE_RTOL * np.maximum(1.0, np.abs(ko)))
     ks, k, flat, flagged = ks.tolist(), k.tolist(), table.flat.tolist(), flagged.tolist()
     u, w = u[:, nq:].tolist(), w[:, nq:].tolist()
     records: list[ScanRecord] = []
@@ -435,9 +421,9 @@ def scan_constancy(
     points are evaluated in `threads` sequential chunks, one jet table
     each: at most one chunk per point, and at least enough chunks that they
     average no more than `CHUNK_PLANES` planes.  Records are ordered by
-    (sample position, pairs ascending, then planes in draw order) and
-    statistics aggregate in that fixed order, so output is identical for
-    any chunk count.
+    (sample position, pairs ascending, then planes in draw order), so
+    output is identical for any chunk count; the statistics do not depend
+    on that order.
     """
     samples = list(samples)
     if len(samples) < 2:
@@ -453,21 +439,25 @@ def scan_constancy(
     )
 
     values = [rec.k_value() for rec in records if rec.kind != "error"]
+    finite = [v for v in values if math.isfinite(v)]
     failure_count = sum(1 for rec in records if rec.kind == "error")
     pair_records = [rec for rec in records if rec.kind == "pair"]
     flagged_count = sum(1 for rec in pair_records if rec.flagged)
-    max_dev = max(
-        (abs(r.k_special - r.k_oracle) / max(1.0, abs(r.k_oracle)) for r in pair_records),
-        default=None,
-    )
-    if values:
-        k_min = min(values)
-        k_max = max(values)
-        k_mean = fsum(values) / len(values)
+    devs = (abs(r.k_special - r.k_oracle) / max(1.0, abs(r.k_oracle)) for r in pair_records)
+    max_dev = max((d for d in devs if math.isfinite(d)), default=None)
+    if finite:
+        k_min, k_max = min(finite), max(finite)
+        try:
+            k_mean = fsum(finite) / len(finite)
+        except OverflowError:   # finite values whose sum passes the largest float
+            k_mean = fsum(v / len(finite) for v in finite)
         spread = k_max - k_min
-        verdict = "constant" if spread <= policy.constancy_tol else "non-constant"
-        if verdict == "constant" and flagged_count:
+        if spread > policy.constancy_tol:
+            verdict = "non-constant"
+        elif flagged_count or len(finite) < len(values):
             verdict = "undetermined"
+        else:
+            verdict = "constant"
         estimate = k_mean if verdict == "constant" else None
     else:
         k_min = k_max = k_mean = spread = estimate = None

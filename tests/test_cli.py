@@ -356,6 +356,36 @@ def test_eval_usage_errors(tmp_path, capsys, extra):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "spec, extra, message",
+    [
+        # a finite k0 whose residual overflows
+        (None, ["--point", "0.1,0.2,0.3", "--k0", "1e308"], "constk_residual = inf"),
+        # x_3 ~ 1e76 overflows the closed form's numerator
+        (
+            {
+                "format_version": 1,
+                "functions": [
+                    {"expr": "exp(x)"},
+                    {"expr": "x^2"},
+                    {"expr": "-(x^2)", "bracket": [1e70, 1e80]},
+                ],
+            },
+            ["--point", "354.2,0.5"],
+            "k_special = nan, flatness_residual = nan",
+        ),
+    ],
+    ids=["constk-overflow", "closed-form-overflow"],
+)
+def test_eval_non_finite_figure_exit_3(tmp_path, capsys, fmt, spec, extra, message):
+    path = sphere4_spec(tmp_path) if spec is None else write_spec(tmp_path, spec)
+    assert main(["eval", path, *extra, "--format", fmt]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: non-finite result: {message}\n"
+
+
 def test_eval_missing_spec_exit_2(capsys):
     assert main(["eval", "/nonexistent.json", "--point", "0,0,0"]) == 2
     assert "cannot read" in capsys.readouterr().err

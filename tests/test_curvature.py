@@ -7,7 +7,6 @@ import pytest
 from sepcurv import (
     DegeneratePlaneError,
     RegularityError,
-    PlaneSection,
     ScanPolicy,
     SepcurvError,
     SeparableSurface,
@@ -185,9 +184,9 @@ def test_sphere_matches_brute_force():
     s = sphere(4, 2.0)
     p = surface_point(s, (0.3, -0.2, 0.5, math.sqrt(3.62)))
     assert abs(brute_coordinate_k(s, p.coords, 1, 2) - 0.25) <= 1e-9
-    section = random_tangent_plane(s, p, np.random.default_rng(6))
-    got = sectional_oracle(s, p, section)
-    want = brute_sectional(s, p.coords, section.u, section.w)
+    plane = random_tangent_plane(s, p, np.random.default_rng(6))
+    got = sectional_oracle(s, p, plane)
+    want = brute_sectional(s, p.coords, *plane)
     assert abs(got - want) <= 1e-9
 
 
@@ -200,10 +199,10 @@ def test_cobb_douglas_n4_is_flat_on_coordinate_pairs_only():
     for i, j in combinations(s.non_height, 2):
         assert abs(sectional_special(s, p, i, j)) <= 1e-15
         assert abs(sectional_oracle(s, p, coordinate_plane(s, p, i, j))) <= 1e-15
-    x12, x3 = coordinate_plane(s, p, 1, 2), coordinate_plane(s, p, 1, 3).w
-    u = tuple(a + b for a, b in zip(x12.u, x12.w))
-    assert abs(sectional_oracle(s, p, PlaneSection(u, x3)) + 2.0 / 49.0) <= 1e-12
-    assert abs(brute_sectional(s, p.coords, u, x3) + 2.0 / 49.0) <= 1e-12
+    x1, x2 = coordinate_plane(s, p, 1, 2)
+    x3 = coordinate_plane(s, p, 1, 3)[1]
+    assert abs(sectional_oracle(s, p, [x1 + x2, x3]) + 2.0 / 49.0) <= 1e-12
+    assert abs(brute_sectional(s, p.coords, x1 + x2, x3) + 2.0 / 49.0) <= 1e-12
 
 
 # ------------------------------------------------- engine cross-validation
@@ -230,15 +229,13 @@ def test_oracle_invariant_under_plane_reparametrization():
     s, pts = mixed_points(6, 8)
     rng = np.random.default_rng(3)
     for p in pts:
-        section = coordinate_plane(s, p, 1, 2)
-        k_ref = sectional_oracle(s, p, section)
-        u = np.array(section.u)
-        w = np.array(section.w)
+        plane = coordinate_plane(s, p, 1, 2)
+        k_ref = sectional_oracle(s, p, plane)
         for _ in range(4):
             a, b, c, d = rng.uniform(-2.0, 2.0, size=4)
             if abs(a * d - b * c) < 0.1:
                 continue
-            other = PlaneSection(tuple(a * u + b * w), tuple(c * u + d * w))
+            other = np.array([[a, b], [c, d]]) @ plane
             assert abs(sectional_oracle(s, p, other) - k_ref) <= 1e-9 * max(
                 1.0, abs(k_ref)
             )
@@ -326,24 +323,51 @@ def test_constk_validates_k0():
 # ------------------------------------------------------------ plane input
 
 
-def test_plane_section_validation():
-    with pytest.raises(ValueError, match="equal length"):
-        PlaneSection((1.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0))
+def test_oracle_accepts_any_two_row_array_like():
+    s, pts = sphere_points(4, 2.0, 2, 4)
+    p = pts[0]
+    plane = coordinate_plane(s, p, 1, 2)
+    drawn = random_tangent_plane(s, p, np.random.default_rng(9))
+    for array in (plane, drawn):
+        assert isinstance(array, np.ndarray)
+        assert array.dtype == np.float64 and array.shape == (2, 4)
+    k = sectional_oracle(s, p, plane)
+    assert sectional_oracle(s, p, [plane[0], plane[1]]) == k
+    assert sectional_oracle(s, p, plane.tolist()) == k
+    assert sectional_oracle(s, p, tuple(map(tuple, plane))) == k
+    assert abs(sectional_oracle(s, p, drawn.tolist()) - 0.25) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "shape_of",
+    [
+        lambda u, w: [u, w, u + w],                 # three rows: shape (3, n)
+        lambda u, w: [u[:-1], w[:-1]],              # rows one too short: (2, n - 1)
+        lambda u, w: [u, w[:-1]],                   # ragged pair
+        lambda u, w: [u],                           # one row
+        lambda u, w: np.concatenate([u, w]),        # flat vector
+    ],
+    ids=["three-rows", "short-rows", "ragged", "one-row", "flat"],
+)
+def test_oracle_rejects_plane_shapes(shape_of):
+    s, pts = sphere_points(4, 2.0, 2, 4)
+    p = pts[0]
+    u, w = coordinate_plane(s, p, 1, 2)
+    with pytest.raises(ValueError, match="shape") as info:
+        sectional_oracle(s, p, shape_of(u, w))
+    assert not isinstance(info.value, SepcurvError)
 
 
 def test_oracle_rejects_bad_planes():
     s, pts = sphere_points(4, 2.0, 2, 4)
     p = pts[0]
-    good = coordinate_plane(s, p, 1, 2)
+    u, w = coordinate_plane(s, p, 1, 2)
     with pytest.raises(DegeneratePlaneError, match="zero"):
-        sectional_oracle(s, p, PlaneSection((0.0,) * 4, good.w))
+        sectional_oracle(s, p, [np.zeros(4), w])
     with pytest.raises(DegeneratePlaneError, match="dependent"):
-        sectional_oracle(s, p, PlaneSection(good.u, tuple(2.0 * c for c in good.u)))
-    grad = tuple(gradient(s, p))
+        sectional_oracle(s, p, [u, 2.0 * u])
     with pytest.raises(DegeneratePlaneError, match="not tangent"):
-        sectional_oracle(s, p, PlaneSection(grad, good.w))
-    with pytest.raises(ValueError, match="length"):
-        sectional_oracle(s, p, PlaneSection((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
+        sectional_oracle(s, p, [gradient(s, p), w])
 
 
 def test_oracle_rejects_nearly_dependent_pair():
@@ -352,13 +376,12 @@ def test_oracle_rejects_nearly_dependent_pair():
     s, pts = sphere_points(4, 2.0, 2, 4)
     p = pts[0]
     good = coordinate_plane(s, p, 1, 2)
-    u = np.array(good.u) / np.linalg.norm(good.u)
-    w = np.array(good.w) / np.linalg.norm(good.w)
+    u, w = good / np.linalg.norm(good, axis=1, keepdims=True)
     w_perp = w - float(w @ u) * u
     w_perp /= np.linalg.norm(w_perp)
     sliver = u + 1e-12 * w_perp
     with pytest.raises(DegeneratePlaneError, match="dependent"):
-        sectional_oracle(s, p, PlaneSection(good.u, tuple(sliver)))
+        sectional_oracle(s, p, [good[0], sliver])
 
 
 def test_oracle_tolerates_small_angles_above_gate():
@@ -366,11 +389,10 @@ def test_oracle_tolerates_small_angles_above_gate():
     s, pts = sphere_points(4, 2.0, 2, 4)
     p = pts[0]
     good = coordinate_plane(s, p, 1, 2)
-    u = np.array(good.u) / np.linalg.norm(good.u)
-    w = np.array(good.w) / np.linalg.norm(good.w)
+    u, w = good / np.linalg.norm(good, axis=1, keepdims=True)
     w_perp = w - float(w @ u) * u
     w_perp /= np.linalg.norm(w_perp)
-    narrow = PlaneSection(good.u, tuple(u + 1e-6 * w_perp))
+    narrow = [good[0], u + 1e-6 * w_perp]
     assert abs(sectional_oracle(s, p, narrow) - 0.25) <= 1e-8
 
 
@@ -381,9 +403,7 @@ def test_random_planes_are_tangent_unit_pairs():
         grad = np.array(gradient(s, p))
         normal = grad / np.linalg.norm(grad)
         for _ in range(5):
-            section = random_tangent_plane(s, p, rng)
-            for vec in (section.u, section.w):
-                v = np.array(vec)
+            for v in random_tangent_plane(s, p, rng):
                 assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
                 assert abs(v @ normal) <= 1e-12
 
@@ -392,9 +412,9 @@ def test_random_planes_deterministic_per_seed():
     s, pts = sphere_points(4, 1.0, 2, 8)
     a = random_tangent_plane(s, pts[0], np.random.default_rng(55))
     b = random_tangent_plane(s, pts[0], np.random.default_rng(55))
-    assert a == b
+    assert np.array_equal(a, b)
     c = random_tangent_plane(s, pts[0], np.random.default_rng(56))
-    assert a != c
+    assert not np.array_equal(a, c)
 
 
 # ------------------------------------------------------------------ scans
@@ -525,8 +545,8 @@ def test_scan_matches_point_wise_engines():
         planes = [r for r in recs if r.kind == "plane"]
         assert len(planes) == 3
         for r in planes:
-            assert PlaneSection(r.u, r.w) == random_tangent_plane(s, p, rng)
-            assert_rel(r.k_oracle, sectional_oracle(s, p, PlaneSection(r.u, r.w)))
+            assert np.array_equal([r.u, r.w], random_tangent_plane(s, p, rng))
+            assert_rel(r.k_oracle, sectional_oracle(s, p, [r.u, r.w]))
     assert report.failure_count == 4
 
 
@@ -551,7 +571,7 @@ class RejectFirstDraw:
 
 
 def planes_at(report, pos):
-    return [PlaneSection(r.u, r.w) for r in report.records if r.sample == pos and r.kind == "plane"]
+    return np.array([[r.u, r.w] for r in report.records if r.sample == pos and r.kind == "plane"])
 
 
 def test_scan_rejected_draw_falls_back_to_sequential_planes(monkeypatch):
@@ -564,9 +584,61 @@ def test_scan_rejected_draw_falls_back_to_sequential_planes(monkeypatch):
         rng = RejectFirstDraw([67, pos])
         want = [random_tangent_plane(s, p, rng) for _ in range(4)]
         got = planes_at(report, pos)
-        assert got == want
-        assert got[0] != planes_at(plain, pos)[0]
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got[0], planes_at(plain, pos)[0])
     assert report.verdict == "constant"
+
+
+def overflow_surface():
+    """exp(x_1) + x_2^2 - x_3^2 = 0 sampled at x_1 in [352, 354.5]: x_3 is
+    about 1e76, so on some points the closed form's numerator overflows and
+    k_special is nan while the Gauss engine gives a finite value."""
+    s = SeparableSurface(
+        (parse_function("exp(x)"), parse_function("x^2"), parse_function("-(x^2)"))
+    )
+    return s, [(352.0, 354.5), (-1.0, 1.0)], (1e70, 1e80)
+
+
+SUMMARY_FIELDS = (
+    "point_count", "value_count", "failure_count", "k_min", "k_max", "k_mean", "spread",
+    "verdict", "constant_estimate", "flagged_count", "max_engine_rel_dev",
+)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_non_finite_value_leaves_scan_undetermined(seed):
+    s, ranges, bracket = overflow_surface()
+    points, failures = sample_points(s, ranges, 6, seed, bracket)
+    assert len(points) == 6 and failures == []
+    policy = ScanPolicy(seed=seed)
+    report = scan_constancy(s, points, policy)
+    pairs = [r for r in report.records if r.kind == "pair"]
+    bad = [r for r in pairs if not (math.isfinite(r.k_special) and math.isfinite(r.k_oracle))]
+    assert bad and all(r.flagged for r in bad)
+    finite = [r.k_value() for r in pairs if math.isfinite(r.k_value())]
+    assert len(finite) < len(pairs) == report.value_count
+    assert report.verdict == "undetermined" and report.constant_estimate is None
+    assert (report.k_min, report.k_max) == (min(finite), max(finite))
+    assert math.isfinite(report.max_engine_rel_dev)
+    backward = scan_constancy(s, points[::-1], policy)
+    assert {f: getattr(backward, f) for f in SUMMARY_FIELDS} == {
+        f: getattr(report, f) for f in SUMMARY_FIELDS
+    }
+
+
+def test_scan_mean_of_values_whose_sum_overflows():
+    # a sphere of radius about 3e-154 scaled by 1e150: K is near the largest
+    # float, so the sum of the finite values overflows
+    fs = [parse_function("1e150*x^2") for _ in range(2)]
+    s = SeparableSurface((*fs, parse_function("1e150*x^2 - 1e-157")))
+    points, _ = sample_points(s, [(-1e-154, 1e-154)] * 2, 20, 1, (1e-155, 1e-153))
+    report = scan_constancy(s, points)
+    values = [r.k_value() for r in report.records if math.isfinite(r.k_value())]
+    with pytest.raises(OverflowError):
+        math.fsum(values)
+    assert report.k_mean == math.fsum(v / len(values) for v in values)
+    assert report.k_min <= report.k_mean <= report.k_max
+    assert report.verdict == "non-constant"
 
 
 def test_scan_thread_count_does_not_change_records():
