@@ -32,17 +32,19 @@ independence checks are array expressions over that table, for all points
 and planes at once.  Sums over coordinates run in a fixed order, so a row's
 result does not depend on how many rows share the table: the point-wise
 functions are the same kernels at P = 1 and agree with a scan bit for bit,
-and a scan split into point chunks writes the same records.
+and a scan split into point chunks writes the same records.  The scan's
+summary is combined from each chunk's engine arrays, not from the records:
+min and max over the finite values, and the mean as an exact `fsum`, so it
+does not depend on the order of the values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import fsum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -291,8 +293,7 @@ class ScanPolicy:
             raise ValueError(f"constancy_tol must be positive, got {self.constancy_tol!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     """One curvature evaluation: a coordinate pair, an oblique plane, or an error."""
 
     sample: int
@@ -344,15 +345,28 @@ class CurvatureReport:
     max_engine_rel_dev: float | None = None
 
 
+class _Chunk(NamedTuple):
+    """A scan chunk's records and, over its points without an error, the
+    summary's inputs: the curvature values in record order, the pair
+    records' flags and engine deviations, and the error-record count."""
+
+    records: list[ScanRecord]
+    values: np.ndarray
+    flagged: np.ndarray
+    devs: np.ndarray
+    failures: int
+
+
 def _chunk_records(
     surface: SeparableSurface,
     points: Sequence[SurfacePoint],
     start: int,
     pairs: Sequence[tuple[int, int]],
     policy: ScanPolicy,
-) -> list[ScanRecord]:
+) -> _Chunk:
     """Records of the points at positions start, start + 1, ... from one jet
-    table: both pair engines and every oblique plane evaluated as arrays."""
+    table, both pair engines and every oblique plane evaluated as arrays,
+    with the summary's inputs taken from those arrays."""
     jets = jet_table(surface, points)
     errors = jets.errors(surface.height)
     table = pair_table(surface, jets, pairs)
@@ -379,33 +393,43 @@ def _chunk_records(
     k, plane_errors = _gauss(jets, u, w)
     for (p, r), exc in draw_errors.items():
         plane_errors[p, nq + r] = exc
+    point_errors = [
+        errors[p] or next((e for e in plane_errors[p, :nq] if e is not None), None)
+        for p in range(len(points))
+    ]
+    good = np.array([exc is None for exc in point_errors])
+    kept = np.equal(plane_errors[good], None)
 
-    ks = table.curvature()
+    ks, ko = table.curvature(), k[:, :nq]
     with np.errstate(all="ignore"):
-        ko = k[:, :nq]
+        gap, scale = np.abs(ks - ko), np.maximum(1.0, np.abs(ko))
         # a non-finite value in either engine fails the comparison, so it is flagged
-        flagged = ~(np.abs(ks - ko) <= EQUIVALENCE_RTOL * np.maximum(1.0, np.abs(ko)))
-    ks, k, flat, flagged = ks.tolist(), k.tolist(), table.flat.tolist(), flagged.tolist()
+        flagged = ~(gap <= EQUIVALENCE_RTOL * scale)
+        devs = gap[good] / scale[good]
+    values = np.concatenate([ks, k[:, nq:]], axis=1)[good][kept]
+
+    lo, hi = zip(*pairs)
+    ks, k, flat, flagged_rows = ks.tolist(), k.tolist(), table.flat.tolist(), flagged.tolist()
     u, w = u[:, nq:].tolist(), w[:, nq:].tolist()
     records: list[ScanRecord] = []
     for p, point in enumerate(points):
-        rec = partial(ScanRecord, start + p, point.coords)
-        error = errors[p] or next((e for e in plane_errors[p, :nq] if e is not None), None)
-        if error is not None:
-            records.append(rec("error", error=describe(error)))
+        sample, coords = start + p, point.coords
+        if point_errors[p] is not None:
+            records.append(ScanRecord(sample, coords, "error", error=describe(point_errors[p])))
             continue
-        records.extend(
-            rec("pair", i=i, j=j, k_special=ks[p][q], k_oracle=k[p][q], residual_flat=flat[p][q],
-                flagged=flagged[p][q])
-            for q, (i, j) in enumerate(pairs)
-        )
+        # repeat(sample, nq) stops the zip after the pairs: k[p] holds the planes too
+        records.extend(map(ScanRecord._make, zip(
+            repeat(sample, nq), repeat(coords), repeat("pair"), lo, hi, repeat(None),
+            repeat(None), ks[p], k[p], flat[p], flagged_rows[p], repeat(None),
+        )))
         for r in range(m):
             exc = plane_errors[p, nq + r]
             records.append(
-                rec("error", error=describe(exc)) if exc is not None
-                else rec("plane", u=tuple(u[p][r]), w=tuple(w[p][r]), k_oracle=k[p][nq + r])
+                ScanRecord(sample, coords, "error", error=describe(exc)) if exc is not None
+                else ScanRecord(sample, coords, "plane", None, None, tuple(u[p][r]),
+                                tuple(w[p][r]), None, k[p][nq + r])
             )
-    return records
+    return _Chunk(records, values, flagged[good], devs, len(records) - len(values))
 
 
 def scan_constancy(
@@ -422,8 +446,8 @@ def scan_constancy(
     each: at most one chunk per point, and at least enough chunks that they
     average no more than `CHUNK_PLANES` planes.  Records are ordered by
     (sample position, pairs ascending, then planes in draw order), so
-    output is identical for any chunk count; the statistics do not depend
-    on that order.
+    output is identical for any chunk count.  The summary is combined from
+    the chunks' engine arrays, never from the records.
     """
     samples = list(samples)
     if len(samples) < 2:
@@ -432,21 +456,23 @@ def scan_constancy(
     planes = len(samples) * (len(pairs) + policy.oblique_per_point)
     chunks = min(max(1, threads, -(-planes // CHUNK_PLANES)), len(samples))
     edges = [len(samples) * c // chunks for c in range(chunks + 1)]
-    records = tuple(
-        rec
+    parts = [
+        _chunk_records(surface, samples[a:b], a, pairs, policy)
         for a, b in zip(edges, edges[1:])
-        for rec in _chunk_records(surface, samples[a:b], a, pairs, policy)
-    )
+    ]
+    records = tuple(chain.from_iterable(part.records for part in parts))
 
-    values = [rec.k_value() for rec in records if rec.kind != "error"]
-    finite = [v for v in values if math.isfinite(v)]
-    failure_count = sum(1 for rec in records if rec.kind == "error")
-    pair_records = [rec for rec in records if rec.kind == "pair"]
-    flagged_count = sum(1 for rec in pair_records if rec.flagged)
-    devs = (abs(r.k_special - r.k_oracle) / max(1.0, abs(r.k_oracle)) for r in pair_records)
-    max_dev = max((d for d in devs if math.isfinite(d)), default=None)
-    if finite:
-        k_min, k_max = min(finite), max(finite)
+    values = np.concatenate([part.values for part in parts])
+    finite = values[np.isfinite(values)]
+    flagged_count = sum(int(part.flagged.sum()) for part in parts)
+    devs = np.concatenate([part.devs for part in parts])
+    devs = devs[np.isfinite(devs)]
+    max_dev = float(devs.max()) if devs.size else None
+    if finite.size:
+        # argmin and argmax take the first of equal values, as min and max
+        # do over the records, so a signed zero keeps its sign
+        k_min, k_max = float(finite[finite.argmin()]), float(finite[finite.argmax()])
+        finite = finite.tolist()
         try:
             k_mean = fsum(finite) / len(finite)
         except OverflowError:   # finite values whose sum passes the largest float
@@ -470,7 +496,7 @@ def scan_constancy(
         records=records,
         point_count=len(samples),
         value_count=len(values),
-        failure_count=failure_count,
+        failure_count=sum(part.failures for part in parts),
         k_min=k_min,
         k_max=k_max,
         k_mean=k_mean,

@@ -8,6 +8,7 @@ from sepcurv import (
     DegeneratePlaneError,
     RegularityError,
     ScanPolicy,
+    ScanRecord,
     SepcurvError,
     SeparableSurface,
     SurfacePoint,
@@ -27,6 +28,7 @@ from sepcurv import (
 
 from sepcurv import curvature
 from oracles import brute_coordinate_k, brute_sectional, surface_point
+from reference_summary import reference_summary
 
 INF = math.inf
 
@@ -722,3 +724,139 @@ def test_scan_summary_statistics_consistent():
     assert report.k_max == max(values)
     assert report.spread == report.k_max - report.k_min
     assert report.k_mean == math.fsum(values) / len(values)
+
+
+# ------------------------------------------------------- records and summary
+
+
+def test_scan_record_is_an_immutable_named_record():
+    rec = ScanRecord(sample=3, coords=(1.0, 2.0), kind="plane", k_oracle=0.5)
+    assert ScanRecord._fields == (
+        "sample", "coords", "kind", "i", "j", "u", "w", "k_special", "k_oracle",
+        "residual_flat", "flagged", "error",
+    )
+    assert (rec.i, rec.j, rec.u, rec.w, rec.k_special, rec.residual_flat, rec.error) == (
+        (None,) * 7
+    )
+    assert rec.flagged is False
+    assert rec.k_value() == 0.5
+    assert rec._replace(kind="pair", k_special=0.25).k_value() == 0.25
+    assert ScanRecord(0, (), "error", error="x").k_value() is None
+    with pytest.raises(AttributeError):
+        rec.k_oracle = 1.0
+    with pytest.raises(AttributeError):
+        rec.extra = 1.0
+
+
+def test_scan_records_follow_sample_pair_plane_order():
+    s, pts = mixed_failure_points()
+    report = scan_constancy(s, pts, ScanPolicy(oblique_per_point=3, seed=5))
+    want = []
+    for pos, p in enumerate(pts):
+        if point_error(s, p) is not None:
+            want.append((pos, "error", None, None))
+            continue
+        want.extend((pos, "pair", i, j) for i, j in combinations(s.non_height, 2))
+        want.extend([(pos, "plane", None, None)] * 3)
+    assert all(type(r) is ScanRecord for r in report.records)
+    assert [(r.sample, r.kind, r.i, r.j) for r in report.records] == want
+    # the report writers format a sample's coords once, keyed on identity
+    assert all(r.coords is pts[r.sample].coords for r in report.records)
+    for pos, p in enumerate(pts):
+        rng = np.random.default_rng([5, pos])
+        for r in (r for r in report.records if r.sample == pos and r.kind == "plane"):
+            assert np.array_equal([r.u, r.w], random_tangent_plane(s, p, rng))
+
+
+class RejectDraws:
+    """Generator stub whose first `count` draws pair each vector with
+    itself; one batch draw and 100 retries make a point's first plane fail."""
+
+    def __init__(self, seed, count=1 + curvature.PLANE_RETRIES):
+        self.gen = REAL_DEFAULT_RNG(seed)
+        self.count = count
+
+    def standard_normal(self, shape):
+        out = self.gen.standard_normal(shape)
+        if self.count:
+            self.count -= 1
+            draws = out.reshape(-1, 2, shape[-1])
+            draws[:, 1] = draws[:, 0]
+        return out
+
+
+def summary_case(name, monkeypatch):
+    """A scan whose summary exercises one of the summary's rules."""
+    if name == "sphere-oblique":
+        s, pts = sphere_points(4, 3.0, 30, 61)
+        return scan_constancy(s, pts, ScanPolicy(oblique_per_point=10, seed=61))
+    if name == "mixed-failures":
+        s, pts = mixed_failure_points()
+        return scan_constancy(s, pts, ScanPolicy(oblique_per_point=3, seed=5))
+    if name == "failed-plane-draws":
+        s, pts = mixed_failure_points()
+        monkeypatch.setattr(np.random, "default_rng", RejectDraws)
+        return scan_constancy(s, pts, ScanPolicy(oblique_per_point=3, seed=5))
+    if name.startswith("overflow-"):
+        seed = int(name.split("-")[1])
+        s, ranges, bracket = overflow_surface()
+        points, _ = sample_points(s, ranges, 6, seed, bracket)
+        return scan_constancy(s, points, ScanPolicy(oblique_per_point=2, seed=seed))
+    if name == "sum-overflow":
+        fs = [parse_function("1e150*x^2") for _ in range(2)]
+        s = SeparableSurface((*fs, parse_function("1e150*x^2 - 1e-157")))
+        points, _ = sample_points(s, [(-1e-154, 1e-154)] * 2, 20, 1, (1e-155, 1e-153))
+        return scan_constancy(s, points)
+    if name == "one-disagreement":
+        s, pts = sphere_points(4, 2.0, 6, 68)
+        real_gauss = curvature._gauss
+
+        def one_disagreement(table, u, w):
+            k, errors = real_gauss(table, u, w)
+            k[0, 0] *= 1.0 + 1e-6
+            return k, errors
+
+        monkeypatch.setattr(curvature, "_gauss", one_disagreement)
+        return scan_constancy(s, pts, ScanPolicy(seed=68))
+    if name == "chunked":
+        s, pts = sphere_points(4, 2.0, 20, 64)
+        monkeypatch.setattr(curvature, "CHUNK_PLANES", 30)
+        return scan_constancy(s, pts, ScanPolicy(oblique_per_point=6, seed=64))
+    if name == "signed-zeros":
+        # pair values +0.0, every oblique value -0.0: the minimum and the
+        # maximum are the first zero in record order, as min and max give
+        s = SeparableSurface(tuple(parse_function(f) for f in ("x^2", "x", "-x", "x")))
+        pts, _ = sample_points(s, [(-1.0, 1.0)] * 3, 10, 1, (-50.0, 50.0))
+        real_gauss = curvature._gauss
+
+        def negative_zero_planes(table, u, w):
+            k, errors = real_gauss(table, u, w)
+            k[:, 3:] = -0.0
+            return k, errors
+
+        monkeypatch.setattr(curvature, "_gauss", negative_zero_planes)
+        return scan_constancy(s, pts, ScanPolicy(oblique_per_point=40, seed=1))
+    raise AssertionError(name)
+
+
+SUMMARY_CASES = (
+    "sphere-oblique", "mixed-failures", "failed-plane-draws",
+    *(f"overflow-{seed}" for seed in range(1, 9)),
+    "sum-overflow", "one-disagreement", "chunked", "signed-zeros",
+)
+
+
+@pytest.mark.parametrize("name", SUMMARY_CASES)
+def test_summary_matches_record_pass_oracle(monkeypatch, name):
+    report = summary_case(name, monkeypatch)
+    # repr compares NaN as NaN, tells -0.0 from 0.0 and a Python float from
+    # a numpy scalar
+    assert {f: repr(getattr(report, f)) for f in SUMMARY_FIELDS} == {
+        f: repr(v) for f, v in reference_summary(report).items()
+    }
+    if name == "failed-plane-draws":
+        planes = [r for r in report.records if r.kind == "plane"]
+        assert report.failure_count == 4 + 4 and len(planes) == 4 * 2
+    if name == "signed-zeros":
+        assert math.copysign(1.0, report.k_min) == math.copysign(1.0, report.k_max) == 1.0
+        assert any(math.copysign(1.0, r.k_oracle) < 0 for r in report.records if r.kind == "plane")

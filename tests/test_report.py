@@ -364,7 +364,7 @@ def numpy_report():
         for name in ("u", "w"):
             if getattr(rec, name) is not None:
                 changes[name] = vec(getattr(rec, name))
-        records.append(dataclasses.replace(rec, **changes))
+        records.append(rec._replace(**changes))
     return dataclasses.replace(synthetic_report(), records=tuple(records),
                                k_mean=f(1.0 / 3.0))
 
