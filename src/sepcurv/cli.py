@@ -260,12 +260,16 @@ def _cmd_mesh(ns: argparse.Namespace) -> int:
     _write(ns.out, write_obj, mesh)
     sidecar = os.path.splitext(ns.out)[0] + "_curvature.csv"
     _write(sidecar, write_curvature_csv, mesh)
-    k_lo, k_hi = min(mesh.curvatures), max(mesh.curvatures)
+    # the range covers finite curvatures only, as a scan summary does
+    finite = list(filter(math.isfinite, mesh.curvatures))
+    k_range = f"[{min(finite)!r}, {max(finite)!r}]" if finite else "none (no vertex has finite K)"
+    if len(finite) < len(mesh.curvatures):
+        k_range += f" ({len(mesh.curvatures) - len(finite)} vertices with non-finite K)"
     print(
         f"mesh: {len(mesh.vertices)} vertices, {len(mesh.faces)} triangles, "
         f"{mesh.dropped} grid nodes dropped"
     )
-    print(f"K range: [{k_lo!r}, {k_hi!r}]")
+    print(f"K range: {k_range}")
     print(f"wrote {ns.out} and {sidecar}")
     return 0
 

@@ -37,8 +37,7 @@ ON_SURFACE_RTOL = 1e-12    # |g| tolerance relative to max(1, sum |f_k|)
 MAX_SOLVE_ITERATIONS = 200
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
+class SurfacePoint(NamedTuple):
     """A point as the height lift returns it (`solve_height`,
     `sample_points`): `coords` with the solved height, and `residual` the
     |g| that met the on-surface tolerance there."""
@@ -142,6 +141,16 @@ def _fsum(row: Iterable[float]) -> float:
         return math.inf
 
 
+def _row_sums(a: np.ndarray) -> list[float]:
+    """`_fsum` of each row of a 2-D array: one C-level `map` of `fsum`, and
+    the per-row fallback only when some row's sum overflows."""
+    rows = a.tolist()
+    try:
+        return list(map(fsum, rows))
+    except OverflowError:
+        return [_fsum(row) for row in rows]
+
+
 def _table(coords: np.ndarray, d1: np.ndarray, d2: np.ndarray, jet_errors: dict) -> JetTable:
     """Table of P x n jet columns at P x n `coords`, given each failed
     point's jet error by index: a failed point keeps zero rows, and a point
@@ -150,7 +159,7 @@ def _table(coords: np.ndarray, d1: np.ndarray, d2: np.ndarray, jet_errors: dict)
     errors = [jet_errors.get(p) for p in range(len(coords))]
     d1[list(jet_errors)] = d2[list(jet_errors)] = 0.0
     with np.errstate(over="ignore"):
-        sq_norm = np.array([_fsum(row) for row in (d1 * d1).tolist()])
+        sq_norm = np.array(_row_sums(d1 * d1), dtype=float)
     for p in np.flatnonzero(sq_norm == math.inf).tolist():
         errors[p] = NonFiniteError(f"||grad F||^2 overflows at {tuple(coords[p].tolist())!r}")
     return JetTable(d1, d2, sq_norm, tuple(errors))
@@ -201,12 +210,16 @@ class _Lift(NamedTuple):
 
 def _lift(
     surface: SeparableSurface,
-    partials: Iterable[Sequence[float]],
+    partials: np.ndarray | Sequence[Sequence[float]],
     bracket: tuple[float, float],
 ) -> _Lift:
     """Solve every partial's height, table the jets the solve evaluated (the
     other coordinates' at its start, the height's at the root) and gate the
     table once (`JetTable.errors`).
+
+    `partials` is a (P, n - 1) float array, one row of non-height
+    coordinates per point (anything `np.array` turns into one, P = 0
+    included); another shape is a `ValueError`.
 
     Per partial, the solve is Newton's method on g(t) = f_h(t) + the sum of
     the other f_k, with a bisection step whenever Newton would leave the
@@ -216,14 +229,17 @@ def _lift(
     accepted or fails, so its root, jets and failure are its own solve's.
     """
     n, h0 = surface.n, surface.height - 1
-    rows = [[float(v) for v in partial] for partial in partials]
-    for row in rows:
-        if len(row) != n - 1:
-            raise ValueError(f"expected {n - 1} partial coordinates, got {len(row)}")
+    try:
+        given = np.array(partials, dtype=float)
+    except ValueError as exc:   # ragged rows
+        raise ValueError(f"expected {n - 1} partial coordinates per row: {exc}") from None
+    if given.size == 0:
+        given = given.reshape(0, n - 1)
+    if given.ndim != 2 or given.shape[1] != n - 1:
+        raise ValueError(f"expected {n - 1} partial coordinates, got shape {given.shape}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket ends must be increasing, got ({lo!r}, {hi!r})")
-    given = np.array(rows, dtype=float).reshape(len(rows), n - 1)
     fh = surface.funcs[h0]
     values, d1, d2, failures = _columns([f for k, f in enumerate(surface.funcs) if k != h0], given)
     dlo, dhi = fh.domain
@@ -232,8 +248,7 @@ def _lift(
         failures = {p: DomainError(message) for p in range(len(given))}
     active = np.array([p for p in range(len(given)) if p not in failures], dtype=int)
     rest, abs_rest = np.zeros(len(given)), np.zeros(len(given))
-    for p, row in zip(active.tolist(), values[active].tolist()):
-        rest[p], abs_rest[p] = _fsum(row), _fsum(abs(v) for v in row)
+    rest[active], abs_rest[active] = _row_sums(values[active]), _row_sums(np.abs(values[active]))
     root = np.full((4, len(given)), math.nan)   # t, |g|, f_h' and f_h'' at each root
 
     def step(t):
@@ -245,7 +260,8 @@ def _lift(
             g = jet.v + rest[active]
             tol = ON_SURFACE_RTOL * np.fmax(1.0, abs_rest[active] + np.abs(jet.v))
         for q in np.flatnonzero(tol == math.inf).tolist():   # it would accept any t
-            at = (*rows[active[q]][:h0], float(t[q]), *rows[active[q]][h0:])
+            row = given[active[q]].tolist()
+            at = (*row[:h0], float(t[q]), *row[h0:])
             errors.setdefault(q, NonFiniteError(f"sum of |f_k| overflows at {at!r}"))
         failures.update((int(active[q]), exc) for q, exc in errors.items())
         done = np.abs(g) <= tol
@@ -308,7 +324,7 @@ def _lift(
     failures.update((index[p], exc) for p, exc in enumerate(gate) if exc is not None)
     keep = [p for p, exc in enumerate(gate) if exc is None]
     residuals = root[1, solved][keep].tolist()
-    points = [SurfacePoint(tuple(c), r) for c, r in zip(coords[keep].tolist(), residuals)]
+    points = list(map(SurfacePoint._make, zip(map(tuple, coords[keep].tolist()), residuals)))
     survivors = JetTable(table.d1[keep], table.d2[keep], table.sq_norm[keep], (None,) * len(keep))
     return _Lift([index[p] for p in keep], points, survivors, failures)
 
@@ -361,5 +377,5 @@ def sample_points(
         raise ValueError("every sampling range needs lo < hi")
     rng = np.random.default_rng(seed)
     partials = rng.uniform(lows, highs, size=(count, surface.n - 1))
-    lift = _lift(surface, partials.tolist(), bracket)
+    lift = _lift(surface, partials, bracket)
     return lift.points, sorted((i, describe(exc)) for i, exc in lift.failures.items())

@@ -55,49 +55,46 @@ def build_mesh(
     b_vals = np.linspace(float(ranges[1][0]), float(ranges[1][1]), ny)
 
     # one lift (solve, table and gates) for every node, row-major
-    lift = _lift(surface, ([a, b] for a in a_vals.tolist() for b in b_vals.tolist()), bracket)
+    lift = _lift(surface, np.column_stack((np.repeat(a_vals, ny), np.tile(b_vals, nx))), bracket)
     vertices = [p.coords for p in lift.points]
     curvatures = pair_table(surface, lift.table, [(i, j)]).curvature()[:, 0].tolist()
     vertex_id = np.full((nx, ny), -1, dtype=int)
     vertex_id.flat[lift.index] = np.arange(len(vertices))
     dropped = nx * ny - len(vertices)
 
-    faces: list[tuple[int, int, int]] = []
-    for r in range(nx - 1):
-        for c in range(ny - 1):
-            # cell corners in consistent winding order
-            quad = [
-                vertex_id[r, c],
-                vertex_id[r + 1, c],
-                vertex_id[r + 1, c + 1],
-                vertex_id[r, c + 1],
-            ]
-            alive = [v for v in quad if v >= 0]
-            if len(alive) == 4:
-                faces.append((quad[0], quad[1], quad[2]))
-                faces.append((quad[0], quad[2], quad[3]))
-            elif len(alive) == 3:
-                faces.append((alive[0], alive[1], alive[2]))
-
     if len(vertices) < 3:
         raise MeshError(
             f"only {len(vertices)} grid nodes lifted onto the surface; need at least 3"
         )
-    return MeshResult(tuple(vertices), tuple(faces), tuple(curvatures), dropped)
+    return MeshResult(tuple(vertices), _faces(vertex_id), tuple(curvatures), dropped)
+
+
+def _faces(vertex_id: np.ndarray) -> tuple[tuple[int, int, int], ...]:
+    """Triangles of every grid cell of an (nx, ny) array of vertex ids (-1
+    for a dropped node), cells row-major.
+
+    A cell's corners q0..q3 are (r, c), (r + 1, c), (r + 1, c + 1),
+    (r, c + 1).  Four live corners give (q0, q1, q2) and (q0, q2, q3); three
+    give the live ones in that order; fewer give none.
+    """
+    quad = np.stack(
+        (vertex_id[:-1, :-1], vertex_id[1:, :-1], vertex_id[1:, 1:], vertex_id[:-1, 1:]), axis=-1
+    ).reshape(-1, 4)
+    live = np.take_along_axis(quad, np.argsort(quad < 0, axis=1, kind="stable"), axis=1)
+    count = (quad >= 0).sum(axis=1)
+    tris = np.stack((live[:, :3], quad[:, [0, 2, 3]]), axis=1)
+    return tuple(zip(*tris[np.stack((count >= 3, count == 4), axis=1)].T.tolist()))
 
 
 def write_obj(path: str, mesh: MeshResult) -> None:
     """Wavefront OBJ: 'v x y z' per vertex, 'f a b c' per triangle (1-based)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for x, y, z in mesh.vertices:
-            fh.write(f"v {x!r} {y!r} {z!r}\n")
-        for a, b, c in mesh.faces:
-            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+        fh.write("".join([f"v {x!r} {y!r} {z!r}\n" for x, y, z in mesh.vertices]))
+        fh.write("".join([f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.faces]))
 
 
 def write_curvature_csv(path: str, mesh: MeshResult) -> None:
     """Sidecar CSV mapping 1-based vertex ids to sectional curvature."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("vertex,k\n")
-        for idx, k in enumerate(mesh.curvatures, start=1):
-            fh.write(f"{idx},{k!r}\n")
+        fh.write("".join([f"{idx},{k!r}\n" for idx, k in enumerate(mesh.curvatures, start=1)]))

@@ -297,6 +297,60 @@ def test_lift_is_chunk_invariant():
     assert {i: describe(e) for i, e in whole.failures.items()} == failures
 
 
+def test_an_overflowing_row_sum_keeps_its_neighbours_sums():
+    # finite terms whose exact sum overflows: that row reads inf (the scalar
+    # reference raises there instead), the rows around it keep their sums
+    ident = SeparableSurface(tuple(map(parse_function, ("x", "x", "x"))))
+    partials = [(0.5, 0.25), (1e308, 1e308), (1e308, -1e308), (-0.5, 0.125)]
+    lift = _lift(ident, partials, (-2.0, 2.0))
+    assert lift.points == [SurfacePoint((0.5, 0.25, -0.75), 0.0),
+                           SurfacePoint((-0.5, 0.125, 0.375), 0.0)]
+    assert lift.index == [0, 3] and sorted(lift.failures) == [1, 2]
+    assert all("sum of |f_k| overflows" in describe(e) for e in lift.failures.values())
+    steep = SeparableSurface(tuple(map(parse_function, ("5e153*x^2", "5e153*x^2", "x"))))
+    points = [SurfacePoint((0.1, 0.1, 0.0), 0.0), SurfacePoint((1.0, 1.0, 0.0), 0.0),
+              SurfacePoint((0.2, -0.1, 0.0), 0.0)]
+    table = jet_table(steep, points)
+    assert bits(table.sq_norm) == bits([jet_table(steep, [p]).sq_norm[0] for p in points])
+    assert table.sq_norm[1] == INF and np.isfinite(table.sq_norm[[0, 2]]).all()
+    assert [p for p, e in enumerate(table.jet_errors) if e is not None] == [1]
+
+
+def test_surface_point_is_an_immutable_named_record():
+    p = SurfacePoint((1.0, 2.0, 3.0), 0.5)
+    assert SurfacePoint._fields == ("coords", "residual")
+    assert p == SurfacePoint(coords=(1.0, 2.0, 3.0), residual=0.5)
+    assert tuple(p) == ((1.0, 2.0, 3.0), 0.5) and p[0] is p.coords
+    with pytest.raises(AttributeError):
+        p.coords = (0.0, 0.0, 0.0)
+    with pytest.raises(AttributeError):
+        p.residual = 0.0
+
+
+def test_lift_takes_an_array_or_nested_sequences():
+    s = mixed_surface()
+    partials = np.random.default_rng(11).uniform(*zip(*MIXED_RANGES), size=(30, 2))
+
+    def seen(lift):
+        return repr((lift.index, [(p.coords, p.residual) for p in lift.points],
+                     {i: describe(e) for i, e in lift.failures.items()}))
+
+    forms = (partials, partials.tolist(), [tuple(row) for row in partials.tolist()])
+    got = [seen(_lift(s, form, MIXED_BRACKET)) for form in forms]
+    assert got[0] == got[1] == got[2]
+    lift = _lift(s, partials, MIXED_BRACKET)
+    assert lift.index and lift.failures
+    for p in (lift.index[0], min(lift.failures)):
+        one = seen(_lift(s, [tuple(partials[p].tolist())], MIXED_BRACKET))
+        assert one == seen(_lift(s, partials[p:p + 1], MIXED_BRACKET))
+    for empty in ([], np.zeros((0, 2))):
+        none = _lift(s, empty, MIXED_BRACKET)
+        assert (none.index, none.points, none.failures) == ([], [], {})
+    for wrong in (np.zeros((3, 3)), [[0.1, 0.2], [0.3]], [0.1, 0.2], np.zeros((2, 2, 1))):
+        with pytest.raises(ValueError, match="partial coordinates"):
+            _lift(s, wrong, MIXED_BRACKET)
+
+
 def test_jet_table_matches_reference():
     s = dsl_surface()
     lift = _lift(s, np.random.default_rng(9).uniform(-1.5, 1.5, size=(30, 7)).tolist(), (-4.0, 0.5))

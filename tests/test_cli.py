@@ -833,6 +833,30 @@ def test_mesh_writes_obj_and_sidecar(tmp_path, capsys):
         assert abs(float(row.split(",")[1]) - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "ranges, nans, k_range",
+    [
+        ([[350, 354.5], [0, 5]], 4, "[0.0, 0.0] (4 vertices with non-finite K)"),
+        ([[354.4, 354.5]] * 2, 16, "none (no vertex has finite K) (16 vertices with non-finite K)"),
+    ],
+)
+def test_mesh_k_range_covers_finite_curvatures(tmp_path, capsys, ranges, nans, k_range):
+    # K's numerator term f1'^2 f2'' f3'' is inf * 0 = nan where 2 x1 + x2 > 709.78
+    doc = {
+        "format_version": 1,
+        "functions": [
+            {"expr": "exp(x)"}, {"expr": "exp(x)"}, {"expr": "x", "bracket": [-1e200, 1]},
+        ],
+        "sampling": {"ranges": ranges},
+        "grid": [4, 4],
+    }
+    out = tmp_path / "m.obj"
+    assert main(["mesh", write_spec(tmp_path, doc), "--out", str(out)]) == 0
+    assert f"K range: {k_range}\n" in capsys.readouterr().out
+    cells = [row.split(",")[1] for row in (tmp_path / "m_curvature.csv").read_text().splitlines()[1:]]
+    assert len(cells) == 16 and cells.count("nan") == nans
+
+
 def test_mesh_unwritable_out_exit_2(tmp_path, capsys):
     spec = sphere3_mesh_spec(tmp_path)
     missing = str(tmp_path / "no" / "m.obj")

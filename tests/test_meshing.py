@@ -7,6 +7,7 @@ from sepcurv import (
     MeshError,
     SeparableSurface,
     build_mesh,
+    meshing,
     parse_function,
     solve_height,
     write_curvature_csv,
@@ -14,6 +15,7 @@ from sepcurv import (
 )
 
 from lifts import MIXED_BRACKET, MIXED_RANGES, mixed_surface, solve_verdicts, spy_second_evaluations
+from reference_mesh import reference_write_curvature_csv, reference_write_obj
 
 
 def sphere3(radius=1.0):
@@ -58,6 +60,67 @@ def replicate_faces(nx, ny, alive):
                 faces.append(tuple(live))
                 tri_cells += 1
     return ids, faces, tri_cells
+
+
+def vertex_ids(alive):
+    """Vertex ids of an occupancy pattern, row-major over the live nodes,
+    -1 where a node dropped."""
+    alive = np.asarray(alive, dtype=bool)
+    ids = np.full(alive.shape, -1, dtype=int)
+    ids[alive] = np.arange(alive.sum())
+    return ids
+
+
+def nan_mesh():
+    # K's numerator term f1'^2 f2'' f3'' is inf * 0 = nan where
+    # 2 x1 + x2 > 709.78: 4 of the 16 vertices; every node lifts
+    s = SeparableSurface(tuple(map(parse_function, ("exp(x)", "exp(x)", "x"))))
+    return build_mesh(s, [(350.0, 354.5), (0.0, 5.0)], (4, 4), (-1e200, 1.0))
+
+
+def assert_faces_match_replica(alive):
+    nx, ny = len(alive), len(alive[0])
+    _, expected, tri_cells = replicate_faces(nx, ny, alive)
+    faces = meshing._faces(vertex_ids(alive))
+    assert type(faces) is tuple and all(type(face) is tuple for face in faces)
+    assert all(type(v) is int for face in faces for v in face)
+    assert list(faces) == expected
+    return tri_cells
+
+
+@pytest.mark.parametrize("pattern", range(16))
+def test_faces_of_one_cell_match_replica(pattern):
+    # bit k of the pattern keeps corner q_k: (0, 0), (1, 0), (1, 1), (0, 1)
+    live = [bool(pattern >> k & 1) for k in range(4)]
+    assert_faces_match_replica([[live[0], live[3]], [live[1], live[2]]])
+
+
+def test_faces_match_replica_on_random_masks():
+    tri_cells = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        alive = rng.random((9, 13)) < rng.uniform(0.3, 0.95)
+        tri_cells += assert_faces_match_replica(alive.tolist())
+    assert tri_cells > 0
+
+
+@pytest.mark.parametrize("case", ["full sphere", "partial coverage", "nan curvature"])
+def test_writers_match_line_at_a_time_reference(tmp_path, case):
+    mesh = {
+        "full sphere": lambda: build_mesh(sphere3(), [(-0.4, 0.4), (-0.4, 0.4)], (6, 7), (0.1, 1.01)),
+        "partial coverage": lambda: build_mesh(
+            sphere3(), [(-1.2, 1.2), (-1.2, 1.2)], (8, 8), (0.1, 1.01)
+        ),
+        "nan curvature": nan_mesh,
+    }[case]()
+    assert mesh.faces and (case != "partial coverage" or mesh.dropped)
+    assert (case == "nan curvature") == any(math.isnan(k) for k in mesh.curvatures)
+    for write, reference in ((write_obj, reference_write_obj),
+                             (write_curvature_csv, reference_write_curvature_csv)):
+        got, want = tmp_path / "got", tmp_path / "want"
+        write(str(got), mesh)
+        reference(str(want), mesh)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_full_coverage_sphere_mesh():
