@@ -32,13 +32,15 @@ import re
 import sys
 
 from . import __version__
-from .curvature import DEFAULT_CONSTANCY_TOL, ScanPolicy, _gauss, pair_table, sample_and_scan
+from .curvature import (
+    DEFAULT_CONSTANCY_TOL, ScanPolicy, _gauss, _pair_sorted, pair_table, sample_and_scan,
+)
 from .errors import NonFiniteError, SepcurvError, SpecFileError
-from .families import MAX_N, integer
+from .families import MAX_N, _pair, finite, integer, numbers, positive
 from .geometry import _lift
 from .meshing import build_mesh, write_curvature_csv, write_obj
 from .report import _vector, report_body_csv, report_body_json, write_report
-from .specfile import MAX_COUNT, LoadedSpec, load_spec
+from .specfile import MAX_COUNT, load_spec
 from .suites import format_rows, run_constant_suite, run_flat_suite
 
 ENV_TOL = "SEPCURV_TOL"
@@ -94,35 +96,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_tol(flag_value: float | None, spec_value: float | None) -> float:
     if flag_value is not None:
-        if not 0.0 < flag_value < math.inf:
-            raise SpecFileError(f"--tol must be positive and finite, got {flag_value!r}")
-        return flag_value
+        return positive(flag_value, "--tol")
     if spec_value is not None:
         return spec_value
     env = os.environ.get(ENV_TOL)
     if env:
         try:
             value = float(env)
-        except ValueError as exc:
-            raise SpecFileError(f"{ENV_TOL} must be a number, got {env!r}") from exc
-        if not 0.0 < value < math.inf:
-            raise SpecFileError(f"{ENV_TOL} must be positive and finite, got {env!r}")
-        return value
+        except ValueError:
+            value = env   # positive() rejects the text with the same words
+        return positive(value, ENV_TOL)
     return DEFAULT_CONSTANCY_TOL
 
 
-def _parse_floats(text: str, expected: int, what: str) -> list[float]:
-    parts = [p.strip() for p in text.split(",")]
+def _split(text: str, where: str, convert) -> list:
+    """A flag's comma-separated values, each read by `convert` (float or int)."""
     try:
-        values = [float(p) for p in parts]
+        return [convert(part) for part in text.split(",")]
     except ValueError as exc:
-        raise SpecFileError(f"{what} must be comma-separated numbers: {exc}") from exc
-    if len(values) != expected:
-        raise SpecFileError(f"{what} needs {expected} values, got {len(values)}")
-    for value in values:
-        if not math.isfinite(value):
-            raise SpecFileError(f"{what} values must be finite, got {value!r}")
-    return values
+        raise SpecFileError(
+            f"{where} must be comma-separated {convert.__name__} values: {exc}"
+        ) from exc
 
 
 def _write(path: str, write, *args) -> None:
@@ -133,38 +127,24 @@ def _write(path: str, write, *args) -> None:
         raise SpecFileError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
-def _eval_pair(spec: LoadedSpec, pair_text: str | None) -> tuple[int, int]:
-    surface = spec.surface
-    if pair_text is None:
-        return surface.non_height[0], surface.non_height[1]
-    parts = [p.strip() for p in pair_text.split(",")]
-    if len(parts) != 2:
-        raise SpecFileError(f"--pair needs two indices, got {pair_text!r}")
-    try:
-        i, j = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise SpecFileError(f"--pair must be integers: {exc}") from exc
-    if i == j or i not in surface.non_height or j not in surface.non_height:
-        raise SpecFileError(
-            f"--pair must name two distinct non-height coordinates from "
-            f"{surface.non_height}, got ({i}, {j})"
-        )
-    return i, j
-
-
 def _cmd_eval(ns: argparse.Namespace) -> int:
     spec = load_spec(ns.spec)
     surface = spec.surface
-    partial = _parse_floats(ns.point, surface.n - 1, "--point")
-    i, j = _eval_pair(spec, ns.pair)
-    if ns.k0 is not None and not math.isfinite(ns.k0):
-        raise SpecFileError(f"--k0 must be finite, got {ns.k0!r}")
+    partial = numbers(surface.n - 1)(_split(ns.point, "--point", float), "--point")
+    given = surface.non_height[:2] if ns.pair is None else _split(ns.pair, "--pair", int)
+    i, j = _pair(given, "--pair", "two indices i,j")
+    try:
+        pair = _pair_sorted(surface, i, j)
+    except ValueError as exc:   # the scan's own pair rules
+        raise SpecFileError(f"--pair: {exc}") from exc
+    if ns.k0 is not None:
+        finite(ns.k0, "--k0")
     lift = _lift(surface, [partial], spec.bracket)
     if lift.failures:
         raise lift.failures[0]
     point = lift.points[0]
     # the lift's gated jet table gives every figure, as in a scan record
-    table = pair_table(surface, lift.table, [(min(i, j), max(i, j))])
+    table = pair_table(surface, lift.table, [pair])
     k_oracle, plane_errors = _gauss(lift.table, *table.frames(surface.height))
     if plane_errors[0, 0] is not None:
         raise plane_errors[0, 0]
@@ -235,10 +215,7 @@ def _cmd_certify(ns: argparse.Namespace) -> int:
     # only the given flags are passed, so the suites' signatures hold the defaults
     given = {}
     if ns.dims is not None:
-        try:
-            dims = [int(p.strip()) for p in ns.dims.split(",")]
-        except ValueError as exc:
-            raise SpecFileError(f"--dims must be comma-separated integers: {exc}") from exc
+        dims = _split(ns.dims, "--dims", int)
         given["dims"] = tuple(integer(d, "--dims entry", 3, MAX_N) for d in dims)
     if ns.count is not None:
         given["count"] = integer(ns.count, "--count", 2, MAX_COUNT)

@@ -16,7 +16,10 @@ minus, which binds tighter than '*' and '/', which bind tighter than '+'
 and '-'; so "-x^2" is -(x^2) and "2*x^3 - x" is (2*(x^3)) - x.  Exponents
 are numeric literals only, so every power node carries a constant real
 exponent.  A '-' applied directly to a number literal folds into the
-constant.
+constant.  An expression nests at most `MAX_DEPTH` (100) levels: no path
+down its tree passes more than 100 operations, and no token sits inside more
+than 100 open parentheses and unary minuses.  Deeper input is a `ParseError`
+that the parser raises before its stack runs out.
 
 `to_source` renders an AST back to text such that parsing the result yields
 an equal AST, and `parse_function` pairs an AST with an open evaluation
@@ -109,13 +112,44 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+MAX_DEPTH = 100   # deepest nesting an expression may have
+
+
+def _children(node: Node) -> tuple[Node, ...]:
+    if isinstance(node, BinOp):
+        return node.left, node.right
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, Call):
+        return (node.arg,)
+    return (node.base,) if isinstance(node, Pow) else ()
+
+
+def _depth(node: Node) -> int:
+    """Operations on the longest path from `node` down to a leaf, counted
+    level by level without recursion."""
+    depth, level = -1, [node]
+    while level:
+        depth += 1
+        level = [child for node in level for child in _children(node)]
+    return depth
+
+
 class _Parser:
-    """Recursive descent over the token list, one method per production."""
+    """Recursive descent over the token list, one method per production.
+    `nesting` counts the open parentheses and unary minuses, so that the
+    descent stops at `MAX_DEPTH` before the stack runs out."""
 
     def __init__(self, src: str):
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.nesting = 0
+
+    def nest(self, char_pos: int) -> None:
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise self.fail(f"expression nested deeper than {MAX_DEPTH} levels", char_pos)
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -136,6 +170,9 @@ class _Parser:
         kind, text, cp = self.peek()
         if kind != "end":
             raise self.fail(f"unexpected trailing input {text!r}", cp)
+        # each operation has a token of its own, so a short input is shallow
+        if len(self.tokens) > MAX_DEPTH and _depth(node) > MAX_DEPTH:
+            raise self.fail(f"expression nested deeper than {MAX_DEPTH} levels", 0)
         return node
 
     def expr(self) -> Node:
@@ -155,8 +192,9 @@ class _Parser:
     def unary(self) -> Node:
         if self.peek()[:2] != ("op", "-"):
             return self.power()
-        self.advance()
+        self.nest(self.advance()[2])
         operand = self.unary()
+        self.nesting -= 1
         return Const(-operand.value) if isinstance(operand, Const) else Neg(operand)
 
     def power(self) -> Node:
@@ -189,23 +227,25 @@ class _Parser:
                 k2, t2, cp2 = self.advance()
                 if not (k2 == "op" and t2 == "("):
                     raise self.fail(f"expected '(' after {text!r}", cp2)
-                arg = self.expr()
-                k3, t3, cp3 = self.advance()
-                if not (k3 == "op" and t3 == ")"):
-                    raise self.fail("expected ')'", cp3)
-                return Call(text, arg)
+                return Call(text, self.group(cp2))
             raise self.fail(f"unknown identifier {text!r}", cp)
         if kind == "op" and text == "(":
-            node = self.expr()
-            k2, t2, cp2 = self.advance()
-            if not (k2 == "op" and t2 == ")"):
-                raise self.fail("expected ')'", cp2)
-            return node
+            return self.group(cp)
         if kind == "end":
             raise self.fail("unexpected end of input", cp)
         raise self.fail(
             f"expected a number, 'x', a function call, '(' or '-', got {text!r}", cp
         )
+
+    def group(self, char_pos: int) -> Node:
+        """The expression after an opening parenthesis, and its ')'."""
+        self.nest(char_pos)
+        node = self.expr()
+        kind, text, cp = self.advance()
+        if not (kind == "op" and text == ")"):
+            raise self.fail("expected ')'", cp)
+        self.nesting -= 1
+        return node
 
 
 def parse(src: str) -> Node:

@@ -21,7 +21,8 @@ Constructors return `SeparableSurface` instances built from explicit ASTs:
 
 `FAMILIES` holds each spec kind's parameter schema, constructor call and
 default sampling boxes and height bracket, for `FamilySpec` (the spec-file
-form) to read; its value parsers also check the rest of a spec file.
+form) to read through `read_object`, the schema reader that with the value
+parsers here also reads the rest of a spec file and the CLI's flag values.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ import reprlib
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .errors import SpecFileError
+from .errors import ParseError, SpecFileError
 from .expr import (
-    BinOp, Call, Const, Function1D, Neg, Node, Pow, Var, eval_jet2, eval_jets, parse_function,
+    BinOp, Call, Const, Function1D, Neg, Node, Pow, Var, eval_jet2, eval_jets, parse,
+    parse_function,
 )
 from .geometry import SeparableSurface
 
@@ -280,7 +282,7 @@ def finite(value, where: str) -> float:
             return float(value)
     except (TypeError, OverflowError):
         pass
-    raise SpecFileError(f"{where} must be a finite number, got {value!r}")
+    raise SpecFileError(f"{where} must be a finite number, got {reprlib.repr(value)}")
 
 
 def integer(value, where: str, lo: int = 1, hi: float = math.inf) -> int:
@@ -325,9 +327,50 @@ def numbers(length: int):
                 return [finite(v, where) for v in value]
         except SpecFileError:
             pass
-        raise SpecFileError(f"{where} must be a list of {length} finite numbers, got {value!r}")
+        raise SpecFileError(
+            f"{where} must be a list of {length} finite numbers, got {reprlib.repr(value)}"
+        )
 
     return parse
+
+
+def positive(value, where: str) -> float:
+    """A finite number > 0."""
+    value = finite(value, where)
+    if not value > 0.0:
+        raise SpecFileError(f"{where} must be positive, got {value!r}")
+    return value
+
+
+def expression(value, where: str) -> Node:
+    """The AST of an expression string."""
+    if not isinstance(value, str):
+        raise SpecFileError(f"{where} must be a string, got {reprlib.repr(value)}")
+    try:
+        return parse(value)
+    except ParseError as exc:
+        raise SpecFileError(f"{where}: {exc}") from exc
+
+
+def read_object(value, where: str, schema: Mapping[str, tuple[Callable, object]]) -> dict:
+    """The object at JSON path `where` ('' at the top level) read through
+    `schema`: each key's (parser, default), the default for an absent key.
+    A non-object, an unknown key and a missing `REQUIRED` key are errors."""
+    name = where or "top level"
+    if not isinstance(value, dict):
+        raise SpecFileError(f"{name} must be an object")
+    unknown = set(value) - set(schema)
+    if unknown:
+        raise SpecFileError(f"{name}: unknown keys {sorted(unknown)}")
+    values = {}
+    for key, (parse, default) in schema.items():
+        if key in value:
+            values[key] = parse(value[key], f"{where}.{key}" if where else key)
+        elif default is REQUIRED:
+            raise SpecFileError(f"{name} needs {key!r}")
+        else:
+            values[key] = default
+    return values
 
 
 def _clipped_box(surface: SeparableSurface, **params):
@@ -374,7 +417,7 @@ def _sphere_box(surface: SeparableSurface, center: Sequence[float], radius: floa
     return ranges, (c_h + 0.1 * radius, c_h + 1.01 * radius)
 
 
-REQUIRED = object()   # schema default of a parameter a spec must give
+REQUIRED = object()   # schema default of a key a spec must give
 MAX_N = 100           # largest dimension a family (or `certify --dims`) takes
 
 
@@ -398,14 +441,14 @@ FAMILIES: dict[str, Family] = {
     ),
     "cylinder": Family(
         lambda n: {
-            "profile_expr": (lambda value, where: str(value), "x^2"),
+            "profile_expr": (expression, parse("x^2")),
             "profile_domain": (domain, (-math.inf, math.inf)),
             "lin": (numbers(n - 1), None),
             "offsets": (numbers(n - 1), None),
             "profile_slot": (integer, 1),
         },
         lambda n, height, profile_expr, profile_domain, lin, offsets, profile_slot: make_cylinder(
-            parse_function(profile_expr, profile_domain), n, lin, offsets, profile_slot, height
+            Function1D(profile_expr, profile_domain), n, lin, offsets, profile_slot, height
         ),
         _clipped_box,
     ),
@@ -460,6 +503,8 @@ class FamilySpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "FamilySpec":
+        if not isinstance(data, Mapping):
+            raise SpecFileError("family must be an object")
         data = dict(data)
         kind = data.pop("kind", None)
         if not isinstance(kind, str):
@@ -468,20 +513,7 @@ class FamilySpec:
         return cls(kind, n, data, height)
 
     def _build(self) -> tuple[SeparableSurface, dict[str, object]]:
-        schema = FAMILIES[self.kind].params(self.n)
-        unknown = set(self.params) - set(schema)
-        if unknown:
-            raise SpecFileError(
-                f"unknown parameters for family kind {self.kind!r}: {sorted(unknown)}"
-            )
-        values = {}
-        for name, (parse, default) in schema.items():
-            if name in self.params:
-                values[name] = parse(self.params[name], f"family parameter {name!r}")
-            elif default is REQUIRED:
-                raise SpecFileError(f"family kind {self.kind!r} requires parameter {name!r}")
-            else:
-                values[name] = default
+        values = read_object(self.params, "family", FAMILIES[self.kind].params(self.n))
         try:
             return FAMILIES[self.kind].make(self.n, self.height, **values), values
         except ValueError as exc:

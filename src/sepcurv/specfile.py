@@ -1,38 +1,32 @@
 """Surface-spec files: a small versioned JSON schema describing a surface
-plus how to sample it.
+plus how to sample it, documented in README "Surface-spec files".
 
-Schema (format_version 1): a JSON object with exactly one of
-
-    "functions": [{"expr": str, "domain": [lo|null, hi|null],
-                   "bracket": [lo, hi]  (height entry only, required there)},
-                  ...]
-    "family":    {"kind": str, "n": int (3..100), "height"?: int, ...kind parameters}
-
-plus optional blocks
-
-    "n":            int   (functions form only; must match the list length)
-    "height_index": int   (functions form only; default n)
-    "bracket":      [lo, hi]   (family form only; overrides the default)
-    "sampling":     {"count"?: int (2..100000), "seed"?: int (>= 0),
-                     "ranges"?: [[lo, hi], ...], "oblique_planes"?: int (0..1000)}
-    "tolerances":   {"constancy"?: float}
-    "grid":         [nx, ny]   (mesh export, n = 3 only; each 2..512)
-
-Domain ends of null mean unbounded.  Family kinds and their parameters are
-documented in `sepcurv.families`; families supply default sampling ranges
-and a default height bracket, raw-function specs must spell them out
-(`sampling.ranges` only if the spec is used for scanning or meshing).
+Every JSON object of a file goes through `read_object` with its own schema:
+`TOP_LEVEL`, `SAMPLING`, the tolerances block, `FUNCTION` for each
+`functions` entry and, for a `family` object, its kind's parameters in
+`FAMILIES`.  A schema maps each key to its value parser and default, so a
+non-object, an unknown key, a missing required key and a bad value each fail
+in one place, with the file's name and the key's JSON path in the message.
+`_read` checks by hand only the rules that tie keys together: exactly one of
+`functions` and `family`; `n` and `height_index` in the functions form only;
+a bracket on the height entry, and there only; and one `sampling.ranges` box
+per non-height coordinate.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import reprlib
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import ParseError, SpecFileError
-from .expr import Function1D, parse_function
-from .families import FamilySpec, domain, finite, integer, interval
+from .errors import SpecFileError
+from .expr import Function1D
+from .families import (
+    REQUIRED, FamilySpec, _pair, domain, expression, integer, interval, positive, read_object,
+)
 from .geometry import SeparableSurface
 
 FORMAT_VERSION = 1
@@ -60,6 +54,55 @@ def spec_digest(raw: bytes) -> str:
     return "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
+def _version(value, where: str) -> int:
+    if type(value) is not int or value != FORMAT_VERSION:   # true and 1.0 are not 1
+        raise SpecFileError(f"{where} must be {FORMAT_VERSION}, got {reprlib.repr(value)}")
+    return value
+
+
+def _as_given(value, where: str):
+    return value
+
+
+def _ranges(value, where: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, (list, tuple)):
+        raise SpecFileError(f"{where} must be a list of [lo, hi]")
+    return tuple(interval(r, f"{where}[{k}]") for k, r in enumerate(value))
+
+
+def _grid(value, where: str) -> tuple[int, int]:
+    return tuple(integer(g, where, 2, MAX_GRID) for g in _pair(value, where, "[nx, ny]"))
+
+
+def _block(schema):
+    """Parser and default of a nested object read through `schema`."""
+    return partial(read_object, schema=schema), read_object({}, "", schema)
+
+
+FUNCTION = {
+    "expr": (expression, REQUIRED),
+    "domain": (domain, (-math.inf, math.inf)),
+    "bracket": (interval, None),
+}
+SAMPLING = {
+    "count": (partial(integer, lo=2, hi=MAX_COUNT), 100),
+    "seed": (partial(integer, lo=0), 0),
+    "ranges": (_ranges, None),
+    "oblique_planes": (partial(integer, lo=0, hi=MAX_OBLIQUE), 0),
+}
+TOP_LEVEL = {
+    "format_version": (_version, REQUIRED),
+    "functions": (_as_given, None),      # a list of FUNCTION objects
+    "family": (lambda value, where: FamilySpec.from_dict(value), None),
+    "n": (_as_given, None),              # n and height_index depend on the
+    "height_index": (_as_given, None),   # functions list: checked with it
+    "bracket": (interval, None),
+    "sampling": _block(SAMPLING),
+    "tolerances": _block({"constancy": (positive, None)}),
+    "grid": (_grid, None),
+}
+
+
 def load_spec(path: str) -> LoadedSpec:
     """Read, validate, and materialize a surface-spec file."""
     try:
@@ -69,142 +112,68 @@ def load_spec(path: str) -> LoadedSpec:
         raise SpecFileError(f"cannot read spec file {path!r}: {exc}") from exc
     try:
         data = json.loads(raw)
-    except ValueError as exc:   # also an integer past Python's digit limit
+    # also an integer past Python's digit limit, or nesting past the stack
+    except (ValueError, RecursionError) as exc:
         raise SpecFileError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SpecFileError(f"{path}: top level must be a JSON object")
+    try:
+        return _read(data, spec_digest(raw))
+    except SpecFileError as exc:
+        raise SpecFileError(f"{path}: {exc}") from exc
 
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        raise SpecFileError(
-            f"{path}: format_version must be {FORMAT_VERSION}, got {version!r}"
-        )
 
-    has_functions = "functions" in data
-    has_family = "family" in data
-    if has_functions == has_family:
-        raise SpecFileError(f"{path}: give exactly one of 'functions' or 'family'")
-
-    known = {
-        "format_version", "functions", "family", "n", "height_index",
-        "bracket", "sampling", "tolerances", "grid",
-    }
-    unknown = set(data) - known
-    if unknown:
-        raise SpecFileError(f"{path}: unknown top-level keys {sorted(unknown)}")
-
-    sampling = data.get("sampling", {})
-    if not isinstance(sampling, dict):
-        raise SpecFileError(f"{path}: 'sampling' must be an object")
-    unknown = set(sampling) - {"count", "seed", "ranges", "oblique_planes"}
-    if unknown:
-        raise SpecFileError(f"{path}: unknown sampling keys {sorted(unknown)}")
-    where = f"{path}: sampling."
-    count = integer(sampling.get("count", 100), where + "count", 2, MAX_COUNT)
-    seed = integer(sampling.get("seed", 0), where + "seed", 0)
-    oblique = integer(sampling.get("oblique_planes", 0), where + "oblique_planes", 0, MAX_OBLIQUE)
-
-    tolerances = data.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise SpecFileError(f"{path}: 'tolerances' must be an object")
-    unknown = set(tolerances) - {"constancy"}
-    if unknown:
-        raise SpecFileError(f"{path}: unknown tolerance keys {sorted(unknown)}")
-    constancy_tol = tolerances.get("constancy")
-    if constancy_tol is not None:
-        constancy_tol = finite(constancy_tol, f"{path}: tolerances.constancy")
-        if not constancy_tol > 0.0:
-            raise SpecFileError(f"{path}: tolerances.constancy must be positive")
-
-    grid = data.get("grid")
-    if grid is not None:
-        if not isinstance(grid, (list, tuple)) or len(grid) != 2:
-            raise SpecFileError(f"{path}: grid must be [nx, ny]")
-        grid = tuple(integer(g, f"{path}: grid", 2, MAX_GRID) for g in grid)
-
-    ranges = None
-    if "ranges" in sampling:
-        raw_ranges = sampling["ranges"]
-        if not isinstance(raw_ranges, (list, tuple)):
-            raise SpecFileError(f"{path}: sampling.ranges must be a list of [lo, hi]")
-        ranges = tuple(
-            interval(r, f"{path}: sampling.ranges[{k}]") for k, r in enumerate(raw_ranges)
-        )
-
-    if has_family:
+def _read(data, digest: str) -> LoadedSpec:
+    """The spec of a decoded file; errors name the JSON path at fault."""
+    top = read_object(data, "", TOP_LEVEL)
+    if ("functions" in data) == ("family" in data):
+        raise SpecFileError("give exactly one of 'functions' or 'family'")
+    sampling, ranges, bracket = top["sampling"], top["sampling"]["ranges"], top["bracket"]
+    if "family" in data:
         if "height_index" in data:
-            raise SpecFileError(
-                f"{path}: put 'height' inside the family object, not 'height_index'"
-            )
+            raise SpecFileError("put 'height' inside the family object, not 'height_index'")
         if "n" in data:
-            raise SpecFileError(f"{path}: 'n' lives inside the family object")
-        if not isinstance(data["family"], dict):
-            raise SpecFileError(f"{path}: 'family' must be an object")
-        family = FamilySpec.from_dict(data["family"])
+            raise SpecFileError("'n' lives inside the family object")
         # with both overrides, a family without derivable defaults still loads
-        if ranges is None or "bracket" not in data:
-            surface, default_ranges, bracket = family.defaults()
+        if ranges is None or bracket is None:
+            surface, default_ranges, default_bracket = top["family"].defaults()
             ranges = tuple(default_ranges) if ranges is None else ranges
+            bracket = default_bracket if bracket is None else bracket
         else:
-            surface = family.build()
-        if "bracket" in data:
-            bracket = interval(data["bracket"], f"{path}: bracket")
+            surface = top["family"].build()
     else:
-        if "bracket" in data:
-            raise SpecFileError(
-                f"{path}: in the functions form the bracket belongs to the height entry"
-            )
-        items = data["functions"]
-        if not isinstance(items, list) or len(items) < 3:
-            raise SpecFileError(f"{path}: 'functions' must list at least 3 entries")
-        n = len(items)
-        declared_n = data.get("n")
-        if declared_n is not None and declared_n != n:
-            raise SpecFileError(
-                f"{path}: n = {declared_n} inconsistent with {n} function entries"
-            )
-        height = integer(data.get("height_index", n), f"{path}: height_index", 1, n)
-        funcs: list[Function1D] = []
-        bracket = None
-        for k, item in enumerate(items):
-            where = f"{path}: functions[{k}]"
-            if not isinstance(item, dict):
-                raise SpecFileError(f"{where} must be an object")
-            unknown = set(item) - {"expr", "domain", "bracket"}
-            if unknown:
-                raise SpecFileError(f"{where}: unknown keys {sorted(unknown)}")
-            if "expr" not in item or not isinstance(item["expr"], str):
-                raise SpecFileError(f"{where} needs a string 'expr'")
-            dom = domain(item.get("domain"), f"{where}: domain")
-            try:
-                funcs.append(parse_function(item["expr"], dom))
-            except ParseError as exc:
-                raise SpecFileError(f"{where}: {exc}") from exc
-            if "bracket" in item:
-                if k != height - 1:
-                    raise SpecFileError(
-                        f"{where}: only the height entry (index {height}) takes a bracket"
-                    )
-                bracket = interval(item["bracket"], f"{where}: bracket")
+        if bracket is not None:
+            raise SpecFileError("in the functions form the bracket belongs to the height entry")
+        if not isinstance(top["functions"], list) or len(top["functions"]) < 3:
+            raise SpecFileError("functions must list at least 3 entries")
+        entries = [read_object(item, f"functions[{k}]", FUNCTION)
+                   for k, item in enumerate(top["functions"])]
+        n = len(entries)
+        if top["n"] is not None and top["n"] != n:
+            raise SpecFileError(f"n = {top['n']} inconsistent with {n} function entries")
+        height = integer(data.get("height_index", n), "height_index", 1, n)
+        for k, entry in enumerate(entries):
+            if entry["bracket"] is not None and k != height - 1:
+                raise SpecFileError(
+                    f"functions[{k}]: only the height entry (index {height}) takes a bracket"
+                )
+        bracket = entries[height - 1]["bracket"]
         if bracket is None:
-            raise SpecFileError(
-                f"{path}: the height entry functions[{height - 1}] needs a bracket"
-            )
-        surface = SeparableSurface(tuple(funcs), height)
+            raise SpecFileError(f"the height entry functions[{height - 1}] needs a bracket")
+        funcs = tuple(Function1D(entry["expr"], entry["domain"]) for entry in entries)
+        surface = SeparableSurface(funcs, height)
 
     if ranges is not None and len(ranges) != surface.n - 1:
         raise SpecFileError(
-            f"{path}: sampling.ranges needs {surface.n - 1} entries, got {len(ranges)}"
+            f"sampling.ranges needs {surface.n - 1} entries, got {len(ranges)}"
         )
 
     return LoadedSpec(
         surface=surface,
         bracket=bracket,
         ranges=ranges,
-        count=count,
-        seed=seed,
-        oblique=oblique,
-        constancy_tol=constancy_tol,
-        grid=grid,
-        digest=spec_digest(raw),
+        count=sampling["count"],
+        seed=sampling["seed"],
+        oblique=sampling["oblique_planes"],
+        constancy_tol=top["tolerances"]["constancy"],
+        grid=top["grid"],
+        digest=digest,
     )

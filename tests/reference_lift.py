@@ -7,13 +7,16 @@ walk), `reference_root` (the one-partial Newton/bisection solve) and
 `reference_lift` (one solve per partial, the rows stacked into a
 `JetTable` and gated once).  Tests require the package's array code to
 match it bit for bit and error text for error text.
+
+Its sums follow their own overflow rule, written here apart from the
+package's: `exact_sum` reads a sum of finite terms past the float range as
+inf, so that rows whose sums overflow can be compared too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import fsum
 
 import numpy as np
 
@@ -134,6 +137,15 @@ def reference_jet2(f, x) -> ScalarJet:
         raise NonFiniteError(f"evaluating {f.source()!r} at x = {x!r}: {exc}") from exc
 
 
+def exact_sum(terms) -> float:
+    """The correctly rounded sum of finite terms, or inf where it lies past
+    the float range: `math.fsum` raises there instead."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def reference_root(surface, partial, bracket):
     """One partial's height solve; returns the point and the n jets it
     evaluated (the others' at its start, the height's at the root)."""
@@ -154,11 +166,17 @@ def reference_root(surface, partial, bracket):
 
     other_funcs = [surface.funcs[k] for k in range(n) if k != h0]
     others = [reference_jet2(f, x) for f, x in zip(other_funcs, partial)]
-    rest = fsum(j.v for j in others)
-    abs_rest = fsum(abs(j.v) for j in others)
+    rest = exact_sum(j.v for j in others)
+    abs_rest = exact_sum(abs(j.v) for j in others)
 
-    def residual_tol(height_value):
-        return geometry.ON_SURFACE_RTOL * max(1.0, abs_rest + abs(height_value))
+    def residual_tol(t, height_value):
+        """The on-surface tolerance at height t; a sum of |f_k| past the float
+        range would accept any t, so the partial fails there."""
+        tol = geometry.ON_SURFACE_RTOL * max(1.0, abs_rest + abs(height_value))
+        if tol == math.inf:
+            coords = (*partial[:h0], t, *partial[h0:])
+            raise NonFiniteError(f"sum of |f_k| overflows at {coords!r}")
+        return tol
 
     def root(t, jet):
         coords = (*partial[:h0], t, *partial[h0:])
@@ -166,11 +184,11 @@ def reference_root(surface, partial, bracket):
 
     jlo = reference_jet2(fh, lo)
     glo = jlo.v + rest
-    if abs(glo) <= residual_tol(jlo.v):
+    if abs(glo) <= residual_tol(lo, jlo.v):
         return root(lo, jlo)
     jhi = reference_jet2(fh, hi)
     ghi = jhi.v + rest
-    if abs(ghi) <= residual_tol(jhi.v):
+    if abs(ghi) <= residual_tol(hi, jhi.v):
         return root(hi, jhi)
     if (glo < 0.0) == (ghi < 0.0):
         raise BracketError(
@@ -185,7 +203,7 @@ def reference_root(surface, partial, bracket):
     for _ in range(geometry.MAX_SOLVE_ITERATIONS):
         jet = reference_jet2(fh, t)
         gx = jet.v + rest
-        if abs(gx) <= residual_tol(jet.v):
+        if abs(gx) <= residual_tol(t, jet.v):
             return root(t, jet)
         if gx < 0.0:
             a = t
@@ -202,7 +220,7 @@ def reference_root(surface, partial, bracket):
         if nxt == a or nxt == b:
             raise ConvergenceError(
                 f"bracket collapsed at t = {t!r} with residual {gx:.3e} still above "
-                f"tolerance {residual_tol(jet.v):.3e}"
+                f"tolerance {residual_tol(t, jet.v):.3e}"
             )
         t = nxt
     raise ConvergenceError(
@@ -220,10 +238,7 @@ def reference_table(n: int, rows) -> JetTable:
             jets = (ScalarJet(0.0),) * n
         d1.append([j.d1 for j in jets])
         d2.append([j.d2 for j in jets])
-        try:
-            sq_norm.append(fsum(j.d1 * j.d1 for j in jets))
-        except OverflowError:
-            sq_norm.append(math.inf)
+        sq_norm.append(exact_sum(j.d1 * j.d1 for j in jets))
         if sq_norm[-1] == math.inf:
             error = NonFiniteError(f"||grad F||^2 overflows at {coords!r}")
         errors.append(error)

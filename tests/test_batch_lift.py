@@ -15,7 +15,7 @@ from sepcurv.jets import Jet2
 
 from corpus import EXPRESSIONS
 from lifts import MIXED_BRACKET, MIXED_RANGES, mixed_surface
-from reference_lift import reference_jet2, reference_jet_table, reference_lift
+from reference_lift import exact_sum, reference_jet2, reference_jet_table, reference_lift
 
 INF = math.inf
 
@@ -298,11 +298,11 @@ def test_lift_is_chunk_invariant():
 
 
 def test_an_overflowing_row_sum_keeps_its_neighbours_sums():
-    # finite terms whose exact sum overflows: that row reads inf (the scalar
-    # reference raises there instead), the rows around it keep their sums
+    # finite terms whose exact sum overflows: that row reads inf, the rows
+    # around it keep their sums, and the scalar reference agrees on all rows
     ident = SeparableSurface(tuple(map(parse_function, ("x", "x", "x"))))
     partials = [(0.5, 0.25), (1e308, 1e308), (1e308, -1e308), (-0.5, 0.125)]
-    lift = _lift(ident, partials, (-2.0, 2.0))
+    lift = assert_same_lift(ident, partials, (-2.0, 2.0))
     assert lift.points == [SurfacePoint((0.5, 0.25, -0.75), 0.0),
                            SurfacePoint((-0.5, 0.125, 0.375), 0.0)]
     assert lift.index == [0, 3] and sorted(lift.failures) == [1, 2]
@@ -310,10 +310,19 @@ def test_an_overflowing_row_sum_keeps_its_neighbours_sums():
     steep = SeparableSurface(tuple(map(parse_function, ("5e153*x^2", "5e153*x^2", "x"))))
     points = [SurfacePoint((0.1, 0.1, 0.0), 0.0), SurfacePoint((1.0, 1.0, 0.0), 0.0),
               SurfacePoint((0.2, -0.1, 0.0), 0.0)]
-    table = jet_table(steep, points)
+    table, want = jet_table(steep, points), reference_jet_table(steep, points)
     assert bits(table.sq_norm) == bits([jet_table(steep, [p]).sq_norm[0] for p in points])
+    assert bits(table.sq_norm) == bits(want.sq_norm)
+    assert [e and describe(e) for e in table.jet_errors] == [
+        e and describe(e) for e in want.jet_errors
+    ]
     assert table.sq_norm[1] == INF and np.isfinite(table.sq_norm[[0, 2]]).all()
     assert [p for p, e in enumerate(table.jet_errors) if e is not None] == [1]
+
+
+def test_reference_sum_reads_overflow_as_inf():
+    assert exact_sum([1e308, 1e308]) == INF and exact_sum([1e308, -1e308]) == 0.0
+    assert exact_sum([0.1] * 10) == 1.0
 
 
 def test_surface_point_is_an_immutable_named_record():

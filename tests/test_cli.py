@@ -24,6 +24,7 @@ from sepcurv import (
 )
 from sepcurv.cli import build_parser, main
 from sepcurv.errors import ParseError, SepcurvError
+from sepcurv.expr import MAX_DEPTH
 
 from lifts import spy_second_evaluations
 
@@ -633,7 +634,7 @@ def test_bad_tol_flag_exit_2(tmp_path, capsys):
     assert main(["scan", spec, "--out", str(tmp_path / "r.json"), "--tol", "-1"]) == 2
     assert "--tol must be positive" in capsys.readouterr().err
     assert main(["scan", spec, "--out", str(tmp_path / "r.json"), "--tol", "inf"]) == 2
-    assert "--tol must be positive and finite" in capsys.readouterr().err
+    assert "--tol must be a finite number, got inf" in capsys.readouterr().err
 
 
 # ------------------------------------------------------ bad spec values
@@ -646,13 +647,13 @@ BIG = "<1e309>"     # written as the JSON number 1e309, which reads as inf
     "family, extra, message",
     [
         ({**SPHERE4, "radius": -2}, {}, "radius must be positive"),
-        ({**SPHERE4, "radius": "abc"}, {}, "'radius' must be a finite number"),
-        ({**SPHERE4, "center": [0, 0, BIG, 0]}, {}, "'center' must be a list of 4 finite"),
+        ({**SPHERE4, "radius": "abc"}, {}, "family.radius must be a finite number"),
+        ({**SPHERE4, "center": [0, 0, BIG, 0]}, {}, "family.center must be a list of 4 finite"),
         ({**SPHERE4, "height": True}, {}, "family height"),
         ({**SPHERE4, "height": 9}, {}, "family height"),
-        ({"kind": "cylinder", "n": 4, "profile_domain": ["a", 1]}, {}, "'profile_domain'"),
+        ({"kind": "cylinder", "n": 4, "profile_domain": ["a", 1]}, {}, "family.profile_domain"),
         ({"kind": "cylinder", "n": 4, "profile_domain": [2, 1]}, {}, "lo < hi"),
-        ({"kind": "cylinder", "n": 4, "profile_slot": "x"}, {}, "'profile_slot'"),
+        ({"kind": "cylinder", "n": 4, "profile_slot": "x"}, {}, "family.profile_slot"),
         ({"kind": "cobb_douglas_sqrt", "n": 4, "a": -1}, {}, "A must be positive"),
         ({"kind": "log_ode", "n": 4, "lam": 0}, {}, "lam must be nonzero"),
         (
@@ -976,3 +977,66 @@ def test_unexpected_exception_exit_5(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sepcurv.cli.build_mesh", boom)
     assert main(["mesh", spec, "--out", str(tmp_path / "m.obj")]) == 5
     assert "internal error: RuntimeError: wires crossed" in capsys.readouterr().err
+
+
+# ------------------------------------------------------- one reader, bounds
+
+
+def test_every_tolerance_source_gets_the_same_positive_text(tmp_path, capsys, monkeypatch):
+    spec = sphere4_spec(tmp_path)
+    out = str(tmp_path / "r.json")
+    assert main(["scan", spec, "--out", out, "--tol", "0"]) == 2
+    monkeypatch.setenv("SEPCURV_TOL", "-1")
+    assert main(["scan", spec, "--out", out]) == 2
+    monkeypatch.delenv("SEPCURV_TOL")
+    doc = {"format_version": 1, "family": SPHERE4, "tolerances": {"constancy": 0}}
+    bad = write_spec(tmp_path, doc, "bad.json")
+    assert main(["scan", bad, "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --tol must be positive, got 0.0",
+        "error: SEPCURV_TOL must be positive, got -1.0",
+        f"error: {bad}: tolerances.constancy must be positive, got 0.0",
+    ]
+
+
+def test_nested_json_past_the_stack_exit_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    for argv in (["scan", str(path), "--out", str(tmp_path / "r.json")],
+                 ["eval", str(path), "--point", "0,0,0"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "not valid JSON" in err[0]
+
+
+# each shape at depth k: k nested parentheses, k nested calls, a sum of
+# k + 1 terms, k unary minuses
+DEEP = {
+    "parentheses": lambda k: "(" * k + "x" + ")" * k,
+    "calls": lambda k: "sin(" * k + "x" + ")" * k,
+    "sum": lambda k: "+".join(["x"] * (k + 1)),
+    "minuses": lambda k: "-" * k + "x",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_expression_depth_bound(tmp_path, capsys, shape):
+    def spec(k):
+        doc = {
+            "format_version": 1,
+            "functions": [{"expr": DEEP[shape](k)}, {"expr": "x^2"},
+                          {"expr": "x", "bracket": [-100.0, 100.0]}],
+            "sampling": {"count": 3, "ranges": [[0.1, 0.5], [0.1, 0.5]]},
+        }
+        return write_spec(tmp_path, doc, f"d{k}.json")
+
+    at, past = spec(MAX_DEPTH), spec(MAX_DEPTH + 1)
+    assert main(["scan", at, "--out", str(tmp_path / "r.json")]) == 0
+    assert main(["eval", at, "--point", "0.2,0.3"]) == 0
+    capsys.readouterr()
+    for argv in (["scan", past, "--out", str(tmp_path / "r.json")],
+                 ["eval", past, "--point", "0.2,0.3"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"functions[0].expr: expression nested deeper than {MAX_DEPTH} levels" in err[0]

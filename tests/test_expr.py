@@ -304,3 +304,35 @@ def test_function_contains():
     assert not f.contains(-3.0)
     assert not f.contains(-4.0)
     assert f.source() == "log(x + 3.0)"
+
+
+# ------------------------------------------------------------ depth bound
+
+
+@pytest.mark.parametrize(
+    "src, offset",
+    [
+        ("(" * 100_000 + "x", 100),                 # the first '(' past the bound
+        ("-" * 100_000 + "x", 100),
+        ("exp(" * 100_000 + "x", 403),
+        ("+".join(["x"] * 100_000), 0),             # a tree too deep: the whole input
+        ("x" + "*x" * (expr.MAX_DEPTH + 1), 0),
+    ],
+    ids=["parentheses", "minuses", "calls", "long sum", "product one past"],
+)
+def test_deep_input_is_a_parse_error_not_an_overflow(src, offset):
+    with pytest.raises(ParseError, match=f"nested deeper than {expr.MAX_DEPTH} levels") as info:
+        parse(src)
+    assert info.value.offset == offset
+
+
+@pytest.mark.parametrize("src", [
+    "(" * expr.MAX_DEPTH + "x" + ")" * expr.MAX_DEPTH,
+    "cos(" * expr.MAX_DEPTH + "x" + ")" * expr.MAX_DEPTH,
+    "x" + "/x" * expr.MAX_DEPTH,
+    "-" * expr.MAX_DEPTH + "x",
+], ids=["parentheses", "calls", "quotients", "minuses"])
+def test_input_at_the_depth_bound_parses_and_round_trips(src):
+    node = parse(src)
+    assert parse(to_source(node)) == node
+    assert math.isfinite(eval_jet2(Function1D(node), 0.5).v)

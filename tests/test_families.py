@@ -319,20 +319,20 @@ def test_family_spec_from_dict_validation():
 
 
 def test_family_spec_rejects_unknown_parameters():
-    with pytest.raises(SpecFileError, match="unknown parameters"):
+    with pytest.raises(SpecFileError, match=r"family: unknown keys \['bogus'\]"):
         FamilySpec("hyperplane", 4, {"coeffs": [1.0] * 4, "bogus": 1}).build()
-    with pytest.raises(SpecFileError, match="unknown parameters"):
+    with pytest.raises(SpecFileError, match=r"family: unknown keys \['middle'\]"):
         FamilySpec("hypersphere", 4, {"radius": 1.0, "middle": [0.0] * 4}).build()
 
 
 def test_family_spec_requires_parameters():
-    with pytest.raises(SpecFileError, match="requires parameter 'coeffs'"):
+    with pytest.raises(SpecFileError, match="family needs 'coeffs'"):
         FamilySpec("hyperplane", 4).build()
-    with pytest.raises(SpecFileError, match="requires parameter 'a'"):
+    with pytest.raises(SpecFileError, match="family needs 'a'"):
         FamilySpec("cobb_douglas_sqrt", 4).build()
-    with pytest.raises(SpecFileError, match="requires parameter 'radius'"):
+    with pytest.raises(SpecFileError, match="family needs 'radius'"):
         FamilySpec("hypersphere", 4).build()
-    with pytest.raises(SpecFileError, match="requires parameter 'lam'"):
+    with pytest.raises(SpecFileError, match="family needs 'lam'"):
         FamilySpec("log_ode", 4).build()
 
 

@@ -159,11 +159,11 @@ def test_exactly_one_surface_form(tmp_path):
 
 
 def test_unknown_keys_rejected(tmp_path):
-    with pytest.raises(SpecFileError, match="unknown top-level keys.*extra"):
+    with pytest.raises(SpecFileError, match=r"spec.json: top level: unknown keys \['extra'\]"):
         load_spec(write(tmp_path, family_doc(extra=1)))
-    with pytest.raises(SpecFileError, match="unknown sampling keys"):
+    with pytest.raises(SpecFileError, match=r"spec.json: sampling: unknown keys \['points'\]"):
         load_spec(write(tmp_path, family_doc(sampling={"points": 5})))
-    with pytest.raises(SpecFileError, match="unknown tolerance keys"):
+    with pytest.raises(SpecFileError, match=r"spec.json: tolerances: unknown keys \['flatness'\]"):
         load_spec(write(tmp_path, family_doc(tolerances={"flatness": 1e-9})))
 
 
@@ -273,7 +273,7 @@ def test_function_entry_validation(tmp_path):
 
     doc = functions_doc()
     del doc["functions"][0]["expr"]
-    with pytest.raises(SpecFileError, match=r"functions\[0\] needs a string 'expr'"):
+    with pytest.raises(SpecFileError, match=r"functions\[0\] needs 'expr'"):
         load_spec(write(tmp_path, doc))
 
 
@@ -326,3 +326,92 @@ def test_shipped_spec_files_load(name):
     path = pathlib.Path(__file__).resolve().parent.parent / "specs" / name
     spec = load_spec(str(path))
     assert spec.surface.n >= 3
+
+
+# ------------------------------------------------------------ the reader
+
+
+def with_entry(entry):
+    """The functions document with entry 1 replaced."""
+    doc = functions_doc()
+    doc["functions"][1] = entry
+    return doc
+
+
+def with_family(**change):
+    doc = family_doc()
+    doc["family"] = {**doc["family"], **change}
+    return doc
+
+
+without_radius = family_doc()
+del without_radius["family"]["radius"]
+
+# every JSON object of a spec goes through one reader: per object, a
+# non-object, an unknown key, a missing required key (sampling and
+# tolerances have none) and a bad value, with the text after the file name
+READER_CASES = {
+    "top level": [
+        ([1, 2, 3], "top level must be an object"),
+        (family_doc(extra=1), "top level: unknown keys ['extra']"),
+        ({"family": family_doc()["family"]}, "top level needs 'format_version'"),
+        (family_doc(grid=[1, 8]), "grid must be an integer >= 2 and <= 512, got 1"),
+        (family_doc(format_version=True), "format_version must be 1, got True"),
+        (family_doc(format_version=1.0), "format_version must be 1, got 1.0"),
+    ],
+    "sampling": [
+        (family_doc(sampling=[]), "sampling must be an object"),
+        (family_doc(sampling={"points": 5}), "sampling: unknown keys ['points']"),
+        (family_doc(sampling={"seed": -1}), "sampling.seed must be an integer >= 0, got -1"),
+    ],
+    "tolerances": [
+        (family_doc(tolerances=1e-7), "tolerances must be an object"),
+        (family_doc(tolerances={"flatness": 1}), "tolerances: unknown keys ['flatness']"),
+        (family_doc(tolerances={"constancy": "x"}),
+         "tolerances.constancy must be a finite number, got 'x'"),
+    ],
+    "functions entry": [
+        (with_entry("exp(x)"), "functions[1] must be an object"),
+        (with_entry({"expr": "x", "slope": 1}), "functions[1]: unknown keys ['slope']"),
+        (with_entry({"domain": [0, 1]}), "functions[1] needs 'expr'"),
+        (with_entry({"expr": 5}), "functions[1].expr must be a string, got 5"),
+    ],
+    "family": [
+        ({"format_version": 1, "family": "hypersphere"}, "family must be an object"),
+        (with_family(x=1), "family: unknown keys ['x']"),
+        (without_radius, "family needs 'radius'"),
+        (with_family(radius="abc"), "family.radius must be a finite number, got 'abc'"),
+        ({"format_version": 1, "family": {"kind": "cylinder", "n": 4, "profile_expr": 2}},
+         "family.profile_expr must be a string, got 2"),
+        # a long value is abbreviated, as integers are
+        (with_family(center=list(range(1000))),
+         "family.center must be a list of 4 finite numbers, got [0, 1, 2, 3, 4, 5, ...]"),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [case for cases in READER_CASES.values() for case in cases],
+    ids=[f"{block}-{k}" for block, cases in READER_CASES.items() for k in range(len(cases))],
+)
+def test_reader_names_the_file_and_the_json_path(tmp_path, doc, message):
+    path = write(tmp_path, doc)
+    with pytest.raises(SpecFileError) as info:
+        load_spec(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000 + "]" * 100_000,
+        '{"format_version": 1, "sampling": ' + '{"a": ' * 50_000 + "1" + "}" * 50_001,
+    ],
+    ids=["arrays", "objects under sampling"],
+)
+def test_nesting_past_the_stack_is_invalid_json(tmp_path, text):
+    p = tmp_path / "deep.json"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(SpecFileError, match="not valid JSON: maximum recursion depth"):
+        load_spec(str(p))
