@@ -4,7 +4,8 @@ Exit codes (a `SepcurvError` exits with its class's `exit_code`)
     0  success
     1  certification suite failure
     2  bad usage (also an `--out` path that cannot be written),
-       `SpecFileError` or `ParseError` (spec file, expression)
+       `SpecFileError` (spec file, flag value, library argument) or
+       `ParseError` (expression)
     3  every other `SepcurvError`: `RegularityError`, `SolveError` (with
        `BracketError`, `ConvergenceError`), `DomainError`, `NonFiniteError`
        (also an `eval` figure that is not finite), `DegeneratePlaneError`
@@ -40,7 +41,7 @@ from .families import MAX_N, _pair, finite, integer, numbers, positive
 from .geometry import _lift
 from .meshing import build_mesh, write_curvature_csv, write_obj
 from .report import _vector, report_body_csv, report_body_json, write_report
-from .specfile import MAX_COUNT, load_spec
+from .specfile import MAX_COUNT, LoadedSpec, load_spec
 from .suites import format_rows, run_constant_suite, run_flat_suite
 
 ENV_TOL = "SEPCURV_TOL"
@@ -177,10 +178,16 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scan(ns: argparse.Namespace) -> int:
-    spec = load_spec(ns.spec)
+def _load_sampled(path: str, task: str) -> LoadedSpec:
+    """The spec at `path`, which must give the sampling ranges `task` uses."""
+    spec = load_spec(path)
     if spec.ranges is None:
-        raise SpecFileError(f"{ns.spec}: sampling.ranges is required for scanning")
+        raise SpecFileError(f"{path}: sampling.ranges is required for {task}")
+    return spec
+
+
+def _cmd_scan(ns: argparse.Namespace) -> int:
+    spec = _load_sampled(ns.spec, "scanning")
     seed = integer(spec.seed if ns.seed is None else ns.seed, "--seed", 0)
     tol = _resolve_tol(ns.tol, spec.constancy_tol)
     threads = integer(ns.threads, "--threads", 1)
@@ -227,11 +234,7 @@ def _cmd_certify(ns: argparse.Namespace) -> int:
 
 
 def _cmd_mesh(ns: argparse.Namespace) -> int:
-    spec = load_spec(ns.spec)
-    if spec.surface.n != 3:
-        raise SpecFileError(f"{ns.spec}: mesh export needs n = 3, got n = {spec.surface.n}")
-    if spec.ranges is None:
-        raise SpecFileError(f"{ns.spec}: sampling.ranges is required for meshing")
+    spec = _load_sampled(ns.spec, "meshing")
     grid = spec.grid if spec.grid is not None else (32, 32)
     mesh = build_mesh(spec.surface, spec.ranges, grid, spec.bracket)
     _write(ns.out, write_obj, mesh)

@@ -49,6 +49,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegeneratePlaneError, SolveError, describe
+from .families import integer, positive
 from .geometry import JetTable, SeparableSurface, SurfacePoint, jet_table, point_jets, sample_points
 
 EQUIVALENCE_RTOL = 1e-9        # |k_special - k_oracle| <= rtol * max(1, |k_oracle|)
@@ -276,8 +277,10 @@ class ScanPolicy:
 
     `oblique_per_point` adds that many random tangent planes per point on
     top of all coordinate pairs; their curvatures enter the summary
-    statistics.  Seeds must be non-negative; per-point substreams are derived
-    from (seed, point position), so results are independent of chunking.
+    statistics.  Both counts are integers >= 0 and the tolerance is positive
+    and finite, checked when the policy is built; per-point substreams are
+    derived from (seed, point position), so results are independent of
+    chunking.
     """
 
     oblique_per_point: int = 0
@@ -285,12 +288,9 @@ class ScanPolicy:
     constancy_tol: float = DEFAULT_CONSTANCY_TOL
 
     def __post_init__(self):
-        if self.oblique_per_point < 0:
-            raise ValueError("oblique_per_point must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not (math.isfinite(self.constancy_tol) and self.constancy_tol > 0.0):
-            raise ValueError(f"constancy_tol must be positive, got {self.constancy_tol!r}")
+        integer(self.oblique_per_point, "oblique_per_point", lo=0)
+        integer(self.seed, "seed", lo=0)
+        positive(self.constancy_tol, "constancy_tol")
 
 
 class ScanRecord(NamedTuple):

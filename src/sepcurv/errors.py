@@ -54,7 +54,9 @@ class DegeneratePlaneError(SepcurvError, ValueError):
 
 
 class SpecFileError(SepcurvError, ValueError):
-    """Malformed or inconsistent surface-spec file."""
+    """A bad outside value: a malformed or inconsistent surface-spec file, a
+    command-line flag value, or an argument a library entry point refuses
+    (`ScanPolicy`, `SeparableSurface`, the family constructors, `build_mesh`)."""
 
     exit_code = 2
 

@@ -37,7 +37,7 @@ from .expr import (
     BinOp, Call, Const, Function1D, Neg, Node, Pow, Var, eval_jet2, eval_jets, parse,
     parse_function,
 )
-from .geometry import SeparableSurface
+from .geometry import SeparableSurface, resolve_height
 
 def _plus(node: Node, c: float) -> Node:
     """AST for node + c: the node itself for c = 0, a subtraction for c < 0."""
@@ -69,15 +69,6 @@ def _log_term(coef: float, shift: float, offset: float) -> Node:
     return _plus(node, offset)
 
 
-def _resolve_height(n: int, height: int | None) -> int:
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    h = n if height is None else height
-    if not 1 <= h <= n:
-        raise ValueError(f"height index {height!r} outside 1..{n}")
-    return h
-
-
 def make_hyperplane(
     coeffs: Sequence[float], offset: float = 0.0, height: int | None = None
 ) -> SeparableSurface:
@@ -87,10 +78,7 @@ def make_hyperplane(
     be nonzero (the height coordinate has to be solvable).
     """
     coeffs = [float(c) for c in coeffs]
-    n = len(coeffs)
-    if n < 3:
-        raise ValueError(f"need at least 3 coefficients, got {n}")
-    h = _resolve_height(n, height)
+    h = resolve_height(len(coeffs), height)
     if all(c == 0.0 for c in coeffs):
         raise ValueError("coefficient vector must be nonzero")
     if coeffs[h - 1] == 0.0:
@@ -117,7 +105,7 @@ def make_cylinder(
     coordinates, ascending by coordinate index (defaults: slope 1, intercept
     0).  The profile may sit at any non-height slot via `profile_slot`.
     """
-    h = _resolve_height(n, height)
+    h = resolve_height(n, height)
     if not 1 <= profile_slot <= n:
         raise ValueError(f"profile_slot {profile_slot} outside 1..{n}")
     if profile_slot == h:
@@ -153,7 +141,7 @@ def make_cobb_douglas_sqrt(
     a = float(a)
     if not a > 0.0:
         raise ValueError(f"scale constant A must be positive, got {a!r}")
-    h = _resolve_height(n, height)
+    h = resolve_height(n, height)
     betas = [-2.0 * math.log(a) if k == h else 0.0 for k in range(1, n + 1)]
     return make_log_ode(1.0, n, shifts, betas, height)
 
@@ -177,7 +165,7 @@ def make_log_ode(
     lam = float(lam)
     if lam == 0.0:
         raise ValueError("lam must be nonzero")
-    h = _resolve_height(n, height)
+    h = resolve_height(n, height)
     shifts = [0.0] * n if shifts is None else [float(v) for v in shifts]
     betas = [0.0] * n if betas is None else [float(v) for v in betas]
     if len(shifts) != n or len(betas) != n:
@@ -196,7 +184,7 @@ def log_family_lambdas(n: int, lam: float = 1.0, height: int | None = None) -> t
     """Coefficient vector of the logarithmic family: lam off the height,
     -2 lam at it.  Pairwise sums lam_i + lam_j + lam_h vanish exactly, in
     floating point too."""
-    h = _resolve_height(n, height)
+    h = resolve_height(n, height)
     lam = float(lam)
     return tuple(-2.0 * lam if k == h else lam for k in range(1, n + 1))
 
@@ -211,10 +199,7 @@ def make_hypersphere(
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius!r}")
     center = [float(c) for c in center]
-    n = len(center)
-    if n < 3:
-        raise ValueError(f"need at least 3 center coordinates, got {n}")
-    h = _resolve_height(n, height)
+    h = resolve_height(len(center), height)
     funcs = [
         Function1D(_plus(Pow(_plus(Var(), -c), 2.0), -radius * radius if k == h - 1 else 0.0))
         for k, c in enumerate(center)
@@ -245,7 +230,7 @@ def make_exp_control(n: int, height: int | None = None) -> SeparableSurface:
     """Engineered non-example: f_k = exp(x_k) off the height and
     f_h = exp(x_h) - n, so the surface is nonempty but nowhere close to
     constant curvature."""
-    h = _resolve_height(n, height)
+    h = resolve_height(n, height)
     funcs = [
         parse_function(f"exp(x) - {float(n)!r}" if k == h else "exp(x)")
         for k in range(1, n + 1)

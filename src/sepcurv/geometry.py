@@ -28,6 +28,7 @@ from .errors import (
     NonFiniteError,
     RegularityError,
     SepcurvError,
+    SpecFileError,
     describe,
 )
 from .expr import Function1D, eval_jets
@@ -46,6 +47,18 @@ class SurfacePoint(NamedTuple):
     residual: float
 
 
+def resolve_height(n: int, height: int | None) -> int:
+    """The 1-based height index of a surface in R^n: `height`, or n when it
+    is None.  The one check of both, in the words of `families.integer`
+    (booleans are not integers)."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 3:
+        raise SpecFileError(f"n must be an integer >= 3, got {n!r}")
+    h = n if height is None else height
+    if isinstance(h, bool) or not isinstance(h, int) or not 1 <= h <= n:
+        raise SpecFileError(f"height index must be an integer >= 1 and <= {n}, got {h!r}")
+    return h
+
+
 @dataclass(frozen=True)
 class SeparableSurface:
     """Zero set of f_1(x_1) + ... + f_n(x_n) with a designated height index.
@@ -59,14 +72,8 @@ class SeparableSurface:
     height: int | None = None
 
     def __post_init__(self):
-        funcs = tuple(self.funcs)
-        object.__setattr__(self, "funcs", funcs)
-        if len(funcs) < 3:
-            raise ValueError(f"need at least 3 coordinate functions, got {len(funcs)}")
-        h = self.height if self.height is not None else len(funcs)
-        if not isinstance(h, int) or not 1 <= h <= len(funcs):
-            raise ValueError(f"height index {self.height!r} outside 1..{len(funcs)}")
-        object.__setattr__(self, "height", h)
+        object.__setattr__(self, "funcs", tuple(self.funcs))
+        object.__setattr__(self, "height", resolve_height(len(self.funcs), self.height))
 
     @property
     def n(self) -> int:

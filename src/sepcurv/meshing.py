@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .curvature import pair_table
-from .errors import MeshError
+from .errors import MeshError, SpecFileError
+from .families import _pair, integer
 from .geometry import SeparableSurface, _lift
 
 
@@ -41,15 +42,15 @@ def build_mesh(
 ) -> MeshResult:
     """Lift an (nx, ny) grid over the two non-height coordinates.
 
-    Raises `MeshError` when fewer than 3 vertices survive.
+    An n other than 3, a ranges count other than 2 or a grid side that is not
+    an integer >= 2 raises `SpecFileError`; fewer than 3 surviving vertices
+    raise `MeshError`.
     """
     if surface.n != 3:
-        raise ValueError(f"mesh export needs a 3-coordinate surface, got n = {surface.n}")
+        raise SpecFileError(f"mesh export needs n = 3, got n = {surface.n}")
     if len(ranges) != 2:
-        raise ValueError(f"expected 2 ranges, got {len(ranges)}")
-    nx, ny = grid
-    if nx < 2 or ny < 2:
-        raise ValueError(f"grid must be at least 2x2, got {nx}x{ny}")
+        raise SpecFileError(f"expected 2 ranges, got {len(ranges)}")
+    nx, ny = (integer(side, "grid", lo=2) for side in _pair(grid, "grid", "[nx, ny]"))
     i, j = surface.non_height
     a_vals = np.linspace(float(ranges[0][0]), float(ranges[0][1]), nx)
     b_vals = np.linspace(float(ranges[1][0]), float(ranges[1][1]), ny)

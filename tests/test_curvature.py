@@ -12,11 +12,14 @@ from sepcurv import (
     SepcurvError,
     SeparableSurface,
     SurfacePoint,
+    build_mesh,
     constk_residual,
     coordinate_plane,
     eval_jet2,
     flatness_residual,
     make_cobb_douglas_sqrt,
+    make_exp_control,
+    make_log_ode,
     parse_function,
     random_tangent_plane,
     sample_points,
@@ -705,15 +708,37 @@ def test_scan_needs_two_samples():
         scan_constancy(s, pts[:1], ScanPolicy())
 
 
-def test_scan_policy_validation():
-    with pytest.raises(ValueError):
-        ScanPolicy(oblique_per_point=-1)
-    with pytest.raises(ValueError):
-        ScanPolicy(seed=-2)
-    with pytest.raises(ValueError):
-        ScanPolicy(constancy_tol=0.0)
-    with pytest.raises(ValueError):
-        ScanPolicy(constancy_tol=math.nan)
+# (argument, call, bad values, message): each library entry point refuses a
+# boolean, a float, a negative and an out-of-range value when it is called
+BAD_ARGUMENTS = [
+    ("ScanPolicy.oblique_per_point", lambda v: ScanPolicy(oblique_per_point=v),
+     (True, 1.5, -1), "oblique_per_point must be an integer >= 0"),
+    ("ScanPolicy.seed", lambda v: ScanPolicy(seed=v), (True, 1.5, -2), "seed must be an integer >= 0"),
+    ("ScanPolicy.constancy_tol", lambda v: ScanPolicy(constancy_tol=v),
+     (True, -1e-7, 0.0, math.nan, INF), "constancy_tol must be (a finite number|positive)"),
+    ("SeparableSurface.height", lambda v: SeparableSurface(sphere(3, 1.0).funcs, v),
+     (True, 1.5, -1, 4), "height index must be an integer >= 1 and <= 3"),
+    ("SeparableSurface.n", lambda v: SeparableSurface(sphere(3, 1.0).funcs[:v]),
+     (2,), "n must be an integer >= 3, got 2"),
+    ("make_exp_control.n", make_exp_control, (True, 3.5, -1, 2), "n must be an integer >= 3"),
+    ("make_log_ode.height", lambda v: make_log_ode(1.0, 4, height=v),
+     (True, 1.5, -1, 5), "height index must be an integer >= 1 and <= 4"),
+    ("build_mesh.grid", lambda v: build_mesh(sphere(3, 1.0), [(-0.4, 0.4)] * 2, (v, 3), (0.1, 1.01)),
+     (True, 2.5, -1, 1), "grid must be an integer >= 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value, match",
+    [
+        pytest.param(call, value, match, id=f"{name}={value!r}")
+        for name, call, values, match in BAD_ARGUMENTS
+        for value in values
+    ],
+)
+def test_library_argument_validation(call, value, match):
+    with pytest.raises(ValueError, match=match):
+        call(value)
 
 
 def test_scan_summary_statistics_consistent():

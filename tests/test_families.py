@@ -57,13 +57,13 @@ def test_hyperplane_unit_coefficient_prints_bare():
 
 
 def test_hyperplane_validation():
-    with pytest.raises(ValueError, match="at least 3"):
+    with pytest.raises(ValueError, match="n must be an integer >= 3, got 2"):
         make_hyperplane((1.0, 1.0))
     with pytest.raises(ValueError, match="nonzero"):
         make_hyperplane((0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="lam_3"):
         make_hyperplane((1.0, 1.0, 0.0))
-    with pytest.raises(ValueError, match="height index"):
+    with pytest.raises(ValueError, match="height index must be an integer >= 1 and <= 3, got 4"):
         make_hyperplane((1.0, 1.0, 1.0), height=4)
 
 
@@ -95,7 +95,7 @@ def test_cylinder_slot_layout():
 
 def test_cylinder_validation():
     prof = parse_function("x^2")
-    with pytest.raises(ValueError, match="n >= 3"):
+    with pytest.raises(ValueError, match="n must be an integer >= 3, got 2"):
         make_cylinder(prof, 2)
     with pytest.raises(ValueError, match="height"):
         make_cylinder(prof, 4, profile_slot=4)
@@ -254,7 +254,7 @@ def test_hypersphere_validation():
         make_hypersphere((0.0, 0.0, 0.0), 0.0)
     with pytest.raises(ValueError, match="radius"):
         make_hypersphere((0.0, 0.0, 0.0), -2.0)
-    with pytest.raises(ValueError, match="at least 3"):
+    with pytest.raises(ValueError, match="n must be an integer >= 3, got 2"):
         make_hypersphere((0.0, 0.0), 1.0)
 
 

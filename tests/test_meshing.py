@@ -234,11 +234,11 @@ def test_too_few_vertices_is_mesh_error():
 
 def test_build_mesh_validation():
     four = SeparableSurface(tuple(parse_function("x^2") for _ in range(4)))
-    with pytest.raises(ValueError, match="3-coordinate surface"):
+    with pytest.raises(ValueError, match="mesh export needs n = 3, got n = 4"):
         build_mesh(four, [(-1.0, 1.0), (-1.0, 1.0)], (4, 4), (-1.0, 1.0))
     with pytest.raises(ValueError, match="expected 2 ranges"):
         build_mesh(sphere3(), [(-0.4, 0.4)], (4, 4), (0.1, 1.01))
-    with pytest.raises(ValueError, match="at least 2x2"):
+    with pytest.raises(ValueError, match="grid must be an integer >= 2, got 1"):
         build_mesh(sphere3(), [(-0.4, 0.4), (-0.4, 0.4)], (1, 5), (0.1, 1.01))
 
 

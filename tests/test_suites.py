@@ -71,7 +71,7 @@ def test_exp_control_shape():
     shifted = make_exp_control(5, height=2)
     assert shifted.funcs[1].source() == "exp(x) - 5.0"
     assert shifted.funcs[0].source() == "exp(x)"
-    with pytest.raises(ValueError, match="need n >= 3"):
+    with pytest.raises(ValueError, match="n must be an integer >= 3, got 2"):
         make_exp_control(2)
 
 
