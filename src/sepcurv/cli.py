@@ -36,8 +36,10 @@ from . import __version__
 from .curvature import (
     DEFAULT_CONSTANCY_TOL, ScanPolicy, _gauss, _pair_sorted, pair_table, sample_and_scan,
 )
-from .errors import NonFiniteError, SepcurvError, SpecFileError
-from .families import MAX_N, _pair, finite, integer, numbers, positive
+from .errors import (
+    NonFiniteError, SepcurvError, SpecFileError, _pair, finite, integer, numbers, positive,
+)
+from .families import MAX_N
 from .geometry import _lift
 from .meshing import build_mesh, write_curvature_csv, write_obj
 from .report import _vector, report_body_csv, report_body_json, write_report
@@ -136,7 +138,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     i, j = _pair(given, "--pair", "two indices i,j")
     try:
         pair = _pair_sorted(surface, i, j)
-    except ValueError as exc:   # the scan's own pair rules
+    except SpecFileError as exc:   # the scan's own pair rules, named by the flag
         raise SpecFileError(f"--pair: {exc}") from exc
     if ns.k0 is not None:
         finite(ns.k0, "--k0")

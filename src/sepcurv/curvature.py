@@ -40,7 +40,6 @@ does not depend on the order of the values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from math import fsum
@@ -48,8 +47,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegeneratePlaneError, SolveError, describe
-from .families import integer, positive
+from .errors import (
+    DegeneratePlaneError, SolveError, SpecFileError, describe, finite, integer, positive,
+)
 from .geometry import JetTable, SeparableSurface, SurfacePoint, jet_table, point_jets, sample_points
 
 EQUIVALENCE_RTOL = 1e-9        # |k_special - k_oracle| <= rtol * max(1, |k_oracle|)
@@ -61,14 +61,11 @@ CHUNK_PLANES = 1 << 14         # planes per scan chunk, bounding its arrays' mem
 
 def _pair_sorted(surface: SeparableSurface, i: int, j: int) -> tuple[int, int]:
     """Validate a 1-based non-height coordinate pair; returns it sorted."""
-    n = surface.n
     for idx in (i, j):
-        if not isinstance(idx, int) or not 1 <= idx <= n:
-            raise ValueError(f"pair index {idx!r} outside 1..{n}")
-        if idx == surface.height:
-            raise ValueError(f"pair index {idx} is the height coordinate")
+        if integer(idx, "pair index", 1, surface.n) == surface.height:
+            raise SpecFileError(f"pair index {idx} is the height coordinate")
     if i == j:
-        raise ValueError(f"pair indices must differ, got ({i}, {j})")
+        raise SpecFileError(f"pair indices must differ, got ({i}, {j})")
     return (i, j) if i < j else (j, i)
 
 
@@ -106,9 +103,7 @@ class PairTable:
 
     def constk(self, k0: float) -> np.ndarray:
         """`constk_residual` of every point and pair."""
-        k0 = float(k0)
-        if not math.isfinite(k0):
-            raise ValueError(f"k0 must be finite, got {k0!r}")
+        k0 = finite(k0, "k0")
         with np.errstate(all="ignore"):
             return k0 * self.s * self.jets.sq_norm[:, None] - 4.0 * self.flat
 
@@ -449,12 +444,13 @@ def scan_constancy(
     output is identical for any chunk count.  The summary is combined from
     the chunks' engine arrays, never from the records.
     """
+    threads = integer(threads, "threads")
     samples = list(samples)
     if len(samples) < 2:
         raise ValueError(f"constancy scan needs at least 2 sample points, got {len(samples)}")
     pairs = list(combinations(surface.non_height, 2))
     planes = len(samples) * (len(pairs) + policy.oblique_per_point)
-    chunks = min(max(1, threads, -(-planes // CHUNK_PLANES)), len(samples))
+    chunks = min(max(threads, -(-planes // CHUNK_PLANES)), len(samples))
     edges = [len(samples) * c // chunks for c in range(chunks + 1)]
     parts = [
         _chunk_records(surface, samples[a:b], a, pairs, policy)
@@ -516,6 +512,7 @@ def sample_and_scan(
     the draws) and scan the lifted points (`scan_constancy`).  Returns the
     report and the sampling failures as (draw index, text) pairs; fewer than
     2 lifted draws raise a `SolveError` naming the first failure."""
+    integer(threads, "threads")
     points, failures = sample_points(surface, ranges, count, seed, bracket)
     if len(points) < 2:
         raise SolveError(

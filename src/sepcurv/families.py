@@ -19,10 +19,12 @@ Constructors return `SeparableSurface` instances built from explicit ASTs:
 * `make_exp_control`: engineered non-example, f_k = exp(x_k); its sampling
   boxes and bracket come from `exp_control_box`.
 
+Each constructor checks its arguments with the value parsers of `errors`.
+
 `FAMILIES` holds each spec kind's parameter schema, constructor call and
 default sampling boxes and height bracket, for `FamilySpec` (the spec-file
-form) to read through `read_object`, the schema reader that with the value
-parsers here also reads the rest of a spec file and the CLI's flag values.
+form) to read through `errors.read_object`; `expression` is the schema's
+parser of an expression string.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ import reprlib
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .errors import ParseError, SpecFileError
+from .errors import (
+    REQUIRED, ParseError, SpecFileError, domain, finite, integer, interval, numbers, positive,
+    read_object,
+)
 from .expr import (
     BinOp, Call, Const, Function1D, Neg, Node, Pow, Var, eval_jet2, eval_jets, parse,
     parse_function,
@@ -69,22 +74,27 @@ def _log_term(coef: float, shift: float, offset: float) -> Node:
     return _plus(node, offset)
 
 
+def _numbers(values: Sequence[float], where: str, length: int | None = None) -> list[float]:
+    """Any sequence read as `errors.numbers` reads a list (of `length` entries if given)."""
+    values = list(values)
+    return numbers(len(values) if length is None else length)(values, where)
+
+
 def make_hyperplane(
     coeffs: Sequence[float], offset: float = 0.0, height: int | None = None
 ) -> SeparableSurface:
     """Affine surface sum lam_k x_k + offset = 0; flat everywhere.
 
-    The coefficient vector must be nonzero and the height coefficient must
-    be nonzero (the height coordinate has to be solvable).
+    The height coefficient must be nonzero (the height coordinate has to be
+    solvable), so the coefficient vector is nonzero too.
     """
-    coeffs = [float(c) for c in coeffs]
+    coeffs = _numbers(coeffs, "coeffs")
+    offset = finite(offset, "offset")
     h = resolve_height(len(coeffs), height)
-    if all(c == 0.0 for c in coeffs):
-        raise ValueError("coefficient vector must be nonzero")
     if coeffs[h - 1] == 0.0:
-        raise ValueError(f"height coefficient lam_{h} must be nonzero")
+        raise SpecFileError(f"height coefficient lam_{h} must be nonzero")
     funcs = [
-        Function1D(_affine(c, float(offset) if k == h - 1 else 0.0))
+        Function1D(_affine(c, offset if k == h - 1 else 0.0))
         for k, c in enumerate(coeffs)
     ]
     return SeparableSurface(tuple(funcs), h)
@@ -106,18 +116,14 @@ def make_cylinder(
     0).  The profile may sit at any non-height slot via `profile_slot`.
     """
     h = resolve_height(n, height)
-    if not 1 <= profile_slot <= n:
-        raise ValueError(f"profile_slot {profile_slot} outside 1..{n}")
-    if profile_slot == h:
-        raise ValueError("profile cannot occupy the height coordinate")
+    if integer(profile_slot, "profile_slot", 1, n) == h:
+        raise SpecFileError("profile cannot occupy the height coordinate")
     others = [k for k in range(1, n + 1) if k != profile_slot]
-    lin = [1.0] * (n - 1) if lin is None else [float(v) for v in lin]
-    offsets = [0.0] * (n - 1) if offsets is None else [float(v) for v in offsets]
-    if len(lin) != n - 1 or len(offsets) != n - 1:
-        raise ValueError(f"lin and offsets must have length {n - 1}")
+    lin = [1.0] * (n - 1) if lin is None else _numbers(lin, "lin", n - 1)
+    offsets = [0.0] * (n - 1) if offsets is None else _numbers(offsets, "offsets", n - 1)
     slot_of = dict(zip(others, range(n - 1)))
     if lin[slot_of[h]] == 0.0:
-        raise ValueError(f"height coefficient lam_{h} must be nonzero")
+        raise SpecFileError(f"height coefficient lam_{h} must be nonzero")
     funcs: list[Function1D] = []
     for k in range(1, n + 1):
         if k == profile_slot:
@@ -138,9 +144,7 @@ def make_cobb_douglas_sqrt(
     -log(x_k + mu_k) off the height and f_h = 2 log(x_h + mu_h) - 2 log(A);
     each domain is (-mu_k, inf).  A must be positive.
     """
-    a = float(a)
-    if not a > 0.0:
-        raise ValueError(f"scale constant A must be positive, got {a!r}")
+    a = positive(a, "scale constant A")
     h = resolve_height(n, height)
     betas = [-2.0 * math.log(a) if k == h else 0.0 for k in range(1, n + 1)]
     return make_log_ode(1.0, n, shifts, betas, height)
@@ -162,14 +166,12 @@ def make_log_ode(
     is flat; for n >= 4 oblique planes are not: at (1, 1, 1, 1) on the
     n = 4, lam = 1 member, span{X_1 + X_2, X_3} has K = -2/49.
     """
-    lam = float(lam)
+    lam = finite(lam, "lam")
     if lam == 0.0:
-        raise ValueError("lam must be nonzero")
+        raise SpecFileError("lam must be nonzero")
     h = resolve_height(n, height)
-    shifts = [0.0] * n if shifts is None else [float(v) for v in shifts]
-    betas = [0.0] * n if betas is None else [float(v) for v in betas]
-    if len(shifts) != n or len(betas) != n:
-        raise ValueError(f"shifts and betas must have length {n}")
+    shifts = [0.0] * n if shifts is None else _numbers(shifts, "shifts", n)
+    betas = [0.0] * n if betas is None else _numbers(betas, "betas", n)
     funcs = [
         Function1D(
             _log_term(2.0 * lam if k == h - 1 else -lam, shifts[k], betas[k]),
@@ -185,7 +187,7 @@ def log_family_lambdas(n: int, lam: float = 1.0, height: int | None = None) -> t
     -2 lam at it.  Pairwise sums lam_i + lam_j + lam_h vanish exactly, in
     floating point too."""
     h = resolve_height(n, height)
-    lam = float(lam)
+    lam = finite(lam, "lam")
     return tuple(-2.0 * lam if k == h else lam for k in range(1, n + 1))
 
 
@@ -195,10 +197,8 @@ def make_hypersphere(
     """Sphere of the given center and radius: f_k = (x_k - c_k)^2 with the
     -r^2 constant folded into the height function.  Curvature is 1/r^2 on
     every tangent plane."""
-    radius = float(radius)
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
-    center = [float(c) for c in center]
+    radius = positive(radius, "radius")
+    center = _numbers(center, "center")
     h = resolve_height(len(center), height)
     funcs = [
         Function1D(_plus(Pow(_plus(Var(), -c), 2.0), -radius * radius if k == h - 1 else 0.0))
@@ -216,11 +216,11 @@ def make_cobb_douglas_perturbed(
     carries f = -(1 + 2*epsilon) log(x); already epsilon = 0.05 makes the
     curvature visibly non-constant."""
     base = make_cobb_douglas_sqrt(a, n, height=height)
-    if not 1 <= slot <= n or slot == base.height:
-        raise ValueError(f"slot {slot} must be a non-height coordinate in 1..{n}")
-    epsilon = float(epsilon)
+    if integer(slot, "slot", 1, n) == base.height:
+        raise SpecFileError(f"slot {slot} is the height coordinate")
+    epsilon = finite(epsilon, "epsilon")
     if epsilon == 0.0:
-        raise ValueError("epsilon must be nonzero, otherwise the surface is the flat member")
+        raise SpecFileError("epsilon must be nonzero, otherwise the surface is the flat member")
     funcs = list(base.funcs)
     funcs[slot - 1] = Function1D(_log_term(-(1.0 + 2.0 * epsilon), 0.0, 0.0), (0.0, math.inf))
     return SeparableSurface(tuple(funcs), base.height)
@@ -249,82 +249,11 @@ def exp_control_box(n: int) -> tuple[list[tuple[float, float]], tuple[float, flo
 def ode_residual_subcase21(f: Function1D, lam_k: float, x: float) -> float:
     """Residual of f'' = f'^2 / lam_k at x; zero along the logarithmic family
     with its constructed coefficient vector."""
-    lam_k = float(lam_k)
+    lam_k = finite(lam_k, "lam_k")
     if lam_k == 0.0:
-        raise ValueError("lam_k must be nonzero")
+        raise SpecFileError("lam_k must be nonzero")
     jet = eval_jet2(f, x)
     return jet.d2 - jet.d1 * jet.d1 / lam_k
-
-
-# Spec value parsers: each takes a JSON value and where it came from, and
-# returns the parsed value or raises `SpecFileError`.  Booleans are not numbers.
-
-
-def finite(value, where: str) -> float:
-    """A finite number."""
-    try:
-        if not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except (TypeError, OverflowError):
-        pass
-    raise SpecFileError(f"{where} must be a finite number, got {reprlib.repr(value)}")
-
-
-def integer(value, where: str, lo: int = 1, hi: float = math.inf) -> int:
-    """An integer in lo..hi; the message abbreviates a long rejected value."""
-    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
-        bound = f">= {lo}" if hi == math.inf else f">= {lo} and <= {hi}"
-        raise SpecFileError(f"{where} must be an integer {bound}, got {reprlib.repr(value)}")
-    return value
-
-
-def _pair(value, where: str, shape: str):
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise SpecFileError(f"{where} must be {shape}")
-    return value
-
-
-def interval(value, where: str) -> tuple[float, float]:
-    """[lo, hi] with lo < hi, a finite distance apart so that uniform draws
-    over it stay finite."""
-    lo, hi = (finite(v, where) for v in _pair(value, where, "[lo, hi]"))
-    if not (lo < hi and math.isfinite(hi - lo)):
-        raise SpecFileError(f"{where} needs lo < hi a finite distance apart, got [{lo!r}, {hi!r}]")
-    return (lo, hi)
-
-
-def domain(value, where: str) -> tuple[float, float]:
-    """Open interval [lo, hi] whose null ends (or a null value) are unbounded."""
-    lo, hi = _pair([None, None] if value is None else value, where, "[lo, hi], null for unbounded")
-    lo = -math.inf if lo is None else finite(lo, where)
-    hi = math.inf if hi is None else finite(hi, where)
-    if not lo < hi:
-        raise SpecFileError(f"{where} needs lo < hi, got [{lo!r}, {hi!r}]")
-    return (lo, hi)
-
-
-def numbers(length: int):
-    """Parser of a list of `length` finite numbers."""
-
-    def parse(value, where: str) -> list[float]:
-        try:
-            if isinstance(value, (list, tuple)) and len(value) == length:
-                return [finite(v, where) for v in value]
-        except SpecFileError:
-            pass
-        raise SpecFileError(
-            f"{where} must be a list of {length} finite numbers, got {reprlib.repr(value)}"
-        )
-
-    return parse
-
-
-def positive(value, where: str) -> float:
-    """A finite number > 0."""
-    value = finite(value, where)
-    if not value > 0.0:
-        raise SpecFileError(f"{where} must be positive, got {value!r}")
-    return value
 
 
 def expression(value, where: str) -> Node:
@@ -335,27 +264,6 @@ def expression(value, where: str) -> Node:
         return parse(value)
     except ParseError as exc:
         raise SpecFileError(f"{where}: {exc}") from exc
-
-
-def read_object(value, where: str, schema: Mapping[str, tuple[Callable, object]]) -> dict:
-    """The object at JSON path `where` ('' at the top level) read through
-    `schema`: each key's (parser, default), the default for an absent key.
-    A non-object, an unknown key and a missing `REQUIRED` key are errors."""
-    name = where or "top level"
-    if not isinstance(value, dict):
-        raise SpecFileError(f"{name} must be an object")
-    unknown = set(value) - set(schema)
-    if unknown:
-        raise SpecFileError(f"{name}: unknown keys {sorted(unknown)}")
-    values = {}
-    for key, (parse, default) in schema.items():
-        if key in value:
-            values[key] = parse(value[key], f"{where}.{key}" if where else key)
-        elif default is REQUIRED:
-            raise SpecFileError(f"{name} needs {key!r}")
-        else:
-            values[key] = default
-    return values
 
 
 def _clipped_box(surface: SeparableSurface, **params):
@@ -402,7 +310,6 @@ def _sphere_box(surface: SeparableSurface, center: Sequence[float], radius: floa
     return ranges, (c_h + 0.1 * radius, c_h + 1.01 * radius)
 
 
-REQUIRED = object()   # schema default of a key a spec must give
 MAX_N = 100           # largest dimension a family (or `certify --dims`) takes
 
 

@@ -30,6 +30,8 @@ from .errors import (
     SepcurvError,
     SpecFileError,
     describe,
+    integer,
+    interval,
 )
 from .expr import Function1D, eval_jets
 
@@ -49,14 +51,9 @@ class SurfacePoint(NamedTuple):
 
 def resolve_height(n: int, height: int | None) -> int:
     """The 1-based height index of a surface in R^n: `height`, or n when it
-    is None.  The one check of both, in the words of `families.integer`
-    (booleans are not integers)."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 3:
-        raise SpecFileError(f"n must be an integer >= 3, got {n!r}")
-    h = n if height is None else height
-    if isinstance(h, bool) or not isinstance(h, int) or not 1 <= h <= n:
-        raise SpecFileError(f"height index must be an integer >= 1 and <= {n}, got {h!r}")
-    return h
+    is None.  The one check of both."""
+    n = integer(n, "n", 3)
+    return integer(n if height is None else height, "height index", 1, n)
 
 
 @dataclass(frozen=True)
@@ -226,7 +223,8 @@ def _lift(
 
     `partials` is a (P, n - 1) float array, one row of non-height
     coordinates per point (anything `np.array` turns into one, P = 0
-    included); another shape is a `ValueError`.
+    included); another shape is a `ValueError`.  The bracket is read with
+    `errors.interval`.
 
     Per partial, the solve is Newton's method on g(t) = f_h(t) + the sum of
     the other f_k, with a bisection step whenever Newton would leave the
@@ -244,9 +242,7 @@ def _lift(
         given = given.reshape(0, n - 1)
     if given.ndim != 2 or given.shape[1] != n - 1:
         raise ValueError(f"expected {n - 1} partial coordinates, got shape {given.shape}")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValueError(f"bracket ends must be increasing, got ({lo!r}, {hi!r})")
+    lo, hi = interval(bracket, "bracket")
     fh = surface.funcs[h0]
     values, d1, d2, failures = _columns([f for k, f in enumerate(surface.funcs) if k != h0], given)
     dlo, dhi = fh.domain
@@ -366,22 +362,21 @@ def sample_points(
     """Draw seeded uniform partial coordinates and lift each onto the surface.
 
     `ranges` gives one (lo, hi) box per non-height coordinate, ascending by
-    coordinate index.  The draws share one lift (`solve_height`'s solve and
-    gates; no point's jets are evaluated twice).  Returns surviving points
-    in draw order plus (draw_index, reason) entries for the draws that
-    failed; failures are recorded, never fatal.  The same seed always
-    produces the same draws.
+    coordinate index, each read with `errors.interval`; `count` is an
+    integer >= 1 and `seed` an integer >= 0 or a list or tuple of them.  The
+    draws share one lift (`solve_height`'s solve and gates; no point's jets
+    are evaluated twice).  Returns surviving points in draw order plus
+    (draw_index, reason) entries for the draws that failed; failures are
+    recorded, never fatal.  The same seed always produces the same draws.
     """
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+    count = integer(count, "count")
     if len(ranges) != surface.n - 1:
-        raise ValueError(
-            f"expected {surface.n - 1} sampling ranges, got {len(ranges)}"
-        )
-    lows = np.array([float(r[0]) for r in ranges])
-    highs = np.array([float(r[1]) for r in ranges])
-    if not np.all(lows < highs):
-        raise ValueError("every sampling range needs lo < hi")
+        raise SpecFileError(f"expected {surface.n - 1} sampling ranges, got {len(ranges)}")
+    lows, highs = np.array([interval(r, f"ranges[{k}]") for k, r in enumerate(ranges)]).T
+    if isinstance(seed, (list, tuple)):
+        seed = [integer(s, f"seed[{k}]", 0) for k, s in enumerate(seed)]
+    else:
+        seed = integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     partials = rng.uniform(lows, highs, size=(count, surface.n - 1))
     lift = _lift(surface, partials, bracket)

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .curvature import pair_table
-from .errors import MeshError, SpecFileError
-from .families import _pair, integer
+from .errors import MeshError, SpecFileError, _pair, integer, interval
 from .geometry import SeparableSurface, _lift
 
 
@@ -42,18 +41,18 @@ def build_mesh(
 ) -> MeshResult:
     """Lift an (nx, ny) grid over the two non-height coordinates.
 
-    An n other than 3, a ranges count other than 2 or a grid side that is not
-    an integer >= 2 raises `SpecFileError`; fewer than 3 surviving vertices
-    raise `MeshError`.
+    An n other than 3, a ranges count other than 2, a range that is not an
+    `errors.interval` or a grid side that is not an integer >= 2 raises
+    `SpecFileError`; fewer than 3 surviving vertices raise `MeshError`.
     """
     if surface.n != 3:
         raise SpecFileError(f"mesh export needs n = 3, got n = {surface.n}")
     if len(ranges) != 2:
         raise SpecFileError(f"expected 2 ranges, got {len(ranges)}")
+    (a_lo, a_hi), (b_lo, b_hi) = (interval(r, f"ranges[{k}]") for k, r in enumerate(ranges))
     nx, ny = (integer(side, "grid", lo=2) for side in _pair(grid, "grid", "[nx, ny]"))
     i, j = surface.non_height
-    a_vals = np.linspace(float(ranges[0][0]), float(ranges[0][1]), nx)
-    b_vals = np.linspace(float(ranges[1][0]), float(ranges[1][1]), ny)
+    a_vals, b_vals = np.linspace(a_lo, a_hi, nx), np.linspace(b_lo, b_hi, ny)
 
     # one lift (solve, table and gates) for every node, row-major
     lift = _lift(surface, np.column_stack((np.repeat(a_vals, ny), np.tile(b_vals, nx))), bracket)

@@ -22,11 +22,11 @@ import reprlib
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import SpecFileError
-from .expr import Function1D
-from .families import (
-    REQUIRED, FamilySpec, _pair, domain, expression, integer, interval, positive, read_object,
+from .errors import (
+    REQUIRED, SpecFileError, _pair, domain, integer, interval, positive, read_object,
 )
+from .expr import Function1D
+from .families import FamilySpec, expression
 from .geometry import SeparableSurface
 
 FORMAT_VERSION = 1

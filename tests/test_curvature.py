@@ -11,14 +11,19 @@ from sepcurv import (
     ScanRecord,
     SepcurvError,
     SeparableSurface,
+    SpecFileError,
     SurfacePoint,
     build_mesh,
     constk_residual,
     coordinate_plane,
     eval_jet2,
     flatness_residual,
+    make_cobb_douglas_perturbed,
     make_cobb_douglas_sqrt,
+    make_cylinder,
     make_exp_control,
+    make_hyperplane,
+    make_hypersphere,
     make_log_ode,
     parse_function,
     random_tangent_plane,
@@ -93,9 +98,9 @@ def test_pair_validation():
     p = pts[0]
     with pytest.raises(ValueError, match="must differ"):
         sectional_special(s, p, 1, 1)
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match="pair index must be an integer >= 1 and <= 4, got 0"):
         sectional_special(s, p, 0, 2)
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match="pair index must be an integer >= 1 and <= 4, got 5"):
         sectional_special(s, p, 1, 5)
     with pytest.raises(ValueError, match="height"):
         sectional_special(s, p, 1, 4)
@@ -709,7 +714,9 @@ def test_scan_needs_two_samples():
 
 
 # (argument, call, bad values, message): each library entry point refuses a
-# boolean, a float, a negative and an out-of-range value when it is called
+# boolean, a float, a negative, an out-of-range or a non-finite value, or a
+# malformed interval, when it is called
+TOP = SurfacePoint((0.0, 0.0, 1.0), 0.0)   # on sphere(3, 1.0)
 BAD_ARGUMENTS = [
     ("ScanPolicy.oblique_per_point", lambda v: ScanPolicy(oblique_per_point=v),
      (True, 1.5, -1), "oblique_per_point must be an integer >= 0"),
@@ -725,6 +732,44 @@ BAD_ARGUMENTS = [
      (True, 1.5, -1, 5), "height index must be an integer >= 1 and <= 4"),
     ("build_mesh.grid", lambda v: build_mesh(sphere(3, 1.0), [(-0.4, 0.4)] * 2, (v, 3), (0.1, 1.01)),
      (True, 2.5, -1, 1), "grid must be an integer >= 2"),
+    ("build_mesh.ranges", lambda v: build_mesh(sphere(3, 1.0), [v, (-0.4, 0.4)], (3, 3), (0.1, 1.01)),
+     ((0.0,),), r"^ranges\[0\] must be \[lo, hi\]$"),
+    ("sample_points.count", lambda v: sample_points(sphere(3, 1.0), [(-0.4, 0.4)] * 2, v, 0, (0.1, 1.01)),
+     (True, 2.5), r"^count must be an integer >= 1, got (True|2\.5)$"),
+    ("sample_points.seed", lambda v: sample_points(sphere(3, 1.0), [(-0.4, 0.4)] * 2, 2, v, (0.1, 1.01)),
+     (True, 1.5), r"^seed must be an integer >= 0, got (True|1\.5)$"),
+    ("sample_points.seed[k]", lambda v: sample_points(sphere(3, 1.0), [(-0.4, 0.4)] * 2, 2, v, (0.1, 1.01)),
+     ([1, -1], [1, 2.5]), r"^seed\[1\] must be an integer >= 0, got (-1|2\.5)$"),
+    ("sample_points.ranges", lambda v: sample_points(sphere(3, 1.0), [v, (-0.4, 0.4)], 2, 0, (0.1, 1.01)),
+     ((0.5,),), r"^ranges\[0\] must be \[lo, hi\]$"),
+    ("solve_height.bracket", lambda v: solve_height(sphere(3, 1.0), (0.0, 0.0), v),
+     ((math.nan, 1.01), (0.1, INF)), r"^bracket must be a finite number, got (nan|inf)$"),
+    ("sectional_special.i", lambda v: sectional_special(sphere(3, 1.0), TOP, v, 2),
+     (True, 1.5), r"^pair index must be an integer >= 1 and <= 3, got (True|1\.5)$"),
+    ("constk_residual.k0", lambda v: constk_residual(sphere(3, 1.0), TOP, 1, 2, v),
+     (True, INF), r"^k0 must be a finite number, got (True|inf)$"),
+    ("scan_constancy.threads", lambda v: scan_constancy(*sphere_points(3, 1.0, 3, 1), threads=v),
+     (2.5, 0, -3, True), r"^threads must be an integer >= 1, got (2\.5|0|-3|True)$"),
+    ("sample_and_scan.threads", lambda v: curvature.sample_and_scan(
+        sphere(3, 1.0), [(-0.4, 0.4)] * 2, 3, 0, (0.1, 1.01), ScanPolicy(), v),
+     (2.5, 0, -3, True), r"^threads must be an integer >= 1, got (2\.5|0|-3|True)$"),
+    ("make_cylinder.profile_slot", lambda v: make_cylinder(parse_function("x^2"), 4, profile_slot=v),
+     (True, 1.5), r"^profile_slot must be an integer >= 1 and <= 4, got (True|1\.5)$"),
+    ("make_cobb_douglas_perturbed.slot", lambda v: make_cobb_douglas_perturbed(1.0, 4, 0.05, slot=v),
+     (True, 1.5), r"^slot must be an integer >= 1 and <= 4, got (True|1\.5)$"),
+    ("make_cobb_douglas_perturbed.epsilon", lambda v: make_cobb_douglas_perturbed(1.0, 4, v),
+     (math.nan,), r"^epsilon must be a finite number, got nan$"),
+    ("make_hypersphere.radius", lambda v: make_hypersphere([0.0] * 3, v),
+     (INF,), r"^radius must be a finite number, got inf$"),
+    ("make_hypersphere.center", lambda v: make_hypersphere(v, 1.0),
+     ([0.0, INF, 0.0],), r"^center must be a list of 3 finite numbers, got \[0.0, inf, 0.0\]$"),
+    ("make_cobb_douglas_sqrt.a", lambda v: make_cobb_douglas_sqrt(v, 4),
+     (INF,), r"^scale constant A must be a finite number, got inf$"),
+    ("make_log_ode.lam", lambda v: make_log_ode(v, 4), (math.nan,), r"^lam must be a finite number, got nan$"),
+    ("make_log_ode.shifts", lambda v: make_log_ode(1.0, 4, shifts=v),
+     ([0.0, 0.0, math.nan, 0.0],), r"^shifts must be a list of 4 finite numbers, got \[0.0, 0.0, nan, 0.0\]$"),
+    ("make_hyperplane.coeffs", make_hyperplane,
+     ([1.0, math.nan, 1.0],), r"^coeffs must be a list of 3 finite numbers, got \[1.0, nan, 1.0\]$"),
 ]
 
 
@@ -737,7 +782,7 @@ BAD_ARGUMENTS = [
     ],
 )
 def test_library_argument_validation(call, value, match):
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(SpecFileError, match=match):
         call(value)
 
 

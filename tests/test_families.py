@@ -101,7 +101,7 @@ def test_cylinder_validation():
         make_cylinder(prof, 4, profile_slot=4)
     with pytest.raises(ValueError, match="lam_4"):
         make_cylinder(prof, 4, lin=(1.0, 1.0, 0.0))
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(ValueError, match=r"^lin must be a list of 3 finite numbers, got \[1.0, 1.0\]$"):
         make_cylinder(prof, 4, lin=(1.0, 1.0))
     with pytest.raises(ValueError, match="profile_slot"):
         make_cylinder(prof, 4, profile_slot=7)
@@ -137,7 +137,7 @@ def test_cobb_douglas_validation():
         make_cobb_douglas_sqrt(0.0, 4)
     with pytest.raises(ValueError, match="positive"):
         make_cobb_douglas_sqrt(-1.0, 4)
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(ValueError, match=r"^shifts must be a list of 4 finite numbers, got \[0.0, 0.0\]$"):
         make_cobb_douglas_sqrt(1.0, 4, shifts=(0.0, 0.0))
 
 
@@ -167,9 +167,9 @@ def test_cobb_douglas_is_flat():
 def test_log_ode_validation():
     with pytest.raises(ValueError, match="nonzero"):
         make_log_ode(0.0, 4)
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(ValueError, match=r"^shifts must be a list of 4 finite numbers, got \[0.0\]$"):
         make_log_ode(1.0, 4, shifts=(0.0,))
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(ValueError, match=r"^betas must be a list of 4 finite numbers, got \[0.0\]$"):
         make_log_ode(1.0, 4, betas=(0.0,))
 
 

@@ -159,7 +159,9 @@ def test_solve_no_sign_change():
 
 
 def test_solve_bracket_order_check():
-    with pytest.raises(ValueError, match="increasing"):
+    with pytest.raises(
+        ValueError, match=r"bracket needs lo < hi a finite distance apart, got \[2.0, 0.2\]"
+    ):
         solve_height(sphere(4, 2.0), (0.1, 0.1, 0.1), (2.0, 0.2))
 
 

@@ -1,6 +1,7 @@
 """Repository hygiene: README's Python examples run, no module imports a
-name it never uses, and every public name has a caller or a reader outside
-the tests."""
+name it never uses, the value parsers and the engines sit below the family
+catalogue in the import graph, and every public name has a caller or a
+reader outside the tests."""
 
 import ast
 import re
@@ -49,6 +50,33 @@ def _unused_imports(path: Path) -> list[str]:
 )
 def test_module_uses_every_name_it_imports(module):
     assert _unused_imports(PACKAGE / module) == []
+
+
+def _package_imports(module: str) -> set[str]:
+    """The package modules `module` imports from, as `.name` or
+    `sepcurv.name` (`from . import name` counts as importing `name`)."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / module).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            path = "." * node.level + (node.module or "")
+            if path in (".", "sepcurv"):
+                found.update(alias.name for alias in node.names)
+            elif path.startswith((".", "sepcurv.")):
+                found.add(path.lstrip(".").removeprefix("sepcurv.").split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("sepcurv.")
+            )
+    return found
+
+
+def test_value_parsers_and_engines_sit_below_the_family_catalogue():
+    # every module checks its arguments with the parsers in errors, so errors
+    # imports no package module; the engines never need the family catalogue
+    assert _package_imports("errors.py") == set()
+    for module in ("geometry.py", "curvature.py", "meshing.py"):
+        assert "families" not in _package_imports(module), module
 
 
 def _src_references() -> set[str]:
