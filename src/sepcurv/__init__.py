@@ -55,6 +55,7 @@ from .families import (
 from .geometry import (
     ON_SURFACE_RTOL,
     REGULARITY_EPS,
+    Samples,
     SeparableSurface,
     SurfacePoint,
     ensure_regular,

@@ -26,16 +26,18 @@ always K itself.
 Every engine runs on a jet table (`geometry.jet_table`): each f_k's 2-jets
 evaluated by one array walk over all points (`expr.eval_jets`, the same bits
 as the one-point `eval_jet2`) and stacked into P x n arrays of f_k' and
-f_k''.  The regularity gates, the closed form, both
-residuals, the coordinate frames and the Gauss engine with its tangency and
-independence checks are array expressions over that table, for all points
-and planes at once.  Sums over coordinates run in a fixed order, so a row's
+f_k''.  A scan of lifted points reuses the table the lift evaluated
+(`Samples.table`), which holds the same bits.  The regularity gates, the
+closed form, both residuals, the coordinate frames and the Gauss engine
+with its tangency and independence checks are array expressions over that
+table, for all points and planes at once.  Sums over coordinates run in a fixed order, so a row's
 result does not depend on how many rows share the table: the point-wise
 functions are the same kernels at P = 1 and agree with a scan bit for bit,
 and a scan split into point chunks writes the same records.  The scan's
 summary is combined from each chunk's engine arrays, not from the records:
 min and max over the finite values, and the mean as an exact `fsum`, so it
-does not depend on the order of the values.
+does not depend on the order of the values, and the records are built
+from those arrays only when something reads them.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from math import fsum
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -308,9 +310,33 @@ class ScanRecord(NamedTuple):
         return self.k_special if self.k_special is not None else self.k_oracle
 
 
+class _BuiltOnRead:
+    """A dataclass field holding a value, or a zero-argument function that
+    builds it: the function runs when the field is first read, and its
+    value is kept and read from then on."""
+
+    def __set_name__(self, owner, name):
+        self.slot = f"_{name}"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:   # no class-level default, so the field stays required
+            raise AttributeError(self.slot)
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class CurvatureReport:
     """Scan outcome: per-plane records plus summary statistics.
+
+    `records` may be given as a function that returns their tuple; it runs
+    the first time `records` is read, so a scan whose records nobody reads
+    never builds them, and every read returns the same tuple.
 
     `k_min`, `k_max`, `k_mean` and `spread` (max - min) range over the
     finite curvature values.  `verdict` is "non-constant" if the spread
@@ -326,7 +352,7 @@ class CurvatureReport:
     seed: int
     constancy_tol: float
     oblique_per_point: int
-    records: tuple[ScanRecord, ...]
+    records: tuple[ScanRecord, ...] = _BuiltOnRead()
     point_count: int
     value_count: int
     failure_count: int
@@ -341,32 +367,35 @@ class CurvatureReport:
 
 
 class _Chunk(NamedTuple):
-    """A scan chunk's records and, over its points without an error, the
-    summary's inputs: the curvature values in record order, the pair
-    records' flags and engine deviations, and the error-record count."""
+    """A scan chunk's summary inputs over its points without an error (the
+    curvature values in record order, the pair records' flags and engine
+    deviations), its error-record count, and the function that builds its
+    records."""
 
-    records: list[ScanRecord]
     values: np.ndarray
     flagged: np.ndarray
     devs: np.ndarray
     failures: int
+    records: Callable[[], list[ScanRecord]]
 
 
-def _chunk_records(
+def _scan_chunk(
     surface: SeparableSurface,
     points: Sequence[SurfacePoint],
+    jets: JetTable,
     start: int,
     pairs: Sequence[tuple[int, int]],
     policy: ScanPolicy,
 ) -> _Chunk:
-    """Records of the points at positions start, start + 1, ... from one jet
-    table, both pair engines and every oblique plane evaluated as arrays,
-    with the summary's inputs taken from those arrays."""
-    jets = jet_table(surface, points)
+    """Both pair engines and every oblique plane of the points at positions
+    start, start + 1, ..., evaluated as arrays over their jet table, with
+    the summary's inputs taken from those arrays.  The record builder keeps
+    the arrays it reads and not the pair frames."""
     errors = jets.errors(surface.height)
     table = pair_table(surface, jets, pairs)
     nq, m = len(pairs), policy.oblique_per_point
     u, w = table.frames(surface.height)
+    pu = pw = np.zeros((len(points), 0, surface.n))
     draw_errors: dict[tuple[int, int], DegeneratePlaneError] = {}
     if m:
         regular = [p for p, exc in enumerate(errors) if exc is None]
@@ -403,28 +432,35 @@ def _chunk_records(
         devs = gap[good] / scale[good]
     values = np.concatenate([ks, k[:, nq:]], axis=1)[good][kept]
 
-    lo, hi = zip(*pairs)
-    ks, k, flat, flagged_rows = ks.tolist(), k.tolist(), table.flat.tolist(), flagged.tolist()
-    u, w = u[:, nq:].tolist(), w[:, nq:].tolist()
-    records: list[ScanRecord] = []
-    for p, point in enumerate(points):
-        sample, coords = start + p, point.coords
-        if point_errors[p] is not None:
-            records.append(ScanRecord(sample, coords, "error", error=describe(point_errors[p])))
-            continue
-        # repeat(sample, nq) stops the zip after the pairs: k[p] holds the planes too
-        records.extend(map(ScanRecord._make, zip(
-            repeat(sample, nq), repeat(coords), repeat("pair"), lo, hi, repeat(None),
-            repeat(None), ks[p], k[p], flat[p], flagged_rows[p], repeat(None),
-        )))
-        for r in range(m):
-            exc = plane_errors[p, nq + r]
-            records.append(
-                ScanRecord(sample, coords, "error", error=describe(exc)) if exc is not None
-                else ScanRecord(sample, coords, "plane", None, None, tuple(u[p][r]),
-                                tuple(w[p][r]), None, k[p][nq + r])
-            )
-    return _Chunk(records, values, flagged[good], devs, len(records) - len(values))
+    def records() -> list[ScanRecord]:
+        """The records, from the engine arrays: one error record for a point
+        with an error, else its pair records and then its oblique planes',
+        where a plane that failed is an error record."""
+        lo, hi = zip(*pairs)
+        special, gauss, flat, flags, us, ws = (
+            a.tolist() for a in (ks, k, table.flat, flagged, pu, pw)
+        )
+        out: list[ScanRecord] = []
+        for p, point in enumerate(points):
+            sample, coords = start + p, point.coords
+            if point_errors[p] is not None:
+                out.append(ScanRecord(sample, coords, "error", error=describe(point_errors[p])))
+                continue
+            # repeat(sample, nq) stops the zip after the pairs: gauss[p] holds the planes too
+            out.extend(map(ScanRecord._make, zip(
+                repeat(sample, nq), repeat(coords), repeat("pair"), lo, hi, repeat(None),
+                repeat(None), special[p], gauss[p], flat[p], flags[p], repeat(None),
+            )))
+            for r in range(m):
+                exc = plane_errors[p, nq + r]
+                out.append(
+                    ScanRecord(sample, coords, "error", error=describe(exc)) if exc is not None
+                    else ScanRecord(sample, coords, "plane", None, None, tuple(us[p][r]),
+                                    tuple(ws[p][r]), None, gauss[p][nq + r])
+                )
+        return out
+
+    return _Chunk(values, flagged[good], devs, int((~good).sum() + (~kept).sum()), records)
 
 
 def scan_constancy(
@@ -432,32 +468,45 @@ def scan_constancy(
     samples: Sequence[SurfacePoint],
     policy: ScanPolicy = ScanPolicy(),
     threads: int = 1,
+    jets: JetTable | None = None,
 ) -> CurvatureReport:
     """Evaluate curvature over every coordinate pair (and optional random
     planes) at every sample point and judge constancy.
 
-    Per-point failures become error records, never abort the scan.  The
-    points are evaluated in `threads` sequential chunks, one jet table
-    each: at most one chunk per point, and at least enough chunks that they
-    average no more than `CHUNK_PLANES` planes.  Records are ordered by
-    (sample position, pairs ascending, then planes in draw order), so
-    output is identical for any chunk count.  The summary is combined from
-    the chunks' engine arrays, never from the records.
+    `jets` is the points' jet table, row p for samples[p]: the `table` of
+    the `Samples` the points came from, so that no f_k is walked again.
+    Without it the scan evaluates one (`geometry.jet_table`); a table of
+    another shape is a `ValueError`.  Per-point failures become error
+    records, never abort the scan.  The points are evaluated in `threads`
+    sequential chunks: at most one chunk per point, and at least enough
+    chunks that they average no more than `CHUNK_PLANES` planes.  The
+    summary is combined from the chunks' engine arrays, never from the
+    records, and the records are built from those arrays only when
+    `records` is first read.  They are ordered by (sample position, pairs
+    ascending, then planes in draw order), so output is identical for any
+    chunk count.
     """
     threads = integer(threads, "threads")
     samples = list(samples)
     if len(samples) < 2:
         raise ValueError(f"constancy scan needs at least 2 sample points, got {len(samples)}")
+    if jets is None:
+        jets = jet_table(surface, samples)
+    elif jets.d1.shape != (len(samples), surface.n):
+        raise ValueError(
+            f"jet table of shape {jets.d1.shape} does not fit {len(samples)} points "
+            f"in R^{surface.n}"
+        )
     pairs = list(combinations(surface.non_height, 2))
     planes = len(samples) * (len(pairs) + policy.oblique_per_point)
     chunks = min(max(threads, -(-planes // CHUNK_PLANES)), len(samples))
     edges = [len(samples) * c // chunks for c in range(chunks + 1)]
     parts = [
-        _chunk_records(surface, samples[a:b], a, pairs, policy)
+        _scan_chunk(surface, samples[a:b], jets.rows(a, b), a, pairs, policy)
         for a, b in zip(edges, edges[1:])
     ]
-    records = tuple(chain.from_iterable(part.records for part in parts))
 
+    builders = [part.records for part in parts]
     values = np.concatenate([part.values for part in parts])
     finite = values[np.isfinite(values)]
     flagged_count = sum(int(part.flagged.sum()) for part in parts)
@@ -489,7 +538,7 @@ def scan_constancy(
         seed=policy.seed,
         constancy_tol=policy.constancy_tol,
         oblique_per_point=policy.oblique_per_point,
-        records=records,
+        records=lambda: tuple(chain.from_iterable(build() for build in builders)),
         point_count=len(samples),
         value_count=len(values),
         failure_count=sum(part.failures for part in parts),
@@ -513,10 +562,10 @@ def sample_and_scan(
     report and the sampling failures as (draw index, text) pairs; fewer than
     2 lifted draws raise a `SolveError` naming the first failure."""
     integer(threads, "threads")
-    points, failures = sample_points(surface, ranges, count, seed, bracket)
+    points, failures, table = sample_points(surface, ranges, count, seed, bracket)
     if len(points) < 2:
         raise SolveError(
             f"only {len(points)} of {count} draws lifted onto the surface; "
             f"first failure: {failures[0][1] if failures else 'n/a'}"
         )
-    return scan_constancy(surface, points, policy, threads=threads), failures
+    return scan_constancy(surface, points, policy, threads=threads, jets=table), failures

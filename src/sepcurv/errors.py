@@ -90,6 +90,16 @@ def finite(value, where: str) -> float:
     raise SpecFileError(f"{where} must be a finite number, got {reprlib.repr(value)}")
 
 
+def number(value, where: str) -> float:
+    """A number other than NaN: infinite ends of a domain, say."""
+    try:
+        if not isinstance(value, bool) and not math.isnan(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise SpecFileError(f"{where} must be a number, got {reprlib.repr(value)}")
+
+
 def integer(value, where: str, lo: int = 1, hi: float = math.inf) -> int:
     """An integer in lo..hi; the message abbreviates a long rejected value."""
     if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:

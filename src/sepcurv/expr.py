@@ -40,7 +40,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ParseError, SepcurvError
+from .errors import (
+    DomainError, NonFiniteError, ParseError, SepcurvError, SpecFileError, _pair, number,
+)
 from .jets import Jet2, Number
 
 
@@ -304,16 +306,18 @@ class Function1D:
     """A parsed single-variable function with an open evaluation domain.
 
     Immutable after construction; the domain is the open interval (lo, hi)
-    with infinite ends allowed, and evaluation outside it raises.
+    with infinite ends allowed, and evaluation outside it raises.  The
+    domain is a list or tuple of two numbers, neither a boolean nor NaN,
+    with lo < hi, else a `SpecFileError`.
     """
 
     ast: Node
     domain: tuple[float, float] = (-math.inf, math.inf)
 
     def __post_init__(self):
-        lo, hi = float(self.domain[0]), float(self.domain[1])
-        if math.isnan(lo) or math.isnan(hi) or not lo < hi:
-            raise ValueError(f"domain ends must satisfy lo < hi, got ({lo!r}, {hi!r})")
+        lo, hi = (number(end, "domain") for end in _pair(self.domain, "domain", "[lo, hi]"))
+        if not lo < hi:
+            raise SpecFileError(f"domain ends must satisfy lo < hi, got ({lo!r}, {hi!r})")
         object.__setattr__(self, "domain", (lo, hi))
 
     def source(self) -> str:

@@ -198,6 +198,8 @@ def make_hypersphere(
     -r^2 constant folded into the height function.  Curvature is 1/r^2 on
     every tangent plane."""
     radius = positive(radius, "radius")
+    if math.isinf(radius * radius):   # the height function would fold in -inf
+        raise SpecFileError(f"radius {radius!r} is too large: its square overflows")
     center = _numbers(center, "center")
     h = resolve_height(len(center), height)
     funcs = [

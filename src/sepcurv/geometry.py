@@ -117,6 +117,11 @@ class JetTable:
             vec[:, :, h0] = -self.d1[:, idx] / self.d1[:, h0:h0 + 1]
         return vec
 
+    def rows(self, start: int, stop: int) -> JetTable:
+        """The table of the points at rows start, ..., stop - 1."""
+        part = slice(start, stop)
+        return JetTable(self.d1[part], self.d2[part], self.sq_norm[part], self.jet_errors[part])
+
     def errors(self, height: int | None = None) -> list[SepcurvError | None]:
         """Each point's first failure: its jet error, then the gradient-norm
         gate, then (given the 1-based `height`) the height-slope gate."""
@@ -352,22 +357,32 @@ def solve_height(
     return lift.points[0]
 
 
+class Samples(NamedTuple):
+    """What `sample_points` returns: the lifted points in draw order, each
+    failed draw's (draw index, reason), and the lifted points' gated jet
+    table, row p for points[p], which `scan_constancy` takes as its jets."""
+
+    points: list[SurfacePoint]
+    failures: list[tuple[int, str]]
+    table: JetTable
+
+
 def sample_points(
     surface: SeparableSurface,
     ranges: Sequence[tuple[float, float]],
     count: int,
     seed,
     bracket: tuple[float, float],
-) -> tuple[list[SurfacePoint], list[tuple[int, str]]]:
+) -> Samples:
     """Draw seeded uniform partial coordinates and lift each onto the surface.
 
     `ranges` gives one (lo, hi) box per non-height coordinate, ascending by
     coordinate index, each read with `errors.interval`; `count` is an
     integer >= 1 and `seed` an integer >= 0 or a list or tuple of them.  The
-    draws share one lift (`solve_height`'s solve and gates; no point's jets
-    are evaluated twice).  Returns surviving points in draw order plus
-    (draw_index, reason) entries for the draws that failed; failures are
-    recorded, never fatal.  The same seed always produces the same draws.
+    draws share one lift (`solve_height`'s solve and gates), and the jets it
+    evaluated come back as the samples' table, so a scan of the points
+    walks no f_k again.  Failures are recorded, never fatal.  The same seed
+    always produces the same draws.
     """
     count = integer(count, "count")
     if len(ranges) != surface.n - 1:
@@ -380,4 +395,5 @@ def sample_points(
     rng = np.random.default_rng(seed)
     partials = rng.uniform(lows, highs, size=(count, surface.n - 1))
     lift = _lift(surface, partials, bracket)
-    return lift.points, sorted((i, describe(exc)) for i, exc in lift.failures.items())
+    failures = sorted((i, describe(exc)) for i, exc in lift.failures.items())
+    return Samples(lift.points, failures, lift.table)

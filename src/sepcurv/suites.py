@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .curvature import ScanPolicy, pair_table, sample_and_scan
 from .families import FamilySpec, exp_control_box, make_cobb_douglas_perturbed, make_exp_control
-from .geometry import SeparableSurface, jet_table, sample_points
+from .geometry import SeparableSurface, sample_points
 
 FLAT_TOL = 1e-9           # max |K| accepted as flat
 SPHERE_TOL = 1e-9         # max |K - 1/r^2| and spread accepted as constant
@@ -155,8 +155,7 @@ def run_constant_suite(
 
     # a flat family must fail every nonzero constant-curvature residual
     n, (flat, ranges, bracket) = _control_flat(dims)
-    points, _ = sample_points(flat, ranges, 25, [seed, 20, n], bracket)
-    table = pair_table(flat, jet_table(flat, points))
+    table = pair_table(flat, sample_points(flat, ranges, 25, [seed, 20, n], bracket).table)
     worst_min = min(float(abs(table.constk(k0)).min()) for k0 in NONZERO_K0S)
     ok = worst_min > CONTROL_MIN_SPREAD
     rows.append(

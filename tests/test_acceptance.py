@@ -92,7 +92,7 @@ def test_acceptance_2_hyperspheres_constant_at_inverse_radius_squared():
             for r in (0.5, 1.0, 2.0, 3.0):
                 surface = make_hypersphere([0.0] * n, r)
                 half = r / (2.0 * math.sqrt(n - 1))
-                pts, fails = sample_points(
+                pts, fails, _ = sample_points(
                     surface,
                     [(-half, half)] * (n - 1),
                     100,
@@ -190,13 +190,13 @@ def test_acceptance_4_negative_controls_rejected():
     try:
         scans = []
         perturbed = make_cobb_douglas_perturbed(1.0, 4, 0.05)
-        pts, fails = sample_points(perturbed, [(0.5, 2.0)] * 3, 100, 41, (0.05, 8.0))
+        pts, fails, _ = sample_points(perturbed, [(0.5, 2.0)] * 3, 100, 41, (0.05, 8.0))
         assert not fails
         scans.append(scan_constancy(perturbed, pts, ScanPolicy(seed=41)))
 
         for n, hi, seed in ((4, 0.2, 42), (6, 0.0, 43)):
             control = make_exp_control(n)
-            pts, fails = sample_points(
+            pts, fails, _ = sample_points(
                 control, [(-0.5, hi)] * (n - 1), 100, seed, (-6.0, 2.0)
             )
             assert not fails
@@ -206,7 +206,7 @@ def test_acceptance_4_negative_controls_rejected():
         all_rejected = all(report.verdict == "non-constant" for report in scans)
 
         flat = make_cobb_douglas_sqrt(1.0, 4)
-        fpts, fails = sample_points(flat, [(0.5, 2.0)] * 3, 100, 44, (0.05, 8.0))
+        fpts, fails, _ = sample_points(flat, [(0.5, 2.0)] * 3, 100, 44, (0.05, 8.0))
         assert not fails
         pairs = list(combinations(flat.non_height, 2))
         min_resid = min(
@@ -348,7 +348,7 @@ def test_acceptance_8_three_dimensional_boundary():
             (make_cobb_douglas_sqrt(1.0, 3), [(0.5, 2.0)] * 2, (0.05, 8.0)),
         ]
         for surface, ranges, bracket in flats:
-            pts, fails = sample_points(surface, ranges, 100, 81, bracket)
+            pts, fails, _ = sample_points(surface, ranges, 100, 81, bracket)
             assert not fails
             i, j = surface.non_height
             for p in pts:
@@ -363,7 +363,7 @@ def test_acceptance_8_three_dimensional_boundary():
         for r in (0.5, 1.0, 2.0, 3.0):
             surface = make_hypersphere([0.0] * 3, r)
             half = r / (2.0 * math.sqrt(2.0))
-            pts, fails = sample_points(
+            pts, fails, _ = sample_points(
                 surface, [(-half, half)] * 2, 100, 82, (0.1 * r, 1.01 * r)
             )
             assert not fails

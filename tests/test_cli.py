@@ -12,6 +12,7 @@ import pytest
 
 import sepcurv
 from sepcurv import (
+    Samples,
     SuiteRow,
     constk_residual,
     coordinate_plane,
@@ -679,6 +680,8 @@ BIG = "<1e309>"     # written as the JSON number 1e309, which reads as inf
         (SPHERE4, {"grid": [10**400, 4]}, "grid"),
         # a scan needs two lifted draws, so one draw is a spec error, not a solve failure
         (SPHERE4, {"sampling": {"count": 1}}, "sampling.count must be an integer >= 2 and <= 100000, got 1"),
+        # a finite radius whose square overflows would fold -inf into f_h
+        ({**SPHERE4, "radius": 2e154}, {}, "radius 2e+154 is too large: its square overflows"),
     ],
 )
 def test_bad_spec_values_exit_2(tmp_path, capsys, family, extra, message):
@@ -780,7 +783,7 @@ def test_certify_high_dimension_exits_0_or_1(capsys, suite):
 
 
 def _no_lifts(*args):
-    return [], [(0, "BracketError: x")]
+    return Samples([], [(0, "BracketError: x")], None)
 
 
 def test_certify_too_few_lifts_exit_3(capsys, monkeypatch):

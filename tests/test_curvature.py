@@ -67,7 +67,7 @@ def mixed_surface() -> SeparableSurface:
 def sphere_points(n: int, radius: float, count: int, seed: int):
     s = sphere(n, radius)
     half = radius / (2.0 * math.sqrt(n - 1))
-    pts, fails = sample_points(
+    pts, fails, _ = sample_points(
         s, [(-half, half)] * (n - 1), count, seed, (0.1 * radius, 1.01 * radius)
     )
     assert not fails
@@ -76,14 +76,14 @@ def sphere_points(n: int, radius: float, count: int, seed: int):
 
 def log_points(n: int, count: int, seed: int):
     s = log_surface(n)
-    pts, fails = sample_points(s, [(0.5, 2.0)] * (n - 1), count, seed, (0.05, 8.0))
+    pts, fails, _ = sample_points(s, [(0.5, 2.0)] * (n - 1), count, seed, (0.05, 8.0))
     assert not fails
     return s, pts
 
 
 def mixed_points(count: int, seed: int):
     s = mixed_surface()
-    pts, fails = sample_points(
+    pts, fails, _ = sample_points(
         s, [(-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)], count, seed, (-30.0, 30.0)
     )
     assert not fails
@@ -618,7 +618,7 @@ SUMMARY_FIELDS = (
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_non_finite_value_leaves_scan_undetermined(seed):
     s, ranges, bracket = overflow_surface()
-    points, failures = sample_points(s, ranges, 6, seed, bracket)
+    points, failures, _ = sample_points(s, ranges, 6, seed, bracket)
     assert len(points) == 6 and failures == []
     policy = ScanPolicy(seed=seed)
     report = scan_constancy(s, points, policy)
@@ -641,7 +641,7 @@ def test_scan_mean_of_values_whose_sum_overflows():
     # float, so the sum of the finite values overflows
     fs = [parse_function("1e150*x^2") for _ in range(2)]
     s = SeparableSurface((*fs, parse_function("1e150*x^2 - 1e-157")))
-    points, _ = sample_points(s, [(-1e-154, 1e-154)] * 2, 20, 1, (1e-155, 1e-153))
+    points, _, _ = sample_points(s, [(-1e-154, 1e-154)] * 2, 20, 1, (1e-155, 1e-153))
     report = scan_constancy(s, points)
     values = [r.k_value() for r in report.records if math.isfinite(r.k_value())]
     with pytest.raises(OverflowError):
@@ -668,13 +668,13 @@ def test_scan_bounds_planes_per_chunk(monkeypatch):
     policy = ScanPolicy(oblique_per_point=6, seed=64)
     whole = scan_constancy(s, pts, policy)
     sizes = []
-    real_chunk = curvature._chunk_records
+    real_chunk = curvature._scan_chunk
 
     def spy(surface, points, *rest):
         sizes.append(len(points))
         return real_chunk(surface, points, *rest)
 
-    monkeypatch.setattr(curvature, "_chunk_records", spy)
+    monkeypatch.setattr(curvature, "_scan_chunk", spy)
     monkeypatch.setattr(curvature, "CHUNK_PLANES", 30)
     # 20 points x (3 pairs + 6 planes) = 180 planes: at least 6 chunks
     assert scan_constancy(s, pts, policy) == whole
@@ -761,6 +761,16 @@ BAD_ARGUMENTS = [
      (math.nan,), r"^epsilon must be a finite number, got nan$"),
     ("make_hypersphere.radius", lambda v: make_hypersphere([0.0] * 3, v),
      (INF,), r"^radius must be a finite number, got inf$"),
+    ("make_hypersphere.radius^2", lambda v: make_hypersphere([0.0] * 3, v),
+     (2e154, 1e300), r"^radius (2e\+154|1e\+300) is too large: its square overflows$"),
+    ("Function1D.domain", lambda v: parse_function("x", v),
+     ((0.0,), (0.0, 1.0, 2.0), 0.5), r"^domain must be \[lo, hi\]$"),
+    ("Function1D.domain end", lambda v: parse_function("x", v),
+     ((True, 2.0), ("a", 1), (0.0, math.nan), (0.0, 10**400)),
+     r"^domain must be a number, got (True|'a'|nan|1000.*)$"),
+    ("Function1D.domain order", lambda v: parse_function("x", v),
+     ((2.0, 1.0), (1.0, 1.0), (INF, INF)),
+     r"^domain ends must satisfy lo < hi, got \((2\.0, 1\.0|1\.0, 1\.0|inf, inf)\)$"),
     ("make_hypersphere.center", lambda v: make_hypersphere(v, 1.0),
      ([0.0, INF, 0.0],), r"^center must be a list of 3 finite numbers, got \[0.0, inf, 0.0\]$"),
     ("make_cobb_douglas_sqrt.a", lambda v: make_cobb_douglas_sqrt(v, 4),
@@ -870,12 +880,12 @@ def summary_case(name, monkeypatch):
     if name.startswith("overflow-"):
         seed = int(name.split("-")[1])
         s, ranges, bracket = overflow_surface()
-        points, _ = sample_points(s, ranges, 6, seed, bracket)
+        points, _, _ = sample_points(s, ranges, 6, seed, bracket)
         return scan_constancy(s, points, ScanPolicy(oblique_per_point=2, seed=seed))
     if name == "sum-overflow":
         fs = [parse_function("1e150*x^2") for _ in range(2)]
         s = SeparableSurface((*fs, parse_function("1e150*x^2 - 1e-157")))
-        points, _ = sample_points(s, [(-1e-154, 1e-154)] * 2, 20, 1, (1e-155, 1e-153))
+        points, _, _ = sample_points(s, [(-1e-154, 1e-154)] * 2, 20, 1, (1e-155, 1e-153))
         return scan_constancy(s, points)
     if name == "one-disagreement":
         s, pts = sphere_points(4, 2.0, 6, 68)
@@ -896,7 +906,7 @@ def summary_case(name, monkeypatch):
         # pair values +0.0, every oblique value -0.0: the minimum and the
         # maximum are the first zero in record order, as min and max give
         s = SeparableSurface(tuple(parse_function(f) for f in ("x^2", "x", "-x", "x")))
-        pts, _ = sample_points(s, [(-1.0, 1.0)] * 3, 10, 1, (-50.0, 50.0))
+        pts, _, _ = sample_points(s, [(-1.0, 1.0)] * 3, 10, 1, (-50.0, 50.0))
         real_gauss = curvature._gauss
 
         def negative_zero_planes(table, u, w):

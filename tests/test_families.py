@@ -34,7 +34,7 @@ from oracles import surface_point
 
 def scan_with_defaults(spec: FamilySpec, count: int = 30, seed: int = 9, **policy):
     surface, ranges, bracket = spec.defaults()
-    pts, fails = sample_points(surface, ranges, count, seed, bracket)
+    pts, fails, _ = sample_points(surface, ranges, count, seed, bracket)
     assert not fails
     return scan_constancy(surface, pts, ScanPolicy(seed=seed, **policy))
 
@@ -147,7 +147,7 @@ def test_cobb_douglas_graph_identity():
     shifts = (0.25, 0.0, -0.5, 1.0)
     spec = FamilySpec("cobb_douglas_sqrt", 4, {"a": a, "shifts": list(shifts)})
     s, ranges, bracket = spec.defaults()
-    pts, fails = sample_points(s, ranges, 20, 3, bracket)
+    pts, fails, _ = sample_points(s, ranges, 20, 3, bracket)
     assert not fails
     for p in pts:
         prod = math.prod(x + m for x, m in zip(p.coords[:3], shifts[:3]))
@@ -280,7 +280,7 @@ def test_perturbed_cobb_douglas_validation():
 
 def test_perturbed_cobb_douglas_not_flat():
     s = make_cobb_douglas_perturbed(1.0, 4, 0.05)
-    pts, fails = sample_points(s, [(0.5, 2.0)] * 3, 30, 77, (0.05, 8.0))
+    pts, fails, _ = sample_points(s, [(0.5, 2.0)] * 3, 30, 77, (0.05, 8.0))
     assert not fails
     report = scan_constancy(s, pts, ScanPolicy(seed=77))
     assert report.verdict == "non-constant"
@@ -388,7 +388,7 @@ def test_default_sampling_never_fails(kind):
     spec = EXAMPLES[kind]
     surface, ranges, bracket = spec.defaults()
     assert len(ranges) == surface.n - 1
-    pts, fails = sample_points(surface, ranges, 50, 42, bracket)
+    pts, fails, _ = sample_points(surface, ranges, 50, 42, bracket)
     assert not fails
     assert len(pts) == 50
     for p in pts:

@@ -210,7 +210,7 @@ def test_value_sum_overflow_is_non_finite(first, second, height):
     message = r"sum of \|f_k\| overflows at \(0.1, 0.2, -1.0\)$"
     with pytest.raises(NonFiniteError, match=message):
         solve_height(s, (0.1, 0.2), (-1.0, 1.0))
-    points, failures = sample_points(s, [(0.0, 1.0)] * 2, 3, 0, (-1.0, 1.0))
+    points, failures, _ = sample_points(s, [(0.0, 1.0)] * 2, 3, 0, (-1.0, 1.0))
     assert points == [] and len(failures) == 3
     assert all("NonFiniteError: sum of |f_k|" in f for _, f in failures)
 
@@ -260,18 +260,18 @@ def test_ensure_regular_checks_height_slope():
 def test_sample_points_deterministic():
     s = sphere(4, 2.0)
     ranges = [(-0.9, 0.9)] * 3
-    a_pts, a_fail = sample_points(s, ranges, 40, 11, (0.05, 2.02))
-    b_pts, b_fail = sample_points(s, ranges, 40, 11, (0.05, 2.02))
+    a_pts, a_fail, _ = sample_points(s, ranges, 40, 11, (0.05, 2.02))
+    b_pts, b_fail, _ = sample_points(s, ranges, 40, 11, (0.05, 2.02))
     assert [p.coords for p in a_pts] == [p.coords for p in b_pts]
     assert a_fail == b_fail
-    c_pts, _ = sample_points(s, ranges, 40, 12, (0.05, 2.02))
+    c_pts, _, _ = sample_points(s, ranges, 40, 12, (0.05, 2.02))
     assert [p.coords for p in a_pts] != [p.coords for p in c_pts]
 
 
 def test_sample_points_draws_match_numpy():
     s = linear_surface()
     ranges = [(-2.0, 2.0), (0.0, 1.0), (5.0, 6.0)]
-    pts, fails = sample_points(s, ranges, 25, 99, (-40.0, 40.0))
+    pts, fails, _ = sample_points(s, ranges, 25, 99, (-40.0, 40.0))
     assert fails == []
     rng = np.random.default_rng(99)
     draws = rng.uniform(
@@ -283,7 +283,7 @@ def test_sample_points_draws_match_numpy():
 
 def test_sample_points_records_failures():
     s = sphere(4, 1.0)
-    pts, fails = sample_points(s, [(-0.9, 0.9)] * 3, 60, 5, (0.05, 1.01))
+    pts, fails, _ = sample_points(s, [(-0.9, 0.9)] * 3, 60, 5, (0.05, 1.01))
     assert len(pts) + len(fails) == 60
     assert fails, "expected some draws outside the unit ball"
     assert all(reason.startswith("BracketError") for _, reason in fails)
@@ -300,7 +300,7 @@ def test_sample_points_records_domain_failures():
     )
     s = SeparableSurface(fs)
     count = 50
-    pts, fails = sample_points(s, [(-1.0, 2.0), (-1.0, 1.0)], count, 17, (-40.0, 40.0))
+    pts, fails, _ = sample_points(s, [(-1.0, 2.0), (-1.0, 1.0)], count, 17, (-40.0, 40.0))
     rng = np.random.default_rng(17)
     draws = rng.uniform(np.array([-1.0, -1.0]), np.array([2.0, 1.0]), size=(count, 2))
     bad = {i for i in range(count) if draws[i, 0] <= 0.0}
@@ -323,7 +323,7 @@ def test_sample_points_validation():
 
 def test_sample_points_drops_what_solve_height_rejects():
     s = mixed_surface()
-    pts, fails = sample_points(s, MIXED_RANGES, 80, 5, MIXED_BRACKET)
+    pts, fails, _ = sample_points(s, MIXED_RANGES, 80, 5, MIXED_BRACKET)
     lows, highs = zip(*MIXED_RANGES)
     draws = np.random.default_rng(5).uniform(lows, highs, size=(80, 2)).tolist()
     verdicts = solve_verdicts(s, draws, MIXED_BRACKET)
@@ -336,6 +336,6 @@ def test_sample_points_drops_what_solve_height_rejects():
 
 def test_sample_points_evaluates_lifted_jets_once(monkeypatch):
     calls = spy_second_evaluations(monkeypatch)
-    pts, fails = sample_points(mixed_surface(), MIXED_RANGES, 40, 5, MIXED_BRACKET)
+    pts, fails, _ = sample_points(mixed_surface(), MIXED_RANGES, 40, 5, MIXED_BRACKET)
     assert pts and fails
     assert calls == []

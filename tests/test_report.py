@@ -36,7 +36,7 @@ def sphere_report(oblique=2, count=3):
     fs = [parse_function("x^2") for _ in range(3)]
     fs.append(parse_function("x^2 - 4.0"))
     surface = SeparableSurface(tuple(fs))
-    pts, fails = sample_points(surface, [(-0.5, 0.5)] * 3, count, 5, (0.2, 2.02))
+    pts, fails, _ = sample_points(surface, [(-0.5, 0.5)] * 3, count, 5, (0.2, 2.02))
     assert not fails
     policy = ScanPolicy(oblique_per_point=oblique, seed=9)
     return scan_constancy(surface, pts, policy)
