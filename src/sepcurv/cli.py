@@ -25,7 +25,6 @@ variable, then the built-in default of 1e-7.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -42,7 +41,7 @@ from .errors import (
 from .families import MAX_N
 from .geometry import _lift
 from .meshing import build_mesh, write_curvature_csv, write_obj
-from .report import _vector, report_body_csv, report_body_json, write_report
+from .report import _csv_row, _vector, report_body_csv, report_body_json, write_report
 from .specfile import MAX_COUNT, LoadedSpec, load_spec
 from .suites import format_rows, run_constant_suite, run_flat_suite
 
@@ -174,9 +173,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     else:
         # the scan CSV's conventions: repr floats, ';'-joined vectors, unset cells empty
         cells = {**doc, "coords": _vector(point.coords), "i": i, "j": j}
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(_EVAL_COLUMNS)
-        writer.writerow(cells.get(column) for column in _EVAL_COLUMNS)
+        sys.stdout.write(_csv_row(_EVAL_COLUMNS) + _csv_row(map(cells.get, _EVAL_COLUMNS)))
     return 0
 
 

@@ -86,11 +86,23 @@ def _faces(vertex_id: np.ndarray) -> tuple[tuple[int, int, int], ...]:
     return tuple(zip(*tris[np.stack((count >= 3, count == 4), axis=1)].T.tolist()))
 
 
+def _reprs(values) -> list[str]:
+    """`repr` of each float, each distinct bit pattern rendered once: 0.0 and
+    -0.0 keep their own texts, and no NaN is looked up by equality."""
+    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    texts = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
 def write_obj(path: str, mesh: MeshResult) -> None:
     """Wavefront OBJ: 'v x y z' per vertex, 'f a b c' per triangle (1-based)."""
+    # x and y (with the height in its default last slot) repeat along grid
+    # rows and columns; heights rarely repeat
+    xs, ys, zs = list(zip(*mesh.vertices)) or ((), (), ())
+    ids = list(map(str, range(1, len(mesh.vertices) + 1)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join([f"v {x!r} {y!r} {z!r}\n" for x, y, z in mesh.vertices]))
-        fh.write("".join([f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.faces]))
+        fh.write("".join([f"v {x} {y} {z!r}\n" for x, y, z in zip(_reprs(xs), _reprs(ys), zs)]))
+        fh.write("".join([f"f {ids[a]} {ids[b]} {ids[c]}\n" for a, b, c in mesh.faces]))
 
 
 def write_curvature_csv(path: str, mesh: MeshResult) -> None:

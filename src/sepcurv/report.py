@@ -7,20 +7,26 @@ seed the body is byte-identical regardless of point chunking or generation
 time; `read_report_body` strips the header so callers can compare bodies
 directly.
 
-The JSON records are written directly, one template per record kind (their
-keys are fixed and already sorted), because `json.dumps` with `indent` runs
-CPython's pure-Python encoder and cost more than the scan itself.  The body
-is byte-identical to `json.dumps(doc, sort_keys=True, indent=2)`: floats go
-through `float.__repr__` (NaN and infinities as `NaN`, `Infinity`,
-`-Infinity`), strings through `json.encoder.encode_basestring_ascii`, and
-the small report shell still through `json.dumps`.  The tests compare the
-body with that encoder (`tests/reference_report.py`) byte for byte.
+Both writers write the records directly, one template per record kind,
+because the library encoders spend most of their time on work these rows
+never need.  The JSON records' keys are fixed and already sorted, and
+`json.dumps` with `indent` runs CPython's pure-Python encoder, which cost
+more than the scan itself.  The JSON body is byte-identical to
+`json.dumps(doc, sort_keys=True, indent=2)`: floats go through
+`float.__repr__` (NaN and infinities as `NaN`, `Infinity`, `-Infinity`),
+strings through `json.encoder.encode_basestring_ascii`, and the small report
+shell still through `json.dumps`.
+
+The CSV body is byte-identical to `csv.writer(lineterminator="\n")`, whose
+minimal quoting scans every cell of every row for a character to quote.
+Only the free-text `error` cell can hold one, so it alone goes through
+`_csv_cell`, that writer's rule; floats go through `float.__repr__`, so an
+`np.float64` reads as a float does.  The tests compare both bodies with
+those encoders (`tests/reference_report.py`) byte for byte.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -131,7 +137,25 @@ def report_body_json(
 
 
 def _vector(values) -> str:
-    return ";".join(repr(float(v)) for v in values)
+    return ";".join(map(_repr, values))
+
+
+def _csv_cell(text: str) -> str:
+    """A text cell as `csv.writer(lineterminator="\n")` writes it: quoted,
+    with every inner quote doubled, when it holds ',', '"' or '\n' (a lone
+    '\r' stays bare, as the csv module leaves it)."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_row(cells) -> str:
+    """One CSV line: a None cell empty, any other its `str` as `_csv_cell`
+    writes it."""
+    return ",".join("" if c is None else _csv_cell(str(c)) for c in cells) + "\n"
+
+
+_CSV_HEADER = _csv_row(_CSV_COLUMNS)
 
 
 def report_body_csv(
@@ -142,29 +166,26 @@ def report_body_csv(
     one row per record, a field the record's kind lacks left empty (so is
     every `residual_constk` cell, which no scan fills), then one
     `sample_error` row per rejected draw."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
+    out = [_CSV_HEADER]
     coords_of, coords = None, ""
-    for rec in report.records:
-        if rec.coords is not coords_of:   # a sample's records share its coords
-            coords_of, coords = rec.coords, _vector(rec.coords)
-        if rec.kind == "pair":
-            writer.writerow((
-                str(rec.sample), "pair", str(rec.i), str(rec.j), str(rec.k_special),
-                str(rec.k_oracle), str(rec.residual_flat), "", str(rec.flagged),
-                "", coords, "", "",
-            ))
-        elif rec.kind == "plane":
-            writer.writerow((
-                str(rec.sample), "plane", "", "", "", str(rec.k_oracle), "", "", "", "",
-                coords, _vector(rec.u), _vector(rec.w),
-            ))
+    # unpacked in `ScanRecord` field order: one tuple unpack, not ten attribute reads
+    for (sample, point, kind, i, j, u, w,
+         k_special, k_oracle, residual_flat, flagged, error) in report.records:
+        if point is not coords_of:   # a sample's records share its coords
+            coords_of, coords = point, _vector(point)
+        if kind == "pair":
+            out.append(
+                f"{sample},pair,{i},{j},{_repr(k_special)},{_repr(k_oracle)},"
+                f"{_repr(residual_flat)},,{flagged},,{coords},,\n"
+            )
+        elif kind == "plane":
+            out.append(
+                f"{sample},plane,,,,{_repr(k_oracle)},,,,,{coords},{_vector(u)},{_vector(w)}\n"
+            )
         else:
-            writer.writerow((str(rec.sample), "error") + ("",) * 7 + (rec.error, coords, "", ""))
-    for idx, msg in sampling_failures:
-        writer.writerow((str(idx), "sample_error") + ("",) * 7 + (msg, "", "", ""))
-    return buf.getvalue()
+            out.append(f"{sample},error,,,,,,,,{_csv_cell(error)},{coords},,\n")
+    out += [f"{idx},sample_error,,,,,,,,{_csv_cell(msg)},,,\n" for idx, msg in sampling_failures]
+    return "".join(out)
 
 
 def write_report(path: str, body: str, timestamp: str | None = None) -> None:

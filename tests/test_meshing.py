@@ -78,6 +78,20 @@ def nan_mesh():
     return build_mesh(s, [(350.0, 354.5), (0.0, 5.0)], (4, 4), (-1e200, 1.0))
 
 
+def odd_value_mesh():
+    """A hand-built mesh whose x and y mix 0.0, -0.0, nan (two bit patterns)
+    and +-inf, each on several vertices, so a writer that renders a
+    repeated value once must keep 0.0 and -0.0 apart and never match a nan
+    by equality."""
+    nan, inf, neg_nan = math.nan, math.inf, -math.nan
+    grid = [0.0, -0.0, nan, inf, -inf, neg_nan, 0.0, -0.0, 1.5]
+    vertices = tuple((x, y, float(k)) for k, (x, y) in enumerate(zip(grid, grid[::-1] * 2)))
+    vertices += ((-0.0, 0.0, -0.0), (nan, -0.0, inf), (0.0, nan, -inf))
+    faces = tuple((k, k + 1, k + 2) for k in range(len(vertices) - 2))
+    curvatures = (0.0, -0.0, inf, -inf) + (0.25,) * (len(vertices) - 4)
+    return meshing.MeshResult(vertices, faces, curvatures, dropped=0)
+
+
 def assert_faces_match_replica(alive):
     nx, ny = len(alive), len(alive[0])
     _, expected, tri_cells = replicate_faces(nx, ny, alive)
@@ -104,7 +118,9 @@ def test_faces_match_replica_on_random_masks():
     assert tri_cells > 0
 
 
-@pytest.mark.parametrize("case", ["full sphere", "partial coverage", "nan curvature"])
+@pytest.mark.parametrize(
+    "case", ["full sphere", "partial coverage", "nan curvature", "signed zero, nan and inf"]
+)
 def test_writers_match_line_at_a_time_reference(tmp_path, case):
     mesh = {
         "full sphere": lambda: build_mesh(sphere3(), [(-0.4, 0.4), (-0.4, 0.4)], (6, 7), (0.1, 1.01)),
@@ -112,6 +128,7 @@ def test_writers_match_line_at_a_time_reference(tmp_path, case):
             sphere3(), [(-1.2, 1.2), (-1.2, 1.2)], (8, 8), (0.1, 1.01)
         ),
         "nan curvature": nan_mesh,
+        "signed zero, nan and inf": odd_value_mesh,
     }[case]()
     assert mesh.faces and (case != "partial coverage" or mesh.dropped)
     assert (case == "nan curvature") == any(math.isnan(k) for k in mesh.curvatures)

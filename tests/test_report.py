@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sepcurv.cli
 from sepcurv import (
@@ -417,6 +419,45 @@ def test_empty_sampling_failures_and_records_match_oracle():
     assert '"sampling_failures": [],' in body
     empty = dataclasses.replace(synthetic_report(), records=())
     assert '"records": [],' in assert_bodies_match(empty, [])
+
+
+# free text heavy in the characters the csv module quotes or mishandles;
+# surrogates are left out, as no UTF-8 report file can hold them
+FREE_TEXT = st.text(
+    st.sampled_from([",", '"', "\n", "\r", "\x00", " ", "a", "\u00e9", "\u2603", "\U0001d4b3"])
+    | st.characters(exclude_categories=("Cs",)),
+    max_size=8,
+)
+
+
+def text_report(errors):
+    """The synthetic report followed by one error record per text."""
+    base = synthetic_report()
+    extra = tuple(ScanRecord(sample=10 + s, coords=(0.5, -0.0, 1e-300), kind="error", error=text)
+                  for s, text in enumerate(errors))
+    return dataclasses.replace(base, records=base.records + extra)
+
+
+def bare_cr(text):
+    """A carriage return in a text the csv module leaves unquoted (no ',',
+    '"' or newline): csv.reader ends the row there, so the text cannot be
+    read back."""
+    return "\r" in text and not any(c in text for c in ',"\n')
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(errors=st.lists(FREE_TEXT, max_size=5), failures=st.lists(FREE_TEXT, max_size=5))
+def test_csv_free_text_cells_quote_as_csv_module(errors, failures):
+    assert_bodies_match(text_report(errors), list(enumerate(failures)))
+
+    errors = [text for text in errors if not bare_cr(text)]
+    failures = [(idx, text) for idx, text in enumerate(failures) if not bare_cr(text)]
+    report = text_report(errors)
+    body = report_body_csv(report, sampling_failures=failures)
+    rows = list(csv.reader(io.StringIO(body, newline="")))
+    assert rows[0] == CSV_COLUMNS and all(len(row) == len(CSV_COLUMNS) for row in rows)
+    want = [rec.error or "" for rec in report.records] + [text for _, text in failures]
+    assert [row[CSV_COLUMNS.index("error")] for row in rows[1:]] == want
 
 
 @pytest.mark.parametrize("make", [odd_report, numpy_report, lambda: sphere_report()])
