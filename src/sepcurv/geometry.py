@@ -9,7 +9,8 @@ slope is bounded away from zero.
 grad F = (f_1'(x_1), ..., f_n'(x_n)) and the ambient Hessian of F is
 diagonal, so every geometric quantity here reduces to the 2-jets of the f_k
 and is exact up to rounding.  Every jet comes from one `expr.eval_jets`
-walk per coordinate over all the points at hand.
+walk per coordinate over all the points at hand, or over the values of a
+mesh's grid axis.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     interval,
 )
 from .expr import Function1D, eval_jets
+from .jets import Jet2
 
 REGULARITY_EPS = 1e-8      # lower bound for both ||grad F|| and |f'_height|
 ON_SURFACE_RTOL = 1e-12    # |g| tolerance relative to max(1, sum |f_k|)
@@ -165,7 +167,9 @@ def _table(coords: np.ndarray, d1: np.ndarray, d2: np.ndarray, jet_errors: dict)
     point's jet error by index: a failed point keeps zero rows, and a point
     whose ||grad F||^2 (`_fsum` of its row) overflows gets a
     `NonFiniteError`."""
-    errors = [jet_errors.get(p) for p in range(len(coords))]
+    errors = [None] * len(coords)
+    for p, exc in jet_errors.items():
+        errors[p] = exc
     d1[list(jet_errors)] = d2[list(jet_errors)] = 0.0
     with np.errstate(over="ignore"):
         sq_norm = np.array(_row_sums(d1 * d1), dtype=float)
@@ -174,13 +178,31 @@ def _table(coords: np.ndarray, d1: np.ndarray, d2: np.ndarray, jet_errors: dict)
     return JetTable(d1, d2, sq_norm, tuple(errors))
 
 
-def _columns(funcs: Sequence[Function1D], x: np.ndarray):
-    """Each function's jets over its column of the P x m array x, one array
-    walk each, as P x m arrays of values, f' and f'', and each point's first
-    failure in column order."""
-    jets, failed = zip(*(eval_jets(f, column) for f, column in zip(funcs, x.T)))
+def _columns(funcs: Sequence[Function1D], columns: Sequence[tuple[np.ndarray, np.ndarray | None]]):
+    """Each function's jets over its column, one array walk each, as P x m
+    arrays of values, f' and f'', and each point's first failure in column
+    order.
+
+    A column is (values, index): the P points' coordinates are
+    values[index], or `values` itself when index is None.  The walk covers
+    `values` alone and the points gather their jets and failures from it, so
+    a grid axis is walked once per axis value, not once per node.
+    """
+    channels, failed = [], []
+    for f, (values, index) in zip(funcs, columns):
+        jet, errors = eval_jets(f, values)
+        if index is None:
+            channels.append((jet.v, jet.d1, jet.d2))
+        else:
+            channels.append((jet.v[index], jet.d1[index], jet.d2[index]))
+            # the nodes on a failed axis value share its failure
+            bad = np.zeros(len(values), dtype=bool)
+            bad[list(errors)] = True
+            nodes = np.flatnonzero(bad[index])
+            errors = dict(zip(nodes.tolist(), map(errors.__getitem__, index[nodes].tolist())))
+        failed.append(errors)
     errors = {p: exc for errs in reversed(failed) for p, exc in errs.items()}
-    return (*(np.array([getattr(j, c) for j in jets]).T for c in ("v", "d1", "d2")), errors)
+    return (*np.array(channels).transpose(1, 2, 0), errors)
 
 
 def jet_table(surface: SeparableSurface, points: Sequence[SurfacePoint]) -> JetTable:
@@ -188,7 +210,7 @@ def jet_table(surface: SeparableSurface, points: Sequence[SurfacePoint]) -> JetT
     walk per coordinate, so values match `eval_jet2` bit for bit) and stack
     them into a table."""
     coords = np.array([p.coords for p in points], dtype=float).reshape(len(points), surface.n)
-    return _table(coords, *_columns(surface.funcs, coords)[1:])
+    return _table(coords, *_columns(surface.funcs, [(c, None) for c in coords.T])[1:])
 
 
 def point_jets(
@@ -208,19 +230,28 @@ def ensure_regular(surface: SeparableSurface, point: SurfacePoint) -> float:
 
 
 class _Lift(NamedTuple):
-    """The draws that lifted (draw indices, points, their jet table) and each
-    other draw's failure by draw index."""
+    """The draws that lifted (draw indices, their coordinates as a K x n
+    array, their residuals and their jet table) and each other draw's
+    failure by draw index.  `points` builds the lifted draws'
+    `SurfacePoint`s, for the callers that read them."""
 
     index: list[int]
-    points: list[SurfacePoint]
+    coords: np.ndarray
+    residuals: np.ndarray
     table: JetTable
     failures: dict[int, SepcurvError]
+
+    @property
+    def points(self) -> list[SurfacePoint]:
+        rows = map(tuple, self.coords.tolist())
+        return list(map(SurfacePoint._make, zip(rows, self.residuals.tolist())))
 
 
 def _lift(
     surface: SeparableSurface,
-    partials: np.ndarray | Sequence[Sequence[float]],
+    partials: np.ndarray | Sequence[Sequence[float]] | None,
     bracket: tuple[float, float],
+    axes: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> _Lift:
     """Solve every partial's height, table the jets the solve evaluated (the
     other coordinates' at its start, the height's at the root) and gate the
@@ -229,16 +260,25 @@ def _lift(
     `partials` is a (P, n - 1) float array, one row of non-height
     coordinates per point (anything `np.array` turns into one, P = 0
     included); another shape is a `ValueError`.  The bracket is read with
-    `errors.interval`.
+    `errors.interval`.  A grid of partials comes instead as `axes`, with
+    `partials` None: one (values, index) pair per non-height coordinate,
+    the partials' column being values[index].  Each non-height f_k is then
+    walked once per grid value (`_columns`), and otherwise once per partial.
 
     Per partial, the solve is Newton's method on g(t) = f_h(t) + the sum of
     the other f_k, with a bisection step whenever Newton would leave the
     sign-change bracket or stall, until |g| meets the scale-relative
-    on-surface tolerance.  The partials step together: each step walks f_h
-    once over the partials still unsolved, and a partial leaves when it is
-    accepted or fails, so its root, jets and failure are its own solve's.
+    on-surface tolerance.  The partials step together: one walk of f_h over
+    both bracket ends serves every partial, the lo end settling before the
+    hi end, and each later step walks f_h once over the partials still
+    unsolved.  A partial leaves when it is accepted or fails, so its root,
+    jets and failure text are its own solve's.  Only the failure texts are
+    part of the contract: the partials that fail at one bracket end share
+    one exception object, and so do the grid nodes on one failed axis value.
     """
     n, h0 = surface.n, surface.height - 1
+    if axes is not None:
+        partials = np.column_stack([values[index] for values, index in axes])
     try:
         given = np.array(partials, dtype=float)
     except ValueError as exc:   # ragged rows
@@ -249,21 +289,24 @@ def _lift(
         raise ValueError(f"expected {n - 1} partial coordinates, got shape {given.shape}")
     lo, hi = interval(bracket, "bracket")
     fh = surface.funcs[h0]
-    values, d1, d2, failures = _columns([f for k, f in enumerate(surface.funcs) if k != h0], given)
+    others = [f for k, f in enumerate(surface.funcs) if k != h0]
+    values, d1, d2, failures = _columns(others, axes or [(column, None) for column in given.T])
     dlo, dhi = fh.domain
     if not (dlo < lo and hi < dhi):   # every partial fails, before its jets are read
         message = f"bracket ({lo!r}, {hi!r}) not inside height domain ({dlo!r}, {dhi!r})"
         failures = {p: DomainError(message) for p in range(len(given))}
-    active = np.array([p for p in range(len(given)) if p not in failures], dtype=int)
+    live = np.ones(len(given), dtype=bool)
+    live[list(failures)] = False
+    active = np.flatnonzero(live)
     rest, abs_rest = np.zeros(len(given)), np.zeros(len(given))
     rest[active], abs_rest[active] = _row_sums(values[active]), _row_sums(np.abs(values[active]))
     root = np.full((4, len(given)), math.nan)   # t, |g|, f_h' and f_h'' at each root
 
-    def step(t):
-        """Walk f_h at the active partials' t: fail each partial whose jet
-        fails or whose sum of |f_k| overflows, settle each whose |g| meets
-        its tolerance, and return the jet, g, the tolerance and the going mask."""
-        jet, errors = eval_jets(fh, t)
+    def step(t, jet, errors):
+        """Settle the active partials at t, given f_h's jets there and each
+        failed one's error by position: fail each partial whose jet fails or
+        whose sum of |f_k| overflows, accept each whose |g| meets its
+        tolerance, and return g, the tolerance and the going mask."""
         with np.errstate(over="ignore"):
             g = jet.v + rest[active]
             tol = ON_SURFACE_RTOL * np.fmax(1.0, abs_rest[active] + np.abs(jet.v))
@@ -277,20 +320,23 @@ def _lift(
         root[:, active[done]] = t[done], np.abs(g[done]), jet.d1[done], jet.d2[done]
         going = ~done
         going[list(errors)] = False
-        return jet, g, tol, going
+        return g, tol, going
 
-    # the bracket ends, where a partial may be accepted as well
+    # the bracket ends, where a partial may be accepted as well: one walk of
+    # f_h over (lo, hi), each end's jet and failure shared by every partial
+    ends, end_errors = eval_jets(fh, np.array([lo, hi]))
     g_end = np.zeros((2, len(given)))
     for k, end in enumerate((lo, hi)):
-        _, g, _, going = step(np.full(active.size, end))
+        jet = Jet2(*(np.full(active.size, c[k]) for c in (ends.v, ends.d1, ends.d2)))
+        errors = dict.fromkeys(range(active.size), end_errors[k]) if k in end_errors else {}
+        g, _, going = step(np.full(active.size, end), jet, errors)
         g_end[k, active] = g
         active = active[going]
     glo, ghi = g_end[:, active]
     same = (glo < 0.0) == (ghi < 0.0)
+    head = f"no sign change in bracket ({lo!r}, {hi!r}): "
     for p, gl, gh in zip(active[same].tolist(), glo[same].tolist(), ghi[same].tolist()):
-        failures[p] = BracketError(
-            f"no sign change in bracket ({lo!r}, {hi!r}): g(lo) = {gl:.6e}, g(hi) = {gh:.6e}"
-        )
+        failures[p] = BracketError(f"{head}g(lo) = {gl:.6e}, g(hi) = {gh:.6e}")
     active, glo = active[~same], glo[~same]
 
     # orient so g(a) < 0 < g(b); a, b need not be ordered
@@ -301,7 +347,8 @@ def _lift(
     for _ in range(MAX_SOLVE_ITERATIONS):
         if not active.size:
             break
-        jet, g, tol, going = step(t)
+        jet, errors = eval_jets(fh, t)
+        g, tol, going = step(t, jet, errors)
         a, b = np.where(g < 0.0, t, a), np.where(g < 0.0, b, t)
         lo_c, hi_c = np.where(a < b, a, b), np.where(a < b, b, a)
         with np.errstate(all="ignore"):
@@ -331,10 +378,8 @@ def _lift(
     gate = table.errors(surface.height)
     failures.update((index[p], exc) for p, exc in enumerate(gate) if exc is not None)
     keep = [p for p, exc in enumerate(gate) if exc is None]
-    residuals = root[1, solved][keep].tolist()
-    points = list(map(SurfacePoint._make, zip(map(tuple, coords[keep].tolist()), residuals)))
     survivors = JetTable(table.d1[keep], table.d2[keep], table.sq_norm[keep], (None,) * len(keep))
-    return _Lift([index[p] for p in keep], points, survivors, failures)
+    return _Lift([index[p] for p in keep], coords[keep], root[1, solved][keep], survivors, failures)
 
 
 def solve_height(

@@ -54,9 +54,11 @@ def build_mesh(
     i, j = surface.non_height
     a_vals, b_vals = np.linspace(a_lo, a_hi, nx), np.linspace(b_lo, b_hi, ny)
 
-    # one lift (solve, table and gates) for every node, row-major
-    lift = _lift(surface, np.column_stack((np.repeat(a_vals, ny), np.tile(b_vals, nx))), bracket)
-    vertices = [p.coords for p in lift.points]
+    # one lift (solve, table and gates) for every node, row-major, with
+    # f_i walked over the nx grid values and f_j over the ny
+    axes = ((a_vals, np.repeat(np.arange(nx), ny)), (b_vals, np.tile(np.arange(ny), nx)))
+    lift = _lift(surface, None, bracket, axes)
+    vertices = list(map(tuple, lift.coords.tolist()))
     curvatures = pair_table(surface, lift.table, [(i, j)]).curvature()[:, 0].tolist()
     vertex_id = np.full((nx, ny), -1, dtype=int)
     vertex_id.flat[lift.index] = np.arange(len(vertices))

@@ -1,13 +1,19 @@
 """Shared fixtures for the height lift: a surface whose draws fail in every
-way a lift can fail, solve_height's verdict on each partial, and a spy on
-every way a surface point's jets can be evaluated a second time."""
+way a lift can fail, solve_height's verdict on each partial, the check of a
+lift against the scalar reference, and a spy on every way a surface point's
+jets can be evaluated a second time."""
 
 from __future__ import annotations
 
 import math
 import sys
 
+import numpy as np
+
 from sepcurv import SeparableSurface, SepcurvError, parse_function, solve_height
+from sepcurv.errors import describe
+
+from reference_lift import reference_lift
 
 MIXED_BRACKET = (-30.0, 3.0)
 MIXED_RANGES = [(-40.0, 6.0), (-1.0, 1.0)]
@@ -40,6 +46,25 @@ def solve_verdicts(surface, partials, bracket) -> list[str | None]:
         else:
             out.append(None)
     return out
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_lift_matches_reference(got, surface, partials, bracket) -> None:
+    """A lift of `partials` equals the per-partial reference lift: indices,
+    coordinates and residuals, table bits, failure texts in order."""
+    index, points, table, failures = reference_lift(surface, partials, bracket)
+    assert got.index == index
+    assert [repr(p.coords) for p in got.points] == [repr(p.coords) for p in points]
+    assert bits([p.residual for p in got.points]) == bits([p.residual for p in points])
+    for name in ("d1", "d2", "sq_norm"):
+        assert bits(getattr(got.table, name)) == bits(getattr(table, name))
+    assert got.table.jet_errors == table.jet_errors
+    assert [(i, describe(e)) for i, e in got.failures.items()] == [
+        (i, describe(e)) for i, e in failures.items()
+    ]
 
 
 def spy_second_evaluations(monkeypatch) -> list[str]:

@@ -14,14 +14,10 @@ from sepcurv.geometry import _lift, jet_table
 from sepcurv.jets import Jet2
 
 from corpus import EXPRESSIONS
-from lifts import MIXED_BRACKET, MIXED_RANGES, mixed_surface
-from reference_lift import exact_sum, reference_jet2, reference_jet_table, reference_lift
+from lifts import MIXED_BRACKET, MIXED_RANGES, assert_lift_matches_reference, bits, mixed_surface
+from reference_lift import exact_sum, reference_jet2, reference_jet_table
 
 INF = math.inf
-
-
-def bits(values) -> bytes:
-    return np.asarray(values, dtype=float).tobytes()
 
 
 def reference_point(f, x):
@@ -170,19 +166,9 @@ def test_non_finite_constant_fails_every_point_after_earlier_failures():
 
 
 def assert_same_lift(surface, partials, bracket):
-    """The batched lift equals the per-partial reference lift: indices,
-    coordinates and residuals, table bits, failure texts in order."""
+    """The batched lift equals the per-partial reference lift."""
     got = _lift(surface, partials, bracket)
-    index, points, table, failures = reference_lift(surface, partials, bracket)
-    assert got.index == index
-    assert [repr(p.coords) for p in got.points] == [repr(p.coords) for p in points]
-    assert bits([p.residual for p in got.points]) == bits([p.residual for p in points])
-    for name in ("d1", "d2", "sq_norm"):
-        assert bits(getattr(got.table, name)) == bits(getattr(table, name))
-    assert got.table.jet_errors == table.jet_errors
-    assert [(i, describe(e)) for i, e in got.failures.items()] == [
-        (i, describe(e)) for i, e in failures.items()
-    ]
+    assert_lift_matches_reference(got, surface, partials, bracket)
     return got
 
 

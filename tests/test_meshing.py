@@ -7,6 +7,7 @@ from sepcurv import (
     MeshError,
     SeparableSurface,
     build_mesh,
+    geometry,
     meshing,
     parse_function,
     solve_height,
@@ -14,8 +15,22 @@ from sepcurv import (
     write_obj,
 )
 
-from lifts import MIXED_BRACKET, MIXED_RANGES, mixed_surface, solve_verdicts, spy_second_evaluations
-from reference_mesh import reference_write_curvature_csv, reference_write_obj
+from sepcurv.errors import describe
+
+from lifts import (
+    MIXED_BRACKET,
+    MIXED_RANGES,
+    assert_lift_matches_reference,
+    mixed_surface,
+    solve_verdicts,
+    spy_second_evaluations,
+)
+from reference_mesh import (
+    reference_build_mesh,
+    reference_write_curvature_csv,
+    reference_write_obj,
+    replicate_faces,
+)
 
 
 def sphere3(radius=1.0):
@@ -33,33 +48,6 @@ def paraboloid_cylinder():
     return SeparableSurface(
         (parse_function("x^2"), parse_function("x"), parse_function("-x"))
     )
-
-
-def replicate_faces(nx, ny, alive):
-    """Expected vertex ids and faces for a given grid occupancy pattern."""
-    ids = {}
-    for r in range(nx):
-        for c in range(ny):
-            if alive[r][c]:
-                ids[(r, c)] = len(ids)
-    faces = []
-    tri_cells = 0
-    for r in range(nx - 1):
-        for c in range(ny - 1):
-            quad = [
-                ids.get((r, c)),
-                ids.get((r + 1, c)),
-                ids.get((r + 1, c + 1)),
-                ids.get((r, c + 1)),
-            ]
-            live = [v for v in quad if v is not None]
-            if len(live) == 4:
-                faces.append((quad[0], quad[1], quad[2]))
-                faces.append((quad[0], quad[2], quad[3]))
-            elif len(live) == 3:
-                faces.append(tuple(live))
-                tri_cells += 1
-    return ids, faces, tri_cells
 
 
 def vertex_ids(alive):
@@ -242,6 +230,101 @@ def test_mesh_evaluates_lifted_jets_once(monkeypatch):
     mesh = build_mesh(mixed_surface(), MIXED_RANGES, (12, 9), MIXED_BRACKET)
     assert mesh.dropped and mesh.vertices
     assert calls == []
+
+
+def test_mesh_walks_each_non_height_function_once_per_grid_value(monkeypatch):
+    calls, real = [], geometry.eval_jets
+
+    def spy(f, xs):
+        calls.append((f, len(xs)))
+        return real(f, xs)
+
+    monkeypatch.setattr(geometry, "eval_jets", spy)
+    s = mixed_surface()
+    mesh = build_mesh(s, MIXED_RANGES, (12, 9), MIXED_BRACKET)
+    assert mesh.dropped and mesh.vertices
+    f1, f2, fh = s.funcs
+    # f_1 over the 12 values of its grid axis and f_2 over the 9 of its own ...
+    assert calls[:2] == [(f1, 12), (f2, 9)]
+    # ... then f_h alone: one two-point walk over both bracket ends, and each
+    # later step over the nodes still unsolved
+    steps = [size for f, size in calls[2:]]
+    assert all(f is fh for f, _ in calls[2:])
+    assert steps[0] == 2 and len(steps) > 1 and steps[1] < 12 * 9
+    assert steps[1:] == sorted(steps[1:], reverse=True)
+
+
+# name -> (surface, ranges, grid, bracket, {node: start of its failure text})
+GRID_CASES = {
+    # row 0 leaves f_1's declared domain and column 0 takes log(0) in f_2,
+    # so node 0 fails both axes and the first column's failure wins
+    "axis values fail their jets": lambda: (
+        SeparableSurface((parse_function("x^2", (-1.0, math.inf)), parse_function("log(x + 1)"),
+                          parse_function("exp(x) - 2"))),
+        [(-1.0, 1.0), (-1.0, 1.2)], (7, 6), (-20.0, 3.0),
+        {0: "DomainError: x = -1.0 outside", 1: "DomainError: x = -1.0 outside",
+         6: "NonFiniteError: evaluating 'log(x + 1.0)' at x = -1.0"},
+    ),
+    # the same failures with the height in the middle: x_1 is the first column
+    "axis values fail their jets, height 2": lambda: (
+        SeparableSurface((parse_function("log(x + 1)"), parse_function("exp(x) - 2"),
+                          parse_function("x^2", (-1.0, math.inf))), height=2),
+        [(-1.0, 1.2), (-1.0, 1.0)], (6, 7), (-20.0, 3.0),
+        {0: "NonFiniteError: evaluating 'log(x + 1.0)' at x = -1.0",
+         1: "NonFiniteError: evaluating 'log(x + 1.0)' at x = -1.0",
+         7: "DomainError: x = -1.0 outside"},
+    ),
+    # x_1 - 1e13 + x_2 + exp(x_3) = 0 with the lo bracket end at log(1e13):
+    # a node settles there when |x_1 + x_2| is within its tolerance (about
+    # 20) and otherwise fails where exp overflows at the hi end; row 0 leaves
+    # f_1's domain
+    "f_h overflows at the hi bracket end": lambda: (
+        SeparableSurface((parse_function("x - 1e13", (-20.0, math.inf)), parse_function("x"),
+                          parse_function("exp(x)"))),
+        [(-20.0, 20.0), (-20.0, 20.0)], (9, 9), (29.933606208922594, 800.0),
+        {0: "DomainError: x = -20.0 outside",
+         9: "NonFiniteError: evaluating 'exp(x)' at x = 800.0"},
+    ),
+    "f_h overflows at the lo bracket end": lambda: (
+        SeparableSurface((parse_function("x^2"), parse_function("x"), parse_function("exp(-x)"))),
+        [(-1.0, 1.0), (-1.0, 1.0)], (5, 4), (-800.0, 3.0),
+        {p: "NonFiniteError: evaluating 'exp(-x)' at x = -800.0" for p in range(20)},
+    ),
+    "bracket, domain and regularity failures": lambda: (
+        mixed_surface(), MIXED_RANGES, (24, 9), MIXED_BRACKET, {},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GRID_CASES))
+def test_mesh_lift_and_files_match_per_node_references(monkeypatch, tmp_path, case):
+    surface, ranges, grid, bracket, expected = GRID_CASES[case]()
+    lifts = []
+
+    def spy(*args):
+        lifts.append((args, geometry._lift(*args)))
+        return lifts[-1][1]
+
+    monkeypatch.setattr(meshing, "_lift", spy)
+    want = reference_build_mesh(surface, ranges, grid, bracket)
+    if len(want.vertices) < 3:
+        with pytest.raises(MeshError):
+            build_mesh(surface, ranges, grid, bracket)
+    else:
+        mesh = build_mesh(surface, ranges, grid, bracket)
+        assert mesh.faces and mesh.dropped == want.dropped
+        for write, reference in ((write_obj, reference_write_obj),
+                                 (write_curvature_csv, reference_write_curvature_csv)):
+            got, ref = tmp_path / "got", tmp_path / "ref"
+            write(str(got), mesh)
+            reference(str(ref), want)
+            assert got.read_bytes() == ref.read_bytes()
+    [((_, given, _, axes), lift)] = lifts
+    assert given is None and [len(values) for values, _ in axes] == list(grid)   # walked per axis
+    partials = np.column_stack([values[index] for values, index in axes])
+    assert_lift_matches_reference(lift, surface, partials.tolist(), bracket)
+    for node, text in expected.items():
+        assert describe(lift.failures[node]).startswith(text), node
 
 
 def test_too_few_vertices_is_mesh_error():
