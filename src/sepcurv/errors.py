@@ -50,7 +50,25 @@ class SolveError(SepcurvError):
 
 
 class BracketError(SolveError):
-    """The supplied bracket does not straddle a sign change."""
+    """The supplied bracket does not straddle a sign change.
+
+    The lift builds it from its numbers, BracketError(lo, hi, g_lo, g_hi),
+    and the text is formatted from them only when read (`str`, `describe`,
+    a traceback): a mesh only counts its misses.  Such an error's `args` are
+    those four numbers, and its `repr` shows the text, as one built from the
+    message would.  Built from one message, it reads as that message.
+    """
+
+    def __str__(self) -> str:
+        if len(self.args) != 4:
+            return super().__str__()
+        lo, hi, g_lo, g_hi = self.args
+        return f"no sign change in bracket ({lo!r}, {hi!r}): g(lo) = {g_lo:.6e}, g(hi) = {g_hi:.6e}"
+
+    def __repr__(self) -> str:
+        if len(self.args) != 4:
+            return super().__repr__()
+        return f"{type(self).__name__}({str(self)!r})"
 
 
 class ConvergenceError(SolveError):

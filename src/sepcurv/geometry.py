@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from math import fsum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -152,14 +153,25 @@ def _fsum(row: Iterable[float]) -> float:
         return math.inf
 
 
-def _row_sums(a: np.ndarray) -> list[float]:
-    """`_fsum` of each row of a 2-D array: one C-level `map` of `fsum`, and
-    the per-row fallback only when some row's sum overflows."""
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """`_fsum` of each row of a 2-D array of finite terms.
+
+    Rows of two terms (the n = 3 lift's `rest` and `abs_rest`) are one IEEE
+    addition, which rounds once and so already equals `fsum`: numpy adds the
+    columns, and the sum reads +0.0 for -0.0 and +inf where it overflows, as
+    `_fsum` returns.  Other rows take one C-level `map` of `fsum`, and the
+    per-row fallback only when some row's sum overflows.
+    """
+    if a.shape[1] == 2:
+        with np.errstate(over="ignore"):
+            sums = sum(a.T, 0.0)   # the 0.0 start turns -0.0 into +0.0
+        sums[np.isinf(sums)] = math.inf
+        return sums
     rows = a.tolist()
     try:
-        return list(map(fsum, rows))
+        return np.array(list(map(fsum, rows)), dtype=float)
     except OverflowError:
-        return [_fsum(row) for row in rows]
+        return np.array([_fsum(row) for row in rows], dtype=float)
 
 
 def _table(coords: np.ndarray, d1: np.ndarray, d2: np.ndarray, jet_errors: dict) -> JetTable:
@@ -172,7 +184,7 @@ def _table(coords: np.ndarray, d1: np.ndarray, d2: np.ndarray, jet_errors: dict)
         errors[p] = exc
     d1[list(jet_errors)] = d2[list(jet_errors)] = 0.0
     with np.errstate(over="ignore"):
-        sq_norm = np.array(_row_sums(d1 * d1), dtype=float)
+        sq_norm = _row_sums(d1 * d1)
     for p in np.flatnonzero(sq_norm == math.inf).tolist():
         errors[p] = NonFiniteError(f"||grad F||^2 overflows at {tuple(coords[p].tolist())!r}")
     return JetTable(d1, d2, sq_norm, tuple(errors))
@@ -203,6 +215,14 @@ def _columns(funcs: Sequence[Function1D], columns: Sequence[tuple[np.ndarray, np
         failed.append(errors)
     errors = {p: exc for errs in reversed(failed) for p, exc in errs.items()}
     return (*np.array(channels).transpose(1, 2, 0), errors)
+
+
+def _with_height(partials: np.ndarray, h0: int, height: np.ndarray) -> np.ndarray:
+    """P x n rows of the P x (n - 1) `partials` with the `height` column
+    put in at the 0-based index h0."""
+    out = np.empty((partials.shape[0], partials.shape[1] + 1))
+    out[:, :h0], out[:, h0], out[:, h0 + 1:] = partials[:, :h0], height, partials[:, h0:]
+    return out
 
 
 def jet_table(surface: SeparableSurface, points: Sequence[SurfacePoint]) -> JetTable:
@@ -270,11 +290,14 @@ def _lift(
     sign-change bracket or stall, until |g| meets the scale-relative
     on-surface tolerance.  The partials step together: one walk of f_h over
     both bracket ends serves every partial, the lo end settling before the
-    hi end, and each later step walks f_h once over the partials still
-    unsolved.  A partial leaves when it is accepted or fails, so its root,
-    jets and failure text are its own solve's.  Only the failure texts are
-    part of the contract: the partials that fail at one bracket end share
-    one exception object, and so do the grid nodes on one failed axis value.
+    hi end; one walk at the midpoint serves every first Newton step; and
+    each later step walks f_h once over the partials still unsolved.  A
+    partial leaves when it is accepted or fails, so its root, jets and
+    failure text are its own solve's.  Only the failure texts are part of
+    the contract: the partials that fail at one bracket end or at the
+    midpoint share one exception object, and so do the grid nodes on one
+    failed axis value.  A bracket miss keeps its numbers, and its
+    `BracketError` formats the text only when read.
     """
     n, h0 = surface.n, surface.height - 1
     if axes is not None:
@@ -298,8 +321,7 @@ def _lift(
     live = np.ones(len(given), dtype=bool)
     live[list(failures)] = False
     active = np.flatnonzero(live)
-    rest, abs_rest = np.zeros(len(given)), np.zeros(len(given))
-    rest[active], abs_rest[active] = _row_sums(values[active]), _row_sums(np.abs(values[active]))
+    rest, abs_rest = _row_sums(values), _row_sums(np.abs(values))   # failed rows are summed, never read
     root = np.full((4, len(given)), math.nan)   # t, |g|, f_h' and f_h'' at each root
 
     def step(t, jet, errors):
@@ -322,21 +344,25 @@ def _lift(
         going[list(errors)] = False
         return g, tol, going
 
+    def broadcast(jets, errs, k):
+        """Value k of a walk of f_h: its jet and failure, shared by every
+        active partial."""
+        jet = Jet2(*(np.full(active.size, c[k]) for c in (jets.v, jets.d1, jets.d2)))
+        return jet, dict.fromkeys(range(active.size), errs[k]) if k in errs else {}
+
     # the bracket ends, where a partial may be accepted as well: one walk of
-    # f_h over (lo, hi), each end's jet and failure shared by every partial
-    ends, end_errors = eval_jets(fh, np.array([lo, hi]))
+    # f_h over (lo, hi)
+    ends = eval_jets(fh, np.array([lo, hi]))
     g_end = np.zeros((2, len(given)))
     for k, end in enumerate((lo, hi)):
-        jet = Jet2(*(np.full(active.size, c[k]) for c in (ends.v, ends.d1, ends.d2)))
-        errors = dict.fromkeys(range(active.size), end_errors[k]) if k in end_errors else {}
-        g, _, going = step(np.full(active.size, end), jet, errors)
+        g, _, going = step(np.full(active.size, end), *broadcast(*ends, k))
         g_end[k, active] = g
         active = active[going]
     glo, ghi = g_end[:, active]
     same = (glo < 0.0) == (ghi < 0.0)
-    head = f"no sign change in bracket ({lo!r}, {hi!r}): "
-    for p, gl, gh in zip(active[same].tolist(), glo[same].tolist(), ghi[same].tolist()):
-        failures[p] = BracketError(f"{head}g(lo) = {gl:.6e}, g(hi) = {gh:.6e}")
+    failures.update(zip(active[same].tolist(), map(
+        BracketError, repeat(lo), repeat(hi), glo[same].tolist(), ghi[same].tolist()
+    )))
     active, glo = active[~same], glo[~same]
 
     # orient so g(a) < 0 < g(b); a, b need not be ordered
@@ -344,10 +370,11 @@ def _lift(
     t = np.full(active.size, 0.5 * (lo + hi))
     step_prev = np.full(active.size, abs(hi - lo))
     gx = np.full(active.size, math.inf)
-    for _ in range(MAX_SOLVE_ITERATIONS):
+    for it in range(MAX_SOLVE_ITERATIONS):
         if not active.size:
             break
-        jet, errors = eval_jets(fh, t)
+        # every partial starts at the midpoint, so the first step walks it once
+        jet, errors = broadcast(*eval_jets(fh, t[:1]), 0) if it == 0 else eval_jets(fh, t)
         g, tol, going = step(t, jet, errors)
         a, b = np.where(g < 0.0, t, a), np.where(g < 0.0, b, t)
         lo_c, hi_c = np.where(a < b, a, b), np.where(a < b, b, a)
@@ -370,16 +397,16 @@ def _lift(
         )
 
     solved = np.flatnonzero(~np.isnan(root[0]))
-    coords = np.insert(given[solved], h0, root[0, solved], axis=1)
-    d1, d2 = (np.insert(d[solved], h0, root[k, solved], axis=1) for d, k in ((d1, 2), (d2, 3)))
+    coords, d1, d2 = (_with_height(d[solved], h0, root[k, solved])
+                      for d, k in ((given, 0), (d1, 2), (d2, 3)))
     table = _table(coords, d1, d2, {})
     index = solved.tolist()
     failures = dict(sorted(failures.items()))
     gate = table.errors(surface.height)
     failures.update((index[p], exc) for p, exc in enumerate(gate) if exc is not None)
-    keep = [p for p, exc in enumerate(gate) if exc is None]
-    survivors = JetTable(table.d1[keep], table.d2[keep], table.sq_norm[keep], (None,) * len(keep))
-    return _Lift([index[p] for p in keep], coords[keep], root[1, solved][keep], survivors, failures)
+    keep = np.array([exc is None for exc in gate], dtype=bool)
+    survivors = JetTable(table.d1[keep], table.d2[keep], table.sq_norm[keep], (None,) * int(keep.sum()))
+    return _Lift(solved[keep].tolist(), coords[keep], root[1, solved][keep], survivors, failures)
 
 
 def solve_height(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -27,11 +28,14 @@ _RAISES = (ValueError, OverflowError)
 
 def _each(fn, x: Channel, *args: float) -> Channel:
     """The `math` function fn at a float, or at each element of an array,
-    where an element that raises reads nan."""
+    where an element that raises reads nan.  An array's elements go through
+    `map` into `np.fromiter`: the same Python floats reach the same function
+    as one call per element would pass, so every element keeps its bits."""
     if not isinstance(x, np.ndarray):
         return fn(x, *args)
+    elements = (x.ravel().tolist(), *map(repeat, args))
     try:
-        return np.frompyfunc(fn, 1 + len(args), 1)(x, *args).astype(float)
+        return np.fromiter(map(fn, *elements), float, x.size).reshape(x.shape)
     except _RAISES:   # rare, so only then is each element guarded
         pass
 
@@ -41,7 +45,7 @@ def _each(fn, x: Channel, *args: float) -> Channel:
         except _RAISES:
             return math.nan
 
-    return np.frompyfunc(guarded, 1 + len(args), 1)(x, *args).astype(float)
+    return np.fromiter(map(guarded, *elements), float, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True, slots=True)

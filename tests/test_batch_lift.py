@@ -6,11 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepcurv import SeparableSurface, SurfacePoint, geometry, parse_function
 from sepcurv.errors import describe
 from sepcurv.expr import eval_jet2, eval_jets
-from sepcurv.geometry import _lift, jet_table
+from sepcurv.geometry import _fsum, _lift, _row_sums, jet_table
 from sepcurv.jets import Jet2
 
 from corpus import EXPRESSIONS
@@ -304,6 +306,37 @@ def test_an_overflowing_row_sum_keeps_its_neighbours_sums():
     ]
     assert table.sq_norm[1] == INF and np.isfinite(table.sq_norm[[0, 2]]).all()
     assert [p for p, e in enumerate(table.jet_errors) if e is not None] == [1]
+
+
+# signed zeros, subnormals, the float extremes and random finite values
+TERMS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.7976931348623157e308]),
+    st.floats(min_value=-1e-307, max_value=1e-307),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+HUGE = st.floats(min_value=1e308, max_value=1.7976931348623157e308)
+
+
+@st.composite
+def term_rows(draw):
+    """Rows of 2 finite terms (the numpy addition) or 3 (the `fsum` path);
+    some rows hold only signed zeros, and some start with a pair of one sign
+    whose sum overflows."""
+    width = draw(st.sampled_from([2, 3]))
+    plain = st.lists(TERMS, min_size=width, max_size=width)
+    zeros = st.lists(st.sampled_from([0.0, -0.0]), min_size=width, max_size=width)
+    rest = st.lists(TERMS, min_size=width - 2, max_size=width - 2)
+    overflowing = st.builds(lambda sign, a, b, tail: [sign * a, sign * b, *tail],
+                            st.sampled_from([1.0, -1.0]), HUGE, HUGE, rest)
+    return width, draw(st.lists(st.one_of(plain, zeros, overflowing), max_size=8))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(term_rows())
+def test_row_sums_equal_fsum_bit_for_bit(case):
+    width, rows = case
+    got = _row_sums(np.array(rows, dtype=float).reshape(len(rows), width))
+    assert got.tobytes() == np.array([_fsum(row) for row in rows], dtype=float).tobytes()
 
 
 def test_reference_sum_reads_overflow_as_inf():

@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -10,13 +13,19 @@ from sepcurv import (
     DomainError,
     NonFiniteError,
     RegularityError,
+    ScanPolicy,
     SeparableSurface,
+    build_mesh,
     ensure_regular,
     parse_function,
     random_tangent_plane,
+    report_body_csv,
+    report_body_json,
     sample_points,
     solve_height,
 )
+from sepcurv.curvature import sample_and_scan
+from sepcurv.errors import describe
 
 from lifts import MIXED_BRACKET, MIXED_RANGES, mixed_surface, solve_verdicts, spy_second_evaluations
 from oracles import fd_unit_normal, surface_point
@@ -339,3 +348,69 @@ def test_sample_points_evaluates_lifted_jets_once(monkeypatch):
     pts, fails, _ = sample_points(mixed_surface(), MIXED_RANGES, 40, 5, MIXED_BRACKET)
     assert pts and fails
     assert calls == []
+
+
+# ------------------------------------------------------- bracket-miss texts
+
+# x_1 + exp(x_2) + x_3 = 0 over these ranges: a draw lifts where
+# x_1 + exp(x_2) lies in [-3.25, -2], and otherwise misses the bracket with
+# g of either sign, past 1e100 where x_2 > 230
+MISS_RANGES = [(-4.0, -1.0), (-40.0, 260.0)]
+MISS_BRACKET = (2.0, 3.25)
+# two draws of `sample_points(miss_surface(), MISS_RANGES, 32, 1, ...)`,
+# with the texts the lift wrote when it formatted every miss as it found it
+PINNED_MISSES = {
+    11: "BracketError: no sign change in bracket (2.0, 3.25): "
+        "g(lo) = 2.551802e+110, g(hi) = 2.551802e+110",
+    27: "BracketError: no sign change in bracket (2.0, 3.25): "
+        "g(lo) = -1.426028e+00, g(hi) = -1.760280e-01",
+}
+
+
+def miss_surface() -> SeparableSurface:
+    return SeparableSurface(tuple(map(parse_function, ("x", "exp(x)", "x"))))
+
+
+def test_bracket_miss_texts_match_on_every_path():
+    s = miss_surface()
+    samples = sample_points(s, MISS_RANGES, 32, 1, MISS_BRACKET)
+    assert len(samples.points) >= 2
+    lows, highs = zip(*MISS_RANGES)
+    draws = np.random.default_rng(1).uniform(lows, highs, size=(32, 2))
+    report, failures = sample_and_scan(s, MISS_RANGES, 32, 1, MISS_BRACKET, ScanPolicy())
+    assert failures == samples.failures
+    body = report_body_json(report, input_digest="sha256:abc", tool_version="1.0.0",
+                            sampling_failures=failures)
+    in_json = {e["draw_index"]: e["error"] for e in json.loads(body)["sampling_failures"]}
+    in_csv = {int(row[0]): row[9] for row in csv.reader(io.StringIO(report_body_csv(report, failures)))
+              if row[1] == "sample_error"}
+    for draw, text in PINNED_MISSES.items():
+        assert dict(samples.failures)[draw] == text
+        with pytest.raises(BracketError) as info:
+            solve_height(s, draws[draw], MISS_BRACKET)
+        assert describe(info.value) == text
+        assert repr(info.value) == f"BracketError({text.split(': ', 1)[1]!r})"
+        assert in_json[draw] == in_csv[draw] == text
+
+
+def test_bracket_misses_are_formatted_only_when_read(monkeypatch):
+    made, formatted, text = [], [], BracketError.__str__
+
+    class Recorded(BracketError):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    def spy(exc):
+        formatted.append(exc)
+        return text(exc)
+
+    monkeypatch.setattr(geometry, "BracketError", Recorded)
+    monkeypatch.setattr(BracketError, "__str__", spy)
+    mesh = build_mesh(miss_surface(), MISS_RANGES, (12, 12), MISS_BRACKET)
+    assert mesh.dropped and len(made) <= mesh.dropped
+    assert formatted == []   # a mesh counts its misses and reads none
+    # each miss keeps its numbers: the bracket and both ends' g
+    assert made and all(exc.args[:2] == MISS_BRACKET and len(exc.args) == 4 for exc in made)
+    assert str(made[0]).startswith("no sign change in bracket (2.0, 3.25): g(lo) = ")
+    assert formatted == made[:1]

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sepcurv.jets as jet_module
 from sepcurv import Jet2
+from sepcurv.jets import _each
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 jets = st.builds(Jet2, finite, finite, finite)
@@ -206,3 +208,88 @@ def test_is_finite():
     assert not Jet2(math.inf, 0.0, 0.0).is_finite()
     assert not Jet2(0.0, math.nan, 0.0).is_finite()
     assert not Jet2(0.0, 0.0, -math.inf).is_finite()
+
+
+# ------------------------------------------------------- the array kernel
+
+def _per_element(fn, xs: np.ndarray, *args: float) -> np.ndarray:
+    """fn at each element in a plain loop, nan where it raises."""
+    out = []
+    for x in xs.tolist():
+        try:
+            out.append(fn(x, *args))
+        except (ValueError, OverflowError):
+            out.append(math.nan)
+    return np.array(out, dtype=float)
+
+
+def _frompyfunc_each(fn, x, *args):
+    """The array kernel as `np.frompyfunc` runs it, the reference for `_each`."""
+    if not isinstance(x, np.ndarray):
+        return fn(x, *args)
+
+    def guarded(*element):
+        try:
+            return fn(*element)
+        except (ValueError, OverflowError):
+            return math.nan
+
+    return np.frompyfunc(guarded, 1 + len(args), 1)(x, *args).astype(float)
+
+
+# 3,000 values over [-800, 800] with elements where exp overflows, log and
+# fractional powers raise, zero powers raise for negative exponents, and
+# sin and cos raise at inf
+_MIXED = np.concatenate([
+    np.linspace(-800.0, 800.0, 2990),
+    [0.0, -0.0, 5e-324, -1.0, 710.0, math.inf, -math.inf, math.nan, 1e308, 0.5],
+])
+KERNEL_INPUTS = {
+    "empty": np.array([]),
+    "one": np.array([0.75]),
+    "one raising": np.array([-2.0]),
+    "one overflowing": np.array([800.0]),
+    "3000": _MIXED,
+}
+KERNEL_FUNCTIONS = {
+    "exp": (math.exp, ()),
+    "log": (math.log, ()),
+    "sin": (math.sin, ()),
+    "cos": (math.cos, ()),
+    "pow 2.5": (math.pow, (2.5,)),
+    "pow -1": (math.pow, (-1.0,)),
+    "pow 3": (math.pow, (3.0,)),
+}
+
+
+@pytest.mark.parametrize("xs", KERNEL_INPUTS.values(), ids=KERNEL_INPUTS)
+@pytest.mark.parametrize("fn, args", KERNEL_FUNCTIONS.values(), ids=KERNEL_FUNCTIONS)
+def test_each_matches_a_per_element_math_loop(fn, args, xs):
+    got = _each(fn, xs, *args)
+    assert got.dtype == np.float64 and got.shape == xs.shape
+    assert got.tobytes() == _per_element(fn, xs, *args).tobytes()
+
+
+JET_METHODS = {
+    "exp": lambda j: j.exp(),
+    "log": lambda j: j.log(),
+    "sin": lambda j: j.sin(),
+    "cos": lambda j: j.cos(),
+    "power 3": lambda j: j.power(3),
+    "power -2": lambda j: j.power(-2),
+    "power 0.5": lambda j: j.power(0.5),
+    "power 1": lambda j: j.power(1),
+}
+
+
+@pytest.mark.parametrize("method", JET_METHODS.values(), ids=JET_METHODS)
+def test_jet_methods_keep_their_bits_through_the_map_kernel(monkeypatch, method):
+    rng = np.random.default_rng(7)
+    v = _MIXED[rng.permutation(_MIXED.size)]
+    jet = Jet2(v, rng.uniform(-3.0, 3.0, v.size), rng.uniform(-3.0, 3.0, v.size))
+    with np.errstate(all="ignore"):
+        got = method(jet)
+        monkeypatch.setattr(jet_module, "_each", _frompyfunc_each)
+        want = method(jet)
+    for a, b in zip(channels(got), channels(want)):
+        assert a.tobytes() == b.tobytes()

@@ -246,12 +246,13 @@ def test_mesh_walks_each_non_height_function_once_per_grid_value(monkeypatch):
     f1, f2, fh = s.funcs
     # f_1 over the 12 values of its grid axis and f_2 over the 9 of its own ...
     assert calls[:2] == [(f1, 12), (f2, 9)]
-    # ... then f_h alone: one two-point walk over both bracket ends, and each
-    # later step over the nodes still unsolved
+    # ... then f_h alone: one two-point walk over both bracket ends, one
+    # one-point walk at the midpoint every node starts from, and each later
+    # step over the nodes still unsolved
     steps = [size for f, size in calls[2:]]
     assert all(f is fh for f, _ in calls[2:])
-    assert steps[0] == 2 and len(steps) > 1 and steps[1] < 12 * 9
-    assert steps[1:] == sorted(steps[1:], reverse=True)
+    assert steps[:2] == [2, 1] and len(steps) > 2 and steps[2] < 12 * 9
+    assert steps[2:] == sorted(steps[2:], reverse=True)
 
 
 # name -> (surface, ranges, grid, bracket, {node: start of its failure text})
