@@ -148,7 +148,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     # the lift's gated jet table gives every figure, as in a scan record
     table = pair_table(surface, lift.table, [pair])
     k_oracle, plane_errors = _gauss(lift.table, *table.frames(surface.height))
-    if plane_errors[0, 0] is not None:
+    if plane_errors:
         raise plane_errors[0, 0]
     k_special, k_oracle = float(table.curvature()[0, 0]), float(k_oracle[0, 0])
     flat = float(table.flat[0, 0])

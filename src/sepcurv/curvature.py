@@ -147,8 +147,9 @@ def _unit_pair(u: np.ndarray, w: np.ndarray):
 
 def _gauss(table: JetTable, u: np.ndarray, w: np.ndarray):
     """Gauss-equation K of the planes spanned by u[p, r] and w[p, r] (shape
-    (P, R, n)) at table point p, plus an array holding the
-    `DegeneratePlaneError` of each plane that fails a check (else None)."""
+    (P, R, n)) at table point p, plus the `DegeneratePlaneError` of each
+    plane that fails a check, by (p, r): a dict that holds only the failing
+    planes, so a clean call builds no error."""
     gradnorm, normal, hess = table.gradnorm[:, None], table.normal[:, None], table.d2[:, None]
     with np.errstate(all="ignore"):
         nu, nw, u, w, y, wedge = _unit_pair(u, w)
@@ -158,8 +159,9 @@ def _gauss(table: JetTable, u: np.ndarray, w: np.ndarray):
         k = (hxx * hyy - hxy * hxy) / (gradnorm * gradnorm)
     zero = (nu == 0.0) | (nw == 0.0)
     off_u, off_w = drift_u > PLANE_EPS, drift_w > PLANE_EPS
-    errors = np.full(k.shape, None, dtype=object)
-    for idx in zip(*np.nonzero(zero | off_u | off_w | (wedge <= PLANE_EPS))):
+    bad = zero | off_u | off_w | (wedge <= PLANE_EPS)
+    errors = {}
+    for idx in zip(*(i.tolist() for i in np.nonzero(bad))) if bad.any() else ():
         if zero[idx]:
             msg = "plane spanning vector is zero"
         elif off_u[idx] or off_w[idx]:
@@ -243,7 +245,7 @@ def sectional_oracle(surface: SeparableSurface, point: SurfacePoint, plane) -> f
     if plane.shape != (2, surface.n):
         raise ValueError(f"plane must have shape (2, {surface.n}), got {plane.shape}")
     k, errors = _gauss(point_jets(surface, point), *plane[:, None, None])
-    if errors[0, 0] is not None:
+    if errors:
         raise errors[0, 0]
     return float(k[0, 0])
 
@@ -397,15 +399,13 @@ def _scan_chunk(
     u, w = table.frames(surface.height)
     pu = pw = np.zeros((len(points), 0, surface.n))
     draw_errors: dict[tuple[int, int], DegeneratePlaneError] = {}
+    regular = np.array([exc is None for exc in errors], dtype=bool)
     if m:
-        regular = [p for p, exc in enumerate(errors) if exc is None]
         raw = np.zeros((len(points), m, 2, surface.n))
-        for p in regular:
+        for p in np.flatnonzero(regular).tolist():
             raw[p] = np.random.default_rng([policy.seed, start + p]).standard_normal(raw.shape[1:])
         pu, pw, ok = _tangent_pairs(raw, jets.normal[:, None])
-        for p in regular:
-            if ok[p].all():
-                continue
+        for p in np.flatnonzero(regular & ~ok.all(axis=1)).tolist():
             # a rejected draw shifts the stream: redraw this point's planes in order
             rng = np.random.default_rng([policy.seed, start + p])
             for r in range(m):
@@ -415,14 +415,13 @@ def _scan_chunk(
                     draw_errors[p, r] = exc
         u, w = np.concatenate([u, pu], axis=1), np.concatenate([w, pw], axis=1)
     k, plane_errors = _gauss(jets, u, w)
-    for (p, r), exc in draw_errors.items():
-        plane_errors[p, nq + r] = exc
-    point_errors = [
-        errors[p] or next((e for e in plane_errors[p, :nq] if e is not None), None)
-        for p in range(len(points))
-    ]
-    good = np.array([exc is None for exc in point_errors])
-    kept = np.equal(plane_errors[good], None)
+    plane_errors.update(((p, nq + r), exc) for (p, r), exc in draw_errors.items())
+    bad = np.zeros(k.shape, dtype=bool)
+    if plane_errors:
+        bad[tuple(zip(*plane_errors))] = True
+    # a point fails on its jets' error, else on its first failing pair plane
+    good = regular & ~bad[:, :nq].any(axis=1)
+    kept = ~bad[good]
 
     ks, ko = table.curvature(), k[:, :nq]
     with np.errstate(all="ignore"):
@@ -437,14 +436,15 @@ def _scan_chunk(
         with an error, else its pair records and then its oblique planes',
         where a plane that failed is an error record."""
         lo, hi = zip(*pairs)
-        special, gauss, flat, flags, us, ws = (
-            a.tolist() for a in (ks, k, table.flat, flagged, pu, pw)
+        special, gauss, flat, flags, us, ws, fine, fails = (
+            a.tolist() for a in (ks, k, table.flat, flagged, pu, pw, good, bad)
         )
         out: list[ScanRecord] = []
         for p, point in enumerate(points):
             sample, coords = start + p, point.coords
-            if point_errors[p] is not None:
-                out.append(ScanRecord(sample, coords, "error", error=describe(point_errors[p])))
+            if not fine[p]:
+                exc = errors[p] or plane_errors[p, fails[p].index(True)]
+                out.append(ScanRecord(sample, coords, "error", error=describe(exc)))
                 continue
             # repeat(sample, nq) stops the zip after the pairs: gauss[p] holds the planes too
             out.extend(map(ScanRecord._make, zip(
@@ -452,7 +452,7 @@ def _scan_chunk(
                 repeat(None), special[p], gauss[p], flat[p], flags[p], repeat(None),
             )))
             for r in range(m):
-                exc = plane_errors[p, nq + r]
+                exc = plane_errors.get((p, nq + r))
                 out.append(
                     ScanRecord(sample, coords, "error", error=describe(exc)) if exc is not None
                     else ScanRecord(sample, coords, "plane", None, None, tuple(us[p][r]),

@@ -343,7 +343,9 @@ def _walk(node: Node, seed: Jet2, failed: dict[int, Exception]) -> Jet2:
     failure in evaluation order (left operand before right, operand before
     operator) goes into `failed` under the point's index; a failed point's
     channels read nan from its failing node on.  An array operation never
-    raises, so only the points it leaves non-finite run again on floats."""
+    raises, so only the points it leaves non-finite run again on floats.  They
+    are searched for only when sum(v * d1 * d2) is not finite: a nan or inf
+    element makes it so (0 * inf is nan), and finite ones only by overflow."""
     if isinstance(node, Var):
         return seed
     if isinstance(node, Const):
@@ -363,6 +365,8 @@ def _walk(node: Node, seed: Jet2, failed: dict[int, Exception]) -> Jet2:
         left = _walk(node.left, seed, failed)
         args, op = (left, _walk(node.right, seed, failed)), _BINARY[node.op]
     out = op(*args)
+    if math.isfinite((out.v * out.d1).dot(out.d2)):
+        return out
     # a point whose array result is not finite runs again on floats, where
     # it carries the same bits, to fail as the float jet does: raising, or
     # with a non-finite channel
@@ -384,18 +388,21 @@ def eval_jets(f: Function1D, x: np.ndarray) -> tuple[Jet2, dict[int, SepcurvErro
     Returns the jets as one `Jet2` of arrays and each failing point's error
     by index; a failing point's channels read 0.  Every other point's jet,
     and every error, equals `eval_jet2` at that point bit for bit and text
-    for text: the per-point rules are the same, element by element.
+    for text: the per-point rules are the same, element by element.  A
+    walk with no failure skips the per-point failure handling.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)   # a copy, so that the jet of f = x does not alias the input
     lo, hi = f.domain
     inside = f.contains(x)
-    failed: dict[int, Exception] = {
+    failed: dict[int, Exception] = {} if inside.all() else {
         p: DomainError(f"x = {float(x[p])!r} outside open domain ({lo!r}, {hi!r})")
         for p in np.flatnonzero(~inside).tolist()
     }
     with np.errstate(all="ignore"):   # a nan seed raises nowhere
-        seed = Jet2(np.where(inside, x, math.nan), np.ones(x.size), np.zeros(x.size))
+        seed = Jet2(np.where(inside, x, math.nan) if failed else x, np.ones(x.size), np.zeros(x.size))
         jet = _walk(f.ast, seed, failed)
+    if not failed:
+        return jet, failed
     for p, exc in failed.items():
         if not isinstance(exc, SepcurvError):   # an element raised inside an operation
             failed[p] = NonFiniteError(f"evaluating {f.source()!r} at x = {float(x[p])!r}: {exc}")

@@ -293,7 +293,9 @@ def _lift(
     hi end; one walk at the midpoint serves every first Newton step; and
     each later step walks f_h once over the partials still unsolved.  A
     partial leaves when it is accepted or fails, so its root, jets and
-    failure text are its own solve's.  Only the failure texts are part of
+    failure text are its own solve's.  The solve runs under one numpy error
+    state, and writes failures, roots and collapses only for set masks.
+    Only the failure texts are part of
     the contract: the partials that fail at one bracket end or at the
     midpoint share one exception object, and so do the grid nodes on one
     failed axis value.  A bracket miss keeps its numbers, and its
@@ -321,7 +323,7 @@ def _lift(
     live = np.ones(len(given), dtype=bool)
     live[list(failures)] = False
     active = np.flatnonzero(live)
-    rest, abs_rest = _row_sums(values), _row_sums(np.abs(values))   # failed rows are summed, never read
+    sums = np.array([_row_sums(values), _row_sums(np.abs(values))])[:, active]   # sum f_k, sum |f_k|
     root = np.full((4, len(given)), math.nan)   # t, |g|, f_h' and f_h'' at each root
 
     def step(t, jet, errors):
@@ -329,19 +331,20 @@ def _lift(
         failed one's error by position: fail each partial whose jet fails or
         whose sum of |f_k| overflows, accept each whose |g| meets its
         tolerance, and return g, the tolerance and the going mask."""
-        with np.errstate(over="ignore"):
-            g = jet.v + rest[active]
-            tol = ON_SURFACE_RTOL * np.fmax(1.0, abs_rest[active] + np.abs(jet.v))
-        for q in np.flatnonzero(tol == math.inf).tolist():   # it would accept any t
-            row = given[active[q]].tolist()
-            at = (*row[:h0], float(t[q]), *row[h0:])
-            errors.setdefault(q, NonFiniteError(f"sum of |f_k| overflows at {at!r}"))
-        failures.update((int(active[q]), exc) for q, exc in errors.items())
+        g = jet.v + sums[0]
+        tol = ON_SURFACE_RTOL * np.fmax(1.0, sums[1] + np.abs(jet.v))
+        if not math.isfinite(tol.sum()):
+            for q in np.flatnonzero(tol == math.inf).tolist():   # it would accept any t
+                row = given[active[q]].tolist()
+                at = (*row[:h0], float(t[q]), *row[h0:])
+                errors.setdefault(q, NonFiniteError(f"sum of |f_k| overflows at {at!r}"))
         done = np.abs(g) <= tol
-        done[list(errors)] = False
-        root[:, active[done]] = t[done], np.abs(g[done]), jet.d1[done], jet.d2[done]
         going = ~done
-        going[list(errors)] = False
+        if errors:
+            failures.update((int(active[q]), exc) for q, exc in errors.items())
+            done[list(errors)] = going[list(errors)] = False
+        if done.any():
+            root[:, active[done]] = t[done], np.abs(g[done]), jet.d1[done], jet.d2[done]
         return g, tol, going
 
     def broadcast(jets, errs, k):
@@ -350,47 +353,48 @@ def _lift(
         jet = Jet2(*(np.full(active.size, c[k]) for c in (jets.v, jets.d1, jets.d2)))
         return jet, dict.fromkeys(range(active.size), errs[k]) if k in errs else {}
 
-    # the bracket ends, where a partial may be accepted as well: one walk of
-    # f_h over (lo, hi)
-    ends = eval_jets(fh, np.array([lo, hi]))
-    g_end = np.zeros((2, len(given)))
-    for k, end in enumerate((lo, hi)):
-        g, _, going = step(np.full(active.size, end), *broadcast(*ends, k))
-        g_end[k, active] = g
-        active = active[going]
-    glo, ghi = g_end[:, active]
-    same = (glo < 0.0) == (ghi < 0.0)
-    failures.update(zip(active[same].tolist(), map(
-        BracketError, repeat(lo), repeat(hi), glo[same].tolist(), ghi[same].tolist()
-    )))
-    active, glo = active[~same], glo[~same]
+    with np.errstate(all="ignore"):
+        # the bracket ends, where a partial may be accepted as well: one walk
+        # of f_h over (lo, hi)
+        ends = eval_jets(fh, np.array([lo, hi]))
+        g_end = np.zeros((2, len(given)))
+        for k, end in enumerate((lo, hi)):
+            g, _, going = step(np.full(active.size, end), *broadcast(*ends, k))
+            g_end[k, active] = g
+            active, sums = active[going], sums.compress(going, axis=1)
+        glo, ghi = g_end[:, active]
+        same = (glo < 0.0) == (ghi < 0.0)
+        failures.update(zip(active[same].tolist(), map(
+            BracketError, repeat(lo), repeat(hi), glo[same].tolist(), ghi[same].tolist()
+        )))
+        active, glo, sums = active[~same], glo[~same], sums.compress(~same, axis=1)
 
-    # orient so g(a) < 0 < g(b); a, b need not be ordered
-    a, b = np.where(glo < 0.0, lo, hi), np.where(glo < 0.0, hi, lo)
-    t = np.full(active.size, 0.5 * (lo + hi))
-    step_prev = np.full(active.size, abs(hi - lo))
-    gx = np.full(active.size, math.inf)
-    for it in range(MAX_SOLVE_ITERATIONS):
-        if not active.size:
-            break
-        # every partial starts at the midpoint, so the first step walks it once
-        jet, errors = broadcast(*eval_jets(fh, t[:1]), 0) if it == 0 else eval_jets(fh, t)
-        g, tol, going = step(t, jet, errors)
-        a, b = np.where(g < 0.0, t, a), np.where(g < 0.0, b, t)
-        lo_c, hi_c = np.where(a < b, a, b), np.where(a < b, b, a)
-        with np.errstate(all="ignore"):
+        # orient so g(a) < 0 < g(b); a, b need not be ordered
+        a, b = np.where(glo < 0.0, lo, hi), np.where(glo < 0.0, hi, lo)
+        t = np.full(active.size, 0.5 * (lo + hi))
+        step_prev = np.full(active.size, abs(hi - lo))
+        gx = np.full(active.size, math.inf)
+        for it in range(MAX_SOLVE_ITERATIONS):
+            if not active.size:
+                break
+            # every partial starts at the midpoint, so the first step walks it once
+            jet, errors = broadcast(*eval_jets(fh, t[:1]), 0) if it == 0 else eval_jets(fh, t)
+            g, tol, going = step(t, jet, errors)
+            a, b = np.where(g < 0.0, t, a), np.where(g < 0.0, b, t)
+            lo_c, hi_c = np.where(a < b, a, b), np.where(a < b, b, a)
             trial = np.where(jet.d1 != 0.0, t - g / jet.d1, math.nan)
-        newton = (lo_c < trial) & (trial < hi_c) & (np.abs(2.0 * g) <= np.abs(step_prev * jet.d1))
-        nxt = np.where(newton, trial, 0.5 * (a + b))
-        collapsed = going & ((nxt == a) | (nxt == b))
-        for p, tc, gc, tolc in zip(*(v[collapsed].tolist() for v in (active, t, g, tol))):
-            failures[p] = ConvergenceError(
-                f"bracket collapsed at t = {tc!r} with residual {gc:.3e} still above "
-                f"tolerance {tolc:.3e}"
-            )
-        going &= ~collapsed
-        active, a, b, gx = active[going], a[going], b[going], g[going]
-        t, step_prev = nxt[going], np.abs(nxt - t)[going]
+            newton = (lo_c < trial) & (trial < hi_c) & (np.abs(2.0 * g) <= np.abs(step_prev * jet.d1))
+            nxt = np.where(newton, trial, 0.5 * (a + b))
+            collapsed = going & ((nxt == a) | (nxt == b))
+            if collapsed.any():
+                for p, tc, gc, tolc in zip(*(v[collapsed].tolist() for v in (active, t, g, tol))):
+                    failures[p] = ConvergenceError(
+                        f"bracket collapsed at t = {tc!r} with residual {gc:.3e} still above "
+                        f"tolerance {tolc:.3e}"
+                    )
+                going &= ~collapsed
+            active, a, b, gx = active[going], a[going], b[going], g[going]
+            t, step_prev, sums = nxt[going], np.abs(nxt - t)[going], sums.compress(going, axis=1)
     for p, g in zip(active.tolist(), gx.tolist()):
         failures[p] = ConvergenceError(
             f"no convergence after {MAX_SOLVE_ITERATIONS} iterations; last residual {g:.3e}"

@@ -107,7 +107,9 @@ class Jet2:
         Integer exponents are valid for any base (zero base still needs a
         non-negative exponent); fractional exponents require a strictly
         positive base, since jets are real-valued.  An array marks such a
-        base nan itself, because `math.pow` of zero does not raise.
+        base nan itself, because `math.pow` of zero does not raise.  At
+        exponent 2, f' and f'' skip `math.pow`, as its pow(x, 1.0) is x and
+        pow(x, 0.0) is 1.0 for every x, nan included; f keeps it.
         """
         e = float(exponent)
         x = self.v
@@ -119,6 +121,8 @@ class Jet2:
                     f"non-integer exponent {e!r} requires a positive base, got {x!r}"
                 )
         v = _each(math.pow, x, e)
+        if e == 2.0:
+            return self._compose(v, 2.0 * x, 2.0)
         d = e * _each(math.pow, x, e - 1.0) if e != 0.0 else 0.0
         dd = e * (e - 1.0) * _each(math.pow, x, e - 2.0) if e not in (0.0, 1.0) else 0.0
         return self._compose(v, d, dd)

@@ -167,6 +167,33 @@ def test_non_finite_constant_fails_every_point_after_earlier_failures():
     assert got == [reference_point(f, x) for x in (-1.0, 1.0, 2.0)]
 
 
+@pytest.mark.parametrize("src, bad", [("1/x^2", 1e200), ("exp(-exp(x))", 800.0), ("x^0.5", 5e-324)])
+def test_an_inner_overflow_fails_its_point_among_finite_neighbours(src, bad):
+    # x^2 at 1e200 and exp(x) at 800 overflow, though 1/inf and exp(-inf)
+    # would read a finite 0: the failing node's own test must catch them;
+    # x^0.5 at 5e-324 fails in f'' alone, as x^-1.5 overflows
+    f = parse_function(src)
+    xs = [0.5, -1.25, bad, 2.0, 0.75]
+    want = f"NonFiniteError: evaluating {f.source()!r} at x = {bad!r}: math range error"
+    assert reference_point(f, bad) == want
+    assert walk_points(f, [bad]) == [want]
+    got = walk_points(f, xs)
+    assert got[2] == want
+    assert_same(got, [reference_point(f, x) for x in xs])
+
+
+def test_a_node_whose_test_overflows_fails_no_point():
+    # every channel of x^2 at 1e103 is finite, but the node's one-number
+    # test, sum(f * f' * f''), overflows: the per-point search runs and
+    # finds nothing
+    f = parse_function("x^2")
+    xs = [1e103, -0.5, -1e103]
+    assert math.isinf(1e206 * 2e103 * 2.0)
+    got = walk_points(f, xs)
+    assert not any(isinstance(g, str) for g in got)
+    assert_same(got, [reference_point(f, x) for x in xs])
+
+
 def assert_same_lift(surface, partials, bracket):
     """The batched lift equals the per-partial reference lift."""
     got = _lift(surface, partials, bracket)

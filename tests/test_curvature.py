@@ -35,6 +35,7 @@ from sepcurv import (
 )
 
 from sepcurv import curvature
+from sepcurv.errors import describe
 from oracles import brute_coordinate_k, brute_sectional, surface_point
 from reference_summary import reference_summary
 
@@ -404,6 +405,41 @@ def test_oracle_tolerates_small_angles_above_gate():
     w_perp /= np.linalg.norm(w_perp)
     narrow = [good[0], u + 1e-6 * w_perp]
     assert abs(sectional_oracle(s, p, narrow) - 0.25) <= 1e-8
+
+
+def test_a_clean_scan_builds_no_plane_error(monkeypatch):
+    built = []
+    real_init = DegeneratePlaneError.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(DegeneratePlaneError, "__init__", counted)
+    s, pts = sphere_points(6, 2.0, 25, 9)
+    policy = ScanPolicy(oblique_per_point=20, seed=9)
+    report = scan_constancy(s, pts, policy)
+    assert report.failure_count == 0 and report.value_count == 25 * (10 + 20)
+    assert built == []
+
+    # one oblique plane of point 0 forced off the tangent space: its record
+    # is the text the point-wise engine raises for that plane
+    nq, real_gauss = 10, curvature._gauss
+
+    def non_tangent(table, u, w):
+        u = u.copy()
+        u[0, nq] = table.normal[0]
+        return real_gauss(table, u, w)
+
+    monkeypatch.setattr(curvature, "_gauss", non_tangent)
+    records = scan_constancy(s, pts, policy).records
+    monkeypatch.setattr(curvature, "_gauss", real_gauss)
+    _, w = random_tangent_plane(s, pts[0], np.random.default_rng([9, 0]))
+    with pytest.raises(DegeneratePlaneError, match="not tangent") as info:
+        sectional_oracle(s, pts[0], [gradient(s, pts[0]), w])
+    assert records[nq] == ScanRecord(0, pts[0].coords, "error", error=describe(info.value))
+    assert [r.kind for r in records].count("error") == 1
+    assert len(built) == 2   # the scan's plane and the point-wise engine's
 
 
 def test_random_planes_are_tangent_unit_pairs():

@@ -293,3 +293,36 @@ def test_jet_methods_keep_their_bits_through_the_map_kernel(monkeypatch, method)
         want = method(jet)
     for a, b in zip(channels(got), channels(want)):
         assert a.tobytes() == b.tobytes()
+
+
+# ±0, subnormals, values whose square overflows or underflows, ±inf and nan
+SQUARE_INPUTS = [0.0, -0.0, 5e-324, -5e-324, 1e-160, 1e200, -1e200, 1e154,
+                 math.inf, -math.inf, math.nan, 1.5, -3.0, 0.1]
+
+
+def _general_power(jet: Jet2, e: float) -> Jet2:
+    """`Jet2.power`'s general formula with every channel through the
+    `np.frompyfunc(math.pow)` reference."""
+    v = _frompyfunc_each(math.pow, jet.v, e)
+    d = e * _frompyfunc_each(math.pow, jet.v, e - 1.0)
+    dd = e * (e - 1.0) * _frompyfunc_each(math.pow, jet.v, e - 2.0)
+    return jet._compose(v, d, dd)
+
+
+def test_square_keeps_the_bits_of_the_general_power():
+    rng = np.random.default_rng(11)
+    d1, d2 = rng.uniform(-3.0, 3.0, (2, len(SQUARE_INPUTS)))
+    jet = Jet2(np.array(SQUARE_INPUTS), d1, d2)
+    with np.errstate(all="ignore"):
+        got, want = jet.power(2.0), _general_power(jet, 2.0)
+    for a, b in zip(channels(got), channels(want)):
+        assert a.tobytes() == b.tobytes()
+    for x, a, b in zip(SQUARE_INPUTS, d1.tolist(), d2.tolist()):
+        one = Jet2(x, a, b)
+        try:
+            want = _general_power(one, 2.0)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                one.power(2.0)
+            continue
+        assert np.array(channels(one.power(2.0))).tobytes() == np.array(channels(want)).tobytes()
