@@ -147,23 +147,19 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     point = lift.points[0]
     # the lift's gated jet table gives every figure, as in a scan record
     table = pair_table(surface, lift.table, [pair])
-    k_oracle, plane_errors = _gauss(lift.table, *table.frames(surface.height))
+    k_oracle, plane_errors = _gauss(lift.table, *table.frames())
     if plane_errors:
         raise plane_errors[0, 0]
-    k_special, k_oracle = float(table.curvature()[0, 0]), float(k_oracle[0, 0])
-    flat = float(table.flat[0, 0])
-    constk = float(table.constk(ns.k0)[0, 0]) if ns.k0 is not None else None
     doc = {
         "coords": list(point.coords),
         "residual": point.residual,
         "pair": [i, j],
-        "k_special": k_special,
-        "k_oracle": k_oracle,
-        "flatness_residual": flat,
+        "k_special": float(table.curvature()[0, 0]),
+        "k_oracle": float(k_oracle[0, 0]),
+        "flatness_residual": float(table.residual()[0, 0]),
     }
-    if constk is not None:
-        doc["k0"] = ns.k0
-        doc["constk_residual"] = constk
+    if ns.k0 is not None:
+        doc.update(k0=ns.k0, constk_residual=float(table.residual(ns.k0)[0, 0]))
     bad = [f"{key} = {value!r}" for key, value in doc.items()
            if isinstance(value, float) and not math.isfinite(value)]
     if bad:

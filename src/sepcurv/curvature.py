@@ -24,20 +24,19 @@ along a surface exactly when every coordinate-pair curvature vanishes.
 always K itself.
 
 Every engine runs on a jet table (`geometry.jet_table`): each f_k's 2-jets
-evaluated by one array walk over all points (`expr.eval_jets`, the same bits
-as the one-point `eval_jet2`) and stacked into P x n arrays of f_k' and
-f_k''.  A scan of lifted points reuses the table the lift evaluated
-(`Samples.table`), which holds the same bits.  The regularity gates, the
-closed form, both residuals, the coordinate frames and the Gauss engine
-with its tangency and independence checks are array expressions over that
-table, for all points and planes at once.  Sums over coordinates run in a fixed order, so a row's
-result does not depend on how many rows share the table: the point-wise
-functions are the same kernels at P = 1 and agree with a scan bit for bit,
-and a scan split into point chunks writes the same records.  The scan's
-summary is combined from each chunk's engine arrays, not from the records:
-min and max over the finite values, and the mean as an exact `fsum`, so it
-does not depend on the order of the values, and the records are built
-from those arrays only when something reads them.
+from one array walk over all points (`expr.eval_jets`, the bits of
+`eval_jet2`); a scan reuses the lift's table (`Samples.table`).  The engines
+and the tangent draws read its rows scaled by a power of two
+(`JetTable.scaled`): jet products overflow only where (f'' / max |f'|)^2,
+K's scale, nears the float range, and K keeps the unscaled formula's bits
+wherever that stays in range.  The residuals (degree 4) read the unscaled
+jets, and the scaled ones times 2^(4 e) only where those overflow.  All
+are array expressions over all points and planes at once.  Sums over
+coordinates run in a fixed order, so a row's result does not depend on how
+many rows share the table: the point-wise functions are the same kernels at
+P = 1 and agree with a scan bit for bit, and a scan split into point chunks
+writes the same records and summary (an exact `fsum` mean, see
+`scan_constancy`).
 """
 
 from __future__ import annotations
@@ -84,30 +83,54 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class PairTable:
     """Closed-form terms of Q coordinate pairs at P points, as (P, Q) arrays.
 
-    `flat` is the closed-form numerator (the flatness residual) and `s` the
-    pair's f_i'^2 + f_j'^2 + f_h'^2.  Rows of points that fail the table's
-    gates (`jets.errors`) are meaningless.
+    `flat` is the closed-form numerator and `s` the pair's f_i'^2 + f_j'^2 +
+    f_h'^2 (h the `height`), over the scaled jets (`JetTable.scaled`).  Rows
+    of points that fail the table's gates (`jets.errors`) are meaningless.
     """
 
     pairs: tuple[tuple[int, int], ...]
+    height: int
     jets: JetTable
     flat: np.ndarray
     s: np.ndarray
 
     def curvature(self) -> np.ndarray:
         with np.errstate(all="ignore"):
-            return self.flat / (self.jets.sq_norm[:, None] * self.s)
+            return self.flat / (self.jets.scaled[3][:, None] * self.s)
 
-    def frames(self, height: int) -> tuple[np.ndarray, np.ndarray]:
+    def frames(self) -> tuple[np.ndarray, np.ndarray]:
         """Frame vectors of each pair's two coordinates, (P, Q, n) each."""
         lo, hi = zip(*self.pairs)
-        return self.jets.frames(height, lo), self.jets.frames(height, hi)
+        return self.jets.frames(self.height, lo), self.jets.frames(self.height, hi)
 
-    def constk(self, k0: float) -> np.ndarray:
-        """`constk_residual` of every point and pair."""
-        k0 = finite(k0, "k0")
+    def residual(self, k0: float | None = None) -> np.ndarray:
+        """The flatness residual, or given k0 the constant-K one, over the
+        unscaled jets; where that is not finite, the scaled terms' residual
+        times 2^(4 e), as it has degree 4 (0 where its terms underflow)."""
+        k0, jets = None if k0 is None else finite(k0, "k0"), self.jets
+
+        def value(flat, s, sq_norm):
+            return flat if k0 is None else k0 * s * sq_norm[:, None] - 4.0 * flat
+
         with np.errstate(all="ignore"):
-            return k0 * self.s * self.jets.sq_norm[:, None] - 4.0 * self.flat
+            out = value(*_terms(jets.d1, jets.d2, self.pairs, self.height), jets.sq_norm)
+            bad = ~np.isfinite(out)
+            if bad.any():
+                e, _, _, sq_norm = jets.scaled
+                out[bad] = np.ldexp(value(self.flat, self.s, sq_norm), 4 * e[:, None])[bad]
+        return out
+
+
+def _terms(d1: np.ndarray, d2: np.ndarray, pairs, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """`flat` and `s` (see `PairTable`) of the given jets."""
+    lo, hi = ([k - 1 for k in col] for col in zip(*pairs))
+    h = [height - 1]
+    p, q, r = d1[:, lo], d1[:, hi], d1[:, h]
+    pp, qq, rr = d2[:, lo], d2[:, hi], d2[:, h]
+    # with X = f'^2 and X' = 2 f'', the constant-K residual's quadratic term
+    # X_i X_j' X_h' + ... is exactly 4 * flat, so both share these terms
+    with np.errstate(all="ignore"):
+        return p * p * qq * rr + q * q * pp * rr + r * r * pp * qq, p * p + q * q + r * r
 
 
 def pair_table(
@@ -118,16 +141,8 @@ def pair_table(
     """The closed-form terms of a jet table's points for the given 1-based
     ascending pairs, by default every non-height pair."""
     pairs = tuple(combinations(surface.non_height, 2) if pairs is None else pairs)
-    lo, hi = ([k - 1 for k in col] for col in zip(*pairs))
-    h = [surface.height - 1]
-    p, q, r = table.d1[:, lo], table.d1[:, hi], table.d1[:, h]
-    pp, qq, rr = table.d2[:, lo], table.d2[:, hi], table.d2[:, h]
-    # with X = f'^2 and X' = 2 f'', the constant-K residual's quadratic term
-    # X_i X_j' X_h' + ... is exactly 4 * flat, so both share these terms
-    with np.errstate(all="ignore"):
-        flat = p * p * qq * rr + q * q * pp * rr + r * r * pp * qq
-        s = p * p + q * q + r * r
-    return PairTable(pairs, table, flat, s)
+    _, d1, d2, _ = table.scaled
+    return PairTable(pairs, surface.height, table, *_terms(d1, d2, pairs, surface.height))
 
 
 def _one_pair(surface: SeparableSurface, point: SurfacePoint, i: int, j: int) -> PairTable:
@@ -150,7 +165,8 @@ def _gauss(table: JetTable, u: np.ndarray, w: np.ndarray):
     (P, R, n)) at table point p, plus the `DegeneratePlaneError` of each
     plane that fails a check, by (p, r): a dict that holds only the failing
     planes, so a clean call builds no error."""
-    gradnorm, normal, hess = table.gradnorm[:, None], table.normal[:, None], table.d2[:, None]
+    _, _, hess, sq_norm = table.scaled
+    gradnorm, normal, hess = np.sqrt(sq_norm)[:, None], table.normal[:, None], hess[:, None]
     with np.errstate(all="ignore"):
         nu, nw, u, w, y, wedge = _unit_pair(u, w)
         drift_u, drift_w = np.abs(_dot(u, normal)), np.abs(_dot(w, normal))
@@ -207,7 +223,7 @@ def flatness_residual(surface: SeparableSurface, point: SurfacePoint, i: int, j:
     table = jet_table(surface, [point])
     if table.jet_errors[0] is not None:
         raise table.jet_errors[0]
-    return float(pair_table(surface, table, [pair]).flat[0, 0])
+    return float(pair_table(surface, table, [pair]).residual()[0, 0])
 
 
 def constk_residual(
@@ -219,13 +235,13 @@ def constk_residual(
     k0 * (X_i + X_j + X_h) * (sum_k X_k) - (X_i X_j' X_h' + X_j X_i' X_h'
     + X_h X_i' X_j'); it equals 4 * (X_i + X_j + X_h) * (sum_k X_k) * (k0/4 - K).
     """
-    return float(_one_pair(surface, point, i, j).constk(k0)[0, 0])
+    return float(_one_pair(surface, point, i, j).residual(k0)[0, 0])
 
 
 def coordinate_plane(surface: SeparableSurface, point: SurfacePoint, i: int, j: int) -> np.ndarray:
     """The tangent plane spanned by the frame vectors of coordinates i and j,
     as a (2, n) array whose rows are those vectors."""
-    u, w = _one_pair(surface, point, i, j).frames(surface.height)
+    u, w = _one_pair(surface, point, i, j).frames()
     return np.concatenate([u[0], w[0]])
 
 
@@ -396,7 +412,7 @@ def _scan_chunk(
     errors = jets.errors(surface.height)
     table = pair_table(surface, jets, pairs)
     nq, m = len(pairs), policy.oblique_per_point
-    u, w = table.frames(surface.height)
+    u, w = table.frames()
     pu = pw = np.zeros((len(points), 0, surface.n))
     draw_errors: dict[tuple[int, int], DegeneratePlaneError] = {}
     regular = np.array([exc is None for exc in errors], dtype=bool)
@@ -437,7 +453,7 @@ def _scan_chunk(
         where a plane that failed is an error record."""
         lo, hi = zip(*pairs)
         special, gauss, flat, flags, us, ws, fine, fails = (
-            a.tolist() for a in (ks, k, table.flat, flagged, pu, pw, good, bad)
+            a.tolist() for a in (ks, k, table.residual(), flagged, pu, pw, good, bad)
         )
         out: list[ScanRecord] = []
         for p, point in enumerate(points):

@@ -391,8 +391,6 @@ class FamilySpec:
                 f"unknown family kind {self.kind!r}; valid kinds: {', '.join(FAMILY_KINDS)}"
             )
         integer(self.n, "family integer 'n'", 3, MAX_N)
-        if self.height is not None:
-            integer(self.height, "family height", 1, self.n)
         object.__setattr__(self, "params", dict(self.params))
 
     @classmethod

@@ -10,13 +10,14 @@ grad F = (f_1'(x_1), ..., f_n'(x_n)) and the ambient Hessian of F is
 diagonal, so every geometric quantity here reduces to the 2-jets of the f_k
 and is exact up to rounding.  Every jet comes from one `expr.eval_jets`
 walk per coordinate over all the points at hand, or over the values of a
-mesh's grid axis.
+mesh's grid axis; the gates read them as they are, curvature scaled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from math import fsum
 from typing import Iterable, NamedTuple, Sequence
@@ -100,15 +101,23 @@ class JetTable:
     sq_norm: np.ndarray
     jet_errors: tuple[SepcurvError | None, ...]
 
-    @property
-    def gradnorm(self) -> np.ndarray:
-        return np.sqrt(self.sq_norm)
+    @cached_property
+    def scaled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(e, f' / 2^e, f'' / 2^e, sq_norm / 4^e) per point, 2^e the power of two
+        of its largest |f_k'|, or 1 where that is below 1/2: never scaled up, so
+        nothing overflows that did not, and K (degree 0) keeps the unscaled bits
+        while the scaled products stay normal.  An f'' below 2^(e - 1022) turns
+        subnormal (at max |f'| = 1e150, 1e-160 keeps 44 of 53 bits), and one of
+        2^(e - 1075) or below reads 0."""
+        e = np.maximum(np.frexp(np.abs(self.d1).max(axis=1))[1], 0)
+        col = -e[:, None]
+        return e, np.ldexp(self.d1, col), np.ldexp(self.d2, col), np.ldexp(self.sq_norm, -2 * e)
 
-    @property
+    @cached_property
     def normal(self) -> np.ndarray:
         """grad F / ||grad F|| per point."""
         with np.errstate(all="ignore"):
-            return self.d1 / self.gradnorm[:, None]
+            return self.scaled[1] / np.sqrt(self.scaled[3])[:, None]
 
     def frames(self, height: int, coords: Sequence[int]) -> np.ndarray:
         """Tangent vectors e_k - (f'_k/f'_h) e_h for the 1-based coordinates
@@ -129,7 +138,7 @@ class JetTable:
         """Each point's first failure: its jet error, then the gradient-norm
         gate, then (given the 1-based `height`) the height-slope gate."""
         out = list(self.jet_errors)
-        gradnorm = self.gradnorm
+        gradnorm = np.sqrt(self.sq_norm)
         slope = gradnorm if height is None else np.abs(self.d1[:, height - 1])
         for p in np.flatnonzero((gradnorm < REGULARITY_EPS) | (slope < REGULARITY_EPS)):
             if out[p] is None and gradnorm[p] < REGULARITY_EPS:
@@ -246,7 +255,7 @@ def point_jets(
 
 def ensure_regular(surface: SeparableSurface, point: SurfacePoint) -> float:
     """Check both regularity gates at a point; returns ||grad F||."""
-    return float(point_jets(surface, point, surface.height).gradnorm[0])
+    return float(np.sqrt(point_jets(surface, point, surface.height).sq_norm[0]))
 
 
 class _Lift(NamedTuple):

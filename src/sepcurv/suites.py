@@ -156,7 +156,7 @@ def run_constant_suite(
     # a flat family must fail every nonzero constant-curvature residual
     n, (flat, ranges, bracket) = _control_flat(dims)
     table = pair_table(flat, sample_points(flat, ranges, 25, [seed, 20, n], bracket).table)
-    worst_min = min(float(abs(table.constk(k0)).min()) for k0 in NONZERO_K0S)
+    worst_min = min(float(abs(table.residual(k0)).min()) for k0 in NONZERO_K0S)
     ok = worst_min > CONTROL_MIN_SPREAD
     rows.append(
         SuiteRow(

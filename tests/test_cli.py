@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import sepcurv
@@ -28,6 +29,16 @@ from sepcurv.errors import ParseError, SepcurvError
 from sepcurv.expr import MAX_DEPTH
 
 from lifts import spy_second_evaluations
+from oracles import brute_coordinate_k
+
+
+TINY_SPHERE = {
+    "format_version": 1,
+    "functions": [
+        {"expr": "1e150*x^2"}, {"expr": "1e150*x^2"},
+        {"expr": "1e150*x^2 - 1e-159", "bracket": [1e-156, 4e-155]},
+    ],
+}
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -364,19 +375,9 @@ def test_eval_usage_errors(tmp_path, capsys, extra):
     [
         # a finite k0 whose residual overflows
         (None, ["--point", "0.1,0.2,0.3", "--k0", "1e308"], "constk_residual = inf"),
-        # x_3 ~ 1e76 overflows the closed form's numerator
-        (
-            {
-                "format_version": 1,
-                "functions": [
-                    {"expr": "exp(x)"},
-                    {"expr": "x^2"},
-                    {"expr": "-(x^2)", "bracket": [1e70, 1e80]},
-                ],
-            },
-            ["--point", "354.2,0.5"],
-            "k_special = nan, flatness_residual = nan",
-        ),
+        # K = 1/|x|^2 of a sphere of radius below 5e-155 passes the float
+        # range; the flatness residual (about 1e289) does not
+        (TINY_SPHERE, ["--point", "1e-156,2e-156"], "k_special = inf, k_oracle = inf"),
     ],
     ids=["constk-overflow", "closed-form-overflow"],
 )
@@ -386,6 +387,50 @@ def test_eval_non_finite_figure_exit_3(tmp_path, capsys, fmt, spec, extra, messa
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: non-finite result: {message}\n"
+
+
+def test_eval_overflowing_jet_products_exit_0(tmp_path, capsys):
+    # x_3 ~ 7e76: f_3'^2 f_1'' f_2'' passes the float range, K is about 1e-307
+    doc = {
+        "format_version": 1,
+        "functions": [
+            {"expr": "exp(x)"}, {"expr": "x^2"}, {"expr": "-(x^2)", "bracket": [1e70, 1e80]},
+        ],
+    }
+    path = write_spec(tmp_path, doc)
+    assert main(["eval", path, "--point", "354.0,0.5"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    # the oracles' difference steps are absolute, so x_3 needs more than 50 digits
+    with mpmath.workdps(150):
+        want = brute_coordinate_k(load_spec(path).surface, got["coords"], 1, 2)
+        e1, x2, x3 = mpmath.exp(got["coords"][0]), *map(mpmath.mpf, got["coords"][1:])
+        flat = e1 * e1 * 2 * -2 + 4 * x2 * x2 * e1 * -2 + 4 * x3 * x3 * e1 * 2
+    for key in ("k_special", "k_oracle"):
+        assert abs(got[key] - want) <= 1e-9 * abs(want)
+    assert abs(got["flatness_residual"] - flat) <= 1e-12 * flat
+
+
+SMALL_SLOPE = {
+    "format_version": 1,
+    "functions": [
+        {"expr": "1e305*(x-1)^2"}, {"expr": "1e-7*x"}, {"expr": "1e-7*x", "bracket": [-1, 1]},
+    ],
+}
+
+
+@pytest.mark.filterwarnings("error")
+def test_small_gradient_reads_k_zero(tmp_path, capsys):
+    # at x_1 = 1, max |f'| = 1e-7: scaling the jets up there would take
+    # f_1'' = 2e305 past the float range; K = 0 since f_2'' = f_3'' = 0
+    path = write_spec(tmp_path, SMALL_SLOPE)
+    assert main(["eval", path, "--point", "1,0.5"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["k_special"] == got["k_oracle"] == got["flatness_residual"] == 0.0
+    doc = {**SMALL_SLOPE, "sampling": {"ranges": [[1 - 1e-10, 1 + 1e-10], [-0.5, 0.5]]},
+           "grid": [3, 3]}
+    assert main(["mesh", write_spec(tmp_path, doc), "--out", str(tmp_path / "m.obj")]) == 0
+    assert "K range: [0.0, 0.0]\n" in capsys.readouterr().out
+    assert (tmp_path / "m_curvature.csv").read_text() == "vertex,k\n1,0.0\n2,0.0\n3,0.0\n"
 
 
 def test_eval_missing_spec_exit_2(capsys):
@@ -650,8 +695,10 @@ BIG = "<1e309>"     # written as the JSON number 1e309, which reads as inf
         ({**SPHERE4, "radius": -2}, {}, "radius must be positive"),
         ({**SPHERE4, "radius": "abc"}, {}, "family.radius must be a finite number"),
         ({**SPHERE4, "center": [0, 0, BIG, 0]}, {}, "family.center must be a list of 4 finite"),
-        ({**SPHERE4, "height": True}, {}, "family height"),
-        ({**SPHERE4, "height": 9}, {}, "family height"),
+        ({**SPHERE4, "height": True}, {},
+         "family 'hypersphere': height index must be an integer >= 1 and <= 4, got True"),
+        ({**SPHERE4, "height": 9}, {},
+         "family 'hypersphere': height index must be an integer >= 1 and <= 4, got 9"),
         ({"kind": "cylinder", "n": 4, "profile_domain": ["a", 1]}, {}, "family.profile_domain"),
         ({"kind": "cylinder", "n": 4, "profile_domain": [2, 1]}, {}, "lo < hi"),
         ({"kind": "cylinder", "n": 4, "profile_slot": "x"}, {}, "family.profile_slot"),
@@ -837,28 +884,37 @@ def test_mesh_writes_obj_and_sidecar(tmp_path, capsys):
         assert abs(float(row.split(",")[1]) - 1.0) <= 1e-9
 
 
+EXP_MESH = {
+    "format_version": 1,
+    "functions": [{"expr": "exp(x)"}, {"expr": "exp(x)"}, {"expr": "x", "bracket": [-1e200, 1]}],
+    "grid": [4, 4],
+}
+
+
 @pytest.mark.parametrize(
-    "ranges, nans, k_range",
+    "spec, ranges, infs, k_range",
     [
-        ([[350, 354.5], [0, 5]], 4, "[0.0, 0.0] (4 vertices with non-finite K)"),
-        ([[354.4, 354.5]] * 2, 16, "none (no vertex has finite K) (16 vertices with non-finite K)"),
+        # f_1'^2 f_2'' f_3'' passes the float range where 2 x_1 + x_2 > 709.78,
+        # while K is about exp(x_2 - 3 x_1), below the smallest float
+        (EXP_MESH, [[350, 354.5], [0, 5]], 0, "[0.0, 0.0]"),
+        # K = exp(x_1 + x_2) / (exp(2 x_1) + exp(2 x_2) + 1)^2 is subnormal
+        (EXP_MESH, [[354.4, 354.5]] * 2, 0, "[3.041951876558557e-309, 3.715448412219296e-309]"),
+        # K = 1/|x|^2 passes the float range at the vertex nearest the origin
+        (TINY_SPHERE, [[0, 3e-154]] * 2, 1,
+         "[5.5555246915294913e+306, 9.999000099989995e+307] (1 vertices with non-finite K)"),
+        (TINY_SPHERE, [[-1e-155, 1e-155]] * 2, 16,
+         "none (no vertex has finite K) (16 vertices with non-finite K)"),
     ],
+    ids=["exp-products-overflow", "exp-subnormal-k", "sphere-some-k-overflow",
+         "sphere-every-k-overflows"],
 )
-def test_mesh_k_range_covers_finite_curvatures(tmp_path, capsys, ranges, nans, k_range):
-    # K's numerator term f1'^2 f2'' f3'' is inf * 0 = nan where 2 x1 + x2 > 709.78
-    doc = {
-        "format_version": 1,
-        "functions": [
-            {"expr": "exp(x)"}, {"expr": "exp(x)"}, {"expr": "x", "bracket": [-1e200, 1]},
-        ],
-        "sampling": {"ranges": ranges},
-        "grid": [4, 4],
-    }
+def test_mesh_k_range_covers_finite_curvatures(tmp_path, capsys, spec, ranges, infs, k_range):
+    doc = {**spec, "sampling": {"ranges": ranges}, "grid": [4, 4]}
     out = tmp_path / "m.obj"
     assert main(["mesh", write_spec(tmp_path, doc), "--out", str(out)]) == 0
     assert f"K range: {k_range}\n" in capsys.readouterr().out
     cells = [row.split(",")[1] for row in (tmp_path / "m_curvature.csv").read_text().splitlines()[1:]]
-    assert len(cells) == 16 and cells.count("nan") == nans
+    assert len(cells) == 16 and cells.count("inf") == infs and "nan" not in cells
 
 
 def test_mesh_unwritable_out_exit_2(tmp_path, capsys):

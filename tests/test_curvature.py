@@ -1,8 +1,13 @@
 import math
+import sys
+from fractions import Fraction
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sepcurv import (
     DegeneratePlaneError,
@@ -36,6 +41,8 @@ from sepcurv import (
 
 from sepcurv import curvature
 from sepcurv.errors import describe
+from sepcurv.geometry import JetTable
+from corpus import EXPRESSIONS
 from oracles import brute_coordinate_k, brute_sectional, surface_point
 from reference_summary import reference_summary
 
@@ -234,6 +241,145 @@ def test_closed_form_matches_brute_force_generic():
         ks = sectional_special(s, p, 1, 3)
         want = brute_coordinate_k(s, p.coords, 1, 3)
         assert abs(ks - want) <= 1e-8 * max(1.0, abs(want))
+
+
+def unscaled_table(d1, d2) -> JetTable:
+    """A gate-free jet table of the given rows, ||grad F||^2 summed as the
+    package sums it (inf where the sum overflows)."""
+    d1, d2 = np.array(d1, dtype=float), np.array(d2, dtype=float)
+    with np.errstate(over="ignore"):
+        squares = (d1 * d1).tolist()
+    sq_norm = [math.inf if math.isinf(max(row)) else math.fsum(row) for row in squares]
+    return JetTable(d1, d2, np.array(sq_norm), (None,) * len(d1))
+
+
+def test_scaled_jets_keep_the_unscaled_formulas_bits():
+    # rows of 5 jets around a common size 10^c, c in [-60, 60], spread over
+    # 8 decades with random signs: every product below stays in the normal
+    # range whether the row is scaled or not
+    rng = np.random.default_rng(24)
+    size = 10.0 ** rng.uniform(-60.0, 60.0, (2000, 1))
+    d1, d2 = (size * 10.0 ** rng.uniform(-4.0, 4.0, (2000, 5)) * rng.choice([-1.0, 1.0], (2000, 5))
+              for _ in range(2))
+    table = unscaled_table(d1, d2)
+    s = SeparableSurface(tuple(parse_function("x") for _ in range(5)))
+    got = curvature.pair_table(s, table)
+    # the closed form, both residuals and the Gauss engine over the unscaled jets
+    lo, hi = ([k - 1 for k in col] for col in zip(*got.pairs))
+    p, q, r = d1[:, lo], d1[:, hi], d1[:, [4]]
+    pp, qq, rr = d2[:, lo], d2[:, hi], d2[:, [4]]
+    flat = p * p * qq * rr + q * q * pp * rr + r * r * pp * qq
+    sum3 = p * p + q * q + r * r
+    sq_norm = table.sq_norm[:, None]
+    assert np.array_equal(got.curvature(), flat / (sq_norm * sum3))
+    assert np.array_equal(got.residual(), flat)
+    assert np.array_equal(got.residual(0.5), 0.5 * sum3 * sq_norm - 4.0 * flat)
+    gradnorm = np.sqrt(table.sq_norm)[:, None]
+    assert np.array_equal(table.normal, d1 / gradnorm)
+    u, w = got.frames()
+    k, errors = curvature._gauss(table, u, w)
+    _, _, u, _, y, wedge = curvature._unit_pair(u, w)
+    y, hess, dot = y / wedge[..., None], d2[:, None], curvature._dot
+    hxx, hyy, hxy = dot(hess * u, u), dot(hess * y, y), dot(hess * u, y)
+    assert np.array_equal(k, (hxx * hyy - hxy * hxy) / (gradnorm * gradnorm))
+    assert np.isfinite(k).all() and not errors
+
+
+def test_a_subnormal_scaled_f2_keeps_fewer_bits():
+    # max |f'| = 1e150 (e = 499) scales f_1'' = 1e-160 below 2^-1022, and K
+    # (about 1e-302) hangs on it; the unscaled formula's denominator
+    # overflows, so it reads 0
+    d1, d2 = [1.0, 1e150, 1.0], [1e-160, 0.0, 1e158]
+    table = unscaled_table([d1], [d2])
+    e, _, scaled_d2, _ = table.scaled
+    assert e.tolist() == [499]
+    tiny = scaled_d2[0, 0]
+    assert 0.0 < tiny < sys.float_info.min
+    assert (Fraction(tiny) / Fraction(2) ** -1074).numerator.bit_length() == 44
+    s = SeparableSurface(tuple(parse_function("x") for _ in range(3)))
+    k = curvature.pair_table(s, table).curvature()[0, 0]
+    (p, q, r), (pp, qq, rr) = map(Fraction, d1), map(Fraction, d2)
+    exact = (p * p * qq * rr + q * q * pp * rr + r * r * pp * qq) / (p * p + q * q + r * r) ** 2
+    assert abs(Fraction(k) / exact - 1) <= Fraction(2) ** -43
+    (p, q, r), (pp, qq, rr) = d1, d2
+    flat = p * p * qq * rr + q * q * pp * rr + r * r * pp * qq
+    assert flat / (float(table.sq_norm[0]) * (p * p + q * q + r * r)) == 0.0
+    # an f'' of 2^(e - 1075) or below scales to 0
+    assert unscaled_table([d1], [[2.0 ** -576, 0.0, 1e158]]).scaled[2][0, 0] == 0.0
+
+
+def test_scaling_never_scales_up():
+    # max |f'| = 1.4e-7 would scale f_1'' = 2e305 up by 2^23 past the float
+    # range, and inf * 0 reads nan; unscaled, K is 0 since f_2'' = f_3'' = 0
+    table = unscaled_table([[0.0, 1e-7, 1e-7]], [[2e305, 0.0, 0.0]])
+    e, d1, d2, sq_norm = table.scaled
+    assert e.tolist() == [0] and d2[0, 0] == 2e305 and sq_norm[0] == table.sq_norm[0]
+    s = SeparableSurface(tuple(parse_function("x") for _ in range(3)))
+    with np.errstate(all="raise"):
+        got = curvature.pair_table(s, table)
+        k = got.curvature()
+    u, w = got.frames()
+    assert k.tolist() == curvature._gauss(table, u, w)[0].tolist() == [[0.0]]
+    assert got.residual().tolist() == [[0.0]]
+
+
+def test_residuals_keep_the_unscaled_bits():
+    # e = 499 scales f_2'' and f_3'' to about 1e-180 each, whose product
+    # reads 0; the unscaled flatness residual is 1e300 * 2e-30 * 2e-30
+    d1, d2 = [1e150, 4e-30, 1.0], [0.0, 2e-30, 2e-30]
+    table = unscaled_table([d1], [d2])
+    s = SeparableSurface(tuple(parse_function("x") for _ in range(3)))
+    got = curvature.pair_table(s, table)
+    assert got.flat.tolist() == [[0.0]]
+    (p, q, r), (pp, qq, rr) = d1, d2
+    flat = p * p * qq * rr + q * q * pp * rr + r * r * pp * qq
+    assert got.residual().tolist() == [[flat]] and flat == pytest.approx(4e240, rel=1e-15)
+    sum3 = p * p + q * q + r * r
+    assert got.residual(1e-300).tolist() == [[1e-300 * sum3 * table.sq_norm[0] - 4.0 * flat]]
+    # where the unscaled residual is not finite (f_1'^2 f_2'' f_3'' reads
+    # inf * 0) the scaled one is scaled back; its terms stay normal here
+    table = unscaled_table([[1e153, 1e153, 1.0]], [[1e153, 1e153, 0.0]])
+    with np.errstate(all="ignore"):
+        assert math.isnan(curvature._terms(table.d1, table.d2, [(1, 2)], 3)[0][0, 0])
+    assert curvature.pair_table(s, table).residual().tolist() == [[1e153 * 1e153]]
+    # and reads 0 where the scaled terms fall below 2^-1074: here the true
+    # value 1e200 is 2^-2660 times 16^e (e = 665), the unscaled p * p overflows
+    table = unscaled_table([[1e200, 1.0, 1.0]], [[0.0, 1e-100, 1e-100]])
+    assert curvature.pair_table(s, table).residual().tolist() == [[0.0]]
+
+
+PROPERTY_EXPRESSIONS = [
+    entry for entry in EXPRESSIONS if entry[0] not in ("2.5", "cos(x)^2 + sin(x)^2")
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_engines_match_oracle_on_scaled_corpus_surfaces(data):
+    """Corpus functions times one constant c (whose f'^2 f'' f'' products
+    pass the float range for c above about 1e77) at points drawn from their
+    sampling windows: both engines match the 50-digit oracles wherever the
+    gates pass.  The engines and the oracles all read the level set of F
+    through the point, so the point need not lie on F = 0."""
+    n = data.draw(st.integers(3, 4), label="n")
+    picks = [data.draw(st.sampled_from(PROPERTY_EXPRESSIONS)) for _ in range(n)]
+    c = data.draw(st.floats(1.0, 10.0)) * 10.0 ** data.draw(st.integers(0, 150), label="exponent")
+    s = SeparableSurface(tuple(parse_function(f"{c!r}*({src})", domain) for src, domain, _ in picks))
+    coords = tuple(data.draw(st.floats(*window)) for _, _, window in picks)
+    point = SurfacePoint(coords, 0.0)
+    try:
+        ks = sectional_special(s, point, 1, 2)
+    except SepcurvError:   # a gate failed: no curvature to compare
+        assume(False)
+    # the oracles' difference steps assume slopes not far below the values' scale
+    assume(abs(eval_jet2(s.funcs[-1], coords[-1]).d1) >= 1e-2 * c)
+    plane = coordinate_plane(s, point, 1, 2)
+    oblique = random_tangent_plane(s, point, np.random.default_rng(7))
+    want = brute_coordinate_k(s, coords, 1, 2)
+    want_oblique = brute_sectional(s, coords, *oblique)
+    for got, expected in ((ks, want), (sectional_oracle(s, point, plane), want),
+                          (sectional_oracle(s, point, oblique), want_oblique)):
+        assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected)), (got, expected)
 
 
 def test_oracle_invariant_under_plane_reparametrization():
@@ -637,12 +783,28 @@ def test_scan_rejected_draw_falls_back_to_sequential_planes(monkeypatch):
 
 def overflow_surface():
     """exp(x_1) + x_2^2 - x_3^2 = 0 sampled at x_1 in [352, 354.5]: x_3 is
-    about 1e76, so on some points the closed form's numerator overflows and
-    k_special is nan while the Gauss engine gives a finite value."""
+    about 1e76, so on some points a term of the closed form's numerator
+    over the unscaled jets (f_3'^2 f_1'' f_2'') passes the float range,
+    while K there is about 1e-306."""
     s = SeparableSurface(
         (parse_function("exp(x)"), parse_function("x^2"), parse_function("-(x^2)"))
     )
     return s, [(352.0, 354.5), (-1.0, 1.0)], (1e70, 1e80)
+
+
+def k_overflow_surface():
+    """A sphere of radius about 3e-155 scaled by 1e150, sampled near its
+    center: every draw lifts within the lift's absolute tolerance, and the
+    level set through each point is a sphere of radius below 5e-155, so
+    K = 1/|x|^2 itself passes the float range."""
+    fs = [parse_function("1e150*x^2") for _ in range(2)]
+    s = SeparableSurface((*fs, parse_function("1e150*x^2 - 1e-159")))
+    return s, [(-1e-155, 1e-155)] * 2, (1e-156, 4e-155)
+
+
+def oracle_close(got, want):
+    """got within 1e-9 of the oracle's want, relative to |want|."""
+    return abs(got - want) <= 1e-9 * abs(want)
 
 
 SUMMARY_FIELDS = (
@@ -653,23 +815,38 @@ SUMMARY_FIELDS = (
 
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_non_finite_value_leaves_scan_undetermined(seed):
-    s, ranges, bracket = overflow_surface()
+    s, ranges, bracket = k_overflow_surface()
     points, failures, _ = sample_points(s, ranges, 6, seed, bracket)
     assert len(points) == 6 and failures == []
-    policy = ScanPolicy(seed=seed)
+    policy = ScanPolicy(oblique_per_point=2, seed=seed)
     report = scan_constancy(s, points, policy)
     pairs = [r for r in report.records if r.kind == "pair"]
-    bad = [r for r in pairs if not (math.isfinite(r.k_special) and math.isfinite(r.k_oracle))]
-    assert bad and all(r.flagged for r in bad)
-    finite = [r.k_value() for r in pairs if math.isfinite(r.k_value())]
-    assert len(finite) < len(pairs) == report.value_count
+    assert pairs and all(r.k_special == r.k_oracle == INF and r.flagged for r in pairs)
+    assert [r.k_value() for r in report.records] == [INF] * report.value_count
+    assert report.value_count == 6 * 3 and report.flagged_count == len(pairs)
     assert report.verdict == "undetermined" and report.constant_estimate is None
-    assert (report.k_min, report.k_max) == (min(finite), max(finite))
-    assert math.isfinite(report.max_engine_rel_dev)
+    assert report.k_min is report.k_max is report.max_engine_rel_dev is None
     backward = scan_constancy(s, points[::-1], policy)
     assert {f: getattr(backward, f) for f in SUMMARY_FIELDS} == {
         f: getattr(report, f) for f in SUMMARY_FIELDS
     }
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_overflowing_jet_products_give_finite_curvature(seed):
+    s, ranges, bracket = overflow_surface()
+    points, failures, _ = sample_points(s, ranges, 6, seed, bracket)
+    assert len(points) == 6 and failures == []
+    report = scan_constancy(s, points, ScanPolicy(seed=seed))
+    assert report.flagged_count == report.failure_count == 0
+    assert report.verdict == "constant"
+    for r in report.records:
+        # the oracles' difference steps are absolute, so x_3 ~ 1e76 needs
+        # more than 50 digits
+        with mpmath.workdps(150):
+            want = brute_coordinate_k(s, r.coords, r.i, r.j)
+        assert oracle_close(r.k_special, want) and oracle_close(r.k_oracle, want)
+        assert r.residual_flat > 0.0   # about 4 exp(2 x_1), or inf past the float range
 
 
 def test_scan_mean_of_values_whose_sum_overflows():
@@ -918,6 +1095,10 @@ def summary_case(name, monkeypatch):
         s, ranges, bracket = overflow_surface()
         points, _, _ = sample_points(s, ranges, 6, seed, bracket)
         return scan_constancy(s, points, ScanPolicy(oblique_per_point=2, seed=seed))
+    if name == "k-overflow":
+        s, ranges, bracket = k_overflow_surface()
+        points, _, _ = sample_points(s, ranges, 6, 1, bracket)
+        return scan_constancy(s, points, ScanPolicy(oblique_per_point=2, seed=1))
     if name == "sum-overflow":
         fs = [parse_function("1e150*x^2") for _ in range(2)]
         s = SeparableSurface((*fs, parse_function("1e150*x^2 - 1e-157")))
@@ -958,7 +1139,7 @@ def summary_case(name, monkeypatch):
 SUMMARY_CASES = (
     "sphere-oblique", "mixed-failures", "failed-plane-draws",
     *(f"overflow-{seed}" for seed in range(1, 9)),
-    "sum-overflow", "one-disagreement", "chunked", "signed-zeros",
+    "k-overflow", "sum-overflow", "one-disagreement", "chunked", "signed-zeros",
 )
 
 

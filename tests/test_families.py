@@ -310,8 +310,10 @@ def test_family_spec_from_dict_validation():
         FamilySpec.from_dict({"kind": "hypersphere"})
     with pytest.raises(SpecFileError, match="integer 'n'"):
         FamilySpec.from_dict({"kind": "hypersphere", "n": 4.0})
-    with pytest.raises(SpecFileError, match="height"):
-        FamilySpec.from_dict({"kind": "hypersphere", "n": 4, "height": "top"})
+    with pytest.raises(SpecFileError, match="height index must be an integer"):
+        FamilySpec.from_dict(
+            {"kind": "hypersphere", "n": 4, "radius": 1.0, "height": "top"}
+        ).build()
     with pytest.raises(SpecFileError, match="unknown family kind"):
         FamilySpec.from_dict({"kind": "torus", "n": 4})
     with pytest.raises(SpecFileError, match=">= 3"):

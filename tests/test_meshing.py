@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,6 +26,7 @@ from lifts import (
     solve_verdicts,
     spy_second_evaluations,
 )
+from oracles import brute_coordinate_k
 from reference_mesh import (
     reference_build_mesh,
     reference_write_curvature_csv,
@@ -60,10 +62,11 @@ def vertex_ids(alive):
 
 
 def nan_mesh():
-    # K's numerator term f1'^2 f2'' f3'' is inf * 0 = nan where
-    # 2 x1 + x2 > 709.78: 4 of the 16 vertices; every node lifts
-    s = SeparableSurface(tuple(map(parse_function, ("exp(x)", "exp(x)", "x"))))
-    return build_mesh(s, [(350.0, 354.5), (0.0, 5.0)], (4, 4), (-1e200, 1.0))
+    """A lifted sphere mesh with nan K at four of its vertices, so the
+    writers render nan cells among finite ones."""
+    mesh = build_mesh(sphere3(), [(-0.4, 0.4), (-0.4, 0.4)], (4, 4), (0.1, 1.01))
+    curvatures = [math.nan if v in (11, 13, 14, 15) else k for v, k in enumerate(mesh.curvatures)]
+    return meshing.MeshResult(mesh.vertices, mesh.faces, tuple(curvatures), mesh.dropped)
 
 
 def odd_value_mesh():
@@ -126,6 +129,22 @@ def test_writers_match_line_at_a_time_reference(tmp_path, case):
         write(str(got), mesh)
         reference(str(want), mesh)
         assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("ranges", [[(350.0, 354.5), (0.0, 5.0)], [(354.4, 354.5)] * 2])
+def test_overflowing_jet_products_mesh_to_the_oracle_curvature(ranges):
+    """exp(x_1) + exp(x_2) + x_3 = 0: the term f_1'^2 f_2'' f_3'' passes the
+    float range where 2 x_1 + x_2 > 709.78, while K = exp(x_1 + x_2) /
+    (exp(2 x_1) + exp(2 x_2) + 1)^2 reads 0.0 or a subnormal value."""
+    s = SeparableSurface(tuple(map(parse_function, ("exp(x)", "exp(x)", "x"))))
+    mesh = build_mesh(s, ranges, (4, 4), (-1e200, 1.0))
+    assert len(mesh.vertices) == 16
+    for vertex, k in zip(mesh.vertices, mesh.curvatures):
+        # the oracles' difference steps are absolute (x_3 is about -1e154),
+        # and their Gram determinant cancels 1e616 down to 1e308
+        with mpmath.workdps(400):
+            want = brute_coordinate_k(s, vertex, 1, 2)
+        assert abs(k - want) <= 1e-9 * abs(want)
 
 
 def test_full_coverage_sphere_mesh():
