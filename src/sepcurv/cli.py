@@ -31,6 +31,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from . import __version__
 from .curvature import (
     DEFAULT_CONSTANCY_TOL, ScanPolicy, _gauss, _pair_sorted, pair_table, sample_and_scan,
@@ -235,11 +237,16 @@ def _cmd_mesh(ns: argparse.Namespace) -> int:
     _write(ns.out, write_obj, mesh)
     sidecar = os.path.splitext(ns.out)[0] + "_curvature.csv"
     _write(sidecar, write_curvature_csv, mesh)
-    # the range covers finite curvatures only, as a scan summary does
-    finite = list(filter(math.isfinite, mesh.curvatures))
-    k_range = f"[{min(finite)!r}, {max(finite)!r}]" if finite else "none (no vertex has finite K)"
-    if len(finite) < len(mesh.curvatures):
-        k_range += f" ({len(mesh.curvatures) - len(finite)} vertices with non-finite K)"
+    # the range covers finite curvatures only, as a scan summary does;
+    # argmin and argmax take the first of equal values, so a signed zero
+    # keeps its sign
+    finite = mesh.curvatures[np.isfinite(mesh.curvatures)]
+    if finite.size:
+        k_range = f"[{float(finite[finite.argmin()])!r}, {float(finite[finite.argmax()])!r}]"
+    else:
+        k_range = "none (no vertex has finite K)"
+    if finite.size < mesh.curvatures.size:
+        k_range += f" ({mesh.curvatures.size - finite.size} vertices with non-finite K)"
     print(
         f"mesh: {len(mesh.vertices)} vertices, {len(mesh.faces)} triangles, "
         f"{mesh.dropped} grid nodes dropped"

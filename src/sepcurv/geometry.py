@@ -42,6 +42,10 @@ from .jets import Jet2
 REGULARITY_EPS = 1e-8      # lower bound for both ||grad F|| and |f'_height|
 ON_SURFACE_RTOL = 1e-12    # |g| tolerance relative to max(1, sum |f_k|)
 MAX_SOLVE_ITERATIONS = 200
+# from about this many rows of three terms, `_sum3`'s fixed numpy cost is
+# below one `math.fsum` per row
+_SUM3_ROWS = 128
+_SUM3_LIMIT = 2.0 ** 1020   # three terms below it sum with no overflow
 
 
 class SurfacePoint(NamedTuple):
@@ -168,19 +172,55 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     Rows of two terms (the n = 3 lift's `rest` and `abs_rest`) are one IEEE
     addition, which rounds once and so already equals `fsum`: numpy adds the
     columns, and the sum reads +0.0 for -0.0 and +inf where it overflows, as
-    `_fsum` returns.  Other rows take one C-level `map` of `fsum`, and the
-    per-row fallback only when some row's sum overflows.
+    `_fsum` returns.  At least `_SUM3_ROWS` rows of three terms take
+    `_sum3`.  Other rows take one C-level `map` of `fsum`, and the per-row
+    fallback only when some row's sum overflows.
     """
     if a.shape[1] == 2:
         with np.errstate(over="ignore"):
             sums = sum(a.T, 0.0)   # the 0.0 start turns -0.0 into +0.0
         sums[np.isinf(sums)] = math.inf
         return sums
+    if a.shape[1] == 3 and len(a) >= _SUM3_ROWS:
+        return _sum3(a)
     rows = a.tolist()
     try:
         return np.array(list(map(fsum, rows)), dtype=float)
     except OverflowError:
         return np.array([_fsum(row) for row in rows], dtype=float)
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a + b rounded, and its rounding error exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _sum3(a: np.ndarray) -> np.ndarray:
+    """`_fsum` of each row of a P x 3 array, bit for bit, in numpy passes.
+
+    The correctly rounded sum of three floats of Boldo and Melquiond
+    ("Emulation of FMA and correctly rounded sums: proved algorithms using
+    rounding to odd", IEEE Trans. Computers 57(4), 2008): two TwoSums, the
+    low parts added with rounding to odd, then one rounded addition.  It
+    needs no intermediate overflow, so a row with a term of magnitude 2^1020
+    or more (or not finite) takes `_fsum`, which also keeps fsum's
+    order-dependent overflow: [1e308, 1e308, -1.797e308] reads inf.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        uh, ul = _two_sum(a[:, 1], a[:, 2])
+        th, tl = _two_sum(a[:, 0], uh)
+        v, err = _two_sum(tl, ul)
+        # round to odd: an inexact v with an even significand moves one ulp
+        # toward the exact sum
+        even = (err != 0.0) & (v.view(np.int64) & 1 == 0)
+        v[even] = np.nextafter(v[even], np.copysign(math.inf, err[even]))
+        sums = th + v   # never -0.0, as fsum: where th is -0.0, tl is +0.0
+        wide = ~(np.abs(a) < _SUM3_LIMIT).all(axis=1)
+    if wide.any():
+        sums[wide] = [_fsum(row) for row in a[wide].tolist()]
+    return sums
 
 
 def _table(coords: np.ndarray, d1: np.ndarray, d2: np.ndarray, jet_errors: dict) -> JetTable:

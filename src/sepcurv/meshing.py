@@ -23,14 +23,32 @@ from .errors import MeshError, SpecFileError, _pair, integer, interval
 from .geometry import SeparableSurface, _lift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeshResult:
-    """Vertices with per-vertex curvature, triangle faces, drop count."""
+    """Vertices with per-vertex curvature, triangle faces, drop count.
 
-    vertices: tuple[tuple[float, float, float], ...]
-    faces: tuple[tuple[int, int, int], ...]   # 0-based; OBJ output is 1-based
-    curvatures: tuple[float, ...]
+    `vertices` is a V x 3 float64 array (row v the coordinates of vertex v),
+    `faces` an F x 3 int array of 0-based vertex ids (OBJ output is 1-based)
+    and `curvatures` a length-V float64 array; all three are read-only, and
+    any sequence given for them is turned into such an array.  `dropped`
+    counts the grid nodes that did not lift.  Meshes compare by identity.
+    """
+
+    vertices: np.ndarray
+    faces: np.ndarray
+    curvatures: np.ndarray
     dropped: int
+
+    def __post_init__(self):
+        for name, dtype, shape in (("vertices", float, (-1, 3)), ("faces", int, (-1, 3)),
+                                   ("curvatures", float, (-1,))):
+            value = np.array(getattr(self, name), dtype=dtype)
+            if value.size == 0:
+                value = value.reshape(shape)
+            if value.shape[1:] != shape[1:]:
+                raise ValueError(f"{name}: expected shape {shape}, got {value.shape}")
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 def build_mesh(
@@ -40,6 +58,11 @@ def build_mesh(
     bracket: tuple[float, float],
 ) -> MeshResult:
     """Lift an (nx, ny) grid over the two non-height coordinates.
+
+    The result's `vertices` are the lifted nodes' coordinates, row-major
+    over the grid, its `faces` the triangles of `_faces` and its
+    `curvatures` the closed-form K of the (i, j) coordinate pair at each
+    vertex, all as read-only arrays.
 
     An n other than 3, a ranges count other than 2, a range that is not an
     `errors.interval` or a grid side that is not an integer >= 2 raises
@@ -58,22 +81,19 @@ def build_mesh(
     # f_i walked over the nx grid values and f_j over the ny
     axes = ((a_vals, np.repeat(np.arange(nx), ny)), (b_vals, np.tile(np.arange(ny), nx)))
     lift = _lift(surface, None, bracket, axes)
-    vertices = list(map(tuple, lift.coords.tolist()))
-    curvatures = pair_table(surface, lift.table, [(i, j)]).curvature()[:, 0].tolist()
-    vertex_id = np.full((nx, ny), -1, dtype=int)
-    vertex_id.flat[lift.index] = np.arange(len(vertices))
-    dropped = nx * ny - len(vertices)
-
-    if len(vertices) < 3:
+    if len(lift.index) < 3:
         raise MeshError(
-            f"only {len(vertices)} grid nodes lifted onto the surface; need at least 3"
+            f"only {len(lift.index)} grid nodes lifted onto the surface; need at least 3"
         )
-    return MeshResult(tuple(vertices), _faces(vertex_id), tuple(curvatures), dropped)
+    vertex_id = np.full((nx, ny), -1, dtype=int)
+    vertex_id.flat[lift.index] = np.arange(len(lift.index))
+    curvatures = pair_table(surface, lift.table, [(i, j)]).curvature()[:, 0]
+    return MeshResult(lift.coords, _faces(vertex_id), curvatures, nx * ny - len(lift.index))
 
 
-def _faces(vertex_id: np.ndarray) -> tuple[tuple[int, int, int], ...]:
+def _faces(vertex_id: np.ndarray) -> np.ndarray:
     """Triangles of every grid cell of an (nx, ny) array of vertex ids (-1
-    for a dropped node), cells row-major.
+    for a dropped node), cells row-major, as an F x 3 array.
 
     A cell's corners q0..q3 are (r, c), (r + 1, c), (r + 1, c + 1),
     (r, c + 1).  Four live corners give (q0, q1, q2) and (q0, q2, q3); three
@@ -85,7 +105,7 @@ def _faces(vertex_id: np.ndarray) -> tuple[tuple[int, int, int], ...]:
     live = np.take_along_axis(quad, np.argsort(quad < 0, axis=1, kind="stable"), axis=1)
     count = (quad >= 0).sum(axis=1)
     tris = np.stack((live[:, :3], quad[:, [0, 2, 3]]), axis=1)
-    return tuple(zip(*tris[np.stack((count >= 3, count == 4), axis=1)].T.tolist()))
+    return tris[np.stack((count >= 3, count == 4), axis=1)]
 
 
 def _reprs(values) -> list[str]:
@@ -97,18 +117,20 @@ def _reprs(values) -> list[str]:
 
 
 def write_obj(path: str, mesh: MeshResult) -> None:
-    """Wavefront OBJ: 'v x y z' per vertex, 'f a b c' per triangle (1-based)."""
+    """Wavefront OBJ: 'v x y z' per row of `mesh.vertices`, 'f a b c' per row
+    of `mesh.faces` (1-based)."""
     # x and y (with the height in its default last slot) repeat along grid
     # rows and columns; heights rarely repeat
-    xs, ys, zs = list(zip(*mesh.vertices)) or ((), (), ())
-    ids = list(map(str, range(1, len(mesh.vertices) + 1)))
+    xs, ys, zs = mesh.vertices.T.tolist()
+    ids = list(map(str, range(1, len(zs) + 1)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("".join([f"v {x} {y} {z!r}\n" for x, y, z in zip(_reprs(xs), _reprs(ys), zs)]))
-        fh.write("".join([f"f {ids[a]} {ids[b]} {ids[c]}\n" for a, b, c in mesh.faces]))
+        fh.write("".join([f"f {ids[a]} {ids[b]} {ids[c]}\n" for a, b, c in mesh.faces.tolist()]))
 
 
 def write_curvature_csv(path: str, mesh: MeshResult) -> None:
     """Sidecar CSV mapping 1-based vertex ids to sectional curvature."""
+    ks = mesh.curvatures.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("vertex,k\n")
-        fh.write("".join([f"{idx},{k!r}\n" for idx, k in enumerate(mesh.curvatures, start=1)]))
+        fh.write("".join([f"{idx},{k!r}\n" for idx, k in enumerate(ks, start=1)]))

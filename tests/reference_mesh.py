@@ -65,14 +65,14 @@ def reference_build_mesh(surface, ranges, grid, bracket) -> MeshResult:
 
 def reference_write_obj(path: str, mesh: MeshResult) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for x, y, z in mesh.vertices:
+        for x, y, z in mesh.vertices.tolist():
             fh.write(f"v {x!r} {y!r} {z!r}\n")
-        for a, b, c in mesh.faces:
+        for a, b, c in mesh.faces.tolist():
             fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
 
 
 def reference_write_curvature_csv(path: str, mesh: MeshResult) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("vertex,k\n")
-        for idx, k in enumerate(mesh.curvatures, start=1):
+        for idx, k in enumerate(mesh.curvatures.tolist(), start=1):
             fh.write(f"{idx},{k!r}\n")

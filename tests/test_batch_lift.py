@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sepcurv import SeparableSurface, SurfacePoint, geometry, parse_function
 from sepcurv.errors import describe
 from sepcurv.expr import eval_jet2, eval_jets
-from sepcurv.geometry import _fsum, _lift, _row_sums, jet_table
+from sepcurv.geometry import _SUM3_ROWS, _fsum, _lift, _row_sums, jet_table
 from sepcurv.jets import Jet2
 
 from corpus import EXPRESSIONS
@@ -364,6 +364,55 @@ def test_row_sums_equal_fsum_bit_for_bit(case):
     width, rows = case
     got = _row_sums(np.array(rows, dtype=float).reshape(len(rows), width))
     assert got.tobytes() == np.array([_fsum(row) for row in rows], dtype=float).tobytes()
+
+
+def three_term_rows(rng, count):
+    """`count` rows of each kind `_sum3` must add as `fsum` does."""
+    x = rng.standard_normal(count) * np.exp2(rng.integers(-60, 60, count))
+    y = rng.standard_normal(count) * np.exp2(rng.integers(-60, 0, count)) * x
+    signs = rng.choice([-1.0, 1.0], (count, 3))
+    half_ulp = np.spacing(x) / 2
+    kinds = [
+        # c about a * 2^-54 ... a * 2^-110: the low parts decide the rounding
+        np.column_stack([x, y, x * np.exp2(-rng.integers(54, 111, count)) * signs[:, 0]]),
+        # a half-ulp tie of x broken, or not, by a third term
+        np.column_stack([x, half_ulp * signs[:, 0],
+                         half_ulp * np.exp2(-rng.integers(1, 60, count)) * signs[:, 1]]),
+        np.column_stack([x, half_ulp * signs[:, 0], np.zeros(count)]),
+        # cancellation, leaving the third term's bits
+        np.column_stack([x, -x + np.spacing(x) * rng.integers(-4, 5, count), y * 2.0 ** -80]),
+        # subnormals, and terms of every exponent below the limit
+        rng.integers(-2**52, 2**52, (count, 3)) * 5e-324,
+        signs * np.exp2(rng.uniform(-1074, 1019, (count, 3))),
+        # squares, as ||grad F||^2 sums them
+        (rng.standard_normal((count, 3)) * np.exp2(rng.integers(-500, 500, (count, 3)))) ** 2,
+    ]
+    zeros = [[a, b, c] for a in (0.0, -0.0) for b in (0.0, -0.0) for c in (0.0, -0.0)]
+    # rows past 2^1020 take `_fsum`: fsum's intermediate overflow, and
+    # overflowing sums, read inf
+    wide = [[1e308, 1e308, -1.797e308], [-1e308, -1e308, 1e308], [1.7e308, 1.7e308, 0.0],
+            [2.0 ** 1020, 2.0 ** 1020, -(2.0 ** 1020)], [-1.7976931348623157e308, 1.0, -1e292]]
+    return np.concatenate([*kinds, zeros, wide]), len(wide)
+
+
+def test_three_term_row_sums_equal_fsum_bit_for_bit(monkeypatch):
+    rows, wide = three_term_rows(np.random.default_rng(25), 4 * _SUM3_ROWS)
+    want = [_fsum(row) for row in rows.tolist()]
+    calls = []
+
+    def counted(row):
+        calls.append(row)
+        return math.fsum(row)
+
+    monkeypatch.setattr(geometry, "fsum", counted)
+    # all rows, then exactly the limit's count, ending with the zeros and wide rows
+    for part in (rows, rows[-_SUM3_ROWS:]):
+        calls.clear()
+        got = _row_sums(part)
+        assert got.tobytes() == np.array(want[-len(part):], dtype=float).tobytes()
+        assert len(calls) == wide   # only the rows past 2^1020 take fsum
+    assert _row_sums(rows[:_SUM3_ROWS - 1]).tobytes() == np.array(want[:_SUM3_ROWS - 1]).tobytes()
+    assert len(calls) == wide + _SUM3_ROWS - 1   # fewer rows: one fsum each
 
 
 def test_reference_sum_reads_overflow_as_inf():

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import inspect
 import json
 import os
 import re
@@ -15,6 +16,7 @@ import sepcurv
 from sepcurv import (
     Samples,
     SuiteRow,
+    build_mesh,
     constk_residual,
     coordinate_plane,
     flatness_residual,
@@ -24,6 +26,7 @@ from sepcurv import (
     sectional_special,
     solve_height,
 )
+from sepcurv import cli, meshing
 from sepcurv.cli import build_parser, main
 from sepcurv.errors import ParseError, SepcurvError
 from sepcurv.expr import MAX_DEPTH
@@ -915,6 +918,44 @@ def test_mesh_k_range_covers_finite_curvatures(tmp_path, capsys, spec, ranges, i
     assert f"K range: {k_range}\n" in capsys.readouterr().out
     cells = [row.split(",")[1] for row in (tmp_path / "m_curvature.csv").read_text().splitlines()[1:]]
     assert len(cells) == 16 and cells.count("inf") == infs and "nan" not in cells
+
+
+# K = f_1'' f_2'' f_3'^2 / |grad F|^4 underflows to -0.0 where x_2 < 0 and to
+# 0.0 where x_2 > 0, so the first vertex's K is -0.0 and every K is a zero
+NEG_ZERO_MESH = {
+    "format_version": 1,
+    "functions": [{"expr": "0.9*x + 1e-162*x^2"}, {"expr": "0.9*x + 1e-162*x^3"},
+                  {"expr": "0.9*x", "bracket": [-10.0, 10.0]}],
+    "sampling": {"ranges": [[-1.0, 1.0], [-1.0, 1.0]]},
+    "grid": [3, 4],
+}
+
+
+def test_mesh_keeps_what_the_benchmark_traces(tmp_path, capsys, monkeypatch):
+    """perfbench/layers.py traces `build_mesh`, `write_obj` and
+    `write_curvature_csv` by rebinding each in every sepcurv module that
+    holds the function, reads `build_mesh`'s arguments by name, and counts
+    its result's `dropped`."""
+    assert list(inspect.signature(build_mesh).parameters) == ["surface", "ranges", "grid", "bracket"]
+    calls = []
+    for name in ("build_mesh", "write_obj", "write_curvature_csv"):
+        real = getattr(meshing, name)
+        assert getattr(cli, name) is real
+
+        def spy(*args, name=name, real=real):
+            calls.append((name, real(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cli, name, spy)
+    out = tmp_path / "m.obj"
+    assert main(["mesh", write_spec(tmp_path, NEG_ZERO_MESH), "--out", str(out)]) == 0
+    assert [name for name, _ in calls] == ["build_mesh", "write_obj", "write_curvature_csv"]
+    mesh = calls[0][1]
+    assert type(mesh.dropped) is int and mesh.dropped == 0
+    cells = [row.split(",")[1] for row in (tmp_path / "m_curvature.csv").read_text().splitlines()[1:]]
+    assert cells == ["-0.0", "-0.0", "0.0", "0.0"] * 3
+    # the first of equal values, as min and max of the values in order give
+    assert "K range: [-0.0, -0.0]\n" in capsys.readouterr().out
 
 
 def test_mesh_unwritable_out_exit_2(tmp_path, capsys):

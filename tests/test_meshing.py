@@ -65,8 +65,9 @@ def nan_mesh():
     """A lifted sphere mesh with nan K at four of its vertices, so the
     writers render nan cells among finite ones."""
     mesh = build_mesh(sphere3(), [(-0.4, 0.4), (-0.4, 0.4)], (4, 4), (0.1, 1.01))
-    curvatures = [math.nan if v in (11, 13, 14, 15) else k for v, k in enumerate(mesh.curvatures)]
-    return meshing.MeshResult(mesh.vertices, mesh.faces, tuple(curvatures), mesh.dropped)
+    curvatures = mesh.curvatures.copy()
+    curvatures[[11, 13, 14, 15]] = math.nan
+    return meshing.MeshResult(mesh.vertices, mesh.faces, curvatures, mesh.dropped)
 
 
 def odd_value_mesh():
@@ -83,13 +84,28 @@ def odd_value_mesh():
     return meshing.MeshResult(vertices, faces, curvatures, dropped=0)
 
 
+def test_hand_built_mesh_holds_read_only_arrays():
+    mesh = odd_value_mesh()
+    assert mesh.vertices.dtype == float and mesh.vertices.shape == (12, 3)
+    assert mesh.faces.dtype == int and mesh.faces.shape == (10, 3)
+    assert mesh.curvatures.dtype == float and mesh.curvatures.shape == (12,)
+    assert not any(a.flags.writeable for a in (mesh.vertices, mesh.faces, mesh.curvatures))
+    with pytest.raises(ValueError, match="assignment destination is read-only"):
+        mesh.curvatures[0] = 1.0
+    empty = meshing.MeshResult((), [], (), dropped=4)
+    assert (empty.vertices.shape, empty.faces.shape, empty.curvatures.shape) == ((0, 3), (0, 3), (0,))
+    with pytest.raises(ValueError, match=r"vertices: expected shape \(-1, 3\), got \(2,\)"):
+        meshing.MeshResult((0.0, 1.0), (), (0.0,), dropped=0)
+    with pytest.raises(ValueError, match=r"curvatures: expected shape \(-1,\), got \(1, 1\)"):
+        meshing.MeshResult([(0.0, 1.0, 2.0)], (), [[0.0]], dropped=0)
+
+
 def assert_faces_match_replica(alive):
     nx, ny = len(alive), len(alive[0])
     _, expected, tri_cells = replicate_faces(nx, ny, alive)
     faces = meshing._faces(vertex_ids(alive))
-    assert type(faces) is tuple and all(type(face) is tuple for face in faces)
-    assert all(type(v) is int for face in faces for v in face)
-    assert list(faces) == expected
+    assert faces.dtype == int and faces.shape == (len(expected), 3)
+    assert list(map(tuple, faces.tolist())) == expected
     return tri_cells
 
 
@@ -121,7 +137,7 @@ def test_writers_match_line_at_a_time_reference(tmp_path, case):
         "nan curvature": nan_mesh,
         "signed zero, nan and inf": odd_value_mesh,
     }[case]()
-    assert mesh.faces and (case != "partial coverage" or mesh.dropped)
+    assert len(mesh.faces) and (case != "partial coverage" or mesh.dropped)
     assert (case == "nan curvature") == any(math.isnan(k) for k in mesh.curvatures)
     for write, reference in ((write_obj, reference_write_obj),
                              (write_curvature_csv, reference_write_curvature_csv)):
@@ -139,7 +155,7 @@ def test_overflowing_jet_products_mesh_to_the_oracle_curvature(ranges):
     s = SeparableSurface(tuple(map(parse_function, ("exp(x)", "exp(x)", "x"))))
     mesh = build_mesh(s, ranges, (4, 4), (-1e200, 1.0))
     assert len(mesh.vertices) == 16
-    for vertex, k in zip(mesh.vertices, mesh.curvatures):
+    for vertex, k in zip(mesh.vertices.tolist(), mesh.curvatures.tolist()):
         # the oracles' difference steps are absolute (x_3 is about -1e154),
         # and their Gram determinant cancels 1e616 down to 1e308
         with mpmath.workdps(400):
@@ -154,6 +170,10 @@ def test_full_coverage_sphere_mesh():
     assert mesh.dropped == 0
     assert len(mesh.faces) == 2 * 5 * 6
     assert len(mesh.curvatures) == len(mesh.vertices)
+    for field, dtype, shape in ((mesh.vertices, float, (42, 3)), (mesh.faces, int, (60, 3)),
+                                (mesh.curvatures, float, (42,))):
+        assert isinstance(field, np.ndarray) and field.dtype == dtype and field.shape == shape
+        assert not field.flags.writeable
 
     # row-major vertex order over the (x1, x2) grid
     a_vals = np.linspace(-0.4, 0.4, 6)
@@ -168,9 +188,8 @@ def test_full_coverage_sphere_mesh():
         assert abs(k - 1.0) <= 1e-9
 
     # each full cell splits into two triangles sharing the (r, c) corner
-    assert mesh.faces[0] == (0, 7, 8)
-    assert mesh.faces[1] == (0, 8, 1)
-    for face in mesh.faces:
+    assert mesh.faces[:2].tolist() == [[0, 7, 8], [0, 8, 1]]
+    for face in mesh.faces.tolist():
         assert len(set(face)) == 3
         assert all(0 <= v < len(mesh.vertices) for v in face)
 
@@ -189,7 +208,7 @@ def test_partial_coverage_drops_and_triangulates():
     assert mesh.dropped == nx * ny - len(ids)
     assert mesh.dropped > 0
     assert len(mesh.vertices) == len(ids)
-    assert list(mesh.faces) == faces
+    assert list(map(tuple, mesh.faces.tolist())) == faces
     assert tri_cells > 0                   # 3-corner cells emit one triangle
 
     for (x, y, z), k in zip(mesh.vertices, mesh.curvatures):
@@ -203,8 +222,8 @@ def test_flat_mesh_curvatures_exactly_zero():
     )
     assert len(mesh.vertices) == 25
     assert mesh.dropped == 0
-    assert set(mesh.curvatures) == {0.0}
-    for x1, x2, x3 in mesh.vertices:
+    assert set(mesh.curvatures.tolist()) == {0.0}
+    for x1, x2, x3 in mesh.vertices.tolist():
         assert abs(x1 * x1 + x2 - x3) <= 1e-12
 
 
@@ -240,14 +259,16 @@ def test_mesh_drops_what_solve_height_rejects():
         "BracketError", "DomainError", "RegularityError",
     }
     kept = [node for node, v in zip(nodes, verdicts) if v is None]
-    assert list(mesh.vertices) == [solve_height(s, node, MIXED_BRACKET).coords for node in kept]
+    assert list(map(tuple, mesh.vertices.tolist())) == [
+        solve_height(s, node, MIXED_BRACKET).coords for node in kept
+    ]
     assert mesh.dropped == len(nodes) - len(kept)
 
 
 def test_mesh_evaluates_lifted_jets_once(monkeypatch):
     calls = spy_second_evaluations(monkeypatch)
     mesh = build_mesh(mixed_surface(), MIXED_RANGES, (12, 9), MIXED_BRACKET)
-    assert mesh.dropped and mesh.vertices
+    assert mesh.dropped and len(mesh.vertices)
     assert calls == []
 
 
@@ -261,7 +282,7 @@ def test_mesh_walks_each_non_height_function_once_per_grid_value(monkeypatch):
     monkeypatch.setattr(geometry, "eval_jets", spy)
     s = mixed_surface()
     mesh = build_mesh(s, MIXED_RANGES, (12, 9), MIXED_BRACKET)
-    assert mesh.dropped and mesh.vertices
+    assert mesh.dropped and len(mesh.vertices)
     f1, f2, fh = s.funcs
     # f_1 over the 12 values of its grid axis and f_2 over the 9 of its own ...
     assert calls[:2] == [(f1, 12), (f2, 9)]
@@ -332,7 +353,7 @@ def test_mesh_lift_and_files_match_per_node_references(monkeypatch, tmp_path, ca
             build_mesh(surface, ranges, grid, bracket)
     else:
         mesh = build_mesh(surface, ranges, grid, bracket)
-        assert mesh.faces and mesh.dropped == want.dropped
+        assert len(mesh.faces) and mesh.dropped == want.dropped
         for write, reference in ((write_obj, reference_write_obj),
                                  (write_curvature_csv, reference_write_curvature_csv)):
             got, ref = tmp_path / "got", tmp_path / "ref"
@@ -369,15 +390,15 @@ def test_write_obj_format(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == len(mesh.vertices) + len(mesh.faces)
 
-    for line, vertex in zip(lines, mesh.vertices):
+    for line, vertex in zip(lines, mesh.vertices.tolist()):
         tag, *coords = line.split(" ")
         assert tag == "v"
-        assert tuple(float(c) for c in coords) == vertex
+        assert [float(c) for c in coords] == vertex
 
-    for line, face in zip(lines[len(mesh.vertices):], mesh.faces):
+    for line, face in zip(lines[len(mesh.vertices):], mesh.faces.tolist()):
         tag, *idxs = line.split(" ")
         assert tag == "f"
-        assert tuple(int(s) for s in idxs) == tuple(v + 1 for v in face)
+        assert [int(s) for s in idxs] == [v + 1 for v in face]
         assert all(1 <= int(s) <= len(mesh.vertices) for s in idxs)
 
 
@@ -388,7 +409,7 @@ def test_write_curvature_csv_format(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "vertex,k"
     assert len(lines) == 1 + len(mesh.curvatures)
-    for row, (idx, k) in zip(lines[1:], enumerate(mesh.curvatures, start=1)):
+    for row, (idx, k) in zip(lines[1:], enumerate(mesh.curvatures.tolist(), start=1)):
         vid, cell = row.split(",")
         assert int(vid) == idx
         assert cell == repr(k)
