@@ -1,0 +1,124 @@
+"""Regenerate the golden output digests: python3 tests/pin_golden.py
+
+Runs the command line in-process and writes to tests/golden.json the
+sha256 of each output below, beside the Python, numpy and C library
+versions that produced them:
+
+- the JSON and CSV scan bodies (past the `#` line) of every `specs/*.json`;
+- the stdout of `certify flat` and `certify constant` at `--count 10`;
+- the stdout of README's two `eval` examples;
+- the OBJ and curvature sidecar of `mesh specs/sphere3_mesh.json`;
+- `perfbench/gate.fingerprint` of each benchmark workload at seeds 1 to 3
+  (itself a sha256 over the repetition's output bodies).
+
+`tests/test_golden.py` computes the same digests and names every output
+whose digest moved.  Run this script only after a change that moves output
+bytes on purpose, in the same commit, and list each moved digest in
+CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden.json"
+PERFBENCH_SEEDS = (1, 2, 3)
+# README's "Command line" eval examples
+EVAL_ARGS = (
+    ("specs/hypersphere_r2_n4.json", "--point", "0.3,-0.2,0.5"),
+    ("specs/raw_functions_n4.json", "--point", "0.5,0.1,-0.3", "--pair", "1,3", "--k0", "1",
+     "--format", "csv"),
+)
+
+
+def platform_info() -> dict[str, str]:
+    """What output bytes may depend on: libm's exp, log and pow, numpy's
+    generators and kernels, and the interpreter's float formatting."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "libc": " ".join(platform.libc_ver()).strip() or "unknown",
+    }
+
+
+def _cli(argv: list[str]) -> str:
+    """stdout of `sepcurv <argv>`, which must exit 0."""
+    from sepcurv import cli
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(argv)
+    if rc != 0:
+        raise RuntimeError(f"sepcurv {' '.join(argv)} exited {rc}")
+    return buf.getvalue()
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _perfbench_fingerprints(work: Path) -> dict[str, str]:
+    perfbench = str(ROOT / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.append(perfbench)
+    import gate
+    import inputs
+    import workloads
+
+    out = {}
+    for name in inputs.WORKLOADS:
+        for seed in PERFBENCH_SEEDS:
+            run_dir = work / f"{name}-{seed}"
+            run_dir.mkdir()
+            spec, _ = inputs.GENERATORS[name](seed)
+            runner = workloads.make(name, seed, run_dir, spec)
+            runner.rep()
+            out[f"perfbench {name} seed {seed} fingerprint"] = gate.fingerprint(runner.artifacts())
+    return out
+
+
+def digests(work: Path) -> dict[str, str]:
+    """Output name -> sha256, the outputs written under the empty directory `work`."""
+    from sepcurv.report import read_report_body
+
+    out = {}
+    for spec in sorted((ROOT / "specs").glob("*.json")):
+        for fmt in ("json", "csv"):
+            path = work / f"{spec.stem}.{fmt}"
+            _cli(["scan", str(spec), "--out", str(path), "--format", fmt])
+            out[f"scan {spec.name} {fmt} body"] = _sha(read_report_body(str(path)))
+    for suite in ("flat", "constant"):
+        out[f"certify {suite} --count 10 stdout"] = _sha(_cli(["certify", suite, "--count", "10"]))
+    for spec, *args in EVAL_ARGS:
+        stdout = _cli(["eval", str(ROOT / spec), *args])
+        out[f"eval {' '.join([spec, *args])} stdout"] = _sha(stdout)
+    obj = work / "sphere3_mesh.obj"
+    _cli(["mesh", str(ROOT / "specs" / "sphere3_mesh.json"), "--out", str(obj)])
+    out["mesh sphere3_mesh.json obj"] = _sha(obj.read_text(encoding="utf-8"))
+    sidecar = work / "sphere3_mesh_curvature.csv"
+    out["mesh sphere3_mesh.json curvature sidecar"] = _sha(sidecar.read_text(encoding="utf-8"))
+    out.update(_perfbench_fingerprints(work))
+    return out
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as work:
+        doc = {"platform": platform_info(), "digests": digests(Path(work))}
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(doc['digests'])} digests to {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
