@@ -37,6 +37,13 @@ many rows share the table: the point-wise functions are the same kernels at
 P = 1 and agree with a scan bit for bit, and a scan split into point chunks
 writes the same records and summary (an exact `fsum` mean, see
 `scan_constancy`).
+
+Random oblique planes map standard-normal coefficient pairs in R^(n-1)
+through each point's orthonormal tangent basis (`JetTable.reflector`), so
+they are tangent up to rounding however small the normal's components.  A
+scan draws every point's pairs, in point order, from one generator keyed by
+`SeedSequence(seed, spawn_key=PLANE_STREAM)`, and redraws a rejected pair
+(too short or nearly dependent) from default_rng([seed, position]).
 """
 
 from __future__ import annotations
@@ -51,13 +58,18 @@ import numpy as np
 from .errors import (
     DegeneratePlaneError, SolveError, SpecFileError, describe, finite, integer, positive,
 )
-from .geometry import JetTable, SeparableSurface, SurfacePoint, jet_table, point_jets, sample_points
+from .geometry import (
+    JetTable, SeparableSurface, SurfacePoint, _dot, jet_table, point_jets, sample_points,
+)
 
 EQUIVALENCE_RTOL = 1e-9        # |k_special - k_oracle| <= rtol * max(1, |k_oracle|)
 DEFAULT_CONSTANCY_TOL = 1e-7
 PLANE_EPS = 1e-10              # tangency and independence thresholds
 PLANE_RETRIES = 100
 CHUNK_PLANES = 1 << 14         # planes per scan chunk, bounding its arrays' memory
+# spawn key of a scan's plane stream, which differs from default_rng(seed) and
+# every default_rng([seed, position]) (a one-word key equals [seed, 0] from 2^96)
+PLANE_STREAM = (0, 0)
 
 
 def _pair_sorted(surface: SeparableSurface, i: int, j: int) -> tuple[int, int]:
@@ -68,15 +80,6 @@ def _pair_sorted(surface: SeparableSurface, i: int, j: int) -> tuple[int, int]:
     if i == j:
         raise SpecFileError(f"pair indices must differ, got ({i}, {j})")
     return (i, j) if i < j else (j, i)
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of a * b over the last axis, accumulated left to right."""
-    prod = a * b
-    out = prod[..., 0]
-    for k in range(1, prod.shape[-1]):
-        out = out + prod[..., k]
-    return out
 
 
 @dataclass(frozen=True)
@@ -195,13 +198,13 @@ def _gauss(table: JetTable, u: np.ndarray, w: np.ndarray):
     return k, errors
 
 
-def _tangent_pairs(raw: np.ndarray, normal: np.ndarray):
-    """Project standard-normal draws raw[..., 2, n] onto the tangent space
-    of `normal` and normalize them; `ok` marks the draws that are kept."""
-    normal = normal[..., None, :]
+def _draw_planes(jets: JetTable, coef: np.ndarray):
+    """Unit tangent pairs u, w from coefficient pairs coef[p, ..., 2, n - 1]
+    in point p's tangent basis (`JetTable.tangents`); `ok` marks the draws
+    that are kept."""
+    t = jets.tangents(coef)
     with np.errstate(all="ignore"):
-        vecs = raw - _dot(raw, normal)[..., None] * normal
-        nu, nw, u, w, _, wedge = _unit_pair(vecs[..., 0, :], vecs[..., 1, :])
+        nu, nw, u, w, _, wedge = _unit_pair(t[..., 0, :], t[..., 1, :])
     return u, w, (nu >= 1e-6) & (nw >= 1e-6) & (wedge > PLANE_EPS)
 
 
@@ -272,15 +275,16 @@ def random_tangent_plane(
     """Draw a uniformly random tangent 2-plane at a regular point, as a
     (2, n) array of unit spanning rows.
 
-    Projects a pair of standard-normal ambient vectors onto the tangent
-    space and normalizes them; nearly dependent draws are rejected and
-    retried (at most `PLANE_RETRIES` times).
+    Maps a pair of standard-normal coefficient vectors in R^(n-1) through
+    the point's orthonormal tangent basis (`JetTable.reflector`) and
+    normalizes them; nearly dependent draws are rejected and retried (at
+    most `PLANE_RETRIES` times).
     """
-    normal = point_jets(surface, point).normal[0]
+    jets = point_jets(surface, point)
     for _ in range(PLANE_RETRIES):
-        u, w, ok = _tangent_pairs(rng.standard_normal((2, surface.n)), normal)
-        if ok:
-            return np.array([u, w])
+        u, w, ok = _draw_planes(jets, rng.standard_normal((1, 2, surface.n - 1)))
+        if ok[0]:
+            return np.array([u[0], w[0]])
     raise DegeneratePlaneError(
         f"no independent tangent plane found after {PLANE_RETRIES} draws"
     )
@@ -293,9 +297,10 @@ class ScanPolicy:
     `oblique_per_point` adds that many random tangent planes per point on
     top of all coordinate pairs; their curvatures enter the summary
     statistics.  Both counts are integers >= 0 and the tolerance is positive
-    and finite, checked when the policy is built; per-point substreams are
-    derived from (seed, point position), so results are independent of
-    chunking.
+    and finite, checked when the policy is built.  A scan draws every
+    point's planes, in point order, from one stream keyed by (seed,
+    `PLANE_STREAM`) and redraws a rejected pair from the stream [seed,
+    point position], so results are independent of chunking.
     """
 
     oblique_per_point: int = 0
@@ -404,11 +409,13 @@ def _scan_chunk(
     start: int,
     pairs: Sequence[tuple[int, int]],
     policy: ScanPolicy,
+    rng: np.random.Generator | None,
 ) -> _Chunk:
     """Both pair engines and every oblique plane of the points at positions
     start, start + 1, ..., evaluated as arrays over their jet table, with
-    the summary's inputs taken from those arrays.  The record builder keeps
-    the arrays it reads and not the pair frames."""
+    the summary's inputs taken from those arrays.  The oblique planes' next
+    (points, planes, 2, n - 1) coefficients come from the scan's `rng`.
+    The record builder keeps the arrays it reads and not the pair frames."""
     errors = jets.errors(surface.height)
     table = pair_table(surface, jets, pairs)
     nq, m = len(pairs), policy.oblique_per_point
@@ -417,16 +424,13 @@ def _scan_chunk(
     draw_errors: dict[tuple[int, int], DegeneratePlaneError] = {}
     regular = np.array([exc is None for exc in errors], dtype=bool)
     if m:
-        raw = np.zeros((len(points), m, 2, surface.n))
-        for p in np.flatnonzero(regular).tolist():
-            raw[p] = np.random.default_rng([policy.seed, start + p]).standard_normal(raw.shape[1:])
-        pu, pw, ok = _tangent_pairs(raw, jets.normal[:, None])
+        pu, pw, ok = _draw_planes(jets, rng.standard_normal((len(points), m, 2, surface.n - 1)))
         for p in np.flatnonzero(regular & ~ok.all(axis=1)).tolist():
-            # a rejected draw shifts the stream: redraw this point's planes in order
-            rng = np.random.default_rng([policy.seed, start + p])
-            for r in range(m):
+            # the point's rejected pairs are redrawn, in order, from its own stream
+            redraw = np.random.default_rng([policy.seed, start + p])
+            for r in np.flatnonzero(~ok[p]).tolist():
                 try:
-                    pu[p, r], pw[p, r] = random_tangent_plane(surface, points[p], rng)
+                    pu[p, r], pw[p, r] = random_tangent_plane(surface, points[p], redraw)
                 except DegeneratePlaneError as exc:
                     draw_errors[p, r] = exc
         u, w = np.concatenate([u, pu], axis=1), np.concatenate([w, pw], axis=1)
@@ -517,8 +521,12 @@ def scan_constancy(
     planes = len(samples) * (len(pairs) + policy.oblique_per_point)
     chunks = min(max(threads, -(-planes // CHUNK_PLANES)), len(samples))
     edges = [len(samples) * c // chunks for c in range(chunks + 1)]
+    rng = None
+    if policy.oblique_per_point:
+        rng = np.random.default_rng(np.random.SeedSequence(policy.seed, spawn_key=PLANE_STREAM))
+    # the chunks draw from rng in turn, so each point gets the same coefficients for any chunking
     parts = [
-        _scan_chunk(surface, samples[a:b], jets.rows(a, b), a, pairs, policy)
+        _scan_chunk(surface, samples[a:b], jets.rows(a, b), a, pairs, policy, rng)
         for a, b in zip(edges, edges[1:])
     ]
 

@@ -90,6 +90,15 @@ class SeparableSurface:
         return tuple(k for k in range(1, self.n + 1) if k != self.height)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a * b over the last axis, accumulated left to right."""
+    prod = a * b
+    out = prod[..., 0]
+    for k in range(1, prod.shape[-1]):
+        out = out + prod[..., k]
+    return out
+
+
 @dataclass(frozen=True)
 class JetTable:
     """f_k' and f_k'' of every coordinate at P points, as P x n arrays.
@@ -122,6 +131,34 @@ class JetTable:
         """grad F / ||grad F|| per point."""
         with np.errstate(all="ignore"):
             return self.scaled[1] / np.sqrt(self.scaled[3])[:, None]
+
+    @cached_property
+    def reflector(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(v, beta, cols, off) per point: H = I - beta v v^T, v = N + sign(N_p) e_p
+        and beta = 2 / (v . v), is the Householder reflector (Golub and Van
+        Loan, Matrix Computations, sec. 5.1) of the unit normal N onto e_p, p
+        the first index of the largest |N_k| (the pivot).  H's other columns
+        are an orthonormal tangent basis (`tangents`): column k takes
+        coefficient cols[k], and `off` is 0.0 at the pivot, else 1.0."""
+        normal = self.normal
+        k, pivot = np.arange(normal.shape[1]), np.abs(normal).argmax(axis=1)[:, None]
+        at, cols = k == pivot, np.minimum(k - (k > pivot), k[-1] - 1)
+        with np.errstate(all="ignore"):
+            v = normal + np.copysign(at, normal)   # +-0.0 off the pivot leaves N's bits
+            return v, 2.0 / _dot(v, v), cols, ~at * 1.0
+
+    def tangents(self, coef: np.ndarray) -> np.ndarray:
+        """The tangent vectors H [0; c] = [0; c] - beta v (v . [0; c]) of
+        coefficients c = coef[p, ...] (last axis n - 1) in point p's basis,
+        [0; c] spreading c over the non-pivot entries: O(n) each.  The pivot
+        entry, -beta v_p (v . [0; c]), has no cancellation, so it keeps its
+        relative precision where it is tiny (a normal near e_p)."""
+        v, beta, cols, off = self.reflector
+        lead, dim = (slice(None),) + (None,) * (coef.ndim - 2), coef.shape[-1]
+        rows = np.arange(0, coef.size, dim).reshape(coef.shape[:-1] + (1,))
+        x, v = coef.reshape(-1).take(rows + cols[lead]) * off[lead], v[lead]
+        with np.errstate(all="ignore"):
+            return x - (beta[lead] * _dot(v, x))[..., None] * v
 
     def frames(self, height: int, coords: Sequence[int]) -> np.ndarray:
         """Tangent vectors e_k - (f'_k/f'_h) e_h for the 1-based coordinates

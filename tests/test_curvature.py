@@ -733,11 +733,14 @@ def test_scan_matches_point_wise_engines():
             assert_rel(r.k_special, sectional_special(s, p, r.i, r.j))
             assert_rel(r.k_oracle, sectional_oracle(s, p, coordinate_plane(s, p, r.i, r.j)))
             assert_rel(r.residual_flat, flatness_residual(s, p, r.i, r.j))
-        rng = np.random.default_rng([5, pos])
+        grad = np.array(gradient(s, p))
+        normal = grad / np.linalg.norm(grad)
         planes = [r for r in recs if r.kind == "plane"]
         assert len(planes) == 3
         for r in planes:
-            assert np.array_equal([r.u, r.w], random_tangent_plane(s, p, rng))
+            for v in (r.u, r.w):
+                assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+                assert abs(np.dot(v, normal)) <= 1e-12
             assert_rel(r.k_oracle, sectional_oracle(s, p, [r.u, r.w]))
     assert report.failure_count == 4
 
@@ -745,20 +748,21 @@ def test_scan_matches_point_wise_engines():
 REAL_DEFAULT_RNG = np.random.default_rng
 
 
-class RejectFirstDraw:
-    """Generator stub whose first draw pairs a vector with itself, which the
-    plane draw must reject; later draws come from the real stream."""
+class DependentPair:
+    """`np.random.default_rng` stub that logs each seed it is given; the
+    first draw of the first generator it builds (a scan's plane stream)
+    pairs one coefficient vector, point 1's plane 2, with itself."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, log):
         self.gen = REAL_DEFAULT_RNG(seed)
-        self.first = True
+        self.first = not log
+        log.append(seed)
 
     def standard_normal(self, shape):
         out = self.gen.standard_normal(shape)
         if self.first:
             self.first = False
-            draws = out.reshape(-1, 2, shape[-1])
-            draws[0, 1] = draws[0, 0]
+            out[1, 2, 1] = out[1, 2, 0]
         return out
 
 
@@ -767,18 +771,23 @@ def planes_at(report, pos):
 
 
 def test_scan_rejected_draw_falls_back_to_sequential_planes(monkeypatch):
+    # only the dependent pair is redrawn, from point 1's own stream, as
+    # random_tangent_plane draws from it; every other plane keeps its draw
     s, pts = sphere_points(4, 2.0, 3, 67)
     policy = ScanPolicy(oblique_per_point=4, seed=67)
     plain = scan_constancy(s, pts, policy)
-    monkeypatch.setattr(np.random, "default_rng", RejectFirstDraw)
+    log = []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: DependentPair(seed, log))
     report = scan_constancy(s, pts, policy)
-    for pos, p in enumerate(pts):
-        rng = RejectFirstDraw([67, pos])
-        want = [random_tangent_plane(s, p, rng) for _ in range(4)]
-        got = planes_at(report, pos)
-        assert np.array_equal(got, want)
-        assert not np.array_equal(got[0], planes_at(plain, pos)[0])
-    assert report.verdict == "constant"
+    assert len(log) == 2 and log[1] == [67, 1]
+    redrawn = random_tangent_plane(s, pts[1], REAL_DEFAULT_RNG([67, 1]))
+    for pos in range(len(pts)):
+        want = planes_at(plain, pos)
+        if pos == 1:
+            assert not np.array_equal(want[2], redrawn)
+            want[2] = redrawn
+        assert np.array_equal(planes_at(report, pos), want)
+    assert report.verdict == "constant" and report.failure_count == 0
 
 
 def overflow_surface():
@@ -847,6 +856,59 @@ def test_overflowing_jet_products_give_finite_curvature(seed):
             want = brute_coordinate_k(s, r.coords, r.i, r.j)
         assert oracle_close(r.k_special, want) and oracle_close(r.k_oracle, want)
         assert r.residual_flat > 0.0   # about 4 exp(2 x_1), or inf past the float range
+
+
+def test_oblique_planes_keep_the_pair_sign_at_extreme_normals():
+    # n = 3, so every oblique plane is the pair's plane; the unit normal is
+    # about (1, 1e-153, -1e-76), so a tangent vector's first entry is about
+    # 1e-76 of its last, which projecting ambient draws onto the tangent
+    # space rounded away (every plane read -K)
+    s, ranges, bracket = overflow_surface()
+    for seed in (1, 2, 3):
+        points, failures, table = sample_points(s, ranges, 20, seed, bracket)
+        assert len(points) == 20 and failures == []
+        policy = ScanPolicy(oblique_per_point=2, seed=seed)
+        records = scan_constancy(s, points, policy, jets=table).records
+        pair = {r.sample: r.k_special for r in records if r.kind == "pair"}
+        planes = [r for r in records if r.kind == "plane"]
+        assert len(pair) == 20 and len(planes) == 40
+        assert all(oracle_close(r.k_oracle, pair[r.sample]) for r in planes)
+    # the oracle differences the normal along the unit oblique vectors,
+    # whose x_3 step changes x_3 by 1e-87 of itself, while its gradient
+    # difference of -x^2 at x_3 ~ 3e76 keeps about 62 of 150 digits: at 150
+    # digits it reads twice this K, so it runs at 300
+    with mpmath.workdps(300):
+        want = brute_sectional(s, planes[0].coords, planes[0].u, planes[0].w)
+    assert oracle_close(planes[0].k_oracle, want) and want > 0.0
+
+
+def unit_normal_table(normal) -> JetTable:
+    """A one-point table whose gradient is `normal` over its largest |entry|
+    (||grad F||^2 summed as the package sums it)."""
+    d1 = np.array([normal], dtype=float)
+    d1 /= np.abs(d1).max()
+    return JetTable(d1, np.zeros_like(d1), np.array([math.fsum(d1[0] ** 2)]), (None,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(3, 12).flatmap(lambda n: st.lists(
+        st.tuples(st.floats(-300.0, 0.0), st.booleans()), min_size=n, max_size=n,
+    )),
+    st.integers(0, 2**32 - 1),
+)
+def test_reflector_basis_is_tangent_and_orthonormal(parts, seed):
+    normal = [(-1.0 if neg else 1.0) * 10.0 ** e for e, neg in parts]
+    table = unit_normal_table(normal)
+    n, unit = len(normal), table.normal[0]
+    basis = table.tangents(np.eye(n - 1)[None])[0]
+    drawn = table.tangents(np.random.default_rng(seed).standard_normal((1, 8, n - 1)))[0]
+    assert np.abs(basis @ basis.T - np.eye(n - 1)).max() <= 1e-14
+    eps = np.finfo(float).eps
+    for t in (*basis, *drawn):
+        # <t, N> summed exactly, products and all
+        dot = abs(sum(Fraction(a) * Fraction(b) for a, b in zip(t.tolist(), unit.tolist())))
+        assert dot <= 4 * eps * Fraction(float(np.linalg.norm(t)))
 
 
 def test_scan_mean_of_values_whose_sum_overflows():
@@ -1041,9 +1103,10 @@ def test_scan_record_is_an_immutable_named_record():
         rec.extra = 1.0
 
 
-def test_scan_records_follow_sample_pair_plane_order():
+def test_scan_records_follow_sample_pair_plane_order(monkeypatch):
     s, pts = mixed_failure_points()
-    report = scan_constancy(s, pts, ScanPolicy(oblique_per_point=3, seed=5))
+    policy = ScanPolicy(oblique_per_point=3, seed=5)
+    report = scan_constancy(s, pts, policy)
     want = []
     for pos, p in enumerate(pts):
         if point_error(s, p) is not None:
@@ -1055,10 +1118,29 @@ def test_scan_records_follow_sample_pair_plane_order():
     assert [(r.sample, r.kind, r.i, r.j) for r in report.records] == want
     # the report writers format a sample's coords once, keyed on identity
     assert all(r.coords is pts[r.sample].coords for r in report.records)
-    for pos, p in enumerate(pts):
-        rng = np.random.default_rng([5, pos])
-        for r in (r for r in report.records if r.sample == pos and r.kind == "plane"):
-            assert np.array_equal([r.u, r.w], random_tangent_plane(s, p, rng))
+    # a scan builds one generator, keyed off (seed, PLANE_STREAM), whose
+    # draws its chunks take in point order, so any chunking gives the same
+    # planes: 4 to 8 chunks below, one above
+    seeds = []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or
+                        REAL_DEFAULT_RNG(seed))
+    monkeypatch.setattr(curvature, "CHUNK_PLANES", 15)
+    for threads in (1, 2, 3, len(pts)):
+        seeds.clear()
+        assert scan_constancy(s, pts, policy, threads=threads).records == report.records
+        assert len(seeds) == 1 and isinstance(seeds[0], np.random.SeedSequence)
+        assert (seeds[0].entropy, seeds[0].spawn_key) == (5, curvature.PLANE_STREAM)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**32, 2**96, 2**100, 2**130])
+def test_plane_stream_differs_from_the_sampling_and_redraw_streams(seed):
+    # default_rng(seed) and default_rng([seed]) are one stream; a one-word
+    # spawn key would equal [seed, 0] from seed 2^96
+    plane = np.random.SeedSequence(seed, spawn_key=curvature.PLANE_STREAM)
+    first = REAL_DEFAULT_RNG(plane).standard_normal(4)
+    others = [seed, [seed], *([seed, pos] for pos in (0, 1, 2, 2**32, 2**40))]
+    for key in others:
+        assert not np.array_equal(REAL_DEFAULT_RNG(key).standard_normal(4), first), key
 
 
 class RejectDraws:
