@@ -904,11 +904,10 @@ def test_reflector_basis_is_tangent_and_orthonormal(parts, seed):
     basis = table.tangents(np.eye(n - 1)[None])[0]
     drawn = table.tangents(np.random.default_rng(seed).standard_normal((1, 8, n - 1)))[0]
     assert np.abs(basis @ basis.T - np.eye(n - 1)).max() <= 1e-14
-    eps = np.finfo(float).eps
     for t in (*basis, *drawn):
-        # <t, N> summed exactly, products and all
+        # <t, N> summed exactly, products and all, against 4 eps ||t||
         dot = abs(sum(Fraction(a) * Fraction(b) for a, b in zip(t.tolist(), unit.tolist())))
-        assert dot <= 4 * eps * Fraction(float(np.linalg.norm(t)))
+        assert dot <= Fraction(2) ** -50 * Fraction(np.linalg.norm(t))
 
 
 def test_scan_mean_of_values_whose_sum_overflows():
