@@ -4,7 +4,9 @@ Runs the command line in-process and writes to tests/golden.json the
 sha256 of each output below, beside the Python, numpy and C library
 versions that produced them:
 
-- the JSON and CSV scan bodies (past the `#` line) of every `specs/*.json`;
+- the JSON and CSV scan bodies (past the `#` line) of every `specs/*.json`,
+  at the default `--threads` and at `--threads 3` (three chunks);
+- the same bodies of the edge-case specs in `EDGE_SPECS`;
 - the stdout of `certify flat` and `certify constant` at `--count 10`;
 - the stdout of README's two `eval` examples;
 - the OBJ and curvature sidecar of `mesh specs/sphere3_mesh.json`;
@@ -39,6 +41,33 @@ EVAL_ARGS = (
     ("specs/raw_functions_n4.json", "--point", "0.5,0.1,-0.3", "--pair", "1,3", "--k0", "1",
      "--format", "csv"),
 )
+
+# CI's bracket-miss, overflow and oblique-overflow scans, and a scan whose
+# every point is an error record: each (1, 2) pair plane has wedge norm
+# 1.414e-16, as both frame vectors are nearly -e_4
+EDGE_SPECS = {
+    "bracket-miss": {
+        "functions": [{"expr": "x^2"}, {"expr": "x^2"},
+                      {"expr": "x - 3", "bracket": [2.5, 3.5]}],
+        "sampling": {"ranges": [[-1.0, 1.0], [-1.0, 1.0]], "count": 40},
+    },
+    "overflow": {
+        "functions": [{"expr": "exp(-exp(x))"}, {"expr": "x^2"},
+                      {"expr": "x", "bracket": [-10, 10]}],
+        "sampling": {"ranges": [[600, 800], [-1, 1]], "count": 40},
+    },
+    "oblique-overflow": {
+        "functions": [{"expr": "exp(x)"}, {"expr": "x^2"},
+                      {"expr": "-(x^2)", "bracket": [1e70, 1e80]}],
+        "sampling": {"ranges": [[352, 354.5], [-1, 1]], "count": 20, "seed": 1,
+                     "oblique_planes": 2},
+    },
+    "plane-errors": {
+        "functions": [{"expr": "1e9*x"}, {"expr": "1e9*x"}, {"expr": "x^2"},
+                      {"expr": "1e-7*x", "bracket": [-1e18, 1e18]}],
+        "sampling": {"ranges": [[-1, 1], [-1, 1], [-1, 1]], "count": 6},
+    },
+}
 
 
 def platform_info() -> dict[str, str]:
@@ -91,12 +120,20 @@ def digests(work: Path) -> dict[str, str]:
     """Output name -> sha256, the outputs written under the empty directory `work`."""
     from sepcurv.report import read_report_body
 
+    def scan(name: str, spec: Path, *args: str) -> None:
+        for fmt in ("json", "csv"):
+            path = work / f"body.{fmt}"
+            _cli(["scan", str(spec), "--out", str(path), "--format", fmt, *args])
+            out[f"scan {' '.join((name, *args))} {fmt} body"] = _sha(read_report_body(str(path)))
+
     out = {}
     for spec in sorted((ROOT / "specs").glob("*.json")):
-        for fmt in ("json", "csv"):
-            path = work / f"{spec.stem}.{fmt}"
-            _cli(["scan", str(spec), "--out", str(path), "--format", fmt])
-            out[f"scan {spec.name} {fmt} body"] = _sha(read_report_body(str(path)))
+        scan(spec.name, spec)
+        scan(spec.name, spec, "--threads", "3")
+    for name, doc in EDGE_SPECS.items():
+        spec = work / f"{name}.json"
+        spec.write_text(json.dumps({"format_version": 1, **doc}), encoding="utf-8")
+        scan(f"{name} spec", spec)
     for suite in ("flat", "constant"):
         out[f"certify {suite} --count 10 stdout"] = _sha(_cli(["certify", suite, "--count", "10"]))
     for spec, *args in EVAL_ARGS:
