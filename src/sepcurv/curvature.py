@@ -44,14 +44,22 @@ they are tangent up to rounding however small the normal's components.  A
 scan draws every point's pairs, in point order, from one generator keyed by
 `SeedSequence(seed, spawn_key=PLANE_STREAM)`, and redraws a rejected pair
 (too short or nearly dependent) from default_rng([seed, position]).
+
+A scan's report keeps its engines' arrays as its records (`RecordColumns`):
+the pair K of both engines, the flags, the plane K and u, w, the coords and
+each failure's text.  The report writers read them; the flatness residual
+and the `ScanRecord`s are computed from them only when first read, which
+the certify suites never do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import chain, combinations, repeat
 from math import fsum
-from typing import Callable, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -333,33 +341,100 @@ class ScanRecord(NamedTuple):
         return self.k_special if self.k_special is not None else self.k_oracle
 
 
-class _BuiltOnRead:
-    """A dataclass field holding a value, or a zero-argument function that
-    builds it: the function runs when the field is first read, and its
-    value is kept and read from then on."""
+@dataclass(frozen=True, eq=False)
+class RecordColumns:
+    """The records of P sample rows, kept as the engines' arrays.
 
-    def __set_name__(self, owner, name):
-        self.slot = f"_{name}"
+    Row p is sample `samples[p]` at `coords[p]`.  A row whose sample has a
+    `point_errors` text holds that one error record.  Any other row holds a
+    pair record per entry q of `pairs`, from column q of `k_special`,
+    `k_oracle`, `residual_flat` and `flagged` (shape (P, Q)), and then one
+    record per oblique plane r: a plane record of `k_oracle[p, Q + r]`,
+    `u[p, r]` and `w[p, r]` ((P, m, n)), or an error record where
+    (sample, r) has a `plane_errors` text.  `residuals` is the
+    `residual_flat` array, or a scan's `PairTable`, from which it is
+    computed on first read.  Error rows' array entries mean nothing.
+    """
 
-    def __get__(self, obj, owner=None):
-        if obj is None:   # no class-level default, so the field stays required
-            raise AttributeError(self.slot)
-        value = obj.__dict__[self.slot]
-        if callable(value):
-            value = obj.__dict__[self.slot] = value()
-        return value
+    samples: Sequence[int]
+    coords: Sequence[tuple[float, ...]]
+    pairs: Sequence[tuple[int, int]]
+    k_special: np.ndarray
+    k_oracle: np.ndarray
+    flagged: np.ndarray
+    u: np.ndarray
+    w: np.ndarray
+    point_errors: dict[int, str]
+    plane_errors: dict[tuple[int, int], str]
+    residuals: PairTable | np.ndarray
 
-    def __set__(self, obj, value):
-        obj.__dict__[self.slot] = value
+    @cached_property
+    def residual_flat(self) -> np.ndarray:
+        if isinstance(self.residuals, PairTable):
+            return self.residuals.residual()
+        return self.residuals
+
+    def records(self) -> list[ScanRecord]:
+        """The block's records, in row order."""
+        nq, m = len(self.pairs), self.u.shape[1]
+        lo, hi = [i for i, _ in self.pairs], [j for _, j in self.pairs]
+        special, gauss, flat, flags, us, ws = (
+            a.tolist() for a in (self.k_special, self.k_oracle, self.residual_flat,
+                                 self.flagged, self.u, self.w)
+        )
+        out: list[ScanRecord] = []
+        for p, (sample, coords) in enumerate(zip(self.samples, self.coords)):
+            if sample in self.point_errors:
+                out.append(ScanRecord(sample, coords, "error", error=self.point_errors[sample]))
+                continue
+            # repeat(sample, nq) stops the zip after the pairs: gauss[p] holds the planes too
+            out.extend(map(ScanRecord._make, zip(
+                repeat(sample, nq), repeat(coords), repeat("pair"), lo, hi, repeat(None),
+                repeat(None), special[p], gauss[p], flat[p], flags[p], repeat(None),
+            )))
+            for r in range(m):
+                failed = (sample, r) in self.plane_errors
+                out.append(
+                    ScanRecord(sample, coords, "error", error=self.plane_errors[sample, r]) if failed
+                    else ScanRecord(sample, coords, "plane", None, None, tuple(us[p][r]),
+                                    tuple(ws[p][r]), None, gauss[p][nq + r])
+                )
+        return out
+
+
+def _record_block(rec: ScanRecord) -> RecordColumns:
+    """One record as a one-row block: a pair, a plane, or else an error."""
+    q, m = int(rec.kind == "pair"), int(rec.kind == "plane")
+
+    def column(value, size: int, dtype=float) -> np.ndarray:
+        return np.array([[value] * size], dtype=dtype)   # shape (1, size)
+
+    u, w = (np.array([[v]], dtype=float) if m else np.zeros((1, 0, 0)) for v in (rec.u, rec.w))
+    return RecordColumns(
+        (rec.sample,), (rec.coords,), [(rec.i, rec.j)] * q, column(rec.k_special, q),
+        column(rec.k_oracle, q + m), column(bool(rec.flagged), q, bool), u, w,
+        {} if q or m else {rec.sample: rec.error}, {}, column(rec.residual_flat, q),
+    )
+
+
+def record_columns(records: Iterable[ScanRecord]) -> tuple[RecordColumns, ...]:
+    """Records as the columns a report keeps (`CurvatureReport.columns`), one
+    block per record: a report made of them writes them and reads them back
+    as given, each number as its float and each flag as its bool."""
+    return tuple(map(_record_block, records))
 
 
 @dataclass(frozen=True)
 class CurvatureReport:
     """Scan outcome: per-plane records plus summary statistics.
 
-    `records` may be given as a function that returns their tuple; it runs
-    the first time `records` is read, so a scan whose records nobody reads
-    never builds them, and every read returns the same tuple.
+    The records are kept in `columns`: a scan's engine arrays, as one
+    `RecordColumns` block for any chunking, or the blocks `record_columns`
+    makes of a sequence of records (`columns=record_columns(records)`).
+    The report writers read the columns.  `records` builds the
+    `ScanRecord`s from them the first time it is read, so a scan whose
+    records nobody reads never builds them, and every read returns the same
+    tuple.  Two reports are equal when their records and other fields are.
 
     `k_min`, `k_max`, `k_mean` and `spread` (max - min) range over the
     finite curvature values.  `verdict` is "non-constant" if the spread
@@ -375,7 +450,7 @@ class CurvatureReport:
     seed: int
     constancy_tol: float
     oblique_per_point: int
-    records: tuple[ScanRecord, ...] = _BuiltOnRead()
+    columns: tuple[RecordColumns, ...] = field(compare=False)
     point_count: int
     value_count: int
     failure_count: int
@@ -388,18 +463,28 @@ class CurvatureReport:
     flagged_count: int = 0
     max_engine_rel_dev: float | None = None
 
+    @cached_property
+    def records(self) -> tuple[ScanRecord, ...]:
+        return tuple(chain.from_iterable(block.records() for block in self.columns))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # the columns compare as the records they hold, however they are kept
+        key = attrgetter("records", *(f.name for f in fields(self) if f.compare))
+        return key(self) == key(other)
+
 
 class _Chunk(NamedTuple):
     """A scan chunk's summary inputs over its points without an error (the
-    curvature values in record order, the pair records' flags and engine
-    deviations), its error-record count, and the function that builds its
-    records."""
+    curvature values in record order, the flagged pair count and the pair
+    engine deviations), its error-record count, and its record columns."""
 
     values: np.ndarray
-    flagged: np.ndarray
+    flagged: int
     devs: np.ndarray
     failures: int
-    records: Callable[[], list[ScanRecord]]
+    columns: RecordColumns
 
 
 def _scan_chunk(
@@ -415,7 +500,7 @@ def _scan_chunk(
     start, start + 1, ..., evaluated as arrays over their jet table, with
     the summary's inputs taken from those arrays.  The oblique planes' next
     (points, planes, 2, n - 1) coefficients come from the scan's `rng`.
-    The record builder keeps the arrays it reads and not the pair frames."""
+    The record columns keep the engines' arrays and not the pair frames."""
     errors = jets.errors(surface.height)
     table = pair_table(surface, jets, pairs)
     nq, m = len(pairs), policy.oblique_per_point
@@ -451,36 +536,40 @@ def _scan_chunk(
         devs = gap[good] / scale[good]
     values = np.concatenate([ks, k[:, nq:]], axis=1)[good][kept]
 
-    def records() -> list[ScanRecord]:
-        """The records, from the engine arrays: one error record for a point
-        with an error, else its pair records and then its oblique planes',
-        where a plane that failed is an error record."""
-        lo, hi = zip(*pairs)
-        special, gauss, flat, flags, us, ws, fine, fails = (
-            a.tolist() for a in (ks, k, table.residual(), flagged, pu, pw, good, bad)
-        )
-        out: list[ScanRecord] = []
-        for p, point in enumerate(points):
-            sample, coords = start + p, point.coords
-            if not fine[p]:
-                exc = errors[p] or plane_errors[p, fails[p].index(True)]
-                out.append(ScanRecord(sample, coords, "error", error=describe(exc)))
-                continue
-            # repeat(sample, nq) stops the zip after the pairs: gauss[p] holds the planes too
-            out.extend(map(ScanRecord._make, zip(
-                repeat(sample, nq), repeat(coords), repeat("pair"), lo, hi, repeat(None),
-                repeat(None), special[p], gauss[p], flat[p], flags[p], repeat(None),
-            )))
-            for r in range(m):
-                exc = plane_errors.get((p, nq + r))
-                out.append(
-                    ScanRecord(sample, coords, "error", error=describe(exc)) if exc is not None
-                    else ScanRecord(sample, coords, "plane", None, None, tuple(us[p][r]),
-                                    tuple(ws[p][r]), None, gauss[p][nq + r])
-                )
-        return out
+    # an error point's one record names the failure that made it one
+    point_errors = {
+        start + p: describe(errors[p] or plane_errors[p, int(bad[p].argmax())])
+        for p in np.flatnonzero(~good).tolist()
+    }
+    plane_errors = {
+        (start + p, r - nq): describe(exc) for (p, r), exc in plane_errors.items()
+        if r >= nq and good[p]
+    }
+    columns = RecordColumns(
+        range(start, start + len(points)), [point.coords for point in points], pairs, ks, k,
+        flagged, pu, pw, point_errors, plane_errors, table,
+    )
+    return _Chunk(values, int(flagged[good].sum()), devs, int((~good).sum() + (~kept).sum()),
+                  columns)
 
-    return _Chunk(values, flagged[good], devs, int((~good).sum() + (~kept).sum()), records)
+
+def _joined(blocks: Sequence[RecordColumns], jets: JetTable) -> RecordColumns:
+    """A scan's chunk columns as one block, so that a report keeps the same
+    columns for any chunking."""
+    if len(blocks) == 1:
+        return blocks[0]
+    tables = [block.residuals for block in blocks]
+
+    def cat(name: str, parts: Sequence = blocks) -> np.ndarray:
+        return np.concatenate([getattr(part, name) for part in parts])
+
+    return RecordColumns(
+        range(len(jets.d1)), list(chain.from_iterable(block.coords for block in blocks)),
+        blocks[0].pairs, cat("k_special"), cat("k_oracle"), cat("flagged"), cat("u"), cat("w"),
+        {key: text for block in blocks for key, text in block.point_errors.items()},
+        {key: text for block in blocks for key, text in block.plane_errors.items()},
+        PairTable(tables[0].pairs, tables[0].height, jets, cat("flat", tables), cat("s", tables)),
+    )
 
 
 def scan_constancy(
@@ -501,10 +590,11 @@ def scan_constancy(
     sequential chunks: at most one chunk per point, and at least enough
     chunks that they average no more than `CHUNK_PLANES` planes.  The
     summary is combined from the chunks' engine arrays, never from the
-    records, and the records are built from those arrays only when
-    `records` is first read.  They are ordered by (sample position, pairs
-    ascending, then planes in draw order), so output is identical for any
-    chunk count.
+    records, and the report keeps those arrays, joined into one
+    `RecordColumns` block, as its records: the writers read them, and
+    `ScanRecord`s are built from them only when `records` is first read.
+    Records are ordered by (sample position, pairs ascending, then planes in
+    draw order), so output is identical for any chunk count.
     """
     threads = integer(threads, "threads")
     samples = list(samples)
@@ -530,10 +620,9 @@ def scan_constancy(
         for a, b in zip(edges, edges[1:])
     ]
 
-    builders = [part.records for part in parts]
     values = np.concatenate([part.values for part in parts])
     finite = values[np.isfinite(values)]
-    flagged_count = sum(int(part.flagged.sum()) for part in parts)
+    flagged_count = sum(part.flagged for part in parts)
     devs = np.concatenate([part.devs for part in parts])
     devs = devs[np.isfinite(devs)]
     max_dev = float(devs.max()) if devs.size else None
@@ -562,7 +651,7 @@ def scan_constancy(
         seed=policy.seed,
         constancy_tol=policy.constancy_tol,
         oblique_per_point=policy.oblique_per_point,
-        records=lambda: tuple(chain.from_iterable(build() for build in builders)),
+        columns=(_joined([part.columns for part in parts], jets),),
         point_count=len(samples),
         value_count=len(values),
         failure_count=sum(part.failures for part in parts),

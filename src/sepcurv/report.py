@@ -7,22 +7,24 @@ seed the body is byte-identical regardless of point chunking or generation
 time; `read_report_body` strips the header so callers can compare bodies
 directly.
 
-Both writers write the records directly, one template per record kind,
-because the library encoders spend most of their time on work these rows
-never need.  The JSON records' keys are fixed and already sorted, and
-`json.dumps` with `indent` runs CPython's pure-Python encoder, which cost
-more than the scan itself.  The JSON body is byte-identical to
+Both writers write the records straight from the report's columns (the
+scan's engine arrays, `CurvatureReport.columns`), a sample row at a time,
+with one template per record kind filled by one list comprehension over
+each row's number texts; they build no `ScanRecord`.  The library encoders
+are not used for the records, because they spend most of their time on work
+these rows never need: the JSON records' keys are fixed and already sorted,
+and `json.dumps` with `indent` runs CPython's pure-Python encoder, which
+cost more than the scan itself.  The JSON body is byte-identical to
 `json.dumps(doc, sort_keys=True, indent=2)`: floats go through
 `float.__repr__` (NaN and infinities as `NaN`, `Infinity`, `-Infinity`),
 strings through `json.encoder.encode_basestring_ascii`, and the small report
-shell still through `json.dumps`.
+shell still through `json.dumps`.  Those reprs are most of a body's cost.
 
 The CSV body is byte-identical to `csv.writer(lineterminator="\n")`, whose
 minimal quoting scans every cell of every row for a character to quote.
 Only the free-text `error` cell can hold one, so it alone goes through
-`_csv_cell`, that writer's rule; floats go through `float.__repr__`, so an
-`np.float64` reads as a float does.  The tests compare both bodies with
-those encoders (`tests/reference_report.py`) byte for byte.
+`_csv_cell`, that writer's rule.  The tests compare both bodies with those
+encoders (`tests/reference_report.py`) byte for byte.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
-from .curvature import CurvatureReport, ScanRecord
+import numpy as np
+
+from .curvature import CurvatureReport, RecordColumns
 
 REPORT_FORMAT_VERSION = 1
 _CSV_COLUMNS = (
@@ -51,6 +55,11 @@ def _num(x: float) -> str:
     return _NONFINITE[text] if "n" in text else text
 
 
+def _json_num(values: np.ndarray):
+    """The JSON number writer for an array: `float.__repr__` when all is finite."""
+    return _repr if np.isfinite(values).all() else _num
+
+
 def _floats(values) -> str:
     """A non-empty float list as `json.dumps(indent=2)` writes it as a
     record field."""
@@ -60,40 +69,58 @@ def _floats(values) -> str:
     return f"[\n        {text}\n      ]"
 
 
-def _records_json(records: Sequence[ScanRecord]) -> str:
-    """The `records` array at depth 1 of the body."""
-    if not records:
-        return "[]"
-    out = []
-    coords_of, coords = None, ""
-    for rec in records:
-        if rec.coords is not coords_of:   # a sample's records share its coords
-            coords_of, coords = rec.coords, _floats(rec.coords)
-        if rec.kind == "pair":
-            out.append(
-                f'    {{\n      "coords": {coords},\n'
-                f'      "flagged": {"true" if rec.flagged else "false"},\n'
-                f'      "i": {rec.i},\n      "j": {rec.j},\n'
-                f'      "k_oracle": {_num(rec.k_oracle)},\n'
-                f'      "k_special": {_num(rec.k_special)},\n'
-                f'      "kind": "pair",\n'
-                f'      "residual_flat": {_num(rec.residual_flat)},\n'
-                f'      "sample": {rec.sample}\n    }}'
-            )
-        elif rec.kind == "plane":
-            out.append(
-                f'    {{\n      "coords": {coords},\n'
-                f'      "k_oracle": {_num(rec.k_oracle)},\n'
-                f'      "kind": "plane",\n      "sample": {rec.sample},\n'
-                f'      "u": {_floats(rec.u)},\n      "w": {_floats(rec.w)}\n    }}'
-            )
-        else:
-            out.append(
-                f'    {{\n      "coords": {coords},\n'
-                f'      "error": {encode_basestring_ascii(rec.error)},\n'
-                f'      "kind": "error",\n      "sample": {rec.sample}\n    }}'
-            )
-    return "[\n" + ",\n".join(out) + "\n  ]"
+def _rows(values: np.ndarray, num) -> list[list[str]]:
+    """Each row of a (P, Q) array as number texts."""
+    return [list(map(num, row)) for row in values.tolist()]
+
+
+def _vectors(values: np.ndarray, sep: str, num) -> list[list[str]]:
+    """Each row's vectors of a (P, m, n) array as texts, entries joined by `sep`."""
+    return [[sep.join(map(num, vec)) for vec in row] for row in values.tolist()]
+
+
+def _with_plane_errors(block: RecordColumns, sample: int, planes: list[str], error) -> list[str]:
+    """A row's plane records, with `error(text)` in place of each failed plane."""
+    if block.plane_errors:
+        for r in range(len(planes)):
+            if (sample, r) in block.plane_errors:
+                planes[r] = error(block.plane_errors[sample, r])
+    return planes
+
+
+def _json_records(block: RecordColumns) -> list[str]:
+    """A block's records as the `records` array at depth 1 of the body holds
+    them, a sample row at a time."""
+    special, oracle, flat = (
+        _rows(a, _json_num(a)) for a in (block.k_special, block.k_oracle, block.residual_flat)
+    )
+    us, ws = (_vectors(a, _ITEM, _json_num(a)) for a in (block.u, block.w))
+    flags = [["true" if f else "false" for f in row] for row in block.flagged.tolist()]
+    pairs = [f'      "i": {i},\n      "j": {j},\n      "k_oracle": ' for i, j in block.pairs]
+    out: list[str] = []
+    for p, (sample, coords) in enumerate(zip(block.samples, block.coords)):
+        head = f'    {{\n      "coords": {_floats(coords)},\n'
+        end = f'\n      "sample": {sample}\n    }}'
+
+        def error(text: str) -> str:
+            text = encode_basestring_ascii(text)
+            return f'{head}      "error": {text},\n      "kind": "error",{end}'
+
+        if sample in block.point_errors:
+            out.append(error(block.point_errors[sample]))
+            continue
+        out += [
+            f'{head}      "flagged": {flag},\n{ij}{k},\n      "k_special": {ks},\n'
+            f'      "kind": "pair",\n      "residual_flat": {res},{end}'
+            for flag, ij, k, ks, res in zip(flags[p], pairs, oracle[p], special[p], flat[p])
+        ]
+        plane = f'{head}      "k_oracle": '
+        tail = f',\n      "kind": "plane",\n      "sample": {sample},\n      "u": [\n        '
+        out += _with_plane_errors(block, sample, [
+            f'{plane}{k}{tail}{u}\n      ],\n      "w": [\n        {w}\n      ]\n    }}'
+            for k, u, w in zip(oracle[p][len(pairs):], us[p], ws[p])
+        ], error)
+    return out
 
 
 def report_body_json(
@@ -133,7 +160,9 @@ def report_body_json(
     }
     # a JSON string holds no raw newline, so this depth-1 key line is unique
     head, tail = json.dumps(shell, sort_keys=True, indent=2).split(_RECORDS + "null", 1)
-    return f"{head}{_RECORDS}{_records_json(report.records)}{tail}\n"
+    records = [text for block in report.columns for text in _json_records(block)]
+    records = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+    return f"{head}{_RECORDS}{records}{tail}\n"
 
 
 def _vector(values) -> str:
@@ -158,6 +187,36 @@ def _csv_row(cells) -> str:
 _CSV_HEADER = _csv_row(_CSV_COLUMNS)
 
 
+def _csv_records(block: RecordColumns) -> list[str]:
+    """A block's CSV rows, a sample row at a time."""
+    special, oracle, flat = (
+        _rows(a, _repr) for a in (block.k_special, block.k_oracle, block.residual_flat)
+    )
+    us, ws = (_vectors(a, ";", _repr) for a in (block.u, block.w))
+    flags = block.flagged.tolist()
+    pairs = [f"{i},{j}," for i, j in block.pairs]
+    out: list[str] = []
+    for p, (sample, coords) in enumerate(zip(block.samples, block.coords)):
+        coords = _vector(coords)
+
+        def error(text: str) -> str:
+            return f"{sample},error,,,,,,,,{_csv_cell(text)},{coords},,\n"
+
+        if sample in block.point_errors:
+            out.append(error(block.point_errors[sample]))
+            continue
+        tail = f",,{coords},,\n"
+        out += [
+            f"{sample},pair,{ij}{ks},{k},{res},,{flag}{tail}"
+            for ij, ks, k, res, flag in zip(pairs, special[p], oracle[p], flat[p], flags[p])
+        ]
+        out += _with_plane_errors(block, sample, [
+            f"{sample},plane,,,,{k},,,,,{coords},{u},{w}\n"
+            for k, u, w in zip(oracle[p][len(pairs):], us[p], ws[p])
+        ], error)
+    return out
+
+
 def report_body_csv(
     report: CurvatureReport,
     sampling_failures: Sequence[tuple[int, str]] = (),
@@ -167,23 +226,8 @@ def report_body_csv(
     every `residual_constk` cell, which no scan fills), then one
     `sample_error` row per rejected draw."""
     out = [_CSV_HEADER]
-    coords_of, coords = None, ""
-    # unpacked in `ScanRecord` field order: one tuple unpack, not ten attribute reads
-    for (sample, point, kind, i, j, u, w,
-         k_special, k_oracle, residual_flat, flagged, error) in report.records:
-        if point is not coords_of:   # a sample's records share its coords
-            coords_of, coords = point, _vector(point)
-        if kind == "pair":
-            out.append(
-                f"{sample},pair,{i},{j},{_repr(k_special)},{_repr(k_oracle)},"
-                f"{_repr(residual_flat)},,{flagged},,{coords},,\n"
-            )
-        elif kind == "plane":
-            out.append(
-                f"{sample},plane,,,,{_repr(k_oracle)},,,,,{coords},{_vector(u)},{_vector(w)}\n"
-            )
-        else:
-            out.append(f"{sample},error,,,,,,,,{_csv_cell(error)},{coords},,\n")
+    for block in report.columns:
+        out += _csv_records(block)
     out += [f"{idx},sample_error,,,,,,,,{_csv_cell(msg)},,,\n" for idx, msg in sampling_failures]
     return "".join(out)
 

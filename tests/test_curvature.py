@@ -1115,7 +1115,7 @@ def test_scan_records_follow_sample_pair_plane_order(monkeypatch):
         want.extend([(pos, "plane", None, None)] * 3)
     assert all(type(r) is ScanRecord for r in report.records)
     assert [(r.sample, r.kind, r.i, r.j) for r in report.records] == want
-    # the report writers format a sample's coords once, keyed on identity
+    # a sample's records share its point's coords tuple
     assert all(r.coords is pts[r.sample].coords for r in report.records)
     # a scan builds one generator, keyed off (seed, PLANE_STREAM), whose
     # draws its chunks take in point order, so any chunking gives the same

@@ -3,13 +3,15 @@
 `sample_points` returns the gated jet table its lift evaluated, and
 `scan_constancy(..., jets=table)` scans from it: no f_k is walked twice, and
 every record, summary field and report body is the same as a scan that
-evaluates its own table.  Records are built the first time `.records` is
-read, never by the suites.
+evaluates its own table.  A report keeps the engines' arrays, and its
+`ScanRecord`s are built the first time `.records` is read, never by the
+suites or the report writers.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -149,41 +151,51 @@ def test_a_table_of_another_shape_is_refused():
         scan_constancy(surface, samples.points[1:], jets=samples.table)
 
 
-def _spy_record_builds(monkeypatch, built: list) -> None:
-    """Append each chunk's point count to `built` when its records are built."""
-    real = curvature._scan_chunk
+def _count_record_builds(monkeypatch) -> list:
+    """A list that gains one entry per `ScanRecord` built through the name
+    in any `sepcurv` module, by call or by `_make`."""
+    built = []
+    real = curvature.ScanRecord
 
-    def spy(surface, points, *rest):
-        chunk = real(surface, points, *rest)
+    class Counted:
+        def __call__(self, *args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
 
-        def records():
-            built.append(len(points))
-            return chunk.records()
+        def _make(self, fields):
+            built.append(1)
+            return real._make(fields)
 
-        return chunk._replace(records=records)
-
-    monkeypatch.setattr(curvature, "_scan_chunk", spy)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("sepcurv") and \
+                getattr(module, "ScanRecord", None) is real:
+            monkeypatch.setattr(module, "ScanRecord", Counted())
+    return built
 
 
 def test_records_are_built_once_on_first_read(monkeypatch):
-    built = []
-    _spy_record_builds(monkeypatch, built)
+    built = _count_record_builds(monkeypatch)
     monkeypatch.setattr(curvature, "CHUNK_PLANES", 20)
     surface = make_hypersphere([0.0] * 4, 2.0)
     points, _, table = sample_points(surface, [(-0.5, 0.5)] * 3, 12, 2, (0.2, 2.02))
     report = scan_constancy(surface, points, ScanPolicy(oblique_per_point=2), jets=table)
-    assert built == []
     assert report.failure_count == 0 and report.value_count == 12 * (3 + 2)
+    # the writers read the engines' arrays, not records
+    report_body_json(report, **KW), report_body_csv(report)
+    assert built == []
     first = report.records
-    assert sum(built) == 12 and len(built) > 1   # one build per chunk
+    assert len(first) == 12 * (3 + 2) and len(built) == len(first)
     assert report.records is first
-    assert sum(built) == 12
-    assert len(first) == 12 * (3 + 2)
+    assert len(built) == len(first)
 
 
 def test_suites_never_build_records(monkeypatch):
-    built = []
-    _spy_record_builds(monkeypatch, built)
+    built = _count_record_builds(monkeypatch)
     assert all(row.ok for row in run_flat_suite(dims=(4,), count=5))
     assert all(row.ok for row in run_constant_suite(radii=(1.0,), dims=(4,), count=5, oblique=1))
     assert built == []
+    # the spy sees the records a read builds
+    surface = make_hypersphere([0.0] * 4, 2.0)
+    points, _, table = sample_points(surface, [(-0.5, 0.5)] * 3, 3, 1, (0.2, 2.02))
+    records = scan_constancy(surface, points, jets=table).records
+    assert len(built) == len(records) == 9

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sepcurv.cli
+from sepcurv import curvature
 from sepcurv import (
     CurvatureReport,
     ScanPolicy,
@@ -25,6 +26,7 @@ from sepcurv import (
     write_report,
 )
 from sepcurv.cli import main
+from sepcurv.curvature import record_columns
 
 from reference_report import reference_body_csv, reference_body_json
 
@@ -34,14 +36,33 @@ CSV_COLUMNS = [
 ]
 
 
-def sphere_report(oblique=2, count=3):
+def sphere_report(oblique=2, count=3, threads=1):
     fs = [parse_function("x^2") for _ in range(3)]
     fs.append(parse_function("x^2 - 4.0"))
     surface = SeparableSurface(tuple(fs))
     pts, fails, _ = sample_points(surface, [(-0.5, 0.5)] * 3, count, 5, (0.2, 2.02))
     assert not fails
     policy = ScanPolicy(oblique_per_point=oblique, seed=9)
-    return scan_constancy(surface, pts, policy)
+    return scan_constancy(surface, pts, policy, threads=threads)
+
+
+def made_from_records(report):
+    """The report made again from its records (`record_columns`)."""
+    return dataclasses.replace(report, columns=record_columns(report.records))
+
+
+REAL_GAUSS = curvature._gauss
+
+
+def off_tangent(table, u, w):
+    """`_gauss` with a plane forced off the tangent space at points whose
+    normal's first entry is far from 0: the first pair plane where it is
+    above 0.1, which fails the point, and the last oblique plane where it
+    is below -0.1, which fails that plane alone."""
+    u, normal = u.copy(), table.normal
+    for rows, plane in ((normal[:, 0] > 0.1, 0), (normal[:, 0] < -0.1, -1)):
+        u[rows, plane] = normal[rows]
+    return REAL_GAUSS(table, u, w)
 
 
 def synthetic_report():
@@ -89,7 +110,7 @@ def synthetic_report():
         seed=7,
         constancy_tol=1e-7,
         oblique_per_point=1,
-        records=records,
+        columns=record_columns(records),
         point_count=3,
         value_count=3,
         failure_count=1,
@@ -346,7 +367,7 @@ def odd_report():
                        w=(-0.0, x, 2.5), k_oracle=x),
             ScanRecord(sample=s, coords=coords, kind="error", error=ODD_TEXT),
         ]
-    return dataclasses.replace(synthetic_report(), records=tuple(records),
+    return dataclasses.replace(synthetic_report(), columns=record_columns(records),
                                k_min=-math.inf, k_max=math.nan, spread=-0.0)
 
 
@@ -367,7 +388,7 @@ def numpy_report():
             if getattr(rec, name) is not None:
                 changes[name] = vec(getattr(rec, name))
         records.append(rec._replace(**changes))
-    return dataclasses.replace(synthetic_report(), records=tuple(records),
+    return dataclasses.replace(synthetic_report(), columns=record_columns(records),
                                k_mean=f(1.0 / 3.0))
 
 
@@ -390,18 +411,40 @@ def test_cli_scan_bodies_match_oracle(tmp_path, monkeypatch, spec, fmt):
 
 
 def test_scan_bodies_match_oracle():
-    report = sphere_report(oblique=3, count=4)
-    body = assert_bodies_match(report)
-    assert '"residual_constk"' not in body
-    rows = list(csv.DictReader(io.StringIO(report_body_csv(report))))
-    assert len(rows) == len(report.records)
-    assert {row["residual_constk"] for row in rows} == {""}
+    # one body at 1, 2 and 8 chunks, and from the report made again from its records
+    bodies = set()
+    for threads in (1, 2, 8):
+        report = sphere_report(oblique=3, count=8, threads=threads)
+        for made in (report, made_from_records(report)):
+            body = assert_bodies_match(made)
+            assert '"residual_constk"' not in body
+            csv_body = report_body_csv(made)
+            rows = list(csv.DictReader(io.StringIO(csv_body)))
+            assert len(rows) == len(report.records)
+            assert {row["residual_constk"] for row in rows} == {""}
+            bodies.add((body, csv_body))
+    assert len(bodies) == 1
 
 
-def test_error_records_and_sampling_failures_match_oracle():
+def test_error_records_and_sampling_failures_match_oracle(monkeypatch):
     body = assert_bodies_match(synthetic_report(), ODD_FAILURES)
     assert json.loads(body)["sampling_failures"][0]["error"] == ODD_TEXT
     assert body.isascii()
+
+    # a scan with failed points and failed oblique planes: one body at 1, 2
+    # and 8 chunks, and from the report made again from its records
+    monkeypatch.setattr(curvature, "_gauss", off_tangent)
+    bodies = set()
+    for threads in (1, 2, 8):
+        report = sphere_report(oblique=3, count=8, threads=threads)
+        kinds = {}
+        for rec in report.records:
+            kinds.setdefault(rec.sample, []).append(rec.kind)
+        assert ["error"] in kinds.values()                        # a failed point
+        assert ["pair"] * 3 + ["plane"] * 2 + ["error"] in kinds.values()   # a failed plane
+        for made in (report, made_from_records(report)):
+            bodies.add(assert_bodies_match(made, ODD_FAILURES))
+    assert len(bodies) == 1
 
 
 def test_nonfinite_signed_zero_and_subnormal_values_match_oracle():
@@ -417,7 +460,7 @@ def test_numpy_floats_match_oracle():
 def test_empty_sampling_failures_and_records_match_oracle():
     body = assert_bodies_match(synthetic_report(), [])
     assert '"sampling_failures": [],' in body
-    empty = dataclasses.replace(synthetic_report(), records=())
+    empty = dataclasses.replace(synthetic_report(), columns=())
     assert '"records": [],' in assert_bodies_match(empty, [])
 
 
@@ -435,7 +478,7 @@ def text_report(errors):
     base = synthetic_report()
     extra = tuple(ScanRecord(sample=10 + s, coords=(0.5, -0.0, 1e-300), kind="error", error=text)
                   for s, text in enumerate(errors))
-    return dataclasses.replace(base, records=base.records + extra)
+    return dataclasses.replace(base, columns=record_columns(base.records + extra))
 
 
 def bare_cr(text):
