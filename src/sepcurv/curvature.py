@@ -541,13 +541,13 @@ def _scan_chunk(
         start + p: describe(errors[p] or plane_errors[p, int(bad[p].argmax())])
         for p in np.flatnonzero(~good).tolist()
     }
-    plane_errors = {
+    oblique_errors = {
         (start + p, r - nq): describe(exc) for (p, r), exc in plane_errors.items()
         if r >= nq and good[p]
     }
     columns = RecordColumns(
         range(start, start + len(points)), [point.coords for point in points], pairs, ks, k,
-        flagged, pu, pw, point_errors, plane_errors, table,
+        flagged, pu, pw, point_errors, oblique_errors, table,
     )
     return _Chunk(values, int(flagged[good].sum()), devs, int((~good).sum() + (~kept).sum()),
                   columns)
