@@ -6,9 +6,12 @@ versions that produced them:
 
 - the JSON and CSV scan bodies (past the `#` line) of every `specs/*.json`,
   at the default `--threads` and at `--threads 3` (three chunks);
+- the same bodies, at both chunkings, of the specs in `OBLIQUE_SPECS`
+  rewritten with `sampling.oblique_planes: 3`;
 - the same bodies of the edge-case specs in `EDGE_SPECS`;
 - the stdout of `certify flat` and `certify constant` at `--count 10`;
 - the stdout of README's two `eval` examples;
+- the exit code and stderr of CI's two `eval` exit-3 cases (`EVAL_FAILURES`);
 - the OBJ and curvature sidecar of `mesh specs/sphere3_mesh.json`;
 - `perfbench/gate.fingerprint` of each benchmark workload at seeds 1 to 3
   (itself a sha256 over the repetition's output bodies).
@@ -41,6 +44,13 @@ EVAL_ARGS = (
     ("specs/raw_functions_n4.json", "--point", "0.5,0.1,-0.3", "--pair", "1,3", "--k0", "1",
      "--format", "csv"),
 )
+# CI's eval failures: a height root outside the bracket, an overflowing figure
+EVAL_FAILURES = (
+    ("specs/hypersphere_r2_n4.json", "--point", "2.5,0,0"),
+    ("specs/hypersphere_r2_n4.json", "--point", "0.1,0.2,0.3", "--k0", "1e308"),
+)
+# shipped specs also scanned with oblique planes (sphere and raw functions)
+OBLIQUE_SPECS = ("cobb_douglas_n5.json", "raw_functions_n4.json")
 
 # CI's bracket-miss, overflow and oblique-overflow scans, and a scan whose
 # every point is an error record: each (1, 2) pair plane has wedge norm
@@ -80,16 +90,22 @@ def platform_info() -> dict[str, str]:
     }
 
 
-def _cli(argv: list[str]) -> str:
-    """stdout of `sepcurv <argv>`, which must exit 0."""
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of `sepcurv <argv>`."""
     from sepcurv import cli
 
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _cli(argv: list[str]) -> str:
+    """stdout of `sepcurv <argv>`, which must exit 0."""
+    rc, stdout, _ = _run(argv)
     if rc != 0:
         raise RuntimeError(f"sepcurv {' '.join(argv)} exited {rc}")
-    return buf.getvalue()
+    return stdout
 
 
 def _sha(text: str) -> str:
@@ -130,6 +146,13 @@ def digests(work: Path) -> dict[str, str]:
     for spec in sorted((ROOT / "specs").glob("*.json")):
         scan(spec.name, spec)
         scan(spec.name, spec, "--threads", "3")
+    for name in OBLIQUE_SPECS:
+        doc = json.loads((ROOT / "specs" / name).read_text(encoding="utf-8"))
+        doc["sampling"]["oblique_planes"] = 3
+        spec = work / f"oblique-{name}"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        scan(f"{name} with oblique_planes 3", spec)
+        scan(f"{name} with oblique_planes 3", spec, "--threads", "3")
     for name, doc in EDGE_SPECS.items():
         spec = work / f"{name}.json"
         spec.write_text(json.dumps({"format_version": 1, **doc}), encoding="utf-8")
@@ -139,6 +162,9 @@ def digests(work: Path) -> dict[str, str]:
     for spec, *args in EVAL_ARGS:
         stdout = _cli(["eval", str(ROOT / spec), *args])
         out[f"eval {' '.join([spec, *args])} stdout"] = _sha(stdout)
+    for spec, *args in EVAL_FAILURES:
+        rc, _, stderr = _run(["eval", str(ROOT / spec), *args])
+        out[f"eval {' '.join([spec, *args])} exit code and stderr"] = _sha(f"exit {rc}\n{stderr}")
     obj = work / "sphere3_mesh.obj"
     _cli(["mesh", str(ROOT / "specs" / "sphere3_mesh.json"), "--out", str(obj)])
     out["mesh sphere3_mesh.json obj"] = _sha(obj.read_text(encoding="utf-8"))
