@@ -76,8 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None, help="override the constancy tolerance")
     p.add_argument(
         "--threads", type=int, default=1,
-        help="number (>= 1) of sequential point chunks the scan is split into "
-        "(output is identical for any value)",
+        help="number (>= 1) of sequential point chunks the Gauss engine is split "
+        "into; every other step runs once over all points (output is identical "
+        "for any value)",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json", help="report body format")
 

@@ -34,9 +34,9 @@ jets, and the scaled ones times 2^(4 e) only where those overflow.  All
 are array expressions over all points and planes at once.  Sums over
 coordinates run in a fixed order, so a row's result does not depend on how
 many rows share the table: the point-wise functions are the same kernels at
-P = 1 and agree with a scan bit for bit, and a scan split into point chunks
-writes the same records and summary (an exact `fsum` mean, see
-`scan_constancy`).
+P = 1 and agree with a scan bit for bit, and a scan whose Gauss engine runs
+in point chunks writes the same records and summary (an exact `fsum` mean
+computed once over every point, see `scan_constancy`).
 
 Random oblique planes map standard-normal coefficient pairs in R^(n-1)
 through each point's orthonormal tangent basis (`JetTable.reflector`), so
@@ -260,8 +260,8 @@ def sectional_oracle(surface: SeparableSurface, point: SurfacePoint, plane) -> f
     """Gauss-equation curvature of an arbitrary tangent 2-plane.
 
     `plane` is any (2, n) array-like whose rows u and w span the plane;
-    another shape is a `ValueError`.  Both rows must be tangent at the point
-    (normal component within `PLANE_EPS` after normalization) and
+    another shape is a `ValueError`.  Both rows must be finite, tangent at
+    the point (normal component within `PLANE_EPS` after normalization) and
     independent (the wedge norm of the normalized pair above `PLANE_EPS`),
     else a `DegeneratePlaneError`.  Orthonormalizes the pair, pairs it with
     the diagonal ambient Hessian of F, and divides by ||grad F||^2.
@@ -271,6 +271,9 @@ def sectional_oracle(surface: SeparableSurface, point: SurfacePoint, plane) -> f
     plane = np.asarray(plane, dtype=float)
     if plane.shape != (2, surface.n):
         raise ValueError(f"plane must have shape (2, {surface.n}), got {plane.shape}")
+    for name, row in zip("uw", plane):
+        if not np.isfinite(row).all():
+            raise DegeneratePlaneError(f"plane vector {name} has a non-finite entry")
     k, errors = _gauss(point_jets(surface, point), *plane[:, None, None])
     if errors:
         raise errors[0, 0]
@@ -306,9 +309,10 @@ class ScanPolicy:
     top of all coordinate pairs; their curvatures enter the summary
     statistics.  Both counts are integers >= 0 and the tolerance is positive
     and finite, checked when the policy is built.  A scan draws every
-    point's planes, in point order, from one stream keyed by (seed,
-    `PLANE_STREAM`) and redraws a rejected pair from the stream [seed,
-    point position], so results are independent of chunking.
+    point's planes in one call, in point order, from one stream keyed by
+    (seed, `PLANE_STREAM`) and redraws a rejected pair from the stream
+    [seed, position in the scan], so results are independent of how the
+    Gauss engine is chunked.
     """
 
     oblique_per_point: int = 0
@@ -343,7 +347,8 @@ class ScanRecord(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class RecordColumns:
-    """The records of P sample rows, kept as the engines' arrays.
+    """The records of P sample rows, kept as the engines' arrays: a scan's
+    one block holds every point's rows, however its Gauss engine is chunked.
 
     Row p is sample `samples[p]` at `coords[p]`.  A row whose sample has a
     `point_errors` text holds that one error record.  Any other row holds a
@@ -475,103 +480,6 @@ class CurvatureReport:
         return key(self) == key(other)
 
 
-class _Chunk(NamedTuple):
-    """A scan chunk's summary inputs over its points without an error (the
-    curvature values in record order, the flagged pair count and the pair
-    engine deviations), its error-record count, and its record columns."""
-
-    values: np.ndarray
-    flagged: int
-    devs: np.ndarray
-    failures: int
-    columns: RecordColumns
-
-
-def _scan_chunk(
-    surface: SeparableSurface,
-    points: Sequence[SurfacePoint],
-    jets: JetTable,
-    start: int,
-    pairs: Sequence[tuple[int, int]],
-    policy: ScanPolicy,
-    rng: np.random.Generator | None,
-) -> _Chunk:
-    """Both pair engines and every oblique plane of the points at positions
-    start, start + 1, ..., evaluated as arrays over their jet table, with
-    the summary's inputs taken from those arrays.  The oblique planes' next
-    (points, planes, 2, n - 1) coefficients come from the scan's `rng`.
-    The record columns keep the engines' arrays and not the pair frames."""
-    errors = jets.errors(surface.height)
-    table = pair_table(surface, jets, pairs)
-    nq, m = len(pairs), policy.oblique_per_point
-    u, w = table.frames()
-    pu = pw = np.zeros((len(points), 0, surface.n))
-    draw_errors: dict[tuple[int, int], DegeneratePlaneError] = {}
-    regular = np.array([exc is None for exc in errors], dtype=bool)
-    if m:
-        pu, pw, ok = _draw_planes(jets, rng.standard_normal((len(points), m, 2, surface.n - 1)))
-        for p in np.flatnonzero(regular & ~ok.all(axis=1)).tolist():
-            # the point's rejected pairs are redrawn, in order, from its own stream
-            redraw = np.random.default_rng([policy.seed, start + p])
-            for r in np.flatnonzero(~ok[p]).tolist():
-                try:
-                    pu[p, r], pw[p, r] = random_tangent_plane(surface, points[p], redraw)
-                except DegeneratePlaneError as exc:
-                    draw_errors[p, r] = exc
-        u, w = np.concatenate([u, pu], axis=1), np.concatenate([w, pw], axis=1)
-    k, plane_errors = _gauss(jets, u, w)
-    plane_errors.update(((p, nq + r), exc) for (p, r), exc in draw_errors.items())
-    bad = np.zeros(k.shape, dtype=bool)
-    if plane_errors:
-        bad[tuple(zip(*plane_errors))] = True
-    # a point fails on its jets' error, else on its first failing pair plane
-    good = regular & ~bad[:, :nq].any(axis=1)
-    kept = ~bad[good]
-
-    ks, ko = table.curvature(), k[:, :nq]
-    with np.errstate(all="ignore"):
-        gap, scale = np.abs(ks - ko), np.maximum(1.0, np.abs(ko))
-        # a non-finite value in either engine fails the comparison, so it is flagged
-        flagged = ~(gap <= EQUIVALENCE_RTOL * scale)
-        devs = gap[good] / scale[good]
-    values = np.concatenate([ks, k[:, nq:]], axis=1)[good][kept]
-
-    # an error point's one record names the failure that made it one
-    point_errors = {
-        start + p: describe(errors[p] or plane_errors[p, int(bad[p].argmax())])
-        for p in np.flatnonzero(~good).tolist()
-    }
-    oblique_errors = {
-        (start + p, r - nq): describe(exc) for (p, r), exc in plane_errors.items()
-        if r >= nq and good[p]
-    }
-    columns = RecordColumns(
-        range(start, start + len(points)), [point.coords for point in points], pairs, ks, k,
-        flagged, pu, pw, point_errors, oblique_errors, table,
-    )
-    return _Chunk(values, int(flagged[good].sum()), devs, int((~good).sum() + (~kept).sum()),
-                  columns)
-
-
-def _joined(blocks: Sequence[RecordColumns], jets: JetTable) -> RecordColumns:
-    """A scan's chunk columns as one block, so that a report keeps the same
-    columns for any chunking."""
-    if len(blocks) == 1:
-        return blocks[0]
-    tables = [block.residuals for block in blocks]
-
-    def cat(name: str, parts: Sequence = blocks) -> np.ndarray:
-        return np.concatenate([getattr(part, name) for part in parts])
-
-    return RecordColumns(
-        range(len(jets.d1)), list(chain.from_iterable(block.coords for block in blocks)),
-        blocks[0].pairs, cat("k_special"), cat("k_oracle"), cat("flagged"), cat("u"), cat("w"),
-        {key: text for block in blocks for key, text in block.point_errors.items()},
-        {key: text for block in blocks for key, text in block.plane_errors.items()},
-        PairTable(tables[0].pairs, tables[0].height, jets, cat("flat", tables), cat("s", tables)),
-    )
-
-
 def scan_constancy(
     surface: SeparableSurface,
     samples: Sequence[SurfacePoint],
@@ -586,15 +494,18 @@ def scan_constancy(
     the `Samples` the points came from, so that no f_k is walked again.
     Without it the scan evaluates one (`geometry.jet_table`); a table of
     another shape is a `ValueError`.  Per-point failures become error
-    records, never abort the scan.  The points are evaluated in `threads`
-    sequential chunks: at most one chunk per point, and at least enough
-    chunks that they average no more than `CHUNK_PLANES` planes.  The
-    summary is combined from the chunks' engine arrays, never from the
-    records, and the report keeps those arrays, joined into one
-    `RecordColumns` block, as its records: the writers read them, and
-    `ScanRecord`s are built from them only when `records` is first read.
-    Records are ordered by (sample position, pairs ascending, then planes in
-    draw order), so output is identical for any chunk count.
+    records, never abort the scan.  Every step runs once over all points'
+    arrays, except the Gauss engine, whose (points, planes, n) frames are
+    the large arrays: it runs in `threads` sequential point chunks, at most
+    one per point and at least enough that they average no more than
+    `CHUNK_PLANES` planes, each filling its rows of one K array.  The
+    summary is computed once from the engine arrays, never from the
+    records, and the report keeps those arrays, as one `RecordColumns`
+    block, as its records: the writers read them, and `ScanRecord`s are
+    built from them only when `records` is first read.  Records are ordered
+    by (sample position, pairs ascending, then planes in draw order), and
+    the Gauss sums run in a fixed order per row, so output is identical for
+    any chunk count.
     """
     threads = integer(threads, "threads")
     samples = list(samples)
@@ -607,23 +518,51 @@ def scan_constancy(
             f"jet table of shape {jets.d1.shape} does not fit {len(samples)} points "
             f"in R^{surface.n}"
         )
-    pairs = list(combinations(surface.non_height, 2))
-    planes = len(samples) * (len(pairs) + policy.oblique_per_point)
-    chunks = min(max(threads, -(-planes // CHUNK_PLANES)), len(samples))
-    edges = [len(samples) * c // chunks for c in range(chunks + 1)]
-    rng = None
-    if policy.oblique_per_point:
+    errors = jets.errors(surface.height)
+    regular = np.array([exc is None for exc in errors], dtype=bool)
+    table = pair_table(surface, jets)
+    count, nq, m = len(samples), len(table.pairs), policy.oblique_per_point
+    pu = pw = np.zeros((count, 0, surface.n))
+    draw_errors: dict[tuple[int, int], DegeneratePlaneError] = {}
+    if m:
         rng = np.random.default_rng(np.random.SeedSequence(policy.seed, spawn_key=PLANE_STREAM))
-    # the chunks draw from rng in turn, so each point gets the same coefficients for any chunking
-    parts = [
-        _scan_chunk(surface, samples[a:b], jets.rows(a, b), a, pairs, policy, rng)
-        for a, b in zip(edges, edges[1:])
-    ]
+        pu, pw, ok = _draw_planes(jets, rng.standard_normal((count, m, 2, surface.n - 1)))
+        for p in np.flatnonzero(regular & ~ok.all(axis=1)).tolist():
+            # the point's rejected pairs are redrawn, in order, from its own stream
+            redraw = np.random.default_rng([policy.seed, p])
+            for r in np.flatnonzero(~ok[p]).tolist():
+                try:
+                    pu[p, r], pw[p, r] = random_tangent_plane(surface, samples[p], redraw)
+                except DegeneratePlaneError as exc:
+                    draw_errors[p, nq + r] = exc
+    chunks = min(max(threads, -(-count * (nq + m) // CHUNK_PLANES)), count)
+    edges = [count * c // chunks for c in range(chunks + 1)]
+    lo, hi = zip(*table.pairs)
+    k, plane_errors = np.empty((count, nq + m)), {}
+    for a, b in zip(edges, edges[1:]):
+        # a chunk's planes are its points' pair frames, then their oblique planes
+        rows = jets.rows(a, b)
+        u = np.concatenate([rows.frames(surface.height, lo), pu[a:b]], axis=1)
+        w = np.concatenate([rows.frames(surface.height, hi), pw[a:b]], axis=1)
+        k[a:b], found = _gauss(rows, u, w)
+        plane_errors.update(((a + p, r), exc) for (p, r), exc in found.items())
+    plane_errors.update(draw_errors)
+    bad = np.zeros(k.shape, dtype=bool)
+    if plane_errors:
+        bad[tuple(zip(*plane_errors))] = True
+    # a point fails on its jets' error, else on its first failing pair plane
+    good = regular & ~bad[:, :nq].any(axis=1)
+    kept = ~bad[good]
 
-    values = np.concatenate([part.values for part in parts])
+    ks, ko = table.curvature(), k[:, :nq]
+    with np.errstate(all="ignore"):
+        gap, scale = np.abs(ks - ko), np.maximum(1.0, np.abs(ko))
+        # a non-finite value in either engine fails the comparison, so it is flagged
+        flagged = ~(gap <= EQUIVALENCE_RTOL * scale)
+        devs = gap[good] / scale[good]
+    values = np.concatenate([ks, k[:, nq:]], axis=1)[good][kept]
     finite = values[np.isfinite(values)]
-    flagged_count = sum(part.flagged for part in parts)
-    devs = np.concatenate([part.devs for part in parts])
+    flagged_count = int(flagged[good].sum())
     devs = devs[np.isfinite(devs)]
     max_dev = float(devs.max()) if devs.size else None
     if finite.size:
@@ -646,15 +585,27 @@ def scan_constancy(
     else:
         k_min = k_max = k_mean = spread = estimate = None
         verdict = "undetermined"
+    # an error point's one record names the failure that made it one
+    point_errors = {
+        p: describe(errors[p] or plane_errors[p, int(bad[p].argmax())])
+        for p in np.flatnonzero(~good).tolist()
+    }
+    oblique_errors = {
+        (p, r - nq): describe(exc) for (p, r), exc in plane_errors.items() if r >= nq and good[p]
+    }
+    columns = RecordColumns(
+        range(count), [point.coords for point in samples], table.pairs, ks, k, flagged, pu, pw,
+        point_errors, oblique_errors, table,
+    )
     return CurvatureReport(
         n=surface.n,
         seed=policy.seed,
         constancy_tol=policy.constancy_tol,
         oblique_per_point=policy.oblique_per_point,
-        columns=(_joined([part.columns for part in parts], jets),),
-        point_count=len(samples),
+        columns=(columns,),
+        point_count=count,
         value_count=len(values),
-        failure_count=sum(part.failures for part in parts),
+        failure_count=int((~good).sum() + (~kept).sum()),
         k_min=k_min,
         k_max=k_max,
         k_mean=k_mean,

@@ -527,6 +527,18 @@ def test_oracle_rejects_bad_planes():
         sectional_oracle(s, p, [gradient(s, p), w])
 
 
+@pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+@pytest.mark.parametrize("row", [0, 1])
+def test_oracle_rejects_non_finite_planes(row, bad):
+    # a plane whose spanning vector holds NaN or +-inf is not tangent: the
+    # Gauss sums alone would read nan and raise nothing
+    s, pts = sphere_points(4, 2.0, 2, 4)
+    plane = coordinate_plane(s, pts[0], 1, 2)
+    plane[row, 2] = bad
+    with pytest.raises(DegeneratePlaneError, match=f"plane vector {'uw'[row]} has a non-finite"):
+        sectional_oracle(s, pts[0], plane)
+
+
 def test_oracle_rejects_nearly_dependent_pair():
     # a 1e-12 sliver must trip the independence gate, not feed noise into
     # the orthonormalization
@@ -772,22 +784,26 @@ def planes_at(report, pos):
 
 def test_scan_rejected_draw_falls_back_to_sequential_planes(monkeypatch):
     # only the dependent pair is redrawn, from point 1's own stream, as
-    # random_tangent_plane draws from it; every other plane keeps its draw
+    # random_tangent_plane draws from it; every other plane keeps its draw.
+    # At 3 threads each point is its own Gauss chunk: the draws are still
+    # one call over every point, and the redraw stream is keyed by the
+    # point's position in the whole scan
     s, pts = sphere_points(4, 2.0, 3, 67)
     policy = ScanPolicy(oblique_per_point=4, seed=67)
     plain = scan_constancy(s, pts, policy)
-    log = []
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: DependentPair(seed, log))
-    report = scan_constancy(s, pts, policy)
-    assert len(log) == 2 and log[1] == [67, 1]
     redrawn = random_tangent_plane(s, pts[1], REAL_DEFAULT_RNG([67, 1]))
-    for pos in range(len(pts)):
-        want = planes_at(plain, pos)
-        if pos == 1:
-            assert not np.array_equal(want[2], redrawn)
-            want[2] = redrawn
-        assert np.array_equal(planes_at(report, pos), want)
-    assert report.verdict == "constant" and report.failure_count == 0
+    for threads in (1, 3):
+        log = []
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: DependentPair(seed, log))
+        report = scan_constancy(s, pts, policy, threads=threads)
+        assert len(log) == 2 and log[1] == [67, 1]
+        for pos in range(len(pts)):
+            want = planes_at(plain, pos)
+            if pos == 1:
+                assert not np.array_equal(want[2], redrawn)
+                want[2] = redrawn
+            assert np.array_equal(planes_at(report, pos), want)
+        assert report.verdict == "constant" and report.failure_count == 0
 
 
 def overflow_surface():
@@ -942,13 +958,13 @@ def test_scan_bounds_planes_per_chunk(monkeypatch):
     policy = ScanPolicy(oblique_per_point=6, seed=64)
     whole = scan_constancy(s, pts, policy)
     sizes = []
-    real_chunk = curvature._scan_chunk
+    real_gauss = curvature._gauss
 
-    def spy(surface, points, *rest):
-        sizes.append(len(points))
-        return real_chunk(surface, points, *rest)
+    def spy(table, u, w):
+        sizes.append(len(table.d1))
+        return real_gauss(table, u, w)
 
-    monkeypatch.setattr(curvature, "_scan_chunk", spy)
+    monkeypatch.setattr(curvature, "_gauss", spy)
     monkeypatch.setattr(curvature, "CHUNK_PLANES", 30)
     # 20 points x (3 pairs + 6 planes) = 180 planes: at least 6 chunks
     assert scan_constancy(s, pts, policy) == whole
