@@ -171,7 +171,11 @@ class JetTable:
         return vec
 
     def rows(self, start: int, stop: int) -> JetTable:
-        """The table of the points at rows start, ..., stop - 1."""
+        """The table of the points at rows start, ..., stop - 1: the table
+        itself when those are all its rows, so that nothing it caches is
+        computed again (a scan's Gauss engine in one chunk)."""
+        if (start, stop) == (0, len(self.d1)):
+            return self
         part = slice(start, stop)
         return JetTable(self.d1[part], self.d2[part], self.sq_norm[part], self.jet_errors[part])
 
