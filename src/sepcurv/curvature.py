@@ -542,8 +542,9 @@ def scan_constancy(
     for a, b in zip(edges, edges[1:]):
         # a chunk's planes are its points' pair frames, then their oblique planes
         rows = jets.rows(a, b)
-        u = np.concatenate([rows.frames(surface.height, lo), pu[a:b]], axis=1)
-        w = np.concatenate([rows.frames(surface.height, hi), pw[a:b]], axis=1)
+        u, w = rows.frames(surface.height, lo), rows.frames(surface.height, hi)
+        if m:
+            u, w = np.concatenate([u, pu[a:b]], axis=1), np.concatenate([w, pw[a:b]], axis=1)
         k[a:b], found = _gauss(rows, u, w)
         plane_errors.update(((a + p, r), exc) for (p, r), exc in found.items())
     plane_errors.update(draw_errors)
