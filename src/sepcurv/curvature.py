@@ -45,21 +45,21 @@ scan draws every point's pairs, in point order, from one generator keyed by
 `SeedSequence(seed, spawn_key=PLANE_STREAM)`, and redraws a rejected pair
 (too short or nearly dependent) from default_rng([seed, position]).
 
-A scan's report keeps its engines' arrays as its records (`RecordColumns`):
-the pair K of both engines, the flags, the plane K and u, w, the coords and
-each failure's text.  The report writers read them; the flatness residual
-and the `ScanRecord`s are computed from them only when first read, which
-the certify suites never do.
+A scan's report keeps its engines' arrays as its records, in one
+`RecordColumns` block: the pair K of both engines, the flags, the plane K
+and u, w, the coords and each failure's text.  The report writers read
+them; the flatness residual and the `ScanRecord`s are computed from them
+only when first read, which the certify suites never do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import chain, combinations, repeat
+from itertools import combinations, repeat
 from math import fsum
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -341,27 +341,23 @@ class ScanRecord(NamedTuple):
     flagged: bool = False
     error: str | None = None
 
-    def k_value(self) -> float | None:
-        return self.k_special if self.k_special is not None else self.k_oracle
-
 
 @dataclass(frozen=True, eq=False)
 class RecordColumns:
-    """The records of P sample rows, kept as the engines' arrays: a scan's
-    one block holds every point's rows, however its Gauss engine is chunked.
+    """The records of a scan's P sample points, kept as its engines' arrays
+    in one block, however its Gauss engine is chunked.
 
-    Row p is sample `samples[p]` at `coords[p]`.  A row whose sample has a
-    `point_errors` text holds that one error record.  Any other row holds a
-    pair record per entry q of `pairs`, from column q of `k_special`,
-    `k_oracle`, `residual_flat` and `flagged` (shape (P, Q)), and then one
-    record per oblique plane r: a plane record of `k_oracle[p, Q + r]`,
-    `u[p, r]` and `w[p, r]` ((P, m, n)), or an error record where
-    (sample, r) has a `plane_errors` text.  `residuals` is the
-    `residual_flat` array, or a scan's `PairTable`, from which it is
-    computed on first read.  Error rows' array entries mean nothing.
+    Row p is sample p, at `coords[p]`.  A row with a `point_errors[p]` text
+    holds that one error record.  Any other row holds a pair record per
+    entry q of `pairs`, from column q of `k_special`, `k_oracle`,
+    `residual_flat` and `flagged` (shape (P, Q)), and then one record per
+    oblique plane r: a plane record of `k_oracle[p, Q + r]`, `u[p, r]` and
+    `w[p, r]` ((P, m, n)), or an error record where (p, r) has a
+    `plane_errors` text.  `residuals` is the `residual_flat` array, or a
+    scan's `PairTable`, from which it is computed on first read.  Error
+    rows' array entries mean nothing.
     """
 
-    samples: Sequence[int]
     coords: Sequence[tuple[float, ...]]
     pairs: Sequence[tuple[int, int]]
     k_special: np.ndarray
@@ -388,58 +384,35 @@ class RecordColumns:
                                  self.flagged, self.u, self.w)
         )
         out: list[ScanRecord] = []
-        for p, (sample, coords) in enumerate(zip(self.samples, self.coords)):
-            if sample in self.point_errors:
-                out.append(ScanRecord(sample, coords, "error", error=self.point_errors[sample]))
+        for p, coords in enumerate(self.coords):
+            if p in self.point_errors:
+                out.append(ScanRecord(p, coords, "error", error=self.point_errors[p]))
                 continue
-            # repeat(sample, nq) stops the zip after the pairs: gauss[p] holds the planes too
+            # repeat(p, nq) stops the zip after the pairs: gauss[p] holds the planes too
             out.extend(map(ScanRecord._make, zip(
-                repeat(sample, nq), repeat(coords), repeat("pair"), lo, hi, repeat(None),
+                repeat(p, nq), repeat(coords), repeat("pair"), lo, hi, repeat(None),
                 repeat(None), special[p], gauss[p], flat[p], flags[p], repeat(None),
             )))
             for r in range(m):
-                failed = (sample, r) in self.plane_errors
+                failed = (p, r) in self.plane_errors
                 out.append(
-                    ScanRecord(sample, coords, "error", error=self.plane_errors[sample, r]) if failed
-                    else ScanRecord(sample, coords, "plane", None, None, tuple(us[p][r]),
+                    ScanRecord(p, coords, "error", error=self.plane_errors[p, r]) if failed
+                    else ScanRecord(p, coords, "plane", None, None, tuple(us[p][r]),
                                     tuple(ws[p][r]), None, gauss[p][nq + r])
                 )
         return out
-
-
-def _record_block(rec: ScanRecord) -> RecordColumns:
-    """One record as a one-row block: a pair, a plane, or else an error."""
-    q, m = int(rec.kind == "pair"), int(rec.kind == "plane")
-
-    def column(value, size: int, dtype=float) -> np.ndarray:
-        return np.array([[value] * size], dtype=dtype)   # shape (1, size)
-
-    u, w = (np.array([[v]], dtype=float) if m else np.zeros((1, 0, 0)) for v in (rec.u, rec.w))
-    return RecordColumns(
-        (rec.sample,), (rec.coords,), [(rec.i, rec.j)] * q, column(rec.k_special, q),
-        column(rec.k_oracle, q + m), column(bool(rec.flagged), q, bool), u, w,
-        {} if q or m else {rec.sample: rec.error}, {}, column(rec.residual_flat, q),
-    )
-
-
-def record_columns(records: Iterable[ScanRecord]) -> tuple[RecordColumns, ...]:
-    """Records as the columns a report keeps (`CurvatureReport.columns`), one
-    block per record: a report made of them writes them and reads them back
-    as given, each number as its float and each flag as its bool."""
-    return tuple(map(_record_block, records))
 
 
 @dataclass(frozen=True)
 class CurvatureReport:
     """Scan outcome: per-plane records plus summary statistics.
 
-    The records are kept in `columns`: a scan's engine arrays, as one
-    `RecordColumns` block for any chunking, or the blocks `record_columns`
-    makes of a sequence of records (`columns=record_columns(records)`).
-    The report writers read the columns.  `records` builds the
-    `ScanRecord`s from them the first time it is read, so a scan whose
-    records nobody reads never builds them, and every read returns the same
-    tuple.  Two reports are equal when their records and other fields are.
+    The records are kept in `columns`: the scan's engine arrays, as one
+    `RecordColumns` block for any chunking.  The report writers read the
+    columns.  `records` builds the `ScanRecord`s from them the first time it
+    is read, so a scan whose records nobody reads never builds them, and
+    every read returns the same tuple.  Two reports are equal when their
+    records and other fields are.
 
     `k_min`, `k_max`, `k_mean` and `spread` (max - min) range over the
     finite curvature values.  `verdict` is "non-constant" if the spread
@@ -455,7 +428,7 @@ class CurvatureReport:
     seed: int
     constancy_tol: float
     oblique_per_point: int
-    columns: tuple[RecordColumns, ...] = field(compare=False)
+    columns: RecordColumns = field(compare=False)
     point_count: int
     value_count: int
     failure_count: int
@@ -470,7 +443,7 @@ class CurvatureReport:
 
     @cached_property
     def records(self) -> tuple[ScanRecord, ...]:
-        return tuple(chain.from_iterable(block.records() for block in self.columns))
+        return tuple(self.columns.records())
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -595,7 +568,7 @@ def scan_constancy(
         (p, r - nq): describe(exc) for (p, r), exc in plane_errors.items() if r >= nq and good[p]
     }
     columns = RecordColumns(
-        range(count), [point.coords for point in samples], table.pairs, ks, k, flagged, pu, pw,
+        [point.coords for point in samples], table.pairs, ks, k, flagged, pu, pw,
         point_errors, oblique_errors, table,
     )
     return CurvatureReport(
@@ -603,7 +576,7 @@ def scan_constancy(
         seed=policy.seed,
         constancy_tol=policy.constancy_tol,
         oblique_per_point=policy.oblique_per_point,
-        columns=(columns,),
+        columns=columns,
         point_count=count,
         value_count=len(values),
         failure_count=int((~good).sum() + (~kept).sum()),

@@ -8,13 +8,13 @@ time; `read_report_body` strips the header so callers can compare bodies
 directly.
 
 Both writers write the records straight from the report's columns (the
-scan's engine arrays, `CurvatureReport.columns`), a sample row at a time,
-with one template per record kind filled by one list comprehension over
-each row's number texts; they build no `ScanRecord`.  The library encoders
-are not used for the records, because they spend most of their time on work
-these rows never need: the JSON records' keys are fixed and already sorted,
-and `json.dumps` with `indent` runs CPython's pure-Python encoder, which
-cost more than the scan itself.  The JSON body is byte-identical to
+scan's engine arrays in one block, `CurvatureReport.columns`), a sample row
+at a time, with one template per record kind filled by one list
+comprehension over each row's number texts; they build no `ScanRecord`.
+The library encoders are not used for the records, because they spend most
+of their time on work these rows never need: the JSON records' keys are
+fixed and already sorted, and `json.dumps` with `indent` runs CPython's
+pure-Python encoder, which cost more than the scan itself.  The JSON body is byte-identical to
 `json.dumps(doc, sort_keys=True, indent=2)`: floats go through
 `float.__repr__` (NaN and infinities as `NaN`, `Infinity`, `-Infinity`),
 strings through `json.encoder.encode_basestring_ascii`, and the small report
@@ -79,12 +79,12 @@ def _vectors(values: np.ndarray, sep: str, num) -> list[list[str]]:
     return [[sep.join(map(num, vec)) for vec in row] for row in values.tolist()]
 
 
-def _with_plane_errors(block: RecordColumns, sample: int, planes: list[str], error) -> list[str]:
-    """A row's plane records, with `error(text)` in place of each failed plane."""
+def _with_plane_errors(block: RecordColumns, p: int, planes: list[str], error) -> list[str]:
+    """Row p's plane records, with `error(text)` in place of each failed plane."""
     if block.plane_errors:
         for r in range(len(planes)):
-            if (sample, r) in block.plane_errors:
-                planes[r] = error(block.plane_errors[sample, r])
+            if (p, r) in block.plane_errors:
+                planes[r] = error(block.plane_errors[p, r])
     return planes
 
 
@@ -98,16 +98,16 @@ def _json_records(block: RecordColumns) -> list[str]:
     flags = [["true" if f else "false" for f in row] for row in block.flagged.tolist()]
     pairs = [f'      "i": {i},\n      "j": {j},\n      "k_oracle": ' for i, j in block.pairs]
     out: list[str] = []
-    for p, (sample, coords) in enumerate(zip(block.samples, block.coords)):
+    for p, coords in enumerate(block.coords):
         head = f'    {{\n      "coords": {_floats(coords)},\n'
-        end = f'\n      "sample": {sample}\n    }}'
+        end = f'\n      "sample": {p}\n    }}'
 
         def error(text: str) -> str:
             text = encode_basestring_ascii(text)
             return f'{head}      "error": {text},\n      "kind": "error",{end}'
 
-        if sample in block.point_errors:
-            out.append(error(block.point_errors[sample]))
+        if p in block.point_errors:
+            out.append(error(block.point_errors[p]))
             continue
         out += [
             f'{head}      "flagged": {flag},\n{ij}{k},\n      "k_special": {ks},\n'
@@ -115,8 +115,8 @@ def _json_records(block: RecordColumns) -> list[str]:
             for flag, ij, k, ks, res in zip(flags[p], pairs, oracle[p], special[p], flat[p])
         ]
         plane = f'{head}      "k_oracle": '
-        tail = f',\n      "kind": "plane",\n      "sample": {sample},\n      "u": [\n        '
-        out += _with_plane_errors(block, sample, [
+        tail = f',\n      "kind": "plane",\n      "sample": {p},\n      "u": [\n        '
+        out += _with_plane_errors(block, p, [
             f'{plane}{k}{tail}{u}\n      ],\n      "w": [\n        {w}\n      ]\n    }}'
             for k, u, w in zip(oracle[p][len(pairs):], us[p], ws[p])
         ], error)
@@ -160,7 +160,7 @@ def report_body_json(
     }
     # a JSON string holds no raw newline, so this depth-1 key line is unique
     head, tail = json.dumps(shell, sort_keys=True, indent=2).split(_RECORDS + "null", 1)
-    records = [text for block in report.columns for text in _json_records(block)]
+    records = _json_records(report.columns)
     records = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
     return f"{head}{_RECORDS}{records}{tail}\n"
 
@@ -196,22 +196,22 @@ def _csv_records(block: RecordColumns) -> list[str]:
     flags = block.flagged.tolist()
     pairs = [f"{i},{j}," for i, j in block.pairs]
     out: list[str] = []
-    for p, (sample, coords) in enumerate(zip(block.samples, block.coords)):
+    for p, coords in enumerate(block.coords):
         coords = _vector(coords)
 
         def error(text: str) -> str:
-            return f"{sample},error,,,,,,,,{_csv_cell(text)},{coords},,\n"
+            return f"{p},error,,,,,,,,{_csv_cell(text)},{coords},,\n"
 
-        if sample in block.point_errors:
-            out.append(error(block.point_errors[sample]))
+        if p in block.point_errors:
+            out.append(error(block.point_errors[p]))
             continue
         tail = f",,{coords},,\n"
         out += [
-            f"{sample},pair,{ij}{ks},{k},{res},,{flag}{tail}"
+            f"{p},pair,{ij}{ks},{k},{res},,{flag}{tail}"
             for ij, ks, k, res, flag in zip(pairs, special[p], oracle[p], flat[p], flags[p])
         ]
-        out += _with_plane_errors(block, sample, [
-            f"{sample},plane,,,,{k},,,,,{coords},{u},{w}\n"
+        out += _with_plane_errors(block, p, [
+            f"{p},plane,,,,{k},,,,,{coords},{u},{w}\n"
             for k, u, w in zip(oracle[p][len(pairs):], us[p], ws[p])
         ], error)
     return out
@@ -225,9 +225,7 @@ def report_body_csv(
     one row per record, a field the record's kind lacks left empty (so is
     every `residual_constk` cell, which no scan fills), then one
     `sample_error` row per rejected draw."""
-    out = [_CSV_HEADER]
-    for block in report.columns:
-        out += _csv_records(block)
+    out = [_CSV_HEADER, *_csv_records(report.columns)]
     out += [f"{idx},sample_error,,,,,,,,{_csv_cell(msg)},,,\n" for idx, msg in sampling_failures]
     return "".join(out)
 

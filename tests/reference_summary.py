@@ -19,7 +19,10 @@ from sepcurv.curvature import CurvatureReport
 def reference_summary(report: CurvatureReport) -> dict:
     """The summary fields of `report`, recomputed from its records."""
     records = report.records
-    values = [rec.k_value() for rec in records if rec.kind != "error"]
+    values = [
+        rec.k_special if rec.kind == "pair" else rec.k_oracle
+        for rec in records if rec.kind != "error"
+    ]
     finite = [v for v in values if math.isfinite(v)]
     failure_count = sum(1 for rec in records if rec.kind == "error")
     pair_records = [rec for rec in records if rec.kind == "pair"]

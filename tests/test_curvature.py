@@ -847,7 +847,8 @@ def test_non_finite_value_leaves_scan_undetermined(seed):
     report = scan_constancy(s, points, policy)
     pairs = [r for r in report.records if r.kind == "pair"]
     assert pairs and all(r.k_special == r.k_oracle == INF and r.flagged for r in pairs)
-    assert [r.k_value() for r in report.records] == [INF] * report.value_count
+    values = [r.k_special if r.kind == "pair" else r.k_oracle for r in report.records]
+    assert values == [INF] * report.value_count
     assert report.value_count == 6 * 3 and report.flagged_count == len(pairs)
     assert report.verdict == "undetermined" and report.constant_estimate is None
     assert report.k_min is report.k_max is report.max_engine_rel_dev is None
@@ -933,7 +934,8 @@ def test_scan_mean_of_values_whose_sum_overflows():
     s = SeparableSurface((*fs, parse_function("1e150*x^2 - 1e-157")))
     points, _, _ = sample_points(s, [(-1e-154, 1e-154)] * 2, 20, 1, (1e-155, 1e-153))
     report = scan_constancy(s, points)
-    values = [r.k_value() for r in report.records if math.isfinite(r.k_value())]
+    values = [r.k_special if r.kind == "pair" else r.k_oracle for r in report.records]
+    values = [v for v in values if math.isfinite(v)]
     with pytest.raises(OverflowError):
         math.fsum(values)
     assert report.k_mean == math.fsum(v / len(values) for v in values)
@@ -951,6 +953,20 @@ def test_scan_thread_count_does_not_change_records():
         for threads in (2, 3, len(points), len(points) + 5):
             assert scan_constancy(surface, points, policy, threads=threads) == solo
     assert solo.failure_count == 4
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+def test_scan_report_keeps_one_record_block(threads):
+    # however the Gauss engine is chunked, the records are the scan's one
+    # block, whose row p is sample p, error points included
+    surface, points = mixed_failure_points()
+    report = scan_constancy(surface, points, ScanPolicy(oblique_per_point=2, seed=3), threads)
+    block = report.columns
+    assert isinstance(block, curvature.RecordColumns)
+    assert len(block.coords) == report.point_count == len(points)
+    for p, point in enumerate(points):
+        assert block.coords[p] == point.coords
+    assert block.point_errors and {r.sample for r in report.records} == set(range(len(points)))
 
 
 def test_scan_bounds_planes_per_chunk(monkeypatch):
@@ -1089,7 +1105,10 @@ def test_library_argument_validation(call, value, match):
 def test_scan_summary_statistics_consistent():
     s, pts = mixed_points(10, 66)
     report = scan_constancy(s, pts, ScanPolicy(seed=66))
-    values = [rec.k_value() for rec in report.records if rec.kind != "error"]
+    values = [
+        rec.k_special if rec.kind == "pair" else rec.k_oracle
+        for rec in report.records if rec.kind != "error"
+    ]
     assert report.k_min == min(values)
     assert report.k_max == max(values)
     assert report.spread == report.k_max - report.k_min
@@ -1109,9 +1128,6 @@ def test_scan_record_is_an_immutable_named_record():
         (None,) * 7
     )
     assert rec.flagged is False
-    assert rec.k_value() == 0.5
-    assert rec._replace(kind="pair", k_special=0.25).k_value() == 0.25
-    assert ScanRecord(0, (), "error", error="x").k_value() is None
     with pytest.raises(AttributeError):
         rec.k_oracle = 1.0
     with pytest.raises(AttributeError):

@@ -1,7 +1,8 @@
 """Repository hygiene: README's Python examples run, no module imports a
 name it never uses, the value parsers and the engines sit below the family
-catalogue in the import graph, and every public name has a caller or a
-reader outside the tests."""
+catalogue in the import graph, and every public name (each module's
+top-level names and its classes' methods) has a caller or a reader outside
+the tests."""
 
 import ast
 import re
@@ -80,17 +81,41 @@ def test_value_parsers_and_engines_sit_below_the_family_catalogue():
 
 
 def _src_references() -> set[str]:
-    """Every name and attribute a package module other than `__init__.py`
-    refers to."""
+    """Every name a package module other than `__init__.py` reads, and
+    every attribute it refers to."""
     found = set()
     for path in PACKAGE.glob("*.py"):
         if path.name == "__init__.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 found.add(node.id)
             elif isinstance(node, ast.Attribute):
                 found.add(node.attr)
+    return found
+
+
+def _public_definitions() -> list[str]:
+    """Each package module's top-level public names, as `module.name`, and
+    its classes' public methods, as `module.Class.method`."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                continue
+            found += [f"{path.stem}.{name}" for name in names if not name.startswith("_")]
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    f"{path.stem}.{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
     return found
 
 
@@ -99,8 +124,10 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     readers = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "perfbench").glob("*.py"))]
     text = "\n".join(p.read_text(encoding="utf-8") for p in readers)
     referenced = _src_references()
+    names = [*sepcurv.__all__, *_public_definitions()]
     unused = [
-        name for name in sepcurv.__all__
-        if name not in referenced and not re.search(rf"\b{name}\b", text)
+        name for name in names
+        if (short := name.rsplit(".", 1)[-1]) not in referenced
+        and not re.search(rf"\b{short}\b", text)
     ]
     assert unused == []

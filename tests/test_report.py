@@ -15,7 +15,6 @@ from sepcurv import curvature
 from sepcurv import (
     CurvatureReport,
     ScanPolicy,
-    ScanRecord,
     SeparableSurface,
     parse_function,
     read_report_body,
@@ -26,7 +25,7 @@ from sepcurv import (
     write_report,
 )
 from sepcurv.cli import main
-from sepcurv.curvature import record_columns
+from sepcurv.curvature import RecordColumns
 
 from reference_report import reference_body_csv, reference_body_json
 
@@ -46,11 +45,6 @@ def sphere_report(oblique=2, count=3, threads=1):
     return scan_constancy(surface, pts, policy, threads=threads)
 
 
-def made_from_records(report):
-    """The report made again from its records (`record_columns`)."""
-    return dataclasses.replace(report, columns=record_columns(report.records))
-
-
 REAL_GAUSS = curvature._gauss
 
 
@@ -65,53 +59,32 @@ def off_tangent(table, u, w):
     return REAL_GAUSS(table, u, w)
 
 
-def synthetic_report():
-    """Hand-built report exercising every record kind and both flag values."""
-    records = (
-        ScanRecord(
-            sample=0,
-            coords=(1.0, 2.0, 3.0),
-            kind="pair",
-            i=1,
-            j=2,
-            k_special=0.25,
-            k_oracle=0.1 + 0.2,
-            residual_flat=-1.5e-17,
-            flagged=False,
-        ),
-        ScanRecord(
-            sample=0,
-            coords=(1.0, 2.0, 3.0),
-            kind="pair",
-            i=1,
-            j=3,
-            k_special=0.5,
-            k_oracle=0.5,
-            residual_flat=0.0,
-            flagged=True,
-        ),
-        ScanRecord(
-            sample=1,
-            coords=(0.5, -0.25, 4.0),
-            kind="plane",
-            u=(1.0, 0.0, 0.0),
-            w=(0.0, 0.6, 0.8),
-            k_oracle=0.25,
-        ),
-        ScanRecord(
-            sample=2,
-            coords=(0.0, 0.0, 0.0),
-            kind="error",
-            error="RegularityError: gradient too small",
-        ),
+def synthetic_columns(errors=()):
+    """A hand-built block exercising every record kind and both flag
+    values: sample 0 holds both pairs and the one plane, sample 1 is an
+    error, and each text in `errors` adds one more error row."""
+    rows = 2 + len(errors)
+    k_special, k_oracle, flat = np.zeros((rows, 2)), np.zeros((rows, 3)), np.zeros((rows, 2))
+    flagged, u, w = np.zeros((rows, 2), dtype=bool), np.zeros((rows, 1, 3)), np.zeros((rows, 1, 3))
+    k_special[0], k_oracle[0], flat[0] = [0.25, 0.5], [0.1 + 0.2, 0.5, 0.25], [-1.5e-17, 0.0]
+    flagged[0], u[0, 0], w[0, 0] = [False, True], [1.0, 0.0, 0.0], [0.0, 0.6, 0.8]
+    texts = ["RegularityError: gradient too small", *errors]
+    return RecordColumns(
+        coords=[(1.0, 2.0, 3.0), (0.0, 0.0, 0.0)] + [(0.5, -0.0, 1e-300)] * len(errors),
+        pairs=[(1, 2), (1, 3)], k_special=k_special, k_oracle=k_oracle, flagged=flagged,
+        u=u, w=w, point_errors=dict(enumerate(texts, start=1)), plane_errors={}, residuals=flat,
     )
+
+
+def synthetic_report():
+    """Hand-built report of the `synthetic_columns` block."""
     return CurvatureReport(
         n=3,
         seed=7,
         constancy_tol=1e-7,
         oblique_per_point=1,
-        columns=record_columns(records),
-        point_count=3,
+        columns=synthetic_columns(),
+        point_count=2,
         value_count=3,
         failure_count=1,
         k_min=0.25,
@@ -164,7 +137,7 @@ def test_json_top_level_fields():
         {"draw_index": 4, "error": "DomainError: log(x) needs x > 0, got x = 0.0"}
     ]
     assert doc["summary"] == {
-        "points": 3,
+        "points": 2,
         "values": 3,
         "failures": 1,
         "k_min": 0.25,
@@ -353,43 +326,32 @@ def same_float(a, b):
 
 def odd_report():
     """Every float field of every record kind holds a value `json.dumps`
-    special-cases or that only repr round-trips."""
-    odd = [math.nan, math.inf, -math.inf, -0.0, SUBNORMAL, -SUBNORMAL, 1e-300, 1e300]
-    records = []
-    for s, x in enumerate(odd):
-        coords = (x, 0.1 + 0.2, -x)
-        records += [
-            ScanRecord(sample=s, coords=coords, kind="pair", i=0, j=1, k_special=x,
-                       k_oracle=-x, residual_flat=x, flagged=s % 2 == 0),
-            ScanRecord(sample=s, coords=coords, kind="pair", i=0, j=2, k_special=1.0,
-                       k_oracle=x, residual_flat=-x, flagged=False),
-            ScanRecord(sample=s, coords=coords, kind="plane", u=(x, 1.0, -x),
-                       w=(-0.0, x, 2.5), k_oracle=x),
-            ScanRecord(sample=s, coords=coords, kind="error", error=ODD_TEXT),
-        ]
-    return dataclasses.replace(synthetic_report(), columns=record_columns(records),
-                               k_min=-math.inf, k_max=math.nan, spread=-0.0)
+    special-cases or that only repr round-trips: each sample x has two
+    pairs, a plane and a failed plane."""
+    odd = np.array([math.nan, math.inf, -math.inf, -0.0, SUBNORMAL, -SUBNORMAL, 1e-300, 1e300])
+    ones, zeros = np.ones_like(odd), np.zeros_like(odd)
+    columns = RecordColumns(
+        coords=[(x, 0.1 + 0.2, -x) for x in odd.tolist()],
+        pairs=[(0, 1), (0, 2)],
+        k_special=np.stack([odd, ones], axis=1),
+        k_oracle=np.stack([-odd, odd, odd, zeros], axis=1),
+        flagged=np.stack([np.arange(len(odd)) % 2 == 0, zeros.astype(bool)], axis=1),
+        u=np.stack([np.stack([odd, ones, -odd], axis=1), np.zeros((len(odd), 3))], axis=1),
+        w=np.stack([np.stack([-zeros, odd, 2.5 * ones], axis=1), np.zeros((len(odd), 3))], axis=1),
+        point_errors={},
+        plane_errors={(s, 1): ODD_TEXT for s in range(len(odd))},
+        residuals=np.stack([odd, -odd], axis=1),
+    )
+    return dataclasses.replace(synthetic_report(), columns=columns, oblique_per_point=2,
+                               point_count=len(odd), k_min=-math.inf, k_max=math.nan, spread=-0.0)
 
 
 def numpy_report():
-    """The synthetic report with every float an `np.float64`."""
+    """The synthetic report with every float summary field an `np.float64`
+    (a block's arrays are float64 already)."""
     f = np.float64
-
-    def vec(values):
-        return tuple(f(v) for v in values)
-
-    records = []
-    for rec in synthetic_report().records:
-        changes = {"coords": vec(rec.coords)}
-        for name in ("k_special", "k_oracle", "residual_flat"):
-            if getattr(rec, name) is not None:
-                changes[name] = f(getattr(rec, name))
-        for name in ("u", "w"):
-            if getattr(rec, name) is not None:
-                changes[name] = vec(getattr(rec, name))
-        records.append(rec._replace(**changes))
-    return dataclasses.replace(synthetic_report(), columns=record_columns(records),
-                               k_mean=f(1.0 / 3.0))
+    return dataclasses.replace(synthetic_report(), k_min=f(0.25), k_max=f(0.5),
+                               k_mean=f(1.0 / 3.0), spread=f(0.25), max_engine_rel_dev=f(0.05))
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda p: p.name)
@@ -411,18 +373,17 @@ def test_cli_scan_bodies_match_oracle(tmp_path, monkeypatch, spec, fmt):
 
 
 def test_scan_bodies_match_oracle():
-    # one body at 1, 2 and 8 chunks, and from the report made again from its records
+    # one body at 1, 2 and 8 chunks
     bodies = set()
     for threads in (1, 2, 8):
         report = sphere_report(oblique=3, count=8, threads=threads)
-        for made in (report, made_from_records(report)):
-            body = assert_bodies_match(made)
-            assert '"residual_constk"' not in body
-            csv_body = report_body_csv(made)
-            rows = list(csv.DictReader(io.StringIO(csv_body)))
-            assert len(rows) == len(report.records)
-            assert {row["residual_constk"] for row in rows} == {""}
-            bodies.add((body, csv_body))
+        body = assert_bodies_match(report)
+        assert '"residual_constk"' not in body
+        csv_body = report_body_csv(report)
+        rows = list(csv.DictReader(io.StringIO(csv_body)))
+        assert len(rows) == len(report.records)
+        assert {row["residual_constk"] for row in rows} == {""}
+        bodies.add((body, csv_body))
     assert len(bodies) == 1
 
 
@@ -432,7 +393,7 @@ def test_error_records_and_sampling_failures_match_oracle(monkeypatch):
     assert body.isascii()
 
     # a scan with failed points and failed oblique planes: one body at 1, 2
-    # and 8 chunks, and from the report made again from its records
+    # and 8 chunks
     monkeypatch.setattr(curvature, "_gauss", off_tangent)
     bodies = set()
     for threads in (1, 2, 8):
@@ -442,8 +403,7 @@ def test_error_records_and_sampling_failures_match_oracle(monkeypatch):
             kinds.setdefault(rec.sample, []).append(rec.kind)
         assert ["error"] in kinds.values()                        # a failed point
         assert ["pair"] * 3 + ["plane"] * 2 + ["error"] in kinds.values()   # a failed plane
-        for made in (report, made_from_records(report)):
-            bodies.add(assert_bodies_match(made, ODD_FAILURES))
+        bodies.add(assert_bodies_match(report, ODD_FAILURES))
     assert len(bodies) == 1
 
 
@@ -460,7 +420,9 @@ def test_numpy_floats_match_oracle():
 def test_empty_sampling_failures_and_records_match_oracle():
     body = assert_bodies_match(synthetic_report(), [])
     assert '"sampling_failures": [],' in body
-    empty = dataclasses.replace(synthetic_report(), columns=())
+    none = RecordColumns([], [], np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0), dtype=bool),
+                         np.zeros((0, 0, 3)), np.zeros((0, 0, 3)), {}, {}, np.zeros((0, 0)))
+    empty = dataclasses.replace(synthetic_report(), columns=none, point_count=0)
     assert '"records": [],' in assert_bodies_match(empty, [])
 
 
@@ -474,11 +436,9 @@ FREE_TEXT = st.text(
 
 
 def text_report(errors):
-    """The synthetic report followed by one error record per text."""
-    base = synthetic_report()
-    extra = tuple(ScanRecord(sample=10 + s, coords=(0.5, -0.0, 1e-300), kind="error", error=text)
-                  for s, text in enumerate(errors))
-    return dataclasses.replace(base, columns=record_columns(base.records + extra))
+    """The synthetic report with one more error row per text."""
+    return dataclasses.replace(synthetic_report(), columns=synthetic_columns(errors),
+                               point_count=2 + len(errors))
 
 
 def bare_cr(text):
