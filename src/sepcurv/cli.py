@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .curvature import (
-    DEFAULT_CONSTANCY_TOL, ScanPolicy, _gauss, _pair_sorted, pair_table, sample_and_scan,
+    DEFAULT_CONSTANCY_TOL, ScanPolicy, _pair_sorted, pair_table, sample_and_scan,
 )
 from .errors import (
     NonFiniteError, SepcurvError, SpecFileError, _pair, finite, integer, numbers, positive,
@@ -76,9 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None, help="override the constancy tolerance")
     p.add_argument(
         "--threads", type=int, default=1,
-        help="number (>= 1) of sequential point chunks the Gauss engine is split "
-        "into; every other step runs once over all points (output is identical "
-        "for any value)",
+        help="number (>= 1) of sequential point chunks the Gauss engine's oblique "
+        "planes are split into; every other step runs once over all points "
+        "(output is identical for any value)",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json", help="report body format")
 
@@ -148,17 +148,14 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     if lift.failures:
         raise lift.failures[0]
     point = lift.points[0]
-    # the lift's gated jet table gives every figure, as in a scan record
+    # the lift's gated jet table gives every figure, by a scan's engines
     table = pair_table(surface, lift.table, [pair])
-    k_oracle, plane_errors = _gauss(lift.table, *table.frames())
-    if plane_errors:
-        raise plane_errors[0, 0]
     doc = {
         "coords": list(point.coords),
         "residual": point.residual,
         "pair": [i, j],
         "k_special": float(table.curvature()[0, 0]),
-        "k_oracle": float(k_oracle[0, 0]),
+        "k_oracle": float(table.gauss()[0, 0]),
         "flatness_residual": float(table.residual()[0, 0]),
     }
     if ns.k0 is not None:

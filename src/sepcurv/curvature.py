@@ -6,16 +6,18 @@ for the tangent plane picked out by a pair of non-height coordinates:
     K(i, j) = (f_i'^2 f_j'' f_h'' + f_j'^2 f_i'' f_h'' + f_h'^2 f_i'' f_j'')
               / ((sum_k f_k'^2) * (f_i'^2 + f_j'^2 + f_h'^2))
 
-with h the height coordinate.  `sectional_oracle` is a general implicit-
-hypersurface engine built from the Gauss equation
+with h the height coordinate.  The Gauss engine, `_gauss`, evaluates
 
     K = (H(X, X) H(Y, Y) - H(X, Y)^2) / ||grad F||^2
 
-for an orthonormalized tangent pair (X, Y), where H is the ambient Hessian
-pairing of F (diagonal here, entries f_k'').  Agreement of the two engines
-on coordinate planes is the package's primary cross-check; `scan_constancy`
-sweeps both over sampled points and reports whether K is constant, and
-`sample_and_scan` draws and lifts those points first.
+on an orthonormal tangent pair (X, Y), where H is the ambient Hessian
+pairing of F (diagonal here, entries f_k''), and checks nothing: a scan
+builds every plane orthonormal (`PairTable.gauss`, `_draw_planes`), and
+only `sectional_oracle` checks and orthonormalizes a plane a user passes.
+Agreement of the two engines on coordinate planes is the package's
+primary cross-check; `scan_constancy` sweeps both over sampled points and
+reports whether K is constant, and `sample_and_scan` draws and lifts those
+points first.
 
 `flatness_residual` is the numerator of the closed form: identically zero
 along a surface exactly when every coordinate-pair curvature vanishes.
@@ -33,17 +35,19 @@ wherever that stays in range.  The residuals (degree 4) read the unscaled
 jets, and the scaled ones times 2^(4 e) only where those overflow.  All
 are array expressions over all points and planes at once.  Sums over
 coordinates run in a fixed order, so a row's result does not depend on how
-many rows share the table: the point-wise functions are the same kernels at
-P = 1 and agree with a scan bit for bit, and a scan whose Gauss engine runs
-in point chunks writes the same records and summary (an exact `fsum` mean
-computed once over every point, see `scan_constancy`).
+many rows share the table: the closed-form point-wise functions are the
+same kernels at P = 1 and agree with a scan bit for bit, and a scan whose
+Gauss engine runs its oblique planes in point chunks writes the same
+records and summary (an exact `fsum` mean computed once over every point,
+see `scan_constancy`).
 
-Random oblique planes map standard-normal coefficient pairs in R^(n-1)
-through each point's orthonormal tangent basis (`JetTable.reflector`), so
-they are tangent up to rounding however small the normal's components.  A
-scan draws every point's pairs, in point order, from one generator keyed by
-`SeedSequence(seed, spawn_key=PLANE_STREAM)`, and redraws a rejected pair
-(too short or nearly dependent) from default_rng([seed, position]).
+Random oblique planes orthonormalize standard-normal coefficient pairs in
+R^(n-1) and map them through each point's orthonormal tangent basis
+(`JetTable.reflector`), so they are orthonormal and tangent up to rounding
+however small the normal's components.  A scan draws every point's pairs,
+in point order, from one generator keyed by `SeedSequence(seed,
+spawn_key=PLANE_STREAM)`, and redraws a rejected pair (too short or nearly
+dependent) from default_rng([seed, position]).
 
 A scan's report keeps its engines' arrays as its records, in one
 `RecordColumns` block: the pair K of both engines, the flags, the plane K
@@ -67,14 +71,15 @@ from .errors import (
     DegeneratePlaneError, SolveError, SpecFileError, describe, finite, integer, positive,
 )
 from .geometry import (
-    JetTable, SeparableSurface, SurfacePoint, _dot, jet_table, point_jets, sample_points,
+    JetTable, SeparableSurface, SurfacePoint, _dot, householder, jet_table, point_jets,
+    sample_points,
 )
 
 EQUIVALENCE_RTOL = 1e-9        # |k_special - k_oracle| <= rtol * max(1, |k_oracle|)
 DEFAULT_CONSTANCY_TOL = 1e-7
 PLANE_EPS = 1e-10              # tangency and independence thresholds
 PLANE_RETRIES = 100
-CHUNK_PLANES = 1 << 14         # planes per scan chunk, bounding its arrays' memory
+CHUNK_PLANES = 1 << 14         # oblique planes per scan chunk, bounding its arrays' memory
 # spawn key of a scan's plane stream, which differs from default_rng(seed) and
 # every default_rng([seed, position]) (a one-word key equals [seed, 0] from 2^96)
 PLANE_STREAM = (0, 0)
@@ -109,10 +114,10 @@ class PairTable:
         with np.errstate(all="ignore"):
             return self.flat / (self.jets.scaled[3][:, None] * self.s)
 
-    def frames(self) -> tuple[np.ndarray, np.ndarray]:
-        """Frame vectors of each pair's two coordinates, (P, Q, n) each."""
-        lo, hi = zip(*self.pairs)
-        return self.jets.frames(self.height, lo), self.jets.frames(self.height, hi)
+    def gauss(self) -> np.ndarray:
+        """The Gauss engine's K of each pair's plane (`_pair_gauss`)."""
+        _, d1, d2, sq_norm = self.jets.scaled
+        return _pair_gauss(d1, d2, sq_norm, self.pairs, self.height)
 
     def residual(self, k0: float | None = None) -> np.ndarray:
         """The flatness residual, or given k0 the constant-K one, over the
@@ -144,6 +149,23 @@ def _terms(d1: np.ndarray, d2: np.ndarray, pairs, height: int) -> tuple[np.ndarr
         return p * p * qq * rr + q * q * pp * rr + r * r * pp * qq, p * p + q * q + r * r
 
 
+def _pair_gauss(d1: np.ndarray, d2: np.ndarray, sq_norm: np.ndarray, pairs, height: int):
+    """Gauss-equation K of each pair's plane over the given jets, (P, Q).
+    Plane (i, j) is the complement, inside span{e_i, e_j, e_h}, of
+    a = (f_i', f_j', f_h'), spanned orthonormally by the two non-pivot
+    columns of the 3 x 3 `householder` reflector of a / |a|: O(1) per pair,
+    however a's entries compare in size."""
+    idx = np.array([(i - 1, j - 1, height - 1) for i, j in pairs])
+    with np.errstate(all="ignore"):
+        a = d1[:, idx]
+        a = a / np.abs(a).max(axis=-1, keepdims=True)
+        v, beta, pivot = householder(a / np.sqrt(_dot(a, a))[..., None])
+        # H's columns e_k - beta v_k v at the two indices k other than the pivot
+        u, y = ((np.arange(3) == k) - (beta[..., None] * np.take_along_axis(v, k, -1)) * v
+                for k in ((pivot == 0) * 1, 2 - (pivot == 2)))
+    return _gauss(d2[:, idx], sq_norm[:, None], u, y)
+
+
 def pair_table(
     surface: SeparableSurface,
     table: JetTable,
@@ -171,49 +193,26 @@ def _unit_pair(u: np.ndarray, w: np.ndarray):
     return nu, nw, u, w, y, np.sqrt(_dot(y, y))
 
 
-def _gauss(table: JetTable, u: np.ndarray, w: np.ndarray):
-    """Gauss-equation K of the planes spanned by u[p, r] and w[p, r] (shape
-    (P, R, n)) at table point p, plus the `DegeneratePlaneError` of each
-    plane that fails a check, by (p, r): a dict that holds only the failing
-    planes, so a clean call builds no error."""
-    _, _, hess, sq_norm = table.scaled
-    gradnorm, normal, hess = np.sqrt(sq_norm)[:, None], table.normal[:, None], hess[:, None]
+def _gauss(hess: np.ndarray, sq_norm: np.ndarray, u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gauss-equation K = (H(u, u) H(y, y) - H(u, y)^2) / ||grad F||^2 of
+    orthonormal tangent pairs (u, y), coordinates on the last axis, with
+    `hess` the diagonal of F's Hessian and `sq_norm` ||grad F||^2 broadcast
+    against them.  It checks nothing."""
     with np.errstate(all="ignore"):
-        nu, nw, u, w, y, wedge = _unit_pair(u, w)
-        drift_u, drift_w = np.abs(_dot(u, normal)), np.abs(_dot(w, normal))
-        y = y / wedge[..., None]
         hxx, hyy, hxy = _dot(hess * u, u), _dot(hess * y, y), _dot(hess * u, y)
-        k = (hxx * hyy - hxy * hxy) / (gradnorm * gradnorm)
-    zero = (nu == 0.0) | (nw == 0.0)
-    off_u, off_w = drift_u > PLANE_EPS, drift_w > PLANE_EPS
-    bad = zero | off_u | off_w | (wedge <= PLANE_EPS)
-    errors = {}
-    for idx in zip(*(i.tolist() for i in np.nonzero(bad))) if bad.any() else ():
-        if zero[idx]:
-            msg = "plane spanning vector is zero"
-        elif off_u[idx] or off_w[idx]:
-            name, drift = ("u", drift_u[idx]) if off_u[idx] else ("w", drift_w[idx])
-            msg = (
-                f"plane vector {name} is not tangent: |<{name}, N>| = {drift:.3e} "
-                f"exceeds {PLANE_EPS:g}"
-            )
-        else:
-            msg = (
-                f"plane spanning vectors nearly dependent: wedge norm {wedge[idx]:.3e} "
-                f"at or below {PLANE_EPS:g}"
-            )
-        errors[idx] = DegeneratePlaneError(msg)
-    return k, errors
+        return (hxx * hyy - hxy * hxy) / sq_norm
 
 
 def _draw_planes(jets: JetTable, coef: np.ndarray):
-    """Unit tangent pairs u, w from coefficient pairs coef[p, ..., 2, n - 1]
-    in point p's tangent basis (`JetTable.tangents`); `ok` marks the draws
-    that are kept."""
-    t = jets.tangents(coef)
+    """Orthonormal tangent pairs u, w from coefficient pairs
+    coef[p, ..., 2, n - 1]: each pair is orthonormalized in R^(n-1) and
+    mapped through point p's orthonormal tangent basis (`JetTable.tangents`),
+    which keeps it orthonormal.  `ok` marks the pairs kept: both norms at
+    least 1e-6 and the wedge norm above `PLANE_EPS`."""
     with np.errstate(all="ignore"):
-        nu, nw, u, w, _, wedge = _unit_pair(t[..., 0, :], t[..., 1, :])
-    return u, w, (nu >= 1e-6) & (nw >= 1e-6) & (wedge > PLANE_EPS)
+        nu, nw, cu, _, cy, wedge = _unit_pair(coef[..., 0, :], coef[..., 1, :])
+        t = jets.tangents(np.stack([cu, cy / wedge[..., None]], axis=-2))
+    return t[..., 0, :], t[..., 1, :], (nu >= 1e-6) & (nw >= 1e-6) & (wedge > PLANE_EPS)
 
 
 def sectional_special(surface: SeparableSurface, point: SurfacePoint, i: int, j: int) -> float:
@@ -250,10 +249,11 @@ def constk_residual(
 
 
 def coordinate_plane(surface: SeparableSurface, point: SurfacePoint, i: int, j: int) -> np.ndarray:
-    """The tangent plane spanned by the frame vectors of coordinates i and j,
-    as a (2, n) array whose rows are those vectors."""
-    u, w = _one_pair(surface, point, i, j).frames()
-    return np.concatenate([u[0], w[0]])
+    """The tangent plane spanned by the frame vectors e_k - (f_k'/f_h') e_h
+    of coordinates i and j (h the height), as a (2, n) array whose rows are
+    those vectors, the lower coordinate's first."""
+    pair = _pair_sorted(surface, i, j)
+    return point_jets(surface, point, surface.height).frames(surface.height, pair)[0]
 
 
 def sectional_oracle(surface: SeparableSurface, point: SurfacePoint, plane) -> float:
@@ -264,7 +264,7 @@ def sectional_oracle(surface: SeparableSurface, point: SurfacePoint, plane) -> f
     the point (normal component within `PLANE_EPS` after normalization) and
     independent (the wedge norm of the normalized pair above `PLANE_EPS`),
     else a `DegeneratePlaneError`.  Orthonormalizes the pair, pairs it with
-    the diagonal ambient Hessian of F, and divides by ||grad F||^2.
+    the diagonal ambient Hessian of F, and divides by ||grad F||^2 (`_gauss`).
     Independent of the closed form: no height coordinate, no coordinate-pair
     structure.
     """
@@ -274,10 +274,25 @@ def sectional_oracle(surface: SeparableSurface, point: SurfacePoint, plane) -> f
     for name, row in zip("uw", plane):
         if not np.isfinite(row).all():
             raise DegeneratePlaneError(f"plane vector {name} has a non-finite entry")
-    k, errors = _gauss(point_jets(surface, point), *plane[:, None, None])
-    if errors:
-        raise errors[0, 0]
-    return float(k[0, 0])
+    jets = point_jets(surface, point)
+    with np.errstate(all="ignore"):
+        nu, nw, u, w, y, wedge = _unit_pair(plane[:1], plane[1:])
+    if nu[0] == 0.0 or nw[0] == 0.0:
+        raise DegeneratePlaneError("plane spanning vector is zero")
+    for name, vec in (("u", u), ("w", w)):
+        drift = abs(float(_dot(vec, jets.normal)[0]))
+        if drift > PLANE_EPS:
+            raise DegeneratePlaneError(
+                f"plane vector {name} is not tangent: |<{name}, N>| = {drift:.3e} "
+                f"exceeds {PLANE_EPS:g}"
+            )
+    if wedge[0] <= PLANE_EPS:
+        raise DegeneratePlaneError(
+            f"plane spanning vectors nearly dependent: wedge norm {wedge[0]:.3e} "
+            f"at or below {PLANE_EPS:g}"
+        )
+    _, _, hess, sq_norm = jets.scaled
+    return float(_gauss(hess, sq_norm, u, y / wedge[:, None])[0])
 
 
 def random_tangent_plane(
@@ -286,10 +301,10 @@ def random_tangent_plane(
     """Draw a uniformly random tangent 2-plane at a regular point, as a
     (2, n) array of unit spanning rows.
 
-    Maps a pair of standard-normal coefficient vectors in R^(n-1) through
-    the point's orthonormal tangent basis (`JetTable.reflector`) and
-    normalizes them; nearly dependent draws are rejected and retried (at
-    most `PLANE_RETRIES` times).
+    Orthonormalizes a pair of standard-normal coefficient vectors in
+    R^(n-1) and maps it through the point's orthonormal tangent basis
+    (`JetTable.reflector`), so the rows are orthonormal; nearly dependent
+    draws are rejected and retried (at most `PLANE_RETRIES` times).
     """
     jets = point_jets(surface, point)
     for _ in range(PLANE_RETRIES):
@@ -466,11 +481,12 @@ def scan_constancy(
     `jets` is the points' jet table, row p for samples[p]: the `table` of
     the `Samples` the points came from, so that no f_k is walked again.
     Without it the scan evaluates one (`geometry.jet_table`); a table of
-    another shape is a `ValueError`.  Per-point failures become error
-    records, never abort the scan.  Every step runs once over all points'
-    arrays, except the Gauss engine, whose (points, planes, n) frames are
-    the large arrays: it runs in `threads` sequential point chunks, at most
-    one per point and at least enough that they average no more than
+    another shape is a `ValueError`.  A point failing a gate, or an oblique
+    plane no draw could span, becomes an error record, never aborts the
+    scan.  Every step runs once over all points' arrays, except the Gauss
+    engine's oblique planes, whose (points, planes, n) arrays are the large
+    ones: they run in `threads` sequential point chunks, at most one per
+    point and at least enough that they average no more than
     `CHUNK_PLANES` planes, each filling its rows of one K array.  The
     summary is computed once from the engine arrays, never from the
     records, and the report keeps those arrays, as one `RecordColumns`
@@ -492,41 +508,31 @@ def scan_constancy(
             f"in R^{surface.n}"
         )
     errors = jets.errors(surface.height)
-    regular = np.array([exc is None for exc in errors], dtype=bool)
+    good = np.array([exc is None for exc in errors], dtype=bool)
     table = pair_table(surface, jets)
     count, nq, m = len(samples), len(table.pairs), policy.oblique_per_point
+    k = np.empty((count, nq + m))
+    k[:, :nq] = table.gauss()
     pu = pw = np.zeros((count, 0, surface.n))
-    draw_errors: dict[tuple[int, int], DegeneratePlaneError] = {}
+    # a scan's plane errors are oblique planes that no draw could span
+    failed, plane_errors = np.zeros(k.shape, dtype=bool), {}
     if m:
         rng = np.random.default_rng(np.random.SeedSequence(policy.seed, spawn_key=PLANE_STREAM))
         pu, pw, ok = _draw_planes(jets, rng.standard_normal((count, m, 2, surface.n - 1)))
-        for p in np.flatnonzero(regular & ~ok.all(axis=1)).tolist():
+        for p in np.flatnonzero(good & ~ok.all(axis=1)).tolist():
             # the point's rejected pairs are redrawn, in order, from its own stream
             redraw = np.random.default_rng([policy.seed, p])
             for r in np.flatnonzero(~ok[p]).tolist():
                 try:
                     pu[p, r], pw[p, r] = random_tangent_plane(surface, samples[p], redraw)
                 except DegeneratePlaneError as exc:
-                    draw_errors[p, nq + r] = exc
-    chunks = min(max(threads, -(-count * (nq + m) // CHUNK_PLANES)), count)
-    edges = [count * c // chunks for c in range(chunks + 1)]
-    lo, hi = zip(*table.pairs)
-    k, plane_errors = np.empty((count, nq + m)), {}
-    for a, b in zip(edges, edges[1:]):
-        # a chunk's planes are its points' pair frames, then their oblique planes
-        rows = jets.rows(a, b)
-        u, w = rows.frames(surface.height, lo), rows.frames(surface.height, hi)
-        if m:
-            u, w = np.concatenate([u, pu[a:b]], axis=1), np.concatenate([w, pw[a:b]], axis=1)
-        k[a:b], found = _gauss(rows, u, w)
-        plane_errors.update(((a + p, r), exc) for (p, r), exc in found.items())
-    plane_errors.update(draw_errors)
-    bad = np.zeros(k.shape, dtype=bool)
-    if plane_errors:
-        bad[tuple(zip(*plane_errors))] = True
-    # a point fails on its jets' error, else on its first failing pair plane
-    good = regular & ~bad[:, :nq].any(axis=1)
-    kept = ~bad[good]
+                    failed[p, nq + r], plane_errors[p, r] = True, describe(exc)
+        _, _, hess, sq_norm = jets.scaled
+        chunks = min(max(threads, -(-count * m // CHUNK_PLANES)), count)
+        edges = [count * c // chunks for c in range(chunks + 1)]
+        for a, b in zip(edges, edges[1:]):
+            k[a:b, nq:] = _gauss(hess[a:b, None], sq_norm[a:b, None], pu[a:b], pw[a:b])
+    kept = ~failed[good]
 
     ks, ko = table.curvature(), k[:, :nq]
     with np.errstate(all="ignore"):
@@ -559,17 +565,11 @@ def scan_constancy(
     else:
         k_min = k_max = k_mean = spread = estimate = None
         verdict = "undetermined"
-    # an error point's one record names the failure that made it one
-    point_errors = {
-        p: describe(errors[p] or plane_errors[p, int(bad[p].argmax())])
-        for p in np.flatnonzero(~good).tolist()
-    }
-    oblique_errors = {
-        (p, r - nq): describe(exc) for (p, r), exc in plane_errors.items() if r >= nq and good[p]
-    }
+    # an error point's one record names its jets' failure
+    point_errors = {p: describe(errors[p]) for p in np.flatnonzero(~good).tolist()}
     columns = RecordColumns(
         [point.coords for point in samples], table.pairs, ks, k, flagged, pu, pw,
-        point_errors, oblique_errors, table,
+        point_errors, plane_errors, table,
     )
     return CurvatureReport(
         n=surface.n,

@@ -99,6 +99,19 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def householder(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(v, beta, p) of unit vectors x (last axis): H = I - beta v v^T, with
+    v = x + sign(x_p) e_p and beta = 2 / (v . v), is the Householder
+    reflector (Golub and Van Loan, Matrix Computations, sec. 5.1) of x onto
+    -sign(x_p) e_p, p (a last axis of length 1) the first index of the
+    largest |x_k|.  H's columns other than p span x's complement orthonormally."""
+    pivot = np.abs(x).argmax(axis=-1)[..., None]
+    with np.errstate(all="ignore"):
+        # +-0.0 off the pivot leaves x's bits
+        v = x + np.copysign(np.arange(x.shape[-1]) == pivot, x)
+        return v, 2.0 / _dot(v, v), pivot
+
+
 @dataclass(frozen=True)
 class JetTable:
     """f_k' and f_k'' of every coordinate at P points, as P x n arrays.
@@ -134,18 +147,13 @@ class JetTable:
 
     @cached_property
     def reflector(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(v, beta, cols, off) per point: H = I - beta v v^T, v = N + sign(N_p) e_p
-        and beta = 2 / (v . v), is the Householder reflector (Golub and Van
-        Loan, Matrix Computations, sec. 5.1) of the unit normal N onto e_p, p
-        the first index of the largest |N_k| (the pivot).  H's other columns
-        are an orthonormal tangent basis (`tangents`): column k takes
+        """(v, beta, cols, off) per point: the `householder` reflector
+        H = I - beta v v^T of the unit normal N, whose columns other than the
+        pivot p are an orthonormal tangent basis (`tangents`): column k takes
         coefficient cols[k], and `off` is 0.0 at the pivot, else 1.0."""
-        normal = self.normal
-        k, pivot = np.arange(normal.shape[1]), np.abs(normal).argmax(axis=1)[:, None]
-        at, cols = k == pivot, np.minimum(k - (k > pivot), k[-1] - 1)
-        with np.errstate(all="ignore"):
-            v = normal + np.copysign(at, normal)   # +-0.0 off the pivot leaves N's bits
-            return v, 2.0 / _dot(v, v), cols, ~at * 1.0
+        v, beta, pivot = householder(self.normal)
+        k = np.arange(v.shape[1])
+        return v, beta, np.minimum(k - (k > pivot), k[-1] - 1), (k != pivot) * 1.0
 
     def tangents(self, coef: np.ndarray) -> np.ndarray:
         """The tangent vectors H [0; c] = [0; c] - beta v (v . [0; c]) of
@@ -169,15 +177,6 @@ class JetTable:
         with np.errstate(all="ignore"):
             vec[:, :, h0] = -self.d1[:, idx] / self.d1[:, h0:h0 + 1]
         return vec
-
-    def rows(self, start: int, stop: int) -> JetTable:
-        """The table of the points at rows start, ..., stop - 1: the table
-        itself when those are all its rows, so that nothing it caches is
-        computed again (a scan's Gauss engine in one chunk)."""
-        if (start, stop) == (0, len(self.d1)):
-            return self
-        part = slice(start, stop)
-        return JetTable(self.d1[part], self.d2[part], self.sq_norm[part], self.jet_errors[part])
 
     def errors(self, height: int | None = None) -> list[SepcurvError | None]:
         """Each point's first failure: its jet error, then the gradient-norm

@@ -52,9 +52,9 @@ EVAL_FAILURES = (
 # shipped specs also scanned with oblique planes (sphere and raw functions)
 OBLIQUE_SPECS = ("cobb_douglas_n5.json", "raw_functions_n4.json")
 
-# CI's bracket-miss, overflow and oblique-overflow scans, and a scan whose
-# every point is an error record: each (1, 2) pair plane has wedge norm
-# 1.414e-16, as both frame vectors are nearly -e_4
+# CI's bracket-miss, overflow, oblique-overflow and plane-errors scans; in
+# the last, both (1, 2) frame vectors e_k - (f_k'/f_4') e_4 are nearly -e_4
+# (wedge norm 1.414e-16), which no pair plane a scan builds depends on
 EDGE_SPECS = {
     "bracket-miss": {
         "functions": [{"expr": "x^2"}, {"expr": "x^2"},

@@ -22,15 +22,18 @@ from sepcurv import (
     flatness_residual,
     load_spec,
     read_report_body,
+    scan_constancy,
     sectional_oracle,
     sectional_special,
     solve_height,
 )
 from sepcurv import cli, meshing
 from sepcurv.cli import build_parser, main
+from sepcurv.curvature import EQUIVALENCE_RTOL
 from sepcurv.errors import ParseError, SepcurvError
 from sepcurv.expr import MAX_DEPTH
 
+import pin_golden
 from lifts import spy_second_evaluations
 from oracles import brute_coordinate_k
 
@@ -302,7 +305,15 @@ def test_eval_pair_and_k0(tmp_path, capsys):
     p = solve_height(s, [0.5, 0.5, 0.5], loaded.bracket)
     assert doc["coords"] == list(p.coords)
     assert doc["k_special"] == sectional_special(s, p, 2, 3)
-    assert doc["k_oracle"] == sectional_oracle(s, p, coordinate_plane(s, p, 2, 3))
+    # k_oracle is the scan's pair engine: the scan's record at the same point,
+    # bit for bit, within the cross-check of the dense Gauss engine on the
+    # coordinate frame vectors
+    other = solve_height(s, [0.1, 0.2, 0.3], loaded.bracket)
+    (record,) = [r for r in scan_constancy(s, [p, other]).records
+                 if r.sample == 0 and (r.i, r.j) == (2, 3)]
+    assert doc["k_oracle"] == record.k_oracle
+    dense = sectional_oracle(s, p, coordinate_plane(s, p, 2, 3))
+    assert abs(doc["k_oracle"] - dense) <= EQUIVALENCE_RTOL * max(1.0, abs(dense))
     assert doc["flatness_residual"] == flatness_residual(s, p, 2, 3)
     assert doc["constk_residual"] == constk_residual(s, p, 2, 3, 1.0)
 
@@ -521,17 +532,33 @@ def test_scan_writes_report(tmp_path, capsys):
     assert doc["summary"]["max_engine_rel_dev"] <= 1e-12
 
 
+def test_steep_pair_frames_scan_to_zero(tmp_path, capsys):
+    # f = 1e9 x, 1e9 x, x^2, 1e-7 x: every (1, 2) frame e_k - (f_k'/f_4') e_4
+    # is nearly -e_4, but the scan's pair planes are orthonormal, so no
+    # point is an error record and both engines read K = 0
+    spec = tmp_path / "steep.json"
+    spec.write_text(json.dumps({"format_version": 1, **pin_golden.EDGE_SPECS["plane-errors"]}))
+    out = str(tmp_path / "report.json")
+    assert main(["scan", str(spec), "--out", out]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("verdict: constant (spread 0.000e+00 <= tol 1e-07) (K = 0.0)\n")
+    doc = json.loads(read_report_body(out))
+    assert doc["summary"]["points"] == 6 and doc["summary"]["verdict"] == "constant"
+    assert [r["kind"] for r in doc["records"]] == ["pair"] * (6 * 3)
+    assert {(r["k_special"], r["k_oracle"]) for r in doc["records"]} == {(0.0, 0.0)}
+
+
 def test_scan_flagged_record_reported_undetermined(tmp_path, capsys, monkeypatch):
     from sepcurv import curvature
 
-    real_gauss = curvature._gauss
+    real_gauss = curvature.PairTable.gauss
 
-    def one_disagreement(table, u, w):
-        k, errors = real_gauss(table, u, w)
+    def one_disagreement(table):
+        k = real_gauss(table)
         k[0, 0] *= 1.0 + 1e-6
-        return k, errors
+        return k
 
-    monkeypatch.setattr(curvature, "_gauss", one_disagreement)
+    monkeypatch.setattr(curvature.PairTable, "gauss", one_disagreement)
     out = str(tmp_path / "report.json")
     assert main(["scan", sphere4_spec(tmp_path), "--out", out]) == 0
     printed = capsys.readouterr().out

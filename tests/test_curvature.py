@@ -41,7 +41,7 @@ from sepcurv import (
 
 from sepcurv import curvature
 from sepcurv.errors import describe
-from sepcurv.geometry import JetTable
+from sepcurv.geometry import JetTable, jet_table
 from corpus import EXPRESSIONS
 from oracles import brute_coordinate_k, brute_sectional, surface_point
 from reference_summary import reference_summary
@@ -276,13 +276,14 @@ def test_scaled_jets_keep_the_unscaled_formulas_bits():
     assert np.array_equal(got.residual(0.5), 0.5 * sum3 * sq_norm - 4.0 * flat)
     gradnorm = np.sqrt(table.sq_norm)[:, None]
     assert np.array_equal(table.normal, d1 / gradnorm)
-    u, w = got.frames()
-    k, errors = curvature._gauss(table, u, w)
-    _, _, u, _, y, wedge = curvature._unit_pair(u, w)
-    y, hess, dot = y / wedge[..., None], d2[:, None], curvature._dot
-    hxx, hyy, hxy = dot(hess * u, u), dot(hess * y, y), dot(hess * u, y)
-    assert np.array_equal(k, (hxx * hyy - hxy * hxy) / (gradnorm * gradnorm))
-    assert np.isfinite(k).all() and not errors
+    k = got.gauss()
+    assert np.array_equal(k, curvature._pair_gauss(d1, d2, table.sq_norm, got.pairs, 5))
+    assert np.isfinite(k).all()
+    u, w, ok = curvature._draw_planes(table, rng.standard_normal((2000, 3, 2, 4)))
+    _, _, hess, sq_norm = table.scaled
+    k = curvature._gauss(hess[:, None], sq_norm[:, None], u, w)
+    assert np.array_equal(k, curvature._gauss(d2[:, None], table.sq_norm[:, None], u, w))
+    assert ok.all() and np.isfinite(k).all()
 
 
 def test_a_subnormal_scaled_f2_keeps_fewer_bits():
@@ -318,8 +319,7 @@ def test_scaling_never_scales_up():
     with np.errstate(all="raise"):
         got = curvature.pair_table(s, table)
         k = got.curvature()
-    u, w = got.frames()
-    assert k.tolist() == curvature._gauss(table, u, w)[0].tolist() == [[0.0]]
+    assert k.tolist() == got.gauss().tolist() == [[0.0]]
     assert got.residual().tolist() == [[0.0]]
 
 
@@ -380,6 +380,25 @@ def test_engines_match_oracle_on_scaled_corpus_surfaces(data):
     for got, expected in ((ks, want), (sectional_oracle(s, point, plane), want),
                           (sectional_oracle(s, point, oblique), want_oblique)):
         assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected)), (got, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pair_engine_matches_the_dense_frames_on_corpus_surfaces(data):
+    """The scan's 3-coordinate pair engine and the Gauss engine on the dense
+    frame vectors (`sectional_oracle` of `coordinate_plane`) agree within the
+    engine cross-check wherever the dense engine does not raise."""
+    n = data.draw(st.integers(3, 6), label="n")
+    picks = [data.draw(st.sampled_from(EXPRESSIONS)) for _ in range(n)]
+    s = SeparableSurface(tuple(parse_function(src, domain) for src, domain, _ in picks))
+    point = SurfacePoint(tuple(data.draw(st.floats(*window)) for _, _, window in picks), 0.0)
+    i, j = data.draw(st.sampled_from(list(combinations(s.non_height, 2))), label="pair")
+    try:
+        dense = sectional_oracle(s, point, coordinate_plane(s, point, i, j))
+    except SepcurvError:   # a gate failed, or the frames span no plane
+        assume(False)
+    k = curvature.pair_table(s, jet_table(s, [point]), [(i, j)]).gauss()[0, 0]
+    assert abs(k - dense) <= curvature.EQUIVALENCE_RTOL * max(1.0, abs(dense)), (k, dense)
 
 
 def test_oracle_invariant_under_plane_reparametrization():
@@ -580,24 +599,22 @@ def test_a_clean_scan_builds_no_plane_error(monkeypatch):
     assert report.failure_count == 0 and report.value_count == 25 * (10 + 20)
     assert built == []
 
-    # one oblique plane of point 0 forced off the tangent space: its record
-    # is the text the point-wise engine raises for that plane
-    nq, real_gauss = 10, curvature._gauss
+    # the first oblique pair of point 0, and every redraw, rejected: its
+    # record is the text the point-wise draw raises for that plane
+    nq, real_draw = 10, curvature._draw_planes
 
-    def non_tangent(table, u, w):
-        u = u.copy()
-        u[0, nq] = table.normal[0]
-        return real_gauss(table, u, w)
+    def reject_first(jets, coef):
+        u, w, ok = real_draw(jets, coef)
+        ok[(0, 0) if coef.ndim == 4 else 0] = False
+        return u, w, ok
 
-    monkeypatch.setattr(curvature, "_gauss", non_tangent)
+    monkeypatch.setattr(curvature, "_draw_planes", reject_first)
     records = scan_constancy(s, pts, policy).records
-    monkeypatch.setattr(curvature, "_gauss", real_gauss)
-    _, w = random_tangent_plane(s, pts[0], np.random.default_rng([9, 0]))
-    with pytest.raises(DegeneratePlaneError, match="not tangent") as info:
-        sectional_oracle(s, pts[0], [gradient(s, pts[0]), w])
+    with pytest.raises(DegeneratePlaneError, match="no independent tangent plane") as info:
+        random_tangent_plane(s, pts[0], np.random.default_rng([9, 0]))
     assert records[nq] == ScanRecord(0, pts[0].coords, "error", error=describe(info.value))
     assert [r.kind for r in records].count("error") == 1
-    assert len(built) == 2   # the scan's plane and the point-wise engine's
+    assert len(built) == 2   # the scan's plane and the point-wise draw's
 
 
 def test_random_planes_are_tangent_unit_pairs():
@@ -607,9 +624,23 @@ def test_random_planes_are_tangent_unit_pairs():
         grad = np.array(gradient(s, p))
         normal = grad / np.linalg.norm(grad)
         for _ in range(5):
-            for v in random_tangent_plane(s, p, rng):
-                assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-                assert abs(v @ normal) <= 1e-12
+            u, w = random_tangent_plane(s, p, rng)
+            assert abs(u @ w) <= 1e-14
+            for v in (u, w):
+                assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+                assert abs(v @ normal) <= 1e-14
+    # so is every oblique plane a scan builds
+    s, pts = mixed_points(20, 7)
+    report = scan_constancy(s, pts, ScanPolicy(oblique_per_point=5, seed=7))
+    planes = [r for r in report.records if r.kind == "plane"]
+    assert len(planes) == 20 * 5
+    for r in planes:
+        grad = np.array(gradient(s, pts[r.sample]))
+        u, w, normal = np.array(r.u), np.array(r.w), grad / np.linalg.norm(grad)
+        assert abs(u @ w) <= 1e-14
+        for v in (u, w):
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+            assert abs(v @ normal) <= 1e-14
 
 
 def test_random_planes_deterministic_per_seed():
@@ -682,8 +713,8 @@ def test_scan_records_regularity_failures():
 def mixed_failure_points():
     """Hand-built points on a log/exp/sin/x^2 surface: regular points mixed
     with a domain error, an overflow inside a jet, a near-zero height slope
-    and a coordinate frame too steep to span a plane (the engines need no
-    on-surface certificate)."""
+    and coordinate frames too steep for the dense engine to span a plane
+    (the engines need no on-surface certificate)."""
     s = SeparableSurface(
         (
             parse_function("log(x)", (0.0, INF)),
@@ -700,20 +731,30 @@ def mixed_failure_points():
         (2.0, 0.1, -0.3, 0.8),
         (1.0, 0.2, 0.1, 1e-10),     # RegularityError: height slope 2e-10
         (0.9, 0.6, 1.1, 1.9),
-        (1e-3, 7.0, 0.1, 1e-8),     # DegeneratePlaneError: frames of (1, 2) nearly dependent
+        (1e-3, 7.0, 0.1, 1e-8),     # frames of (1, 2) nearly dependent, but regular
     ]
     return s, [SurfacePoint(c, 0.0) for c in coords]
 
 
 def point_error(s, p):
-    """The first error the point-wise engines raise at p, as a scan records it."""
+    """The gate the point-wise closed form fails at p, as a scan records it."""
     try:
-        for i, j in combinations(s.non_height, 2):
-            sectional_special(s, p, i, j)
-            sectional_oracle(s, p, coordinate_plane(s, p, i, j))
+        sectional_special(s, p, *s.non_height[:2])
     except SepcurvError as exc:
         return f"{type(exc).__name__}: {exc}"
     return None
+
+
+def pair_plane_k(s, p, i, j):
+    """50-digit K of the (i, j) pair plane on its basis (g_j, -g_i) and
+    (g_h g_i, g_h g_j, -(g_i^2 + g_j^2)), over coordinates (i, j, h), which
+    stays well conditioned where the frame vectors are nearly dependent."""
+    g, h = gradient(s, p), s.height
+    b1, b2 = np.zeros(s.n), np.zeros(s.n)
+    gi, gj, gh = g[i - 1], g[j - 1], g[h - 1]
+    b1[[i - 1, j - 1]] = gj, -gi
+    b2[[i - 1, j - 1, h - 1]] = gh * gi, gh * gj, -(gi * gi + gj * gj)
+    return brute_sectional(s, p.coords, b1 / np.linalg.norm(b1), b2 / np.linalg.norm(b2))
 
 
 def assert_rel(got, want):
@@ -727,9 +768,12 @@ def test_scan_matches_point_wise_engines():
     messages = [point_error(s, p) for p in pts]
     kinds = [m and m.split(":")[0] for m in messages]
     assert kinds == [
-        None, "DomainError", None, "NonFiniteError", None, "RegularityError", None,
-        "DegeneratePlaneError",
+        None, "DomainError", None, "NonFiniteError", None, "RegularityError", None, None,
     ]
+    # the dense engine cannot span the last point's (1, 2) frames; the scan's
+    # pair planes are orthonormal, so that point has records like any other
+    with pytest.raises(DegeneratePlaneError, match="nearly dependent"):
+        sectional_oracle(s, pts[-1], coordinate_plane(s, pts[-1], 1, 2))
     by_sample = {}
     for rec in report.records:
         by_sample.setdefault(rec.sample, []).append(rec)
@@ -743,7 +787,11 @@ def test_scan_matches_point_wise_engines():
         assert [(r.i, r.j) for r in pairs] == list(combinations(s.non_height, 2))
         for r in pairs:
             assert_rel(r.k_special, sectional_special(s, p, r.i, r.j))
-            assert_rel(r.k_oracle, sectional_oracle(s, p, coordinate_plane(s, p, r.i, r.j)))
+            try:
+                dense = sectional_oracle(s, p, coordinate_plane(s, p, r.i, r.j))
+            except DegeneratePlaneError:
+                dense = pair_plane_k(s, p, r.i, r.j)
+            assert_rel(r.k_oracle, dense)
             assert_rel(r.residual_flat, flatness_residual(s, p, r.i, r.j))
         grad = np.array(gradient(s, p))
         normal = grad / np.linalg.norm(grad)
@@ -754,7 +802,7 @@ def test_scan_matches_point_wise_engines():
                 assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
                 assert abs(np.dot(v, normal)) <= 1e-12
             assert_rel(r.k_oracle, sectional_oracle(s, p, [r.u, r.w]))
-    assert report.failure_count == 4
+    assert report.failure_count == 3
 
 
 REAL_DEFAULT_RNG = np.random.default_rng
@@ -952,7 +1000,7 @@ def test_scan_thread_count_does_not_change_records():
         assert {r.kind for r in solo.records} >= {"pair", "plane"}
         for threads in (2, 3, len(points), len(points) + 5):
             assert scan_constancy(surface, points, policy, threads=threads) == solo
-    assert solo.failure_count == 4
+    assert solo.failure_count == 3
 
 
 @pytest.mark.parametrize("threads", [1, 2, 8])
@@ -976,13 +1024,14 @@ def test_scan_bounds_planes_per_chunk(monkeypatch):
     sizes = []
     real_gauss = curvature._gauss
 
-    def spy(table, u, w):
-        sizes.append(len(table.d1))
-        return real_gauss(table, u, w)
+    def spy(hess, sq_norm, u, y):
+        if u.shape[-1] == s.n:   # an oblique chunk: a pair plane has 3 coordinates
+            sizes.append(len(u))
+        return real_gauss(hess, sq_norm, u, y)
 
     monkeypatch.setattr(curvature, "_gauss", spy)
-    monkeypatch.setattr(curvature, "CHUNK_PLANES", 30)
-    # 20 points x (3 pairs + 6 planes) = 180 planes: at least 6 chunks
+    monkeypatch.setattr(curvature, "CHUNK_PLANES", 20)
+    # 20 points x 6 oblique planes = 120 planes: at least 6 chunks
     assert scan_constancy(s, pts, policy) == whole
     assert sorted(sizes) == [3, 3, 3, 3, 4, 4]
 
@@ -995,14 +1044,14 @@ def test_scan_flagged_record_blocks_constant_verdict(monkeypatch):
     assert clean.flagged_count == 0
     assert clean.max_engine_rel_dev <= 1e-12
 
-    real_gauss = curvature._gauss
+    real_gauss = curvature.PairTable.gauss
 
-    def one_disagreement(table, u, w):
-        k, errors = real_gauss(table, u, w)
+    def one_disagreement(table):
+        k = real_gauss(table)
         k[0, 0] *= 1.0 + 1e-6
-        return k, errors
+        return k
 
-    monkeypatch.setattr(curvature, "_gauss", one_disagreement)
+    monkeypatch.setattr(curvature.PairTable, "gauss", one_disagreement)
     report = scan_constancy(s, pts, policy)
     assert report.flagged_count == 1
     assert [r.flagged for r in report.records].count(True) == 1
@@ -1219,14 +1268,14 @@ def summary_case(name, monkeypatch):
         return scan_constancy(s, points)
     if name == "one-disagreement":
         s, pts = sphere_points(4, 2.0, 6, 68)
-        real_gauss = curvature._gauss
+        real_gauss = curvature.PairTable.gauss
 
-        def one_disagreement(table, u, w):
-            k, errors = real_gauss(table, u, w)
+        def one_disagreement(table):
+            k = real_gauss(table)
             k[0, 0] *= 1.0 + 1e-6
-            return k, errors
+            return k
 
-        monkeypatch.setattr(curvature, "_gauss", one_disagreement)
+        monkeypatch.setattr(curvature.PairTable, "gauss", one_disagreement)
         return scan_constancy(s, pts, ScanPolicy(seed=68))
     if name == "chunked":
         s, pts = sphere_points(4, 2.0, 20, 64)
@@ -1239,10 +1288,11 @@ def summary_case(name, monkeypatch):
         pts, _, _ = sample_points(s, [(-1.0, 1.0)] * 3, 10, 1, (-50.0, 50.0))
         real_gauss = curvature._gauss
 
-        def negative_zero_planes(table, u, w):
-            k, errors = real_gauss(table, u, w)
-            k[:, 3:] = -0.0
-            return k, errors
+        def negative_zero_planes(hess, sq_norm, u, y):
+            k = real_gauss(hess, sq_norm, u, y)
+            if u.shape[-1] == s.n:   # an oblique chunk: a pair plane has 3 coordinates
+                k[:] = -0.0
+            return k
 
         monkeypatch.setattr(curvature, "_gauss", negative_zero_planes)
         return scan_constancy(s, pts, ScanPolicy(oblique_per_point=40, seed=1))
@@ -1266,7 +1316,7 @@ def test_summary_matches_record_pass_oracle(monkeypatch, name):
     }
     if name == "failed-plane-draws":
         planes = [r for r in report.records if r.kind == "plane"]
-        assert report.failure_count == 4 + 4 and len(planes) == 4 * 2
+        assert report.failure_count == 3 + 5 and len(planes) == 5 * 2
     if name == "signed-zeros":
         assert math.copysign(1.0, report.k_min) == math.copysign(1.0, report.k_max) == 1.0
         assert any(math.copysign(1.0, r.k_oracle) < 0 for r in report.records if r.kind == "plane")

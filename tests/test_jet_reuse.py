@@ -146,7 +146,7 @@ def test_a_table_of_another_shape_is_refused():
     surface = make_hypersphere([0.0] * 4, 2.0)
     samples = sample_points(surface, [(-0.5, 0.5)] * 3, 6, 1, (0.2, 2.02))
     with pytest.raises(ValueError, match=r"jet table of shape \(5, 4\) does not fit 6 points"):
-        scan_constancy(surface, samples.points, jets=samples.table.rows(1, 6))
+        scan_constancy(surface, samples.points, jets=jet_table(surface, samples.points[1:]))
     with pytest.raises(ValueError, match=r"does not fit 5 points"):
         scan_constancy(surface, samples.points[1:], jets=samples.table)
 

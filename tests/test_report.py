@@ -16,6 +16,7 @@ from sepcurv import (
     CurvatureReport,
     ScanPolicy,
     SeparableSurface,
+    SurfacePoint,
     parse_function,
     read_report_body,
     report_body_csv,
@@ -35,28 +36,32 @@ CSV_COLUMNS = [
 ]
 
 
-def sphere_report(oblique=2, count=3, threads=1):
+def sphere_report(oblique=2, count=3, threads=1, extra=()):
+    """A scan of `count` lifted points of a radius-2 sphere in R^4, then the
+    `extra` coordinate tuples as given."""
     fs = [parse_function("x^2") for _ in range(3)]
     fs.append(parse_function("x^2 - 4.0"))
     surface = SeparableSurface(tuple(fs))
     pts, fails, _ = sample_points(surface, [(-0.5, 0.5)] * 3, count, 5, (0.2, 2.02))
     assert not fails
+    pts += [SurfacePoint(coords, 0.0) for coords in extra]
     policy = ScanPolicy(oblique_per_point=oblique, seed=9)
     return scan_constancy(surface, pts, policy, threads=threads)
 
 
-REAL_GAUSS = curvature._gauss
+REAL_DRAW = curvature._draw_planes
 
 
-def off_tangent(table, u, w):
-    """`_gauss` with a plane forced off the tangent space at points whose
-    normal's first entry is far from 0: the first pair plane where it is
-    above 0.1, which fails the point, and the last oblique plane where it
-    is below -0.1, which fails that plane alone."""
-    u, normal = u.copy(), table.normal
-    for rows, plane in ((normal[:, 0] > 0.1, 0), (normal[:, 0] < -0.1, -1)):
-        u[rows, plane] = normal[rows]
-    return REAL_GAUSS(table, u, w)
+def reject_draws(jets, coef):
+    """`_draw_planes` that rejects the last oblique pair of each point whose
+    normal's first entry is below -0.1, and every redraw, so that plane
+    alone fails."""
+    u, w, ok = REAL_DRAW(jets, coef)
+    if coef.ndim == 4:   # the scan's one draw of every point's pairs
+        ok[jets.normal[:, 0] < -0.1, -1] = False
+    else:
+        ok[:] = False
+    return u, w, ok
 
 
 def synthetic_columns(errors=()):
@@ -392,12 +397,13 @@ def test_error_records_and_sampling_failures_match_oracle(monkeypatch):
     assert json.loads(body)["sampling_failures"][0]["error"] == ODD_TEXT
     assert body.isascii()
 
-    # a scan with failed points and failed oblique planes: one body at 1, 2
-    # and 8 chunks
-    monkeypatch.setattr(curvature, "_gauss", off_tangent)
+    # a scan with a failed point (its height slope 2e-10 is below the
+    # regularity gate) and failed oblique planes: one body at 1, 2 and 8
+    # chunks
+    monkeypatch.setattr(curvature, "_draw_planes", reject_draws)
     bodies = set()
     for threads in (1, 2, 8):
-        report = sphere_report(oblique=3, count=8, threads=threads)
+        report = sphere_report(3, 8, threads, [(1.0, 1.0, math.sqrt(2.0), 1e-10)])
         kinds = {}
         for rec in report.records:
             kinds.setdefault(rec.sample, []).append(rec.kind)
