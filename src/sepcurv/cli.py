@@ -76,9 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None, help="override the constancy tolerance")
     p.add_argument(
         "--threads", type=int, default=1,
-        help="number (>= 1) of sequential point chunks the Gauss engine's oblique "
-        "planes are split into; every other step runs once over all points "
-        "(output is identical for any value)",
+        help="accepted for compatibility: an integer >= 1, which has no effect",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json", help="report body format")
 
@@ -185,10 +183,10 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     spec = _load_sampled(ns.spec, "scanning")
     seed = integer(spec.seed if ns.seed is None else ns.seed, "--seed", 0)
     tol = _resolve_tol(ns.tol, spec.constancy_tol)
-    threads = integer(ns.threads, "--threads", 1)
+    integer(ns.threads, "--threads", 1)   # checked, then unused
     policy = ScanPolicy(oblique_per_point=spec.oblique, seed=seed, constancy_tol=tol)
     report, failures = sample_and_scan(
-        spec.surface, spec.ranges, spec.count, seed, spec.bracket, policy, threads
+        spec.surface, spec.ranges, spec.count, seed, spec.bracket, policy
     )
     if ns.format == "json":
         body = report_body_json(

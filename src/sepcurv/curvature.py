@@ -36,10 +36,7 @@ jets, and the scaled ones times 2^(4 e) only where those overflow.  All
 are array expressions over all points and planes at once.  Sums over
 coordinates run in a fixed order, so a row's result does not depend on how
 many rows share the table: the closed-form point-wise functions are the
-same kernels at P = 1 and agree with a scan bit for bit, and a scan whose
-Gauss engine runs its oblique planes in point chunks writes the same
-records and summary (an exact `fsum` mean computed once over every point,
-see `scan_constancy`).
+same kernels at P = 1 and agree with a scan bit for bit.
 
 Random oblique planes orthonormalize standard-normal coefficient pairs in
 R^(n-1) and map them through each point's orthonormal tangent basis
@@ -79,7 +76,6 @@ EQUIVALENCE_RTOL = 1e-9        # |k_special - k_oracle| <= rtol * max(1, |k_orac
 DEFAULT_CONSTANCY_TOL = 1e-7
 PLANE_EPS = 1e-10              # tangency and independence thresholds
 PLANE_RETRIES = 100
-CHUNK_PLANES = 1 << 14         # oblique planes per scan chunk, bounding its arrays' memory
 # spawn key of a scan's plane stream, which differs from default_rng(seed) and
 # every default_rng([seed, position]) (a one-word key equals [seed, 0] from 2^96)
 PLANE_STREAM = (0, 0)
@@ -252,8 +248,13 @@ def coordinate_plane(surface: SeparableSurface, point: SurfacePoint, i: int, j: 
     """The tangent plane spanned by the frame vectors e_k - (f_k'/f_h') e_h
     of coordinates i and j (h the height), as a (2, n) array whose rows are
     those vectors, the lower coordinate's first."""
-    pair = _pair_sorted(surface, i, j)
-    return point_jets(surface, point, surface.height).frames(surface.height, pair)[0]
+    idx, h = [k - 1 for k in _pair_sorted(surface, i, j)], surface.height - 1
+    d1 = point_jets(surface, point, surface.height).d1[0]
+    plane = np.zeros((2, surface.n))
+    plane[[0, 1], idx] = 1.0
+    with np.errstate(all="ignore"):
+        plane[:, h] = -d1[idx] / d1[h]
+    return plane
 
 
 def sectional_oracle(surface: SeparableSurface, point: SurfacePoint, plane) -> float:
@@ -326,8 +327,7 @@ class ScanPolicy:
     and finite, checked when the policy is built.  A scan draws every
     point's planes in one call, in point order, from one stream keyed by
     (seed, `PLANE_STREAM`) and redraws a rejected pair from the stream
-    [seed, position in the scan], so results are independent of how the
-    Gauss engine is chunked.
+    [seed, position in the scan].
     """
 
     oblique_per_point: int = 0
@@ -360,7 +360,7 @@ class ScanRecord(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class RecordColumns:
     """The records of a scan's P sample points, kept as its engines' arrays
-    in one block, however its Gauss engine is chunked.
+    in one block.
 
     Row p is sample p, at `coords[p]`.  A row with a `point_errors[p]` text
     holds that one error record.  Any other row holds a pair record per
@@ -423,11 +423,11 @@ class CurvatureReport:
     """Scan outcome: per-plane records plus summary statistics.
 
     The records are kept in `columns`: the scan's engine arrays, as one
-    `RecordColumns` block for any chunking.  The report writers read the
-    columns.  `records` builds the `ScanRecord`s from them the first time it
-    is read, so a scan whose records nobody reads never builds them, and
-    every read returns the same tuple.  Two reports are equal when their
-    records and other fields are.
+    `RecordColumns` block.  The report writers read the columns.  `records`
+    builds the `ScanRecord`s from them the first time it is read, so a scan
+    whose records nobody reads never builds them, and every read returns
+    the same tuple.  Two reports are equal when their records and other
+    fields are.
 
     `k_min`, `k_max`, `k_mean` and `spread` (max - min) range over the
     finite curvature values.  `verdict` is "non-constant" if the spread
@@ -483,20 +483,16 @@ def scan_constancy(
     Without it the scan evaluates one (`geometry.jet_table`); a table of
     another shape is a `ValueError`.  A point failing a gate, or an oblique
     plane no draw could span, becomes an error record, never aborts the
-    scan.  Every step runs once over all points' arrays, except the Gauss
-    engine's oblique planes, whose (points, planes, n) arrays are the large
-    ones: they run in `threads` sequential point chunks, at most one per
-    point and at least enough that they average no more than
-    `CHUNK_PLANES` planes, each filling its rows of one K array.  The
-    summary is computed once from the engine arrays, never from the
-    records, and the report keeps those arrays, as one `RecordColumns`
-    block, as its records: the writers read them, and `ScanRecord`s are
-    built from them only when `records` is first read.  Records are ordered
-    by (sample position, pairs ascending, then planes in draw order), and
-    the Gauss sums run in a fixed order per row, so output is identical for
-    any chunk count.
+    scan.  Every step runs once over all points' arrays; only the redraw of
+    a rejected oblique pair loops over points.  The summary is computed
+    once from the engine arrays, never from the records, and the report
+    keeps those arrays, as one `RecordColumns` block, as its records: the
+    writers read them, and `ScanRecord`s are built from them only when
+    `records` is first read.  Records are ordered by (sample position, pairs
+    ascending, then planes in draw order).  `threads` must be an integer
+    >= 1 and has no effect.
     """
-    threads = integer(threads, "threads")
+    integer(threads, "threads")
     samples = list(samples)
     if len(samples) < 2:
         raise ValueError(f"constancy scan needs at least 2 sample points, got {len(samples)}")
@@ -528,10 +524,7 @@ def scan_constancy(
                 except DegeneratePlaneError as exc:
                     failed[p, nq + r], plane_errors[p, r] = True, describe(exc)
         _, _, hess, sq_norm = jets.scaled
-        chunks = min(max(threads, -(-count * m // CHUNK_PLANES)), count)
-        edges = [count * c // chunks for c in range(chunks + 1)]
-        for a, b in zip(edges, edges[1:]):
-            k[a:b, nq:] = _gauss(hess[a:b, None], sq_norm[a:b, None], pu[a:b], pw[a:b])
+        k[:, nq:] = _gauss(hess[:, None], sq_norm[:, None], pu, pw)
     kept = ~failed[good]
 
     ks, ko = table.curvature(), k[:, :nq]
@@ -593,17 +586,16 @@ def scan_constancy(
 
 def sample_and_scan(
     surface: SeparableSurface, ranges: Sequence[tuple[float, float]], count: int, seed,
-    bracket: tuple[float, float], policy: ScanPolicy, threads: int = 1,
+    bracket: tuple[float, float], policy: ScanPolicy,
 ) -> tuple[CurvatureReport, list[tuple[int, str]]]:
     """Lift `count` draws onto the surface (`sample_points`, `seed` seeding
     the draws) and scan the lifted points (`scan_constancy`).  Returns the
     report and the sampling failures as (draw index, text) pairs; fewer than
     2 lifted draws raise a `SolveError` naming the first failure."""
-    integer(threads, "threads")
     points, failures, table = sample_points(surface, ranges, count, seed, bracket)
     if len(points) < 2:
         raise SolveError(
             f"only {len(points)} of {count} draws lifted onto the surface; "
             f"first failure: {failures[0][1] if failures else 'n/a'}"
         )
-    return scan_constancy(surface, points, policy, threads=threads, jets=table), failures
+    return scan_constancy(surface, points, policy, jets=table), failures

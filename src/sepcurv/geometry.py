@@ -168,16 +168,6 @@ class JetTable:
         with np.errstate(all="ignore"):
             return x - (beta[lead] * _dot(v, x))[..., None] * v
 
-    def frames(self, height: int, coords: Sequence[int]) -> np.ndarray:
-        """Tangent vectors e_k - (f'_k/f'_h) e_h for the 1-based coordinates
-        `coords` (h the 1-based `height`), shape (P, len(coords), n)."""
-        h0, idx = height - 1, [k - 1 for k in coords]
-        vec = np.zeros((self.d1.shape[0], len(idx), self.d1.shape[1]))
-        vec[:, np.arange(len(idx)), idx] = 1.0
-        with np.errstate(all="ignore"):
-            vec[:, :, h0] = -self.d1[:, idx] / self.d1[:, h0:h0 + 1]
-        return vec
-
     def errors(self, height: int | None = None) -> list[SepcurvError | None]:
         """Each point's first failure: its jet error, then the gradient-norm
         gate, then (given the 1-based `height`) the height-slope gate."""

@@ -3,7 +3,7 @@
 A report file is one '#'-prefixed header line carrying the timestamp (the
 only non-deterministic bytes in the file) followed by a canonical body:
 sorted-key, two-space-indented JSON, or CSV records.  For fixed inputs and
-seed the body is byte-identical regardless of point chunking or generation
+seed the body is byte-identical regardless of `--threads` or generation
 time; `read_report_body` strips the header so callers can compare bodies
 directly.
 

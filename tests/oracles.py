@@ -148,7 +148,9 @@ def brute_sectional(surface, coords, u, w) -> float:
 
 def brute_coordinate_k(surface, coords, i: int, j: int) -> float:
     """Curvature of the (i, j) coordinate tangent plane, frame built from
-    finite-difference gradients only."""
+    finite-difference gradients only.  Each frame vector e_k - (g_k/g_h) e_h
+    is normalized, so the difference step along it stays 1e-10 however
+    large g_k/g_h is; K does not depend on the vectors' lengths."""
     g = _mp_gradient(surface, coords)
     h0 = surface.height - 1
     n = surface.n
@@ -157,7 +159,8 @@ def brute_coordinate_k(surface, coords, i: int, j: int) -> float:
         vec = [mpmath.mpf(0)] * n
         vec[k - 1] = mpmath.mpf(1)
         vec[h0] = -g[k - 1] / g[h0]
-        return vec
+        norm = mpmath.sqrt(mpmath.fsum(c * c for c in vec))
+        return [c / norm for c in vec]
 
     return brute_sectional(surface, coords, frame_vector(i), frame_vector(j))
 

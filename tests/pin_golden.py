@@ -5,8 +5,8 @@ sha256 of each output below, beside the Python, numpy and C library
 versions that produced them:
 
 - the JSON and CSV scan bodies (past the `#` line) of every `specs/*.json`,
-  at the default `--threads` and at `--threads 3` (three chunks);
-- the same bodies, at both chunkings, of the specs in `OBLIQUE_SPECS`
+  at the default `--threads` and at `--threads 3`;
+- the same bodies, at both `--threads` values, of the specs in `OBLIQUE_SPECS`
   rewritten with `sampling.oblique_planes: 3`;
 - the same bodies of the edge-case specs in `EDGE_SPECS`;
 - the stdout of `certify flat` and `certify constant` at `--count 10`;

@@ -1,6 +1,6 @@
 """Reference oracle for a scan's summary statistics.
 
-This is the summary the package computed before it combined the chunks'
+This is the summary the package computed before it summarized the scan's
 engine arrays, kept here unchanged in substance: Python passes over the
 finished records for the values, the error-record count, the flags and the
 worst engine deviation, then the finite-only rule for the statistics and

@@ -414,8 +414,9 @@ def test_eval_overflowing_jet_products_exit_0(tmp_path, capsys):
     path = write_spec(tmp_path, doc)
     assert main(["eval", path, "--point", "354.0,0.5"]) == 0
     got = json.loads(capsys.readouterr().out)
-    # the oracles' difference steps are absolute, so x_3 needs more than 50 digits
-    with mpmath.workdps(150):
+    # the oracles' difference steps are absolute, so x_3 needs more than 50
+    # digits: a 1e-10 step along a unit frame vector moves it by 1e-87 of itself
+    with mpmath.workdps(200):
         want = brute_coordinate_k(load_spec(path).surface, got["coords"], 1, 2)
         e1, x2, x3 = mpmath.exp(got["coords"][0]), *map(mpmath.mpf, got["coords"][1:])
         flat = e1 * e1 * 2 * -2 + 4 * x2 * x2 * e1 * -2 + 4 * x3 * x3 * e1 * 2
@@ -573,11 +574,11 @@ def test_scan_flagged_record_reported_undetermined(tmp_path, capsys, monkeypatch
 def test_scan_identical_across_threads_and_runs(tmp_path):
     spec = sphere4_spec(tmp_path)
     bodies = []
-    for name, threads in (("a", "1"), ("b", "3"), ("c", "1")):
+    for name, threads in (("a", "1"), ("b", "3"), ("c", "1"), ("d", "1000")):
         out = str(tmp_path / f"{name}.json")
         assert main(["scan", spec, "--out", out, "--threads", threads]) == 0
         bodies.append(read_report_body(out))
-    assert bodies[0] == bodies[1] == bodies[2]
+    assert bodies[0] == bodies[1] == bodies[2] == bodies[3]
 
 
 def test_scan_csv_format(tmp_path):

@@ -805,6 +805,18 @@ def test_scan_matches_point_wise_engines():
     assert report.failure_count == 3
 
 
+def test_coordinate_oracle_reads_the_engines_at_a_steep_frame():
+    # at the last mixed point the (1, 2) frame vectors are about 5e10 long
+    # (|g_1 / g_4|); the oracle differences along unit frame vectors, so
+    # its 1e-10 step stays near the point
+    s, pts = mixed_failure_points()
+    want = brute_coordinate_k(s, pts[-1].coords, 1, 2)
+    assert abs(want - -0.4953171688449765) <= 1e-12
+    table = curvature._one_pair(s, pts[-1], 1, 2)
+    for got in (table.curvature()[0, 0], table.gauss()[0, 0]):
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+
 REAL_DEFAULT_RNG = np.random.default_rng
 
 
@@ -833,9 +845,8 @@ def planes_at(report, pos):
 def test_scan_rejected_draw_falls_back_to_sequential_planes(monkeypatch):
     # only the dependent pair is redrawn, from point 1's own stream, as
     # random_tangent_plane draws from it; every other plane keeps its draw.
-    # At 3 threads each point is its own Gauss chunk: the draws are still
-    # one call over every point, and the redraw stream is keyed by the
-    # point's position in the whole scan
+    # At any threads value the draws are one call over every point, and the
+    # redraw stream is keyed by the point's position in the whole scan
     s, pts = sphere_points(4, 2.0, 3, 67)
     policy = ScanPolicy(oblique_per_point=4, seed=67)
     plain = scan_constancy(s, pts, policy)
@@ -916,8 +927,9 @@ def test_overflowing_jet_products_give_finite_curvature(seed):
     assert report.verdict == "constant"
     for r in report.records:
         # the oracles' difference steps are absolute, so x_3 ~ 1e76 needs
-        # more than 50 digits
-        with mpmath.workdps(150):
+        # more than 50 digits: a 1e-10 step along a unit frame vector moves
+        # x_3 by about 1e-87 of itself
+        with mpmath.workdps(200):
             want = brute_coordinate_k(s, r.coords, r.i, r.j)
         assert oracle_close(r.k_special, want) and oracle_close(r.k_oracle, want)
         assert r.residual_flat > 0.0   # about 4 exp(2 x_1), or inf past the float range
@@ -1005,8 +1017,8 @@ def test_scan_thread_count_does_not_change_records():
 
 @pytest.mark.parametrize("threads", [1, 2, 8])
 def test_scan_report_keeps_one_record_block(threads):
-    # however the Gauss engine is chunked, the records are the scan's one
-    # block, whose row p is sample p, error points included
+    # at any threads value the records are the scan's one block, whose row
+    # p is sample p, error points included
     surface, points = mixed_failure_points()
     report = scan_constancy(surface, points, ScanPolicy(oblique_per_point=2, seed=3), threads)
     block = report.columns
@@ -1017,23 +1029,24 @@ def test_scan_report_keeps_one_record_block(threads):
     assert block.point_errors and {r.sample for r in report.records} == set(range(len(points)))
 
 
-def test_scan_bounds_planes_per_chunk(monkeypatch):
+def test_scan_makes_one_oblique_gauss_call(monkeypatch):
     s, pts = sphere_points(4, 2.0, 20, 64)
     policy = ScanPolicy(oblique_per_point=6, seed=64)
     whole = scan_constancy(s, pts, policy)
-    sizes = []
+    shapes = []
     real_gauss = curvature._gauss
 
     def spy(hess, sq_norm, u, y):
-        if u.shape[-1] == s.n:   # an oblique chunk: a pair plane has 3 coordinates
-            sizes.append(len(u))
+        if u.shape[-1] == s.n:   # an oblique call: a pair plane has 3 coordinates
+            shapes.append(u.shape)
         return real_gauss(hess, sq_norm, u, y)
 
     monkeypatch.setattr(curvature, "_gauss", spy)
-    monkeypatch.setattr(curvature, "CHUNK_PLANES", 20)
-    # 20 points x 6 oblique planes = 120 planes: at least 6 chunks
-    assert scan_constancy(s, pts, policy) == whole
-    assert sorted(sizes) == [3, 3, 3, 3, 4, 4]
+    for threads in (1, 3, len(pts) + 5):
+        shapes.clear()
+        assert scan_constancy(s, pts, policy, threads=threads) == whole
+        # one call over all 20 points x 6 oblique planes
+        assert shapes == [(20, 6, s.n)]
 
 
 def test_scan_flagged_record_blocks_constant_verdict(monkeypatch):
@@ -1104,9 +1117,6 @@ BAD_ARGUMENTS = [
     ("constk_residual.k0", lambda v: constk_residual(sphere(3, 1.0), TOP, 1, 2, v),
      (True, INF), r"^k0 must be a finite number, got (True|inf)$"),
     ("scan_constancy.threads", lambda v: scan_constancy(*sphere_points(3, 1.0, 3, 1), threads=v),
-     (2.5, 0, -3, True), r"^threads must be an integer >= 1, got (2\.5|0|-3|True)$"),
-    ("sample_and_scan.threads", lambda v: curvature.sample_and_scan(
-        sphere(3, 1.0), [(-0.4, 0.4)] * 2, 3, 0, (0.1, 1.01), ScanPolicy(), v),
      (2.5, 0, -3, True), r"^threads must be an integer >= 1, got (2\.5|0|-3|True)$"),
     ("make_cylinder.profile_slot", lambda v: make_cylinder(parse_function("x^2"), 4, profile_slot=v),
      (True, 1.5), r"^profile_slot must be an integer >= 1 and <= 4, got (True|1\.5)$"),
@@ -1198,13 +1208,11 @@ def test_scan_records_follow_sample_pair_plane_order(monkeypatch):
     assert [(r.sample, r.kind, r.i, r.j) for r in report.records] == want
     # a sample's records share its point's coords tuple
     assert all(r.coords is pts[r.sample].coords for r in report.records)
-    # a scan builds one generator, keyed off (seed, PLANE_STREAM), whose
-    # draws its chunks take in point order, so any chunking gives the same
-    # planes: 4 to 8 chunks below, one above
+    # a scan builds one generator, keyed off (seed, PLANE_STREAM), and takes
+    # its draws in point order, so any threads value gives the same planes
     seeds = []
     monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or
                         REAL_DEFAULT_RNG(seed))
-    monkeypatch.setattr(curvature, "CHUNK_PLANES", 15)
     for threads in (1, 2, 3, len(pts)):
         seeds.clear()
         assert scan_constancy(s, pts, policy, threads=threads).records == report.records
@@ -1279,7 +1287,6 @@ def summary_case(name, monkeypatch):
         return scan_constancy(s, pts, ScanPolicy(seed=68))
     if name == "chunked":
         s, pts = sphere_points(4, 2.0, 20, 64)
-        monkeypatch.setattr(curvature, "CHUNK_PLANES", 30)
         return scan_constancy(s, pts, ScanPolicy(oblique_per_point=6, seed=64))
     if name == "signed-zeros":
         # pair values +0.0, every oblique value -0.0: the minimum and the
@@ -1290,7 +1297,7 @@ def summary_case(name, monkeypatch):
 
         def negative_zero_planes(hess, sq_norm, u, y):
             k = real_gauss(hess, sq_norm, u, y)
-            if u.shape[-1] == s.n:   # an oblique chunk: a pair plane has 3 coordinates
+            if u.shape[-1] == s.n:   # the oblique call: a pair plane has 3 coordinates
                 k[:] = -0.0
             return k
 

@@ -131,12 +131,11 @@ def test_scan_with_failing_draws_matches_a_scan_without():
     _same_reports(given, own)
 
 
-def test_chunked_scan_with_the_lift_table_matches(monkeypatch):
+def test_chunked_scan_with_the_lift_table_matches():
     surface = make_hypersphere([0.0] * 4, 2.0)
     policy = ScanPolicy(oblique_per_point=4, seed=7)
     args = (surface, [(-0.5, 0.5)] * 3, 25, 7, (0.2, 2.02), policy)
     _, whole, _ = _scans(*args)
-    monkeypatch.setattr(curvature, "CHUNK_PLANES", 20)
     _, given, own = _scans(*args)
     _same_reports(given, own)
     _same_reports(given, whole)
@@ -175,7 +174,6 @@ def _count_record_builds(monkeypatch) -> list:
 
 def test_records_are_built_once_on_first_read(monkeypatch):
     built = _count_record_builds(monkeypatch)
-    monkeypatch.setattr(curvature, "CHUNK_PLANES", 20)
     surface = make_hypersphere([0.0] * 4, 2.0)
     points, _, table = sample_points(surface, [(-0.5, 0.5)] * 3, 12, 2, (0.2, 2.02))
     report = scan_constancy(surface, points, ScanPolicy(oblique_per_point=2), jets=table)

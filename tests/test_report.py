@@ -378,7 +378,7 @@ def test_cli_scan_bodies_match_oracle(tmp_path, monkeypatch, spec, fmt):
 
 
 def test_scan_bodies_match_oracle():
-    # one body at 1, 2 and 8 chunks
+    # one body at threads 1, 2 and 8
     bodies = set()
     for threads in (1, 2, 8):
         report = sphere_report(oblique=3, count=8, threads=threads)
@@ -398,8 +398,8 @@ def test_error_records_and_sampling_failures_match_oracle(monkeypatch):
     assert body.isascii()
 
     # a scan with a failed point (its height slope 2e-10 is below the
-    # regularity gate) and failed oblique planes: one body at 1, 2 and 8
-    # chunks
+    # regularity gate) and failed oblique planes: one body at threads 1, 2
+    # and 8
     monkeypatch.setattr(curvature, "_draw_planes", reject_draws)
     bodies = set()
     for threads in (1, 2, 8):
