@@ -44,11 +44,13 @@ R^(n-1) and map them through each point's orthonormal tangent basis
 however small the normal's components.  A scan draws every point's pairs,
 in point order, from one generator keyed by `SeedSequence(seed,
 spawn_key=PLANE_STREAM)`, and redraws a rejected pair (too short or nearly
-dependent) from default_rng([seed, position]).
+dependent) from default_rng([seed, position]) on the point's row of its jet
+table, as `random_tangent_plane` draws (`_redraw`).  A point with a plane no
+redraw can span is one error record, as a point failing a gate is.
 
 A scan's report keeps its engines' arrays as its records, in one
 `RecordColumns` block: the pair K of both engines, the flags, the plane K
-and u, w, the coords and each failure's text.  The report writers read
+and u, w, the coords and each failed point's text.  The report writers read
 them; the flatness residual and the `ScanRecord`s are computed from them
 only when first read, which the certify suites never do.
 """
@@ -296,6 +298,19 @@ def sectional_oracle(surface: SeparableSurface, point: SurfacePoint, plane) -> f
     return float(_gauss(hess, sq_norm, u, y / wedge[:, None])[0])
 
 
+def _redraw(jets: JetTable, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The first orthonormal tangent pair u, w at a one-row table's point
+    that `_draw_planes` keeps, of at most `PLANE_RETRIES` standard-normal
+    coefficient pairs drawn from `rng`."""
+    for _ in range(PLANE_RETRIES):
+        u, w, ok = _draw_planes(jets, rng.standard_normal((1, 2, jets.d1.shape[1] - 1)))
+        if ok[0]:
+            return u[0], w[0]
+    raise DegeneratePlaneError(
+        f"no independent tangent plane found after {PLANE_RETRIES} draws"
+    )
+
+
 def random_tangent_plane(
     surface: SeparableSurface, point: SurfacePoint, rng: np.random.Generator
 ) -> np.ndarray:
@@ -307,14 +322,7 @@ def random_tangent_plane(
     (`JetTable.reflector`), so the rows are orthonormal; nearly dependent
     draws are rejected and retried (at most `PLANE_RETRIES` times).
     """
-    jets = point_jets(surface, point)
-    for _ in range(PLANE_RETRIES):
-        u, w, ok = _draw_planes(jets, rng.standard_normal((1, 2, surface.n - 1)))
-        if ok[0]:
-            return np.array([u[0], w[0]])
-    raise DegeneratePlaneError(
-        f"no independent tangent plane found after {PLANE_RETRIES} draws"
-    )
+    return np.array(_redraw(point_jets(surface, point), rng))
 
 
 @dataclass(frozen=True)
@@ -365,12 +373,11 @@ class RecordColumns:
     Row p is sample p, at `coords[p]`.  A row with a `point_errors[p]` text
     holds that one error record.  Any other row holds a pair record per
     entry q of `pairs`, from column q of `k_special`, `k_oracle`,
-    `residual_flat` and `flagged` (shape (P, Q)), and then one record per
-    oblique plane r: a plane record of `k_oracle[p, Q + r]`, `u[p, r]` and
-    `w[p, r]` ((P, m, n)), or an error record where (p, r) has a
-    `plane_errors` text.  `residuals` is the `residual_flat` array, or a
-    scan's `PairTable`, from which it is computed on first read.  Error
-    rows' array entries mean nothing.
+    `residual_flat` and `flagged` (shape (P, Q)), and then a plane record
+    per oblique plane r, of `k_oracle[p, Q + r]`, `u[p, r]` and `w[p, r]`
+    ((P, m, n)).  `residuals` is the `residual_flat` array, or a scan's
+    `PairTable`, from which it is computed on first read.  Error rows'
+    array entries mean nothing.
     """
 
     coords: Sequence[tuple[float, ...]]
@@ -381,7 +388,6 @@ class RecordColumns:
     u: np.ndarray
     w: np.ndarray
     point_errors: dict[int, str]
-    plane_errors: dict[tuple[int, int], str]
     residuals: PairTable | np.ndarray
 
     @cached_property
@@ -392,7 +398,7 @@ class RecordColumns:
 
     def records(self) -> list[ScanRecord]:
         """The block's records, in row order."""
-        nq, m = len(self.pairs), self.u.shape[1]
+        nq = len(self.pairs)
         lo, hi = [i for i, _ in self.pairs], [j for _, j in self.pairs]
         special, gauss, flat, flags, us, ws = (
             a.tolist() for a in (self.k_special, self.k_oracle, self.residual_flat,
@@ -408,13 +414,8 @@ class RecordColumns:
                 repeat(p, nq), repeat(coords), repeat("pair"), lo, hi, repeat(None),
                 repeat(None), special[p], gauss[p], flat[p], flags[p], repeat(None),
             )))
-            for r in range(m):
-                failed = (p, r) in self.plane_errors
-                out.append(
-                    ScanRecord(p, coords, "error", error=self.plane_errors[p, r]) if failed
-                    else ScanRecord(p, coords, "plane", None, None, tuple(us[p][r]),
-                                    tuple(ws[p][r]), None, gauss[p][nq + r])
-                )
+            out.extend(ScanRecord(p, coords, "plane", None, None, tuple(u), tuple(w), None, k)
+                       for u, w, k in zip(us[p], ws[p], gauss[p][nq:]))
         return out
 
 
@@ -481,10 +482,11 @@ def scan_constancy(
     `jets` is the points' jet table, row p for samples[p]: the `table` of
     the `Samples` the points came from, so that no f_k is walked again.
     Without it the scan evaluates one (`geometry.jet_table`); a table of
-    another shape is a `ValueError`.  A point failing a gate, or an oblique
-    plane no draw could span, becomes an error record, never aborts the
-    scan.  Every step runs once over all points' arrays; only the redraw of
-    a rejected oblique pair loops over points.  The summary is computed
+    another shape is a `ValueError`.  A point failing a gate, or with an
+    oblique plane no draw could span, becomes one error record, never
+    aborts the scan.  Every step runs once over all points' arrays; only
+    the redraw of a rejected oblique pair loops over points, on the point's
+    row of the table (`_redraw`).  The summary is computed
     once from the engine arrays, never from the records, and the report
     keeps those arrays, as one `RecordColumns` block, as its records: the
     writers read them, and `ScanRecord`s are built from them only when
@@ -510,22 +512,20 @@ def scan_constancy(
     k = np.empty((count, nq + m))
     k[:, :nq] = table.gauss()
     pu = pw = np.zeros((count, 0, surface.n))
-    # a scan's plane errors are oblique planes that no draw could span
-    failed, plane_errors = np.zeros(k.shape, dtype=bool), {}
     if m:
         rng = np.random.default_rng(np.random.SeedSequence(policy.seed, spawn_key=PLANE_STREAM))
         pu, pw, ok = _draw_planes(jets, rng.standard_normal((count, m, 2, surface.n - 1)))
         for p in np.flatnonzero(good & ~ok.all(axis=1)).tolist():
             # the point's rejected pairs are redrawn, in order, from its own stream
+            row = JetTable(jets.d1[[p]], jets.d2[[p]], jets.sq_norm[[p]], (None,))
             redraw = np.random.default_rng([policy.seed, p])
-            for r in np.flatnonzero(~ok[p]).tolist():
-                try:
-                    pu[p, r], pw[p, r] = random_tangent_plane(surface, samples[p], redraw)
-                except DegeneratePlaneError as exc:
-                    failed[p, nq + r], plane_errors[p, r] = True, describe(exc)
+            try:
+                for r in np.flatnonzero(~ok[p]).tolist():
+                    pu[p, r], pw[p, r] = _redraw(row, redraw)
+            except DegeneratePlaneError as exc:
+                errors[p], good[p] = exc, False
         _, _, hess, sq_norm = jets.scaled
         k[:, nq:] = _gauss(hess[:, None], sq_norm[:, None], pu, pw)
-    kept = ~failed[good]
 
     ks, ko = table.curvature(), k[:, :nq]
     with np.errstate(all="ignore"):
@@ -533,7 +533,7 @@ def scan_constancy(
         # a non-finite value in either engine fails the comparison, so it is flagged
         flagged = ~(gap <= EQUIVALENCE_RTOL * scale)
         devs = gap[good] / scale[good]
-    values = np.concatenate([ks, k[:, nq:]], axis=1)[good][kept]
+    values = np.concatenate([ks, k[:, nq:]], axis=1)[good].ravel()
     finite = values[np.isfinite(values)]
     flagged_count = int(flagged[good].sum())
     devs = devs[np.isfinite(devs)]
@@ -558,11 +558,11 @@ def scan_constancy(
     else:
         k_min = k_max = k_mean = spread = estimate = None
         verdict = "undetermined"
-    # an error point's one record names its jets' failure
+    # an error point's one record names its failure
     point_errors = {p: describe(errors[p]) for p in np.flatnonzero(~good).tolist()}
     columns = RecordColumns(
         [point.coords for point in samples], table.pairs, ks, k, flagged, pu, pw,
-        point_errors, plane_errors, table,
+        point_errors, table,
     )
     return CurvatureReport(
         n=surface.n,
@@ -572,7 +572,7 @@ def scan_constancy(
         columns=columns,
         point_count=count,
         value_count=len(values),
-        failure_count=int((~good).sum() + (~kept).sum()),
+        failure_count=int((~good).sum()),
         k_min=k_min,
         k_max=k_max,
         k_mean=k_mean,

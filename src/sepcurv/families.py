@@ -283,9 +283,11 @@ def _clipped_box(surface: SeparableSurface, **params):
         if not a < b:
             raise SpecFileError(f"cannot derive a default range inside domain ({lo!r}, {hi!r})")
         ranges.append((a, b))
-        jet, errors = eval_jets(f, [a + (b - a) * t / 32.0 for t in range(33)])
-        if errors:
-            raise next(iter(errors.values()))   # the first failing grid point's
+        grid = [a + (b - a) * t / 32.0 for t in range(33)]
+        jet, errors = eval_jets(f, grid)
+        if errors:   # the first failing grid value's
+            at, exc = next(iter(errors.items()))
+            raise SpecFileError(f"default range of x_{k} fails at grid value {grid[at]!r}: {exc}")
         bound += 1.5 * max(map(abs, jet.v.tolist()))
     # affine height: slope from the jet, intercept from the value
     jet = eval_jet2(surface.funcs[surface.height - 1], 0.0)

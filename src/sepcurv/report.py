@@ -9,7 +9,8 @@ directly.
 
 Both writers write the records straight from the report's columns (the
 scan's engine arrays in one block, `CurvatureReport.columns`), a sample row
-at a time, with one template per record kind filled by one list
+at a time (a failed point's row is its one error record), with one
+template per record kind filled by one list
 comprehension over each row's number texts; they build no `ScanRecord`.
 The library encoders are not used for the records, because they spend most
 of their time on work these rows never need: the JSON records' keys are
@@ -79,15 +80,6 @@ def _vectors(values: np.ndarray, sep: str, num) -> list[list[str]]:
     return [[sep.join(map(num, vec)) for vec in row] for row in values.tolist()]
 
 
-def _with_plane_errors(block: RecordColumns, p: int, planes: list[str], error) -> list[str]:
-    """Row p's plane records, with `error(text)` in place of each failed plane."""
-    if block.plane_errors:
-        for r in range(len(planes)):
-            if (p, r) in block.plane_errors:
-                planes[r] = error(block.plane_errors[p, r])
-    return planes
-
-
 def _json_records(block: RecordColumns) -> list[str]:
     """A block's records as the `records` array at depth 1 of the body holds
     them, a sample row at a time."""
@@ -101,13 +93,9 @@ def _json_records(block: RecordColumns) -> list[str]:
     for p, coords in enumerate(block.coords):
         head = f'    {{\n      "coords": {_floats(coords)},\n'
         end = f'\n      "sample": {p}\n    }}'
-
-        def error(text: str) -> str:
-            text = encode_basestring_ascii(text)
-            return f'{head}      "error": {text},\n      "kind": "error",{end}'
-
         if p in block.point_errors:
-            out.append(error(block.point_errors[p]))
+            text = encode_basestring_ascii(block.point_errors[p])
+            out.append(f'{head}      "error": {text},\n      "kind": "error",{end}')
             continue
         out += [
             f'{head}      "flagged": {flag},\n{ij}{k},\n      "k_special": {ks},\n'
@@ -116,10 +104,10 @@ def _json_records(block: RecordColumns) -> list[str]:
         ]
         plane = f'{head}      "k_oracle": '
         tail = f',\n      "kind": "plane",\n      "sample": {p},\n      "u": [\n        '
-        out += _with_plane_errors(block, p, [
+        out += [
             f'{plane}{k}{tail}{u}\n      ],\n      "w": [\n        {w}\n      ]\n    }}'
             for k, u, w in zip(oracle[p][len(pairs):], us[p], ws[p])
-        ], error)
+        ]
     return out
 
 
@@ -198,22 +186,18 @@ def _csv_records(block: RecordColumns) -> list[str]:
     out: list[str] = []
     for p, coords in enumerate(block.coords):
         coords = _vector(coords)
-
-        def error(text: str) -> str:
-            return f"{p},error,,,,,,,,{_csv_cell(text)},{coords},,\n"
-
         if p in block.point_errors:
-            out.append(error(block.point_errors[p]))
+            out.append(f"{p},error,,,,,,,,{_csv_cell(block.point_errors[p])},{coords},,\n")
             continue
         tail = f",,{coords},,\n"
         out += [
             f"{p},pair,{ij}{ks},{k},{res},,{flag}{tail}"
             for ij, ks, k, res, flag in zip(pairs, special[p], oracle[p], flat[p], flags[p])
         ]
-        out += _with_plane_errors(block, p, [
+        out += [
             f"{p},plane,,,,{k},,,,,{coords},{u},{w}\n"
             for k, u, w in zip(oracle[p][len(pairs):], us[p], ws[p])
-        ], error)
+        ]
     return out
 
 
@@ -230,10 +214,10 @@ def report_body_csv(
     return "".join(out)
 
 
-def write_report(path: str, body: str, timestamp: str | None = None) -> None:
-    """Write a report file: one commented timestamp line, then the body."""
-    if timestamp is None:
-        timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+def write_report(path: str, body: str) -> None:
+    """Write a report file: one commented line with the UTC time in ISO 8601,
+    to the second, then the body."""
+    timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# sepcurv report generated {timestamp}\n")
         fh.write(body)

@@ -772,6 +772,27 @@ def test_bad_spec_values_exit_2(tmp_path, capsys, family, extra, message):
     assert message in err[0]
 
 
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        # the profile fails at a value of the default box's grid
+        ({"profile_expr": "log(x)"},
+         "default range of x_1 fails at grid value -2.0: evaluating 'log(x)' at x = -2.0: "
+         "log of non-positive value -2.0"),
+        # the profile's domain leaves no box inside [-2, 2]
+        ({"profile_domain": [5, 6]}, "cannot derive a default range inside domain (5.0, 6.0)"),
+    ],
+)
+def test_a_failed_default_box_is_a_spec_error(tmp_path, capsys, family, message):
+    path = tmp_path / "cylinder.json"
+    spec = {"format_version": 1, "family": {"kind": "cylinder", "n": 4, **family}}
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    for argv in (["scan", str(path), "--out", str(tmp_path / "r.json")],
+                 ["eval", str(path), "--point", "1,1,1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
+
+
 def test_spec_integer_past_digit_limit_exit_2(tmp_path, capsys):
     # Python refuses to read an integer of more than 4300 digits
     path = tmp_path / "big.json"

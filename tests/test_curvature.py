@@ -599,9 +599,9 @@ def test_a_clean_scan_builds_no_plane_error(monkeypatch):
     assert report.failure_count == 0 and report.value_count == 25 * (10 + 20)
     assert built == []
 
-    # the first oblique pair of point 0, and every redraw, rejected: its
-    # record is the text the point-wise draw raises for that plane
-    nq, real_draw = 10, curvature._draw_planes
+    # the first oblique pair of point 0, and every redraw, rejected: the
+    # point is one error record, of the text the point-wise draw raises
+    real_draw = curvature._draw_planes
 
     def reject_first(jets, coef):
         u, w, ok = real_draw(jets, coef)
@@ -609,11 +609,13 @@ def test_a_clean_scan_builds_no_plane_error(monkeypatch):
         return u, w, ok
 
     monkeypatch.setattr(curvature, "_draw_planes", reject_first)
-    records = scan_constancy(s, pts, policy).records
+    report = scan_constancy(s, pts, policy)
     with pytest.raises(DegeneratePlaneError, match="no independent tangent plane") as info:
         random_tangent_plane(s, pts[0], np.random.default_rng([9, 0]))
-    assert records[nq] == ScanRecord(0, pts[0].coords, "error", error=describe(info.value))
-    assert [r.kind for r in records].count("error") == 1
+    records = report.records
+    assert records[0] == ScanRecord(0, pts[0].coords, "error", error=describe(info.value))
+    assert [r.kind for r in records].count("error") == report.failure_count == 1
+    assert records[1].sample == 1 and report.value_count == 24 * (10 + 20)
     assert len(built) == 2   # the scan's plane and the point-wise draw's
 
 
@@ -782,6 +784,10 @@ def test_scan_matches_point_wise_engines():
         recs = by_sample[pos]
         if message is not None:
             assert [(r.kind, r.error) for r in recs] == [("error", message)]
+            if not message.startswith("RegularityError"):   # the residual raises a jet error
+                with pytest.raises(SepcurvError) as info:
+                    flatness_residual(s, p, 1, 2)
+                assert describe(info.value) == message
             continue
         pairs = [r for r in recs if r.kind == "pair"]
         assert [(r.i, r.j) for r in pairs] == list(combinations(s.non_height, 2))
@@ -1013,6 +1019,7 @@ def test_scan_thread_count_does_not_change_records():
         for threads in (2, 3, len(points), len(points) + 5):
             assert scan_constancy(surface, points, policy, threads=threads) == solo
     assert solo.failure_count == 3
+    assert solo != solo.columns   # a report equals only a report
 
 
 @pytest.mark.parametrize("threads", [1, 2, 8])
@@ -1233,7 +1240,8 @@ def test_plane_stream_differs_from_the_sampling_and_redraw_streams(seed):
 
 class RejectDraws:
     """Generator stub whose first `count` draws pair each vector with
-    itself; one batch draw and 100 retries make a point's first plane fail."""
+    itself; one batch draw and 100 retries make a point's first plane fail,
+    and so the point."""
 
     def __init__(self, seed, count=1 + curvature.PLANE_RETRIES):
         self.gen = REAL_DEFAULT_RNG(seed)
@@ -1285,7 +1293,7 @@ def summary_case(name, monkeypatch):
 
         monkeypatch.setattr(curvature.PairTable, "gauss", one_disagreement)
         return scan_constancy(s, pts, ScanPolicy(seed=68))
-    if name == "chunked":
+    if name == "sphere-20-points-6-planes":
         s, pts = sphere_points(4, 2.0, 20, 64)
         return scan_constancy(s, pts, ScanPolicy(oblique_per_point=6, seed=64))
     if name == "signed-zeros":
@@ -1309,7 +1317,8 @@ def summary_case(name, monkeypatch):
 SUMMARY_CASES = (
     "sphere-oblique", "mixed-failures", "failed-plane-draws",
     *(f"overflow-{seed}" for seed in range(1, 9)),
-    "k-overflow", "sum-overflow", "one-disagreement", "chunked", "signed-zeros",
+    "k-overflow", "sum-overflow", "one-disagreement", "sphere-20-points-6-planes",
+    "signed-zeros",
 )
 
 
@@ -1322,8 +1331,9 @@ def test_summary_matches_record_pass_oracle(monkeypatch, name):
         f: repr(v) for f, v in reference_summary(report).items()
     }
     if name == "failed-plane-draws":
-        planes = [r for r in report.records if r.kind == "plane"]
-        assert report.failure_count == 3 + 5 and len(planes) == 5 * 2
+        # every point whose gates pass has a plane no redraw can span
+        assert report.failure_count == 3 + 5 and report.value_count == 0
+        assert {r.kind for r in report.records} == {"error"}
     if name == "signed-zeros":
         assert math.copysign(1.0, report.k_min) == math.copysign(1.0, report.k_max) == 1.0
         assert any(math.copysign(1.0, r.k_oracle) < 0 for r in report.records if r.kind == "plane")

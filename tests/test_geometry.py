@@ -390,6 +390,8 @@ def test_bracket_miss_texts_match_on_every_path():
             solve_height(s, draws[draw], MISS_BRACKET)
         assert describe(info.value) == text
         assert repr(info.value) == f"BracketError({text.split(': ', 1)[1]!r})"
+        # built from one message, it reads as that message
+        assert repr(BracketError(str(info.value))) == repr(info.value)
         assert in_json[draw] == in_csv[draw] == text
 
 

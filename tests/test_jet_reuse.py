@@ -131,14 +131,31 @@ def test_scan_with_failing_draws_matches_a_scan_without():
     _same_reports(given, own)
 
 
-def test_chunked_scan_with_the_lift_table_matches():
+@pytest.mark.parametrize("reject", [False, True])
+def test_a_scan_with_the_lift_table_redraws_from_it(monkeypatch, reject):
+    # with `reject`, point 0's first oblique pair is redrawn: on the lift's
+    # table, no f_k is walked again, and the plane is the one a scan of its
+    # own table draws
     surface = make_hypersphere([0.0] * 4, 2.0)
     policy = ScanPolicy(oblique_per_point=4, seed=7)
-    args = (surface, [(-0.5, 0.5)] * 3, 25, 7, (0.2, 2.02), policy)
-    _, whole, _ = _scans(*args)
-    _, given, own = _scans(*args)
-    _same_reports(given, own)
-    _same_reports(given, whole)
+    samples = sample_points(surface, [(-0.5, 0.5)] * 3, 25, 7, (0.2, 2.02))
+    plain = scan_constancy(surface, samples.points, policy, jets=samples.table)
+    real_draw = curvature._draw_planes
+
+    def reject_first(jets, coef):
+        u, w, ok = real_draw(jets, coef)
+        if coef.ndim == 4:   # the scan's one draw of every point's pairs
+            ok[0, 0] = False
+        return u, w, ok
+
+    if reject:
+        monkeypatch.setattr(curvature, "_draw_planes", reject_first)
+    calls = _walks(monkeypatch)
+    given = scan_constancy(surface, samples.points, policy, jets=samples.table)
+    assert calls == []
+    _same_reports(given, scan_constancy(surface, samples.points, policy))
+    moved = given.columns.u[:, 0] != plain.columns.u[:, 0]
+    assert moved.any(axis=1).tolist() == [reject] + [False] * 24
 
 
 def test_a_table_of_another_shape_is_refused():
