@@ -31,11 +31,10 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import __version__
 from .curvature import (
-    DEFAULT_CONSTANCY_TOL, ScanPolicy, _pair_sorted, pair_table, sample_and_scan,
+    DEFAULT_CONSTANCY_TOL, ScanPolicy, _finite_extremes, _pair_sorted, pair_table,
+    sample_and_scan,
 )
 from .errors import (
     NonFiniteError, SepcurvError, SpecFileError, _pair, finite, integer, numbers, positive,
@@ -43,7 +42,7 @@ from .errors import (
 from .families import MAX_N
 from .geometry import _lift
 from .meshing import build_mesh, write_curvature_csv, write_obj
-from .report import _csv_row, _vector, report_body_csv, report_body_json, write_report
+from .report import _csv_row, report_body_csv, report_body_json, write_report
 from .specfile import MAX_COUNT, LoadedSpec, load_spec
 from .suites import format_rows, run_constant_suite, run_flat_suite
 
@@ -166,7 +165,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         # the scan CSV's conventions: repr floats, ';'-joined vectors, unset cells empty
-        cells = {**doc, "coords": _vector(point.coords), "i": i, "j": j}
+        cells = {**doc, "coords": ";".join(map(repr, point.coords)), "i": i, "j": j}
         sys.stdout.write(_csv_row(_EVAL_COLUMNS) + _csv_row(map(cells.get, _EVAL_COLUMNS)))
     return 0
 
@@ -233,14 +232,9 @@ def _cmd_mesh(ns: argparse.Namespace) -> int:
     _write(ns.out, write_obj, mesh)
     sidecar = os.path.splitext(ns.out)[0] + "_curvature.csv"
     _write(sidecar, write_curvature_csv, mesh)
-    # the range covers finite curvatures only, as a scan summary does;
-    # argmin and argmax take the first of equal values, so a signed zero
-    # keeps its sign
-    finite = mesh.curvatures[np.isfinite(mesh.curvatures)]
-    if finite.size:
-        k_range = f"[{float(finite[finite.argmin()])!r}, {float(finite[finite.argmax()])!r}]"
-    else:
-        k_range = "none (no vertex has finite K)"
+    # the range covers finite curvatures only, as a scan summary does
+    finite, k_min, k_max = _finite_extremes(mesh.curvatures)
+    k_range = f"[{k_min!r}, {k_max!r}]" if finite.size else "none (no vertex has finite K)"
     if finite.size < mesh.curvatures.size:
         k_range += f" ({mesh.curvatures.size - finite.size} vertices with non-finite K)"
     print(

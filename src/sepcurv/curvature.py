@@ -50,9 +50,10 @@ redraw can span is one error record, as a point failing a gate is.
 
 A scan's report keeps its engines' arrays as its records, in one
 `RecordColumns` block: the pair K of both engines, the flags, the plane K
-and u, w, the coords and each failed point's text.  The report writers read
-them; the flatness residual and the `ScanRecord`s are computed from them
-only when first read, which the certify suites never do.
+and u, w, the coords as a (P, n) float array and each failed point's text.
+The report writers read them; the flatness residual and the `ScanRecord`s
+are computed from them only when first read, which the certify suites
+never do.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ from .errors import (
     DegeneratePlaneError, SolveError, SpecFileError, describe, finite, integer, positive,
 )
 from .geometry import (
-    JetTable, SeparableSurface, SurfacePoint, _dot, householder, jet_table, point_jets,
-    sample_points,
+    JetTable, SeparableSurface, SurfacePoint, _coords_table, _dot, householder, jet_table,
+    point_jets, sample_points,
 )
 
 EQUIVALENCE_RTOL = 1e-9        # |k_special - k_oracle| <= rtol * max(1, |k_oracle|)
@@ -370,17 +371,18 @@ class RecordColumns:
     """The records of a scan's P sample points, kept as its engines' arrays
     in one block.
 
-    Row p is sample p, at `coords[p]`.  A row with a `point_errors[p]` text
-    holds that one error record.  Any other row holds a pair record per
-    entry q of `pairs`, from column q of `k_special`, `k_oracle`,
-    `residual_flat` and `flagged` (shape (P, Q)), and then a plane record
-    per oblique plane r, of `k_oracle[p, Q + r]`, `u[p, r]` and `w[p, r]`
-    ((P, m, n)).  `residuals` is the `residual_flat` array, or a scan's
-    `PairTable`, from which it is computed on first read.  Error rows'
-    array entries mean nothing.
+    Row p is sample p, at `coords[p]` of the (P, n) float64 array `coords`
+    (one tuple shared by the row's `ScanRecord`s).  A row with a
+    `point_errors[p]` text holds that one error record.  Any other row holds
+    a pair record per entry q of `pairs`, from column q of `k_special`,
+    `k_oracle`, `residual_flat` and `flagged` (shape (P, Q)), and then a
+    plane record per oblique plane r, of `k_oracle[p, Q + r]`, `u[p, r]` and
+    `w[p, r]` ((P, m, n)).  `residuals` is the `residual_flat` array, or a
+    scan's `PairTable`, from which it is computed on first read.  Error
+    rows' array entries mean nothing.
     """
 
-    coords: Sequence[tuple[float, ...]]
+    coords: np.ndarray
     pairs: Sequence[tuple[int, int]]
     k_special: np.ndarray
     k_oracle: np.ndarray
@@ -405,7 +407,7 @@ class RecordColumns:
                                  self.flagged, self.u, self.w)
         )
         out: list[ScanRecord] = []
-        for p, coords in enumerate(self.coords):
+        for p, coords in enumerate(map(tuple, self.coords.tolist())):
             if p in self.point_errors:
                 out.append(ScanRecord(p, coords, "error", error=self.point_errors[p]))
                 continue
@@ -469,6 +471,16 @@ class CurvatureReport:
         return key(self) == key(other)
 
 
+def _finite_extremes(values: np.ndarray) -> tuple[np.ndarray, float | None, float | None]:
+    """The finite entries of an array, and their min and max (None when
+    none is finite).  argmin and argmax take the first of equal values, as
+    min and max do over the records, so a signed zero keeps its sign."""
+    finite = values[np.isfinite(values)]
+    if not finite.size:
+        return finite, None, None
+    return finite, float(finite[finite.argmin()]), float(finite[finite.argmax()])
+
+
 def scan_constancy(
     surface: SeparableSurface,
     samples: Sequence[SurfacePoint],
@@ -479,12 +491,14 @@ def scan_constancy(
     """Evaluate curvature over every coordinate pair (and optional random
     planes) at every sample point and judge constancy.
 
-    `jets` is the points' jet table, row p for samples[p]: the `table` of
-    the `Samples` the points came from, so that no f_k is walked again.
-    Without it the scan evaluates one (`geometry.jet_table`); a table of
-    another shape is a `ValueError`.  A point failing a gate, or with an
-    oblique plane no draw could span, becomes one error record, never
-    aborts the scan.  Every step runs once over all points' arrays; only
+    The points' coordinates are read once, into the (P, n) float64 array
+    the report keeps (`RecordColumns.coords`); a point of another length is
+    a `ValueError`.  `jets` is the points' jet table, row p for samples[p]:
+    the `table` of the `Samples` the points came from, so that no f_k is
+    walked again.  Without it the scan evaluates one (`geometry.jet_table`);
+    a table of another shape is a `ValueError`.  A point failing a gate,
+    or with an oblique plane no draw could span, becomes one error record,
+    never aborts the scan.  Every step runs once over all points' arrays; only
     the redraw of a rejected oblique pair loops over points, on the point's
     row of the table (`_redraw`).  The summary is computed
     once from the engine arrays, never from the records, and the report
@@ -495,20 +509,22 @@ def scan_constancy(
     >= 1 and has no effect.
     """
     integer(threads, "threads")
-    samples = list(samples)
-    if len(samples) < 2:
-        raise ValueError(f"constancy scan needs at least 2 sample points, got {len(samples)}")
+    coords = np.array([point.coords for point in samples], dtype=float)
+    count = len(coords)
+    if count < 2:
+        raise ValueError(f"constancy scan needs at least 2 sample points, got {count}")
+    if coords.shape != (count, surface.n):
+        raise ValueError(f"sample coords of shape {coords.shape} do not fit R^{surface.n}")
     if jets is None:
-        jets = jet_table(surface, samples)
-    elif jets.d1.shape != (len(samples), surface.n):
+        jets = _coords_table(surface, coords)
+    elif jets.d1.shape != coords.shape:
         raise ValueError(
-            f"jet table of shape {jets.d1.shape} does not fit {len(samples)} points "
-            f"in R^{surface.n}"
+            f"jet table of shape {jets.d1.shape} does not fit {count} points in R^{surface.n}"
         )
     errors = jets.errors(surface.height)
     good = np.array([exc is None for exc in errors], dtype=bool)
     table = pair_table(surface, jets)
-    count, nq, m = len(samples), len(table.pairs), policy.oblique_per_point
+    nq, m = len(table.pairs), policy.oblique_per_point
     k = np.empty((count, nq + m))
     k[:, :nq] = table.gauss()
     pu = pw = np.zeros((count, 0, surface.n))
@@ -534,14 +550,11 @@ def scan_constancy(
         flagged = ~(gap <= EQUIVALENCE_RTOL * scale)
         devs = gap[good] / scale[good]
     values = np.concatenate([ks, k[:, nq:]], axis=1)[good].ravel()
-    finite = values[np.isfinite(values)]
+    finite, k_min, k_max = _finite_extremes(values)
     flagged_count = int(flagged[good].sum())
     devs = devs[np.isfinite(devs)]
     max_dev = float(devs.max()) if devs.size else None
     if finite.size:
-        # argmin and argmax take the first of equal values, as min and max
-        # do over the records, so a signed zero keeps its sign
-        k_min, k_max = float(finite[finite.argmin()]), float(finite[finite.argmax()])
         finite = finite.tolist()
         try:
             k_mean = fsum(finite) / len(finite)
@@ -556,14 +569,11 @@ def scan_constancy(
             verdict = "constant"
         estimate = k_mean if verdict == "constant" else None
     else:
-        k_min = k_max = k_mean = spread = estimate = None
+        k_mean = spread = estimate = None
         verdict = "undetermined"
     # an error point's one record names its failure
     point_errors = {p: describe(errors[p]) for p in np.flatnonzero(~good).tolist()}
-    columns = RecordColumns(
-        [point.coords for point in samples], table.pairs, ks, k, flagged, pu, pw,
-        point_errors, table,
-    )
+    columns = RecordColumns(coords, table.pairs, ks, k, flagged, pu, pw, point_errors, table)
     return CurvatureReport(
         n=surface.n,
         seed=policy.seed,

@@ -309,6 +309,11 @@ def jet_table(surface: SeparableSurface, points: Sequence[SurfacePoint]) -> JetT
     walk per coordinate, so values match `eval_jet2` bit for bit) and stack
     them into a table."""
     coords = np.array([p.coords for p in points], dtype=float).reshape(len(points), surface.n)
+    return _coords_table(surface, coords)
+
+
+def _coords_table(surface: SeparableSurface, coords: np.ndarray) -> JetTable:
+    """`jet_table` of the points at the rows of a (P, n) float array."""
     return _table(coords, *_columns(surface.funcs, [(c, None) for c in coords.T])[1:])
 
 

@@ -8,10 +8,11 @@ time; `read_report_body` strips the header so callers can compare bodies
 directly.
 
 Both writers write the records straight from the report's columns (the
-scan's engine arrays in one block, `CurvatureReport.columns`), a sample row
-at a time (a failed point's row is its one error record), with one
-template per record kind filled by one list
-comprehension over each row's number texts; they build no `ScanRecord`.
+scan's engine arrays in one block, `CurvatureReport.columns`; the coords
+too are a float64 column, whatever number type the caller gave), a sample
+row at a time (a failed point's row is its one error record), with one
+template per record kind filled by one list comprehension over each row's
+number texts (`_rows`); they build no `ScanRecord`.
 The library encoders are not used for the records, because they spend most
 of their time on work these rows never need: the JSON records' keys are
 fixed and already sorted, and `json.dumps` with `indent` runs CPython's
@@ -61,15 +62,6 @@ def _json_num(values: np.ndarray):
     return _repr if np.isfinite(values).all() else _num
 
 
-def _floats(values) -> str:
-    """A non-empty float list as `json.dumps(indent=2)` writes it as a
-    record field."""
-    text = _ITEM.join(map(_repr, values))
-    if "n" in text:
-        text = _ITEM.join(map(_num, values))
-    return f"[\n        {text}\n      ]"
-
-
 def _rows(values: np.ndarray, num) -> list[list[str]]:
     """Each row of a (P, Q) array as number texts."""
     return [list(map(num, row)) for row in values.tolist()]
@@ -90,8 +82,8 @@ def _json_records(block: RecordColumns) -> list[str]:
     flags = [["true" if f else "false" for f in row] for row in block.flagged.tolist()]
     pairs = [f'      "i": {i},\n      "j": {j},\n      "k_oracle": ' for i, j in block.pairs]
     out: list[str] = []
-    for p, coords in enumerate(block.coords):
-        head = f'    {{\n      "coords": {_floats(coords)},\n'
+    for p, coords in enumerate(_rows(block.coords, _json_num(block.coords))):
+        head = f'    {{\n      "coords": [\n        {_ITEM.join(coords)}\n      ],\n'
         end = f'\n      "sample": {p}\n    }}'
         if p in block.point_errors:
             text = encode_basestring_ascii(block.point_errors[p])
@@ -153,10 +145,6 @@ def report_body_json(
     return f"{head}{_RECORDS}{records}{tail}\n"
 
 
-def _vector(values) -> str:
-    return ";".join(map(_repr, values))
-
-
 def _csv_cell(text: str) -> str:
     """A text cell as `csv.writer(lineterminator="\n")` writes it: quoted,
     with every inner quote doubled, when it holds ',', '"' or '\n' (a lone
@@ -184,8 +172,7 @@ def _csv_records(block: RecordColumns) -> list[str]:
     flags = block.flagged.tolist()
     pairs = [f"{i},{j}," for i, j in block.pairs]
     out: list[str] = []
-    for p, coords in enumerate(block.coords):
-        coords = _vector(coords)
+    for p, coords in enumerate(map(";".join, _rows(block.coords, _repr))):
         if p in block.point_errors:
             out.append(f"{p},error,,,,,,,,{_csv_cell(block.point_errors[p])},{coords},,\n")
             continue

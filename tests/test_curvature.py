@@ -1030,9 +1030,10 @@ def test_scan_report_keeps_one_record_block(threads):
     report = scan_constancy(surface, points, ScanPolicy(oblique_per_point=2, seed=3), threads)
     block = report.columns
     assert isinstance(block, curvature.RecordColumns)
-    assert len(block.coords) == report.point_count == len(points)
+    assert block.coords.shape == (report.point_count, surface.n) == (len(points), surface.n)
+    assert block.coords.dtype == np.float64
     for p, point in enumerate(points):
-        assert block.coords[p] == point.coords
+        assert tuple(block.coords[p].tolist()) == point.coords
     assert block.point_errors and {r.sample for r in report.records} == set(range(len(points)))
 
 
@@ -1213,8 +1214,10 @@ def test_scan_records_follow_sample_pair_plane_order(monkeypatch):
         want.extend([(pos, "plane", None, None)] * 3)
     assert all(type(r) is ScanRecord for r in report.records)
     assert [(r.sample, r.kind, r.i, r.j) for r in report.records] == want
-    # a sample's records share its point's coords tuple
-    assert all(r.coords is pts[r.sample].coords for r in report.records)
+    # a record's coords equal its point's, and a sample's records share one tuple
+    assert all(r.coords == pts[r.sample].coords for r in report.records)
+    shared = {}
+    assert all(shared.setdefault(r.sample, r.coords) is r.coords for r in report.records)
     # a scan builds one generator, keyed off (seed, PLANE_STREAM), and takes
     # its draws in point order, so any threads value gives the same planes
     seeds = []

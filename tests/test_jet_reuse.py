@@ -19,6 +19,7 @@ import pytest
 
 from sepcurv import (
     ScanPolicy,
+    SurfacePoint,
     load_spec,
     make_hypersphere,
     report_body_csv,
@@ -165,6 +166,17 @@ def test_a_table_of_another_shape_is_refused():
         scan_constancy(surface, samples.points, jets=jet_table(surface, samples.points[1:]))
     with pytest.raises(ValueError, match=r"does not fit 5 points"):
         scan_constancy(surface, samples.points[1:], jets=samples.table)
+
+
+def test_points_of_another_length_are_refused():
+    # 2-coordinate points on a surface in R^3, with and without the table
+    # of their 3-coordinate originals
+    surface = make_hypersphere([0.0] * 3, 2.0)
+    samples = sample_points(surface, [(-0.5, 0.5)] * 2, 6, 1, (0.2, 2.02))
+    short = [SurfacePoint(p.coords[:2], p.residual) for p in samples.points]
+    for jets in (None, samples.table):
+        with pytest.raises(ValueError, match=r"sample coords of shape \(6, 2\) do not fit R\^3"):
+            scan_constancy(surface, short, jets=jets)
 
 
 def _count_record_builds(monkeypatch) -> list:

@@ -18,6 +18,7 @@ from sepcurv import (
     ScanPolicy,
     SeparableSurface,
     SurfacePoint,
+    make_hypersphere,
     parse_function,
     read_report_body,
     report_body_csv,
@@ -76,7 +77,7 @@ def synthetic_columns(errors=()):
     flagged[0], u[0, 0], w[0, 0] = [False, True], [1.0, 0.0, 0.0], [0.0, 0.6, 0.8]
     texts = ["RegularityError: gradient too small", *errors]
     return RecordColumns(
-        coords=[(1.0, 2.0, 3.0), (0.0, 0.0, 0.0)] + [(0.5, -0.0, 1e-300)] * len(errors),
+        coords=np.array([(1.0, 2.0, 3.0), (0.0, 0.0, 0.0)] + [(0.5, -0.0, 1e-300)] * len(errors)),
         pairs=[(1, 2), (1, 3)], k_special=k_special, k_oracle=k_oracle, flagged=flagged,
         u=u, w=w, point_errors=dict(enumerate(texts, start=1)), residuals=flat,
     )
@@ -345,7 +346,7 @@ def odd_report():
     )
     ones, zeros = np.ones_like(odd), np.zeros_like(odd)
     columns = RecordColumns(
-        coords=[(x, 0.1 + 0.2, -x) for x in odd.tolist()],
+        coords=np.array([(x, 0.1 + 0.2, -x) for x in odd.tolist()]),
         pairs=[(0, 1), (0, 2)],
         k_special=np.stack([odd, ones], axis=1),
         k_oracle=np.stack([-odd, odd, odd, zeros], axis=1),
@@ -435,10 +436,29 @@ def test_numpy_floats_match_oracle():
 def test_empty_sampling_failures_and_records_match_oracle():
     body = assert_bodies_match(synthetic_report(), [])
     assert '"sampling_failures": [],' in body
-    none = RecordColumns([], [], np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0), dtype=bool),
+    none = RecordColumns(np.zeros((0, 3)), [], np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0), dtype=bool),
                          np.zeros((0, 0, 3)), np.zeros((0, 0, 3)), {}, np.zeros((0, 0)))
     empty = dataclasses.replace(synthetic_report(), columns=none, point_count=0)
     assert '"records": [],' in assert_bodies_match(empty, [])
+
+
+def test_integer_and_float32_coords_write_the_float_bodies():
+    # a scan writes its points' coords as float64 reprs whatever number type
+    # they were given in: integers on a sphere, and lifted points cast to
+    # np.float32, write the bodies of the same points given as Python floats
+    surface = make_hypersphere([0.0] * 3, 2.0)
+    lifted, fails, _ = sample_points(surface, [(-0.5, 0.5)] * 2, 6, 3, (0.2, 2.02))
+    assert not fails
+    policy = ScanPolicy(oblique_per_point=2, seed=4)
+    for given in ([(0, 0, 2), (0, 0, -2)], [tuple(map(np.float32, p.coords)) for p in lifted]):
+        as_floats = [tuple(map(float, coords)) for coords in given]
+        report, want = (
+            scan_constancy(surface, [SurfacePoint(c, 0.0) for c in coords], policy)
+            for coords in (given, as_floats)
+        )
+        assert report.verdict == "constant" and report == want
+        assert report_body_json(report, **KW) == report_body_json(want, **KW)
+        assert report_body_csv(report) == report_body_csv(want)
 
 
 # free text heavy in the characters the csv module quotes or mishandles;
