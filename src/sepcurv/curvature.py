@@ -12,12 +12,13 @@ with h the height coordinate.  The Gauss engine, `_gauss`, evaluates
 
 on an orthonormal tangent pair (X, Y), where H is the ambient Hessian
 pairing of F (diagonal here, entries f_k''), and checks nothing: a scan
-builds every plane orthonormal (`PairTable.gauss`, `_draw_planes`), and
-only `sectional_oracle` checks and orthonormalizes a plane a user passes.
-Agreement of the two engines on coordinate planes is the package's
-primary cross-check; `scan_constancy` sweeps both over sampled points and
-reports whether K is constant, and `sample_and_scan` draws and lifts those
-points first.
+builds every plane orthonormal (`_pair_plane`, which `coordinate_plane`
+returns, and `_draw_planes`), and only `sectional_oracle` checks and
+orthonormalizes a plane a user passes.  Points are read through one check
+of their length (`geometry._point_coords`).  Agreement of the two engines
+on coordinate planes is the package's primary cross-check; `scan_constancy`
+sweeps both over sampled points and reports whether K is constant, and
+`sample_and_scan` draws and lifts those points first.
 
 `flatness_residual` is the numerator of the closed form: identically zero
 along a surface exactly when every coordinate-pair curvature vanishes.
@@ -71,8 +72,8 @@ from .errors import (
     DegeneratePlaneError, SolveError, SpecFileError, describe, finite, integer, positive,
 )
 from .geometry import (
-    JetTable, SeparableSurface, SurfacePoint, _coords_table, _dot, householder, jet_table,
-    point_jets, sample_points,
+    JetTable, SeparableSurface, SurfacePoint, _coords_table, _dot, _point_coords, householder,
+    jet_table, point_jets, sample_points,
 )
 
 EQUIVALENCE_RTOL = 1e-9        # |k_special - k_oracle| <= rtol * max(1, |k_oracle|)
@@ -114,9 +115,10 @@ class PairTable:
             return self.flat / (self.jets.scaled[3][:, None] * self.s)
 
     def gauss(self) -> np.ndarray:
-        """The Gauss engine's K of each pair's plane (`_pair_gauss`)."""
+        """The Gauss engine's K of each pair's plane (`_pair_plane`)."""
         _, d1, d2, sq_norm = self.jets.scaled
-        return _pair_gauss(d1, d2, sq_norm, self.pairs, self.height)
+        idx, u, y = _pair_plane(d1, self.pairs, self.height)
+        return _gauss(d2[:, idx], sq_norm[:, None], u, y)
 
     def residual(self, k0: float | None = None) -> np.ndarray:
         """The flatness residual, or given k0 the constant-K one, over the
@@ -148,12 +150,12 @@ def _terms(d1: np.ndarray, d2: np.ndarray, pairs, height: int) -> tuple[np.ndarr
         return p * p * qq * rr + q * q * pp * rr + r * r * pp * qq, p * p + q * q + r * r
 
 
-def _pair_gauss(d1: np.ndarray, d2: np.ndarray, sq_norm: np.ndarray, pairs, height: int):
-    """Gauss-equation K of each pair's plane over the given jets, (P, Q).
-    Plane (i, j) is the complement, inside span{e_i, e_j, e_h}, of
-    a = (f_i', f_j', f_h'), spanned orthonormally by the two non-pivot
-    columns of the 3 x 3 `householder` reflector of a / |a|: O(1) per pair,
-    however a's entries compare in size."""
+def _pair_plane(d1: np.ndarray, pairs, height: int):
+    """Each pair's 0-based coordinates (i, j, h), (Q, 3), and orthonormal
+    rows u, y over them, (P, Q, 3), spanning its plane over the given jets:
+    the complement of a = (f_i', f_j', f_h') in span{e_i, e_j, e_h}, whose
+    basis is the two non-pivot columns of the 3 x 3 `householder` reflector
+    of a / |a|: O(1) per pair, however a's entries compare in size."""
     idx = np.array([(i - 1, j - 1, height - 1) for i, j in pairs])
     with np.errstate(all="ignore"):
         a = d1[:, idx]
@@ -162,7 +164,7 @@ def _pair_gauss(d1: np.ndarray, d2: np.ndarray, sq_norm: np.ndarray, pairs, heig
         # H's columns e_k - beta v_k v at the two indices k other than the pivot
         u, y = ((np.arange(3) == k) - (beta[..., None] * np.take_along_axis(v, k, -1)) * v
                 for k in ((pivot == 0) * 1, 2 - (pivot == 2)))
-    return _gauss(d2[:, idx], sq_norm[:, None], u, y)
+    return idx, u, y
 
 
 def pair_table(
@@ -248,15 +250,14 @@ def constk_residual(
 
 
 def coordinate_plane(surface: SeparableSurface, point: SurfacePoint, i: int, j: int) -> np.ndarray:
-    """The tangent plane spanned by the frame vectors e_k - (f_k'/f_h') e_h
-    of coordinates i and j (h the height), as a (2, n) array whose rows are
-    those vectors, the lower coordinate's first."""
-    idx, h = [k - 1 for k in _pair_sorted(surface, i, j)], surface.height - 1
-    d1 = point_jets(surface, point, surface.height).d1[0]
+    """The tangent plane of coordinates i and j, the complement of grad F
+    inside span{e_i, e_j, e_h} (h the height), as a (2, n) array of
+    orthonormal rows: the plane a scan's pair engine reads (`_pair_plane`)."""
+    pair = _pair_sorted(surface, i, j)
+    jets = point_jets(surface, point, surface.height)
+    idx, u, y = _pair_plane(jets.scaled[1], [pair], surface.height)
     plane = np.zeros((2, surface.n))
-    plane[[0, 1], idx] = 1.0
-    with np.errstate(all="ignore"):
-        plane[:, h] = -d1[idx] / d1[h]
+    plane[:, idx[0]] = u[0, 0], y[0, 0]
     return plane
 
 
@@ -272,9 +273,13 @@ def sectional_oracle(surface: SeparableSurface, point: SurfacePoint, plane) -> f
     Independent of the closed form: no height coordinate, no coordinate-pair
     structure.
     """
-    plane = np.asarray(plane, dtype=float)
-    if plane.shape != (2, surface.n):
-        raise ValueError(f"plane must have shape (2, {surface.n}), got {plane.shape}")
+    try:
+        plane = np.asarray(plane, dtype=float)
+        got = plane.shape
+    except (TypeError, ValueError):   # ragged rows or non-numbers
+        got = "ragged or non-numeric rows"
+    if got != (2, surface.n):
+        raise ValueError(f"plane must have shape (2, {surface.n}), got {got}")
     for name, row in zip("uw", plane):
         if not np.isfinite(row).all():
             raise DegeneratePlaneError(f"plane vector {name} has a non-finite entry")
@@ -509,12 +514,10 @@ def scan_constancy(
     >= 1 and has no effect.
     """
     integer(threads, "threads")
-    coords = np.array([point.coords for point in samples], dtype=float)
+    coords = _point_coords(surface, samples)
     count = len(coords)
     if count < 2:
         raise ValueError(f"constancy scan needs at least 2 sample points, got {count}")
-    if coords.shape != (count, surface.n):
-        raise ValueError(f"sample coords of shape {coords.shape} do not fit R^{surface.n}")
     if jets is None:
         jets = _coords_table(surface, coords)
     elif jets.d1.shape != coords.shape:

@@ -304,12 +304,22 @@ def _with_height(partials: np.ndarray, h0: int, height: np.ndarray) -> np.ndarra
     return out
 
 
+def _point_coords(surface: SeparableSurface, points: Sequence[SurfacePoint]) -> np.ndarray:
+    """The points' coordinates as a (P, n) float64 array: the one check
+    that each point has n, a `ValueError` naming the lengths they have."""
+    rows = [p.coords for p in points]
+    lengths = sorted(set(map(len, rows)))
+    if lengths not in ([], [surface.n]):
+        got = " or ".join(map(str, lengths))
+        raise ValueError(f"sample coords of shape ({len(rows)}, {got}) do not fit R^{surface.n}")
+    return np.array(rows, dtype=float).reshape(len(rows), surface.n)
+
+
 def jet_table(surface: SeparableSurface, points: Sequence[SurfacePoint]) -> JetTable:
     """Evaluate each f_k's 2-jets once over all points (one `expr.eval_jets`
     walk per coordinate, so values match `eval_jet2` bit for bit) and stack
     them into a table."""
-    coords = np.array([p.coords for p in points], dtype=float).reshape(len(points), surface.n)
-    return _coords_table(surface, coords)
+    return _coords_table(surface, _point_coords(surface, points))
 
 
 def _coords_table(surface: SeparableSurface, coords: np.ndarray) -> JetTable:

@@ -54,7 +54,9 @@ OBLIQUE_SPECS = ("cobb_douglas_n5.json", "raw_functions_n4.json")
 
 # CI's bracket-miss, overflow, oblique-overflow and plane-errors scans; in
 # the last, both (1, 2) frame vectors e_k - (f_k'/f_4') e_4 are nearly -e_4
-# (wedge norm 1.414e-16), which no pair plane a scan builds depends on
+# (wedge norm 1.414e-16), which no pair plane depends on: the scan's pair
+# planes, which `coordinate_plane` returns, are orthonormal, and the scan and
+# `sectional_oracle` of them read K = 0 at every point
 EDGE_SPECS = {
     "bracket-miss": {
         "functions": [{"expr": "x^2"}, {"expr": "x^2"},

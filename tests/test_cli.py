@@ -18,7 +18,6 @@ from sepcurv import (
     SuiteRow,
     build_mesh,
     constk_residual,
-    coordinate_plane,
     flatness_residual,
     load_spec,
     read_report_body,
@@ -34,6 +33,7 @@ from sepcurv.errors import ParseError, SepcurvError
 from sepcurv.expr import MAX_DEPTH
 
 import pin_golden
+from frames import frame_vectors
 from lifts import spy_second_evaluations
 from oracles import brute_coordinate_k
 
@@ -312,7 +312,7 @@ def test_eval_pair_and_k0(tmp_path, capsys):
     (record,) = [r for r in scan_constancy(s, [p, other]).records
                  if r.sample == 0 and (r.i, r.j) == (2, 3)]
     assert doc["k_oracle"] == record.k_oracle
-    dense = sectional_oracle(s, p, coordinate_plane(s, p, 2, 3))
+    dense = sectional_oracle(s, p, frame_vectors(s, p, 2, 3))
     assert abs(doc["k_oracle"] - dense) <= EQUIVALENCE_RTOL * max(1.0, abs(dense))
     assert doc["flatness_residual"] == flatness_residual(s, p, 2, 3)
     assert doc["constk_residual"] == constk_residual(s, p, 2, 3, 1.0)

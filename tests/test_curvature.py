@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from fractions import Fraction
@@ -23,6 +24,7 @@ from sepcurv import (
     coordinate_plane,
     eval_jet2,
     flatness_residual,
+    load_spec,
     make_cobb_douglas_perturbed,
     make_cobb_douglas_sqrt,
     make_cylinder,
@@ -42,7 +44,9 @@ from sepcurv import (
 from sepcurv import curvature
 from sepcurv.errors import describe
 from sepcurv.geometry import JetTable, jet_table
+import pin_golden
 from corpus import EXPRESSIONS
+from frames import frame_vectors
 from oracles import brute_coordinate_k, brute_sectional, surface_point
 from reference_summary import reference_summary
 
@@ -217,8 +221,7 @@ def test_cobb_douglas_n4_is_flat_on_coordinate_pairs_only():
     for i, j in combinations(s.non_height, 2):
         assert abs(sectional_special(s, p, i, j)) <= 1e-15
         assert abs(sectional_oracle(s, p, coordinate_plane(s, p, i, j))) <= 1e-15
-    x1, x2 = coordinate_plane(s, p, 1, 2)
-    x3 = coordinate_plane(s, p, 1, 3)[1]
+    x1, x2, x3 = frame_vectors(s, p, 1, 2, 3)
     assert abs(sectional_oracle(s, p, [x1 + x2, x3]) + 2.0 / 49.0) <= 1e-12
     assert abs(brute_sectional(s, p.coords, x1 + x2, x3) + 2.0 / 49.0) <= 1e-12
 
@@ -277,7 +280,8 @@ def test_scaled_jets_keep_the_unscaled_formulas_bits():
     gradnorm = np.sqrt(table.sq_norm)[:, None]
     assert np.array_equal(table.normal, d1 / gradnorm)
     k = got.gauss()
-    assert np.array_equal(k, curvature._pair_gauss(d1, d2, table.sq_norm, got.pairs, 5))
+    idx, u, y = curvature._pair_plane(d1, got.pairs, 5)
+    assert np.array_equal(k, curvature._gauss(d2[:, idx], table.sq_norm[:, None], u, y))
     assert np.isfinite(k).all()
     u, w, ok = curvature._draw_planes(table, rng.standard_normal((2000, 3, 2, 4)))
     _, _, hess, sq_norm = table.scaled
@@ -382,23 +386,64 @@ def test_engines_match_oracle_on_scaled_corpus_surfaces(data):
         assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected)), (got, expected)
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_pair_engine_matches_the_dense_frames_on_corpus_surfaces(data):
-    """The scan's 3-coordinate pair engine and the Gauss engine on the dense
-    frame vectors (`sectional_oracle` of `coordinate_plane`) agree within the
-    engine cross-check wherever the dense engine does not raise."""
+def draw_corpus_pair(data):
+    """A surface in R^3..R^6 of `tests/corpus.py` expressions, a point in
+    their sampling windows and a non-height pair (i, j)."""
     n = data.draw(st.integers(3, 6), label="n")
     picks = [data.draw(st.sampled_from(EXPRESSIONS)) for _ in range(n)]
     s = SeparableSurface(tuple(parse_function(src, domain) for src, domain, _ in picks))
     point = SurfacePoint(tuple(data.draw(st.floats(*window)) for _, _, window in picks), 0.0)
     i, j = data.draw(st.sampled_from(list(combinations(s.non_height, 2))), label="pair")
+    return s, point, i, j
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pair_engine_matches_the_dense_frames_on_corpus_surfaces(data):
+    """The scan's 3-coordinate pair engine and the Gauss engine on the dense
+    frame vectors (`sectional_oracle` of `frame_vectors`) agree within the
+    engine cross-check wherever the dense engine does not raise."""
+    s, point, i, j = draw_corpus_pair(data)
     try:
-        dense = sectional_oracle(s, point, coordinate_plane(s, point, i, j))
+        dense = sectional_oracle(s, point, frame_vectors(s, point, i, j))
     except SepcurvError:   # a gate failed, or the frames span no plane
         assume(False)
     k = curvature.pair_table(s, jet_table(s, [point]), [(i, j)]).gauss()[0, 0]
     assert abs(k - dense) <= curvature.EQUIVALENCE_RTOL * max(1.0, abs(dense)), (k, dense)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_coordinate_planes_are_orthonormal_tangent_and_read_by_the_oracle(data):
+    """Wherever the closed form returns, the pair plane's rows are
+    orthonormal and tangent, so the dense Gauss engine reads them."""
+    s, point, i, j = draw_corpus_pair(data)
+    try:
+        sectional_special(s, point, i, j)
+    except SepcurvError:   # a gate failed: no plane
+        assume(False)
+    plane = coordinate_plane(s, point, i, j)
+    grad = np.array([eval_jet2(f, x).d1 for f, x in zip(s.funcs, point.coords)])
+    grad /= np.abs(grad).max()
+    assert np.abs(plane @ plane.T - np.eye(2)).max() <= 1e-14, plane
+    assert np.abs(plane @ (grad / np.linalg.norm(grad))).max() <= 1e-14, plane
+    assert isinstance(sectional_oracle(s, point, plane), float)
+
+
+def test_the_oracle_reads_the_scans_pair_k_on_coordinate_planes(tmp_path):
+    # at the plane-errors spec's points the frame vectors of (1, 2) are
+    # nearly dependent; the pair planes are not
+    spec = tmp_path / "steep.json"
+    spec.write_text(json.dumps({"format_version": 1, **pin_golden.EDGE_SPECS["plane-errors"]}))
+    loaded = load_spec(str(spec))
+    s = loaded.surface
+    pts, fails, table = sample_points(s, loaded.ranges, loaded.count, loaded.seed, loaded.bracket)
+    assert len(pts) == 6 and not fails
+    records = scan_constancy(s, pts, jets=table).records
+    assert [r.kind for r in records] == ["pair"] * (6 * 3)
+    for r in records:
+        k = sectional_oracle(s, pts[r.sample], coordinate_plane(s, pts[r.sample], r.i, r.j))
+        assert abs(k - r.k_oracle) <= curvature.EQUIVALENCE_RTOL * max(1.0, abs(r.k_oracle))
 
 
 def test_oracle_invariant_under_plane_reparametrization():
@@ -531,6 +576,23 @@ def test_oracle_rejects_plane_shapes(shape_of):
     u, w = coordinate_plane(s, p, 1, 2)
     with pytest.raises(ValueError, match="shape") as info:
         sectional_oracle(s, p, shape_of(u, w))
+    assert not isinstance(info.value, SepcurvError)
+
+
+@pytest.mark.parametrize(
+    "plane",
+    [
+        [[1, 0, 0, 0], [0, 1, 0]],
+        [["a", "b", "c", "d"], [0, 1, 0, 0]],
+        [[{}, 0, 0, 0], [0, 1, 0, 0]],
+    ],
+    ids=["ragged", "not-a-number", "not-a-scalar"],
+)
+def test_oracle_rejects_ragged_or_non_numeric_planes_with_its_shape_text(plane):
+    s, pts = sphere_points(4, 2.0, 2, 4)
+    with pytest.raises(ValueError) as info:
+        sectional_oracle(s, pts[0], plane)
+    assert str(info.value) == "plane must have shape (2, 4), got ragged or non-numeric rows"
     assert not isinstance(info.value, SepcurvError)
 
 
@@ -772,13 +834,16 @@ def test_scan_matches_point_wise_engines():
     assert kinds == [
         None, "DomainError", None, "NonFiniteError", None, "RegularityError", None, None,
     ]
-    # the dense engine cannot span the last point's (1, 2) frames; the scan's
-    # pair planes are orthonormal, so that point has records like any other
-    with pytest.raises(DegeneratePlaneError, match="nearly dependent"):
-        sectional_oracle(s, pts[-1], coordinate_plane(s, pts[-1], 1, 2))
     by_sample = {}
     for rec in report.records:
         by_sample.setdefault(rec.sample, []).append(rec)
+    # the dense engine cannot span the last point's (1, 2) frames, but the
+    # scan's pair planes are orthonormal, so that point has records like any
+    # other, and the oracle reads `coordinate_plane`, the same plane, as the
+    # scan's record does
+    last = by_sample[len(pts) - 1][0]
+    assert (last.kind, last.i, last.j) == ("pair", 1, 2)
+    assert sectional_oracle(s, pts[-1], coordinate_plane(s, pts[-1], 1, 2)) == last.k_oracle
     assert sorted(by_sample) == list(range(len(pts)))
     for pos, (p, message) in enumerate(zip(pts, messages)):
         recs = by_sample[pos]
@@ -794,7 +859,7 @@ def test_scan_matches_point_wise_engines():
         for r in pairs:
             assert_rel(r.k_special, sectional_special(s, p, r.i, r.j))
             try:
-                dense = sectional_oracle(s, p, coordinate_plane(s, p, r.i, r.j))
+                dense = sectional_oracle(s, p, frame_vectors(s, p, r.i, r.j))
             except DegeneratePlaneError:
                 dense = pair_plane_k(s, p, r.i, r.j)
             assert_rel(r.k_oracle, dense)

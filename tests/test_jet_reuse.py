@@ -20,14 +20,21 @@ import pytest
 from sepcurv import (
     ScanPolicy,
     SurfacePoint,
+    constk_residual,
+    coordinate_plane,
+    ensure_regular,
+    flatness_residual,
     load_spec,
     make_hypersphere,
+    random_tangent_plane,
     report_body_csv,
     report_body_json,
     run_constant_suite,
     run_flat_suite,
     sample_points,
     scan_constancy,
+    sectional_oracle,
+    sectional_special,
 )
 from sepcurv import curvature, geometry, suites
 from sepcurv.geometry import jet_table
@@ -177,6 +184,53 @@ def test_points_of_another_length_are_refused():
     for jets in (None, samples.table):
         with pytest.raises(ValueError, match=r"sample coords of shape \(6, 2\) do not fit R\^3"):
             scan_constancy(surface, short, jets=jets)
+
+
+SPHERE3 = make_hypersphere([0.0] * 3, 2.0)
+TOP = SurfacePoint((0.0, 0.0, 2.0), 0.0)
+POINT_WISE = {
+    "sectional_special": lambda p: sectional_special(SPHERE3, p, 1, 2),
+    "flatness_residual": lambda p: flatness_residual(SPHERE3, p, 1, 2),
+    "constk_residual": lambda p: constk_residual(SPHERE3, p, 1, 2, 1.0),
+    "coordinate_plane": lambda p: coordinate_plane(SPHERE3, p, 1, 2),
+    "sectional_oracle": lambda p: sectional_oracle(SPHERE3, p, [[1, 0, 0], [0, 1, 0]]),
+    "random_tangent_plane": lambda p: random_tangent_plane(SPHERE3, p, np.random.default_rng(0)),
+    "ensure_regular": lambda p: ensure_regular(SPHERE3, p),
+}
+MANY_POINTS = {
+    "jet_table": lambda pts: jet_table(SPHERE3, pts),
+    "scan_constancy": lambda pts: scan_constancy(SPHERE3, pts),
+    "scan_constancy-jets": lambda pts: scan_constancy(SPHERE3, pts, jets=jet_table(SPHERE3, [TOP] * 3)),
+}
+SHORT, LONG = SurfacePoint((0.0, 0.0), 0.0), SurfacePoint((0.0, 0.0, 2.0, 0.0), 0.0)
+WRONG_LENGTHS = [
+    *(pytest.param(call, point, f"(1, {len(point.coords)})", id=f"{name}-{len(point.coords)}")
+      for name, call in POINT_WISE.items() for point in (SHORT, LONG)),
+    *(pytest.param(call, points, shape, id=f"{name}-{case}")
+      for name, call in MANY_POINTS.items() for case, points, shape in (
+          ("short", [SHORT] * 3, "(3, 2)"),
+          ("mixed", [TOP, SHORT, TOP], "(3, 2 or 3)"),
+          ("three-lengths", [LONG, TOP, SHORT], "(3, 2 or 3 or 4)"),
+      )),
+]
+
+
+@pytest.mark.parametrize("call, points, shape", WRONG_LENGTHS)
+def test_a_point_of_another_length_is_one_line_naming_its_length(call, points, shape):
+    # every entry point reads points through one check, so no numpy reshape
+    # or inhomogeneous-shape text reaches the caller
+    with pytest.raises(ValueError) as info:
+        call(points)
+    assert str(info.value) == f"sample coords of shape {shape} do not fit R^3"
+
+
+def test_points_of_length_n_pass_the_check_and_no_points_make_an_empty_table():
+    for call in POINT_WISE.values():
+        call(TOP)
+    for call in MANY_POINTS.values():
+        call([TOP] * 3)
+    empty = jet_table(SPHERE3, [])
+    assert empty.d1.shape == empty.d2.shape == (0, 3) and empty.jet_errors == ()
 
 
 def _count_record_builds(monkeypatch) -> list:
