@@ -344,8 +344,8 @@ def _walk(node: Node, seed: Jet2, failed: dict[int, Exception]) -> Jet2:
     operator) goes into `failed` under the point's index; a failed point's
     channels read nan from its failing node on.  An array operation never
     raises, so only the points it leaves non-finite run again on floats.  They
-    are searched for only when sum(v * d1 * d2) is not finite: a nan or inf
-    element makes it so (0 * inf is nan), and finite ones only by overflow."""
+    are searched for only when some v * d1 * d2 is not finite: a nan or inf
+    channel makes it so (0 * inf is nan), and finite ones only by overflow."""
     if isinstance(node, Var):
         return seed
     if isinstance(node, Const):
@@ -365,7 +365,7 @@ def _walk(node: Node, seed: Jet2, failed: dict[int, Exception]) -> Jet2:
         left = _walk(node.left, seed, failed)
         args, op = (left, _walk(node.right, seed, failed)), _BINARY[node.op]
     out = op(*args)
-    if math.isfinite((out.v * out.d1).dot(out.d2)):
+    if np.isfinite(out.v * out.d1 * out.d2).all():
         return out
     # a point whose array result is not finite runs again on floats, where
     # it carries the same bits, to fail as the float jet does: raising, or

@@ -9,8 +9,8 @@ slope is bounded away from zero.
 grad F = (f_1'(x_1), ..., f_n'(x_n)) and the ambient Hessian of F is
 diagonal, so every geometric quantity here reduces to the 2-jets of the f_k
 and is exact up to rounding.  Every jet comes from one `expr.eval_jets`
-walk per coordinate over all the points at hand, or over the values of a
-mesh's grid axis; the gates read them as they are, curvature scaled.
+walk per coordinate over all the points at hand; the gates read them as
+they are, curvature scaled.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .errors import (
     interval,
 )
 from .expr import Function1D, eval_jets
-from .jets import Jet2
 
 REGULARITY_EPS = 1e-8      # lower bound for both ||grad F|| and |f'_height|
 ON_SURFACE_RTOL = 1e-12    # |g| tolerance relative to max(1, sum |f_k|)
@@ -269,28 +268,14 @@ def _table(coords: np.ndarray, d1: np.ndarray, d2: np.ndarray, jet_errors: dict)
     return JetTable(d1, d2, sq_norm, tuple(errors))
 
 
-def _columns(funcs: Sequence[Function1D], columns: Sequence[tuple[np.ndarray, np.ndarray | None]]):
-    """Each function's jets over its column, one array walk each, as P x m
-    arrays of values, f' and f'', and each point's first failure in column
-    order.
-
-    A column is (values, index): the P points' coordinates are
-    values[index], or `values` itself when index is None.  The walk covers
-    `values` alone and the points gather their jets and failures from it, so
-    a grid axis is walked once per axis value, not once per node.
-    """
+def _columns(funcs: Sequence[Function1D], columns: Iterable[np.ndarray]):
+    """Each function's jets over its column of P points, one array walk
+    each, as P x m arrays of values, f' and f'', and each point's first
+    failure in column order."""
     channels, failed = [], []
-    for f, (values, index) in zip(funcs, columns):
-        jet, errors = eval_jets(f, values)
-        if index is None:
-            channels.append((jet.v, jet.d1, jet.d2))
-        else:
-            channels.append((jet.v[index], jet.d1[index], jet.d2[index]))
-            # the nodes on a failed axis value share its failure
-            bad = np.zeros(len(values), dtype=bool)
-            bad[list(errors)] = True
-            nodes = np.flatnonzero(bad[index])
-            errors = dict(zip(nodes.tolist(), map(errors.__getitem__, index[nodes].tolist())))
+    for f, column in zip(funcs, columns):
+        jet, errors = eval_jets(f, column)
+        channels.append((jet.v, jet.d1, jet.d2))
         failed.append(errors)
     errors = {p: exc for errs in reversed(failed) for p, exc in errs.items()}
     return (*np.array(channels).transpose(1, 2, 0), errors)
@@ -324,7 +309,7 @@ def jet_table(surface: SeparableSurface, points: Sequence[SurfacePoint]) -> JetT
 
 def _coords_table(surface: SeparableSurface, coords: np.ndarray) -> JetTable:
     """`jet_table` of the points at the rows of a (P, n) float array."""
-    return _table(coords, *_columns(surface.funcs, [(c, None) for c in coords.T])[1:])
+    return _table(coords, *_columns(surface.funcs, coords.T)[1:])
 
 
 def point_jets(
@@ -363,9 +348,8 @@ class _Lift(NamedTuple):
 
 def _lift(
     surface: SeparableSurface,
-    partials: np.ndarray | Sequence[Sequence[float]] | None,
+    partials: np.ndarray | Sequence[Sequence[float]],
     bracket: tuple[float, float],
-    axes: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> _Lift:
     """Solve every partial's height, table the jets the solve evaluated (the
     other coordinates' at its start, the height's at the root) and gate the
@@ -374,30 +358,21 @@ def _lift(
     `partials` is a (P, n - 1) float array, one row of non-height
     coordinates per point (anything `np.array` turns into one, P = 0
     included); another shape is a `ValueError`.  The bracket is read with
-    `errors.interval`.  A grid of partials comes instead as `axes`, with
-    `partials` None: one (values, index) pair per non-height coordinate,
-    the partials' column being values[index].  Each non-height f_k is then
-    walked once per grid value (`_columns`), and otherwise once per partial.
+    `errors.interval`.  Each non-height f_k is walked once over its column
+    of partials (`_columns`).
 
     Per partial, the solve is Newton's method on g(t) = f_h(t) + the sum of
     the other f_k, with a bisection step whenever Newton would leave the
     sign-change bracket or stall, until |g| meets the scale-relative
-    on-surface tolerance.  The partials step together: one walk of f_h over
-    both bracket ends serves every partial, the lo end settling before the
-    hi end; one walk at the midpoint serves every first Newton step; and
-    each later step walks f_h once over the partials still unsolved.  A
-    partial leaves when it is accepted or fails, so its root, jets and
-    failure text are its own solve's.  The solve runs under one numpy error
-    state, and writes failures, roots and collapses only for set masks.
-    Only the failure texts are part of
-    the contract: the partials that fail at one bracket end or at the
-    midpoint share one exception object, and so do the grid nodes on one
-    failed axis value.  A bracket miss keeps its numbers, and its
-    `BracketError` formats the text only when read.
+    on-surface tolerance.  The partials step together: f_h is walked once
+    over the partials still unsolved at each bracket end (the lo end
+    settling before the hi end) and at each Newton step.  A partial leaves
+    when it is accepted or fails, so its root, jets and failure are its own
+    solve's.  The solve runs under one numpy error state, and writes
+    failures, roots and collapses only for set masks.  A bracket miss keeps
+    its numbers, and its `BracketError` formats the text only when read.
     """
     n, h0 = surface.n, surface.height - 1
-    if axes is not None:
-        partials = np.column_stack([values[index] for values, index in axes])
     try:
         given = np.array(partials, dtype=float)
     except ValueError as exc:   # ragged rows
@@ -409,7 +384,7 @@ def _lift(
     lo, hi = interval(bracket, "bracket")
     fh = surface.funcs[h0]
     others = [f for k, f in enumerate(surface.funcs) if k != h0]
-    values, d1, d2, failures = _columns(others, axes or [(column, None) for column in given.T])
+    values, d1, d2, failures = _columns(others, given.T)
     dlo, dhi = fh.domain
     if not (dlo < lo and hi < dhi):   # every partial fails, before its jets are read
         message = f"bracket ({lo!r}, {hi!r}) not inside height domain ({dlo!r}, {dhi!r})"
@@ -441,19 +416,12 @@ def _lift(
             root[:, active[done]] = t[done], np.abs(g[done]), jet.d1[done], jet.d2[done]
         return g, tol, going
 
-    def broadcast(jets, errs, k):
-        """Value k of a walk of f_h: its jet and failure, shared by every
-        active partial."""
-        jet = Jet2(*(np.full(active.size, c[k]) for c in (jets.v, jets.d1, jets.d2)))
-        return jet, dict.fromkeys(range(active.size), errs[k]) if k in errs else {}
-
     with np.errstate(all="ignore"):
-        # the bracket ends, where a partial may be accepted as well: one walk
-        # of f_h over (lo, hi)
-        ends = eval_jets(fh, np.array([lo, hi]))
+        # the bracket ends, where a partial may be accepted as well
         g_end = np.zeros((2, len(given)))
         for k, end in enumerate((lo, hi)):
-            g, _, going = step(np.full(active.size, end), *broadcast(*ends, k))
+            t = np.full(active.size, end)
+            g, _, going = step(t, *eval_jets(fh, t))
             g_end[k, active] = g
             active, sums = active[going], sums.compress(going, axis=1)
         glo, ghi = g_end[:, active]
@@ -468,11 +436,10 @@ def _lift(
         t = np.full(active.size, 0.5 * (lo + hi))
         step_prev = np.full(active.size, abs(hi - lo))
         gx = np.full(active.size, math.inf)
-        for it in range(MAX_SOLVE_ITERATIONS):
+        for _ in range(MAX_SOLVE_ITERATIONS):
             if not active.size:
                 break
-            # every partial starts at the midpoint, so the first step walks it once
-            jet, errors = broadcast(*eval_jets(fh, t[:1]), 0) if it == 0 else eval_jets(fh, t)
+            jet, errors = eval_jets(fh, t)
             g, tol, going = step(t, jet, errors)
             a, b = np.where(g < 0.0, t, a), np.where(g < 0.0, b, t)
             lo_c, hi_c = np.where(a < b, a, b), np.where(a < b, b, a)

@@ -8,44 +8,38 @@ rounding; no step size and no truncation error are ever involved.
 Channels are floats, or float64 arrays of many points' jets (`expr.eval_jets`
 walks an expression with them; `expr.eval_jet2` is its one-point case).  The
 same formulas serve both: numpy rounds + - * / per element as Python does,
-and `_each` calls the `math` function per element, so an element carries the
-float jet's bits.  Only floats raise on a bad element; an array holds nan
-there, or inf after a division by zero, and never raises.
+and exp, log, sin, cos and powers take numpy's kernel (`_each`) at a float as
+at an array, so an element carries the float jet's bits wherever it sits.
+Only floats raise on a bad element, with the `math` function's text; an array
+holds nan or inf there and never raises.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 Number = int | float
 Channel = float | np.ndarray
-_RAISES = (ValueError, OverflowError)
+# the `math` function of each kernel, whose error a float raises
+_MATH = {np.exp: math.exp, np.log: math.log, np.sin: math.sin, np.cos: math.cos,
+         np.power: math.pow}
 
 
-def _each(fn, x: Channel, *args: float) -> Channel:
-    """The `math` function fn at a float, or at each element of an array,
-    where an element that raises reads nan.  An array's elements go through
-    `map` into `np.fromiter`: the same Python floats reach the same function
-    as one call per element would pass, so every element keeps its bits."""
-    if not isinstance(x, np.ndarray):
-        return fn(x, *args)
-    elements = (x.ravel().tolist(), *map(repeat, args))
-    try:
-        return np.fromiter(map(fn, *elements), float, x.size).reshape(x.shape)
-    except _RAISES:   # rare, so only then is each element guarded
-        pass
-
-    def guarded(*element: float) -> float:
-        try:
-            return fn(*element)
-        except _RAISES:
-            return math.nan
-
-    return np.fromiter(map(guarded, *elements), float, x.size).reshape(x.shape)
+def _each(kernel: np.ufunc, x: Channel, *args: float) -> Channel:
+    """numpy's `kernel` at each element of an array, or at a float.  A float
+    whose value is not finite also goes to the `math` function, which raises
+    there where it would (exp overflowing, sin of inf, 0^-1); otherwise the
+    kernel's value stands, so a float keeps an array element's bits."""
+    if isinstance(x, np.ndarray):
+        return kernel(x, *args)
+    with np.errstate(all="ignore"):
+        v = float(kernel(x, *args))
+    if not math.isfinite(v):
+        _MATH[kernel](x, *args)
+    return v
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,21 +78,21 @@ class Jet2:
         return Jet2(v, d * self.d1, dd * self.d1 * self.d1 + d * self.d2)
 
     def exp(self) -> "Jet2":
-        e = _each(math.exp, self.v)
+        e = _each(np.exp, self.v)
         return self._compose(e, e, e)
 
     def log(self) -> "Jet2":
         if not isinstance(self.v, np.ndarray) and self.v <= 0.0:
             raise ValueError(f"log of non-positive value {self.v!r}")
         inv = 1.0 / self.v
-        return self._compose(_each(math.log, self.v), inv, -inv * inv)
+        return self._compose(_each(np.log, self.v), inv, -inv * inv)
 
     def sin(self) -> "Jet2":
-        s, c = _each(math.sin, self.v), _each(math.cos, self.v)
+        s, c = _each(np.sin, self.v), _each(np.cos, self.v)
         return self._compose(s, c, -s)
 
     def cos(self) -> "Jet2":
-        s, c = _each(math.sin, self.v), _each(math.cos, self.v)
+        s, c = _each(np.sin, self.v), _each(np.cos, self.v)
         return self._compose(c, -s, -c)
 
     def power(self, exponent: Number) -> "Jet2":
@@ -107,9 +101,7 @@ class Jet2:
         Integer exponents are valid for any base (zero base still needs a
         non-negative exponent); fractional exponents require a strictly
         positive base, since jets are real-valued.  An array marks such a
-        base nan itself, because `math.pow` of zero does not raise.  At
-        exponent 2, f' and f'' skip `math.pow`, as its pow(x, 1.0) is x and
-        pow(x, 0.0) is 1.0 for every x, nan included; f keeps it.
+        base nan itself, because numpy's power of zero is finite.
         """
         e = float(exponent)
         x = self.v
@@ -120,11 +112,9 @@ class Jet2:
                 raise ValueError(
                     f"non-integer exponent {e!r} requires a positive base, got {x!r}"
                 )
-        v = _each(math.pow, x, e)
-        if e == 2.0:
-            return self._compose(v, 2.0 * x, 2.0)
-        d = e * _each(math.pow, x, e - 1.0) if e != 0.0 else 0.0
-        dd = e * (e - 1.0) * _each(math.pow, x, e - 2.0) if e not in (0.0, 1.0) else 0.0
+        v = _each(np.power, x, e)
+        d = e * _each(np.power, x, e - 1.0) if e != 0.0 else 0.0
+        dd = e * (e - 1.0) * _each(np.power, x, e - 2.0) if e not in (0.0, 1.0) else 0.0
         return self._compose(v, d, dd)
 
     def is_finite(self):

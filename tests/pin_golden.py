@@ -2,7 +2,7 @@
 
 Runs the command line in-process and writes to tests/golden.json the
 sha256 of each output below, beside the Python, numpy and C library
-versions that produced them:
+versions and the CPU targets of numpy's jet kernels that produced them:
 
 - the JSON and CSV scan bodies (past the `#` line) of every `specs/*.json`,
   at the default `--threads` and at `--threads 3`;
@@ -82,12 +82,27 @@ EDGE_SPECS = {
 }
 
 
+def _kernel_targets() -> str:
+    """The CPU target numpy dispatches each float64 jet kernel to (exp, log,
+    sin, cos, power), or "unknown" before numpy 2.0."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return "unknown"
+    names = ("exp", "log", "sin", "cos", "power")
+    info = opt_func_info(func_name=f"^({'|'.join(names)})$", signature="^float64")
+    return ", ".join(f"{name} {target['current']}"
+                     for name in names for target in info.get(name, {}).values())
+
+
 def platform_info() -> dict[str, str]:
-    """What output bytes may depend on: libm's exp, log and pow, numpy's
-    generators and kernels, and the interpreter's float formatting."""
+    """What output bytes may depend on: numpy's jet kernels and the CPU
+    target it dispatches them to, numpy's generators and other kernels, libm
+    (the families' constants) and the interpreter's float formatting."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "numpy kernels": _kernel_targets(),
         "libc": " ".join(platform.libc_ver()).strip() or "unknown",
     }
 

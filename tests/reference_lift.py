@@ -1,12 +1,15 @@
 """Reference oracle for the array jet walk and the batched height lift.
 
 This is the scalar code the package used before its jets and its lift
-became array evaluations, kept here unchanged in substance: `ScalarJet`
-(the float-only `Jet2`), `reference_jet2` (the recursive one-point AST
-walk), `reference_root` (the one-partial Newton/bisection solve) and
-`reference_lift` (one solve per partial, the rows stacked into a
-`JetTable` and gated once).  Tests require the package's array code to
-match it bit for bit and error text for error text.
+became array evaluations: `ScalarJet` (the float-only `Jet2`),
+`reference_jet2` (the recursive one-point AST walk), `reference_root` (the
+one-partial Newton/bisection solve) and `reference_lift` (one solve per
+partial, the rows stacked into a `JetTable` and gated once).  It is kept
+unchanged in substance but for one thing: `ScalarJet` takes exp, log, sin,
+cos and powers from numpy's kernel at one float, as the array jets do, and
+calls the `math` function only to raise its error.  Tests require the
+package's array code to match it bit for bit and error text for error
+text.
 
 Its sums follow their own overflow rule, written here apart from the
 package's: `exact_sum` reads a sum of finite terms past the float range as
@@ -31,6 +34,16 @@ from sepcurv.errors import (
 )
 from sepcurv.expr import BinOp, Call, Const, Neg, Pow, Var, to_source
 from sepcurv.geometry import JetTable, SurfacePoint
+
+
+def _kernel(ufunc, fn, x: float, *args: float) -> float:
+    """numpy's `ufunc` at one float; where its value is not finite, the
+    `math` function `fn` runs too, to raise where it raises."""
+    with np.errstate(all="ignore"):
+        v = float(ufunc(x, *args))
+    if not math.isfinite(v):
+        fn(x, *args)
+    return v
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,21 +80,21 @@ class ScalarJet:
         return ScalarJet(v, d * self.d1, dd * self.d1 * self.d1 + d * self.d2)
 
     def exp(self):
-        e = math.exp(self.v)
+        e = _kernel(np.exp, math.exp, self.v)
         return self._compose(e, e, e)
 
     def log(self):
         if self.v <= 0.0:
             raise ValueError(f"log of non-positive value {self.v!r}")
         inv = 1.0 / self.v
-        return self._compose(math.log(self.v), inv, -inv * inv)
+        return self._compose(_kernel(np.log, math.log, self.v), inv, -inv * inv)
 
     def sin(self):
-        s, c = math.sin(self.v), math.cos(self.v)
+        s, c = _kernel(np.sin, math.sin, self.v), _kernel(np.cos, math.cos, self.v)
         return self._compose(s, c, -s)
 
     def cos(self):
-        s, c = math.sin(self.v), math.cos(self.v)
+        s, c = _kernel(np.sin, math.sin, self.v), _kernel(np.cos, math.cos, self.v)
         return self._compose(c, -s, -c)
 
     def power(self, exponent):
@@ -91,9 +104,9 @@ class ScalarJet:
             raise ValueError(
                 f"non-integer exponent {e!r} requires a positive base, got {x!r}"
             )
-        v = math.pow(x, e)
-        d = e * math.pow(x, e - 1.0) if e != 0.0 else 0.0
-        dd = e * (e - 1.0) * math.pow(x, e - 2.0) if e not in (0.0, 1.0) else 0.0
+        v = _kernel(np.power, math.pow, x, e)
+        d = e * _kernel(np.power, math.pow, x, e - 1.0) if e != 0.0 else 0.0
+        dd = e * (e - 1.0) * _kernel(np.power, math.pow, x, e - 2.0) if e not in (0.0, 1.0) else 0.0
         return self._compose(v, d, dd)
 
     def is_finite(self):

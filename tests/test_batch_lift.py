@@ -78,6 +78,10 @@ def test_walk_is_chunk_invariant(source, domain, sample):
     xs = corpus_points(sample, domain)
     one_by_one = [walk_points(f, [x])[0] for x in xs]
     assert_same(walk_points(f, xs), one_by_one)
+    # every point reads the same after 1 to 9 others, which moves it against
+    # the kernels' vector lanes
+    for shift in range(1, 10):
+        assert_same(walk_points(f, xs[-shift:] + xs)[shift:], one_by_one)
     for x, want in zip(xs, one_by_one):
         if isinstance(want, str):
             with pytest.raises(Exception) as info:
@@ -110,7 +114,8 @@ EDGES = [
      "DomainError: x = 0.0 outside open domain (0.0, inf)"),
     ("log(x)", (0.0, 3.0), [1.0, 3.0, 2.0],
      "DomainError: x = 3.0 outside open domain (0.0, 3.0)"),
-    # math.pow of a zero base does not raise, so the array power marks it
+    # numpy's and math's powers of a zero base are finite, so the power
+    # marks it
     ("x^2.5", (-INF, INF), [2.0, 0.0, 0.5],
      "NonFiniteError: evaluating 'x^2.5' at x = 0.0: non-integer exponent 2.5 "
      "requires a positive base, got 0.0"),
@@ -183,9 +188,9 @@ def test_an_inner_overflow_fails_its_point_among_finite_neighbours(src, bad):
 
 
 def test_a_node_whose_test_overflows_fails_no_point():
-    # every channel of x^2 at 1e103 is finite, but the node's one-number
-    # test, sum(f * f' * f''), overflows: the per-point search runs and
-    # finds nothing
+    # every channel of x^2 at 1e103 is finite, but the node's elementwise
+    # test, f * f' * f'', overflows: the per-point search runs and finds
+    # nothing
     f = parse_function("x^2")
     xs = [1e103, -0.5, -1e103]
     assert math.isinf(1e206 * 2e103 * 2.0)

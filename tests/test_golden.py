@@ -4,9 +4,10 @@ Regenerates every digest `pin_golden.py` pins (scan bodies of the shipped
 specs, certify and eval stdout, the sphere3 mesh files, the benchmark
 workloads' fingerprints) and names each output whose digest differs.  On
 the platform that pinned them a moved digest fails the test.  On another
-platform (Python, numpy or C library version) libm and numpy may round
-differently, so a moved digest there is an expected failure whose reason
-names the moved outputs and both platforms; unmoved digests pass anywhere.
+platform (Python, numpy or C library version, or another CPU target of
+numpy's jet kernels) numpy and libm may round differently, so a moved
+digest there is an expected failure whose reason names the moved outputs
+and both platforms; unmoved digests pass anywhere.
 """
 
 import json

@@ -1,4 +1,5 @@
-"""Repository hygiene: README's Python examples run, no module imports a
+"""Repository hygiene: README's Python examples run and print what their
+comments say, no module imports a
 name it never uses, the value parsers and the engines sit below the family
 catalogue in the import graph, and every public name (each module's
 top-level names and its classes' methods) has a caller or a reader outside
@@ -6,6 +7,7 @@ the tests."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,11 +27,26 @@ def test_readme_has_python_examples():
     assert len(_readme_python_blocks()) >= 3
 
 
+# a line `print(...)   # <text>` says that it prints exactly <text>
+_PRINT_COMMENT = re.compile(r"^print\(.*\)\s+# (.*)$")
+
+
 @pytest.mark.parametrize("index", range(len(_readme_python_blocks())))
 def test_readme_python_block_runs(tmp_path, monkeypatch, index):
     monkeypatch.chdir(tmp_path)
     source = _readme_python_blocks()[index]
-    exec(compile(source, f"README.md python block {index}", "exec"), {"__name__": "__readme__"})
+    printed = {}
+
+    def record(*args):
+        # each print's text by its line in the block
+        printed[sys._getframe(1).f_lineno] = " ".join(map(str, args))
+
+    exec(compile(source, f"README.md python block {index}", "exec"),
+         {"__name__": "__readme__", "print": record})
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        match = _PRINT_COMMENT.match(line)
+        if match:
+            assert printed.get(lineno) == match.group(1), line
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -84,14 +84,13 @@ def test_sample_and_scan_walks_each_function_once_per_lift_step(monkeypatch):
     # the n - 1 column walks over every draw, in coordinate order ...
     columns = [(f, size) for f, size, _ in calls[:n - 1]]
     assert columns == [(f, count) for f in surface.funcs if f is not fh]
-    # ... then one walk of f_h per lift step: one two-point walk over both
-    # bracket ends, one one-point walk at the midpoint every partial starts
-    # from, and each later step over the partials still unsolved (no draw
-    # here settles at a bracket end)
+    # ... then one walk of f_h per lift step over the partials still
+    # unsolved: the lo bracket end, the hi end and each Newton step (no draw
+    # here settles at a bracket end or misses the bracket)
     steps = [size for f, size, _ in calls[n - 1:]]
     assert all(f is fh for f, _, _ in calls[n - 1:])
-    assert steps[:2] == [2, 1] and len(steps) > 2 and steps[2] <= count
-    assert steps[2:] == sorted(steps[2:], reverse=True) and steps[-1] >= 1
+    assert steps[:3] == [count] * 3 and len(steps) > 3
+    assert steps == sorted(steps, reverse=True) and steps[-1] >= 1
 
 
 def test_suite_control_row_makes_no_second_walk(monkeypatch):

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sepcurv.jets as jet_module
 from sepcurv import Jet2
 from sepcurv.jets import _each
+
+from lifts import bits
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 jets = st.builds(Jet2, finite, finite, finite)
@@ -180,7 +181,7 @@ def test_division_by_zero_value_raises():
         Jet2(1.0) / Jet2(0.0, 1.0)
 
 
-def test_array_elements_read_nan_where_floats_raise():
+def test_array_elements_read_non_finite_where_floats_raise():
     # log of a non-positive value, an overflowing exp, a fractional power of
     # a non-positive base and 0^-1; the other elements keep the float bits
     xs = [2.0, 0.0, -1.0, 800.0]
@@ -196,7 +197,7 @@ def test_array_elements_read_nan_where_floats_raise():
             got = op(arr)
         for p, x in enumerate(xs):
             if p in bad:
-                assert math.isnan(got.v[p])
+                assert not math.isfinite(got.v[p])
                 with pytest.raises((ValueError, OverflowError)):
                     op(Jet2(x, 1.0))
             else:
@@ -211,30 +212,18 @@ def test_is_finite():
 
 
 # ------------------------------------------------------- the array kernel
-
-def _per_element(fn, xs: np.ndarray, *args: float) -> np.ndarray:
-    """fn at each element in a plain loop, nan where it raises."""
-    out = []
-    for x in xs.tolist():
-        try:
-            out.append(fn(x, *args))
-        except (ValueError, OverflowError):
-            out.append(math.nan)
-    return np.array(out, dtype=float)
+#
+# A point's jet must not depend on the other points in its array: each
+# element takes numpy's kernel, whose bits must not depend on where the
+# element sits or on whether it comes alone, as a float.
 
 
-def _frompyfunc_each(fn, x, *args):
-    """The array kernel as `np.frompyfunc` runs it, the reference for `_each`."""
-    if not isinstance(x, np.ndarray):
-        return fn(x, *args)
-
-    def guarded(*element):
-        try:
-            return fn(*element)
-        except (ValueError, OverflowError):
-            return math.nan
-
-    return np.frompyfunc(guarded, 1 + len(args), 1)(x, *args).astype(float)
+def _float_each(kernel, x: float, *args: float):
+    """`_each` at one float: its value, or the text of the error it raises."""
+    try:
+        return _each(kernel, x, *args)
+    except (ValueError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 # 3,000 values over [-800, 800] with elements where exp overflows, log and
@@ -252,22 +241,34 @@ KERNEL_INPUTS = {
     "3000": _MIXED,
 }
 KERNEL_FUNCTIONS = {
-    "exp": (math.exp, ()),
-    "log": (math.log, ()),
-    "sin": (math.sin, ()),
-    "cos": (math.cos, ()),
-    "pow 2.5": (math.pow, (2.5,)),
-    "pow -1": (math.pow, (-1.0,)),
-    "pow 3": (math.pow, (3.0,)),
+    "exp": (np.exp, math.exp, ()),
+    "log": (np.log, math.log, ()),
+    "sin": (np.sin, math.sin, ()),
+    "cos": (np.cos, math.cos, ()),
+    "pow 2.5": (np.power, math.pow, (2.5,)),
+    "pow -1": (np.power, math.pow, (-1.0,)),
+    "pow 3": (np.power, math.pow, (3.0,)),
 }
 
 
 @pytest.mark.parametrize("xs", KERNEL_INPUTS.values(), ids=KERNEL_INPUTS)
-@pytest.mark.parametrize("fn, args", KERNEL_FUNCTIONS.values(), ids=KERNEL_FUNCTIONS)
-def test_each_matches_a_per_element_math_loop(fn, args, xs):
-    got = _each(fn, xs, *args)
+@pytest.mark.parametrize("kernel, fn, args", KERNEL_FUNCTIONS.values(), ids=KERNEL_FUNCTIONS)
+def test_each_matches_a_per_element_math_loop(kernel, fn, args, xs):
+    # an array element is finite where `math` returns a finite value; a
+    # float takes the element's bits there, and raises `math`'s error
+    # where `math` raises
+    with np.errstate(all="ignore"):
+        got = _each(kernel, xs, *args)
     assert got.dtype == np.float64 and got.shape == xs.shape
-    assert got.tobytes() == _per_element(fn, xs, *args).tobytes()
+    for x, element in zip(xs.tolist(), got.tolist()):
+        try:
+            want = fn(x, *args)
+        except (ValueError, OverflowError) as exc:
+            assert not math.isfinite(element)
+            assert _float_each(kernel, x, *args) == f"{type(exc).__name__}: {exc}"
+        else:
+            assert math.isfinite(element) == math.isfinite(want)
+            assert bits(_float_each(kernel, x, *args)) == bits(element)
 
 
 JET_METHODS = {
@@ -283,16 +284,25 @@ JET_METHODS = {
 
 
 @pytest.mark.parametrize("method", JET_METHODS.values(), ids=JET_METHODS)
-def test_jet_methods_keep_their_bits_through_the_map_kernel(monkeypatch, method):
+def test_jet_methods_keep_their_bits_through_the_map_kernel(method):
+    # each element of an array jet reads the bits of the float jet of that
+    # element where that jet is finite, and is not finite where the float jet
+    # raises or is not finite (a nan's sign bit may follow which operand
+    # numpy's loop or the interpreter puts first)
     rng = np.random.default_rng(7)
     v = _MIXED[rng.permutation(_MIXED.size)]
     jet = Jet2(v, rng.uniform(-3.0, 3.0, v.size), rng.uniform(-3.0, 3.0, v.size))
     with np.errstate(all="ignore"):
         got = method(jet)
-        monkeypatch.setattr(jet_module, "_each", _frompyfunc_each)
-        want = method(jet)
-    for a, b in zip(channels(got), channels(want)):
-        assert a.tobytes() == b.tobytes()
+    for p, element in enumerate(zip(*(c.tolist() for c in (jet.v, jet.d1, jet.d2)))):
+        try:
+            want = channels(method(Jet2(*element)))
+        except (ValueError, OverflowError):
+            want = (math.nan,)
+        if all(map(math.isfinite, want)):
+            assert bits([c[p] for c in channels(got)]) == bits(want)
+        else:
+            assert not got.is_finite()[p]
 
 
 # ±0, subnormals, values whose square overflows or underflows, ±inf and nan
@@ -300,29 +310,88 @@ SQUARE_INPUTS = [0.0, -0.0, 5e-324, -5e-324, 1e-160, 1e200, -1e200, 1e154,
                  math.inf, -math.inf, math.nan, 1.5, -3.0, 0.1]
 
 
-def _general_power(jet: Jet2, e: float) -> Jet2:
-    """`Jet2.power`'s general formula with every channel through the
-    `np.frompyfunc(math.pow)` reference."""
-    v = _frompyfunc_each(math.pow, jet.v, e)
-    d = e * _frompyfunc_each(math.pow, jet.v, e - 1.0)
-    dd = e * (e - 1.0) * _frompyfunc_each(math.pow, jet.v, e - 2.0)
-    return jet._compose(v, d, dd)
-
-
 def test_square_keeps_the_bits_of_the_general_power():
+    # the general power at exponent 2 reads (x^2, 2x, 2) in every channel:
+    # numpy's power(x, 1.0) is x and power(x, 0.0) is 1.0 for every x, nan
+    # included
     rng = np.random.default_rng(11)
     d1, d2 = rng.uniform(-3.0, 3.0, (2, len(SQUARE_INPUTS)))
     jet = Jet2(np.array(SQUARE_INPUTS), d1, d2)
     with np.errstate(all="ignore"):
-        got, want = jet.power(2.0), _general_power(jet, 2.0)
+        got, want = jet.power(2.0), jet._compose(np.power(jet.v, 2.0), 2.0 * jet.v, 2.0)
+        assert bits(np.power(jet.v, 1.0)) == bits(jet.v)
+        assert bits(np.power(jet.v, 0.0)) == bits(np.ones(len(SQUARE_INPUTS)))
     for a, b in zip(channels(got), channels(want)):
         assert a.tobytes() == b.tobytes()
-    for x, a, b in zip(SQUARE_INPUTS, d1.tolist(), d2.tolist()):
-        one = Jet2(x, a, b)
+    for p, (x, a, b) in enumerate(zip(SQUARE_INPUTS, d1.tolist(), d2.tolist())):
         try:
-            want = _general_power(one, 2.0)
+            one = channels(Jet2(x, a, b).power(2.0))
         except OverflowError:
-            with pytest.raises(OverflowError):
-                one.power(2.0)
+            assert not math.isfinite(got.v[p])
             continue
-        assert np.array(channels(one.power(2.0))).tobytes() == np.array(channels(want)).tobytes()
+        assert bits(one) == bits([c[p] for c in channels(want)])
+
+
+# the edges of each kernel: ±0, subnormals, the smallest normal, ±inf, nan,
+# where exp overflows and underflows to zero, and where x^2 and x^-2 leave
+# the float range
+KERNEL_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, math.inf, -math.inf,
+    math.nan, 709.782712893384, 709.7827128933841, 710.0, -745.1332191019411,
+    -745.1332191019412, -708.3964185322641, 1.3407807929942596e154, 1.3407807929942597e154,
+    1.34e154, -1.34e154, 7.458340731200207e-155, 1.7976931348623157e308, -1.0, 1.0, 0.5,
+]
+# the kernels the jets take, with the exponents of integer, negative and
+# fractional powers
+POSITION_KERNELS = {
+    "exp": (np.exp, ()),
+    "log": (np.log, ()),
+    "sin": (np.sin, ()),
+    "cos": (np.cos, ()),
+    "power 2": (np.power, (2.0,)),
+    "power 3": (np.power, (3.0,)),
+    "power -1": (np.power, (-1.0,)),
+    "power -2": (np.power, (-2.0,)),
+    "power 0.5": (np.power, (0.5,)),
+    "power 2.5": (np.power, (2.5,)),
+    "power -1.5": (np.power, (-1.5,)),
+}
+
+
+@st.composite
+def placed_arrays(draw):
+    """(base, offset, stride, length): a float array of a few thousand
+    elements at most, mixing every scale with the kernel edges, and a view
+    of `length` elements from `offset` every `stride`."""
+    length = draw(st.integers(1, 1000))
+    offset, stride = draw(st.integers(0, 17)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = offset + (length - 1) * stride + 1 + draw(st.integers(0, 9))
+    scale = 10.0 ** rng.uniform(-320.0, 308.0, size)
+    base = np.where(rng.random(size) < 0.5, rng.uniform(-800.0, 800.0, size),
+                    np.copysign(scale, rng.uniform(-1.0, 1.0, size)))
+    edges = rng.random(size) < 0.2
+    base[edges] = rng.choice(KERNEL_EDGES, int(edges.sum()))
+    return base, offset, stride, length
+
+
+@pytest.mark.parametrize("kernel, args", POSITION_KERNELS.values(), ids=POSITION_KERNELS)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(placed_arrays())
+def test_kernel_bits_do_not_depend_on_position(kernel, args, case):
+    base, offset, stride, length = case
+    view = base[offset:offset + (length - 1) * stride + 1:stride]
+    with np.errstate(all="ignore"):
+        whole = kernel(base, *args)[offset::stride][:length]
+        strided = kernel(view, *args)
+        offset_view = kernel(base[offset:], *args)[::stride][:length]
+        copied = kernel(view.copy(), *args)
+        alone = [kernel(view[p:p + 1], *args) for p in range(length)]
+    for got in (strided, offset_view, copied, np.concatenate(alone)):
+        assert got.tobytes() == whole.tobytes()
+    for x, element in zip(view.tolist(), whole.tolist()):
+        one = _float_each(kernel, x, *args)
+        if isinstance(one, str):
+            assert not math.isfinite(element)
+        else:
+            assert bits(one) == bits(element)

@@ -272,7 +272,7 @@ def test_mesh_evaluates_lifted_jets_once(monkeypatch):
     assert calls == []
 
 
-def test_mesh_walks_each_non_height_function_once_per_grid_value(monkeypatch):
+def test_mesh_walks_each_non_height_function_once_over_every_node(monkeypatch):
     calls, real = [], geometry.eval_jets
 
     def spy(f, xs):
@@ -284,15 +284,15 @@ def test_mesh_walks_each_non_height_function_once_per_grid_value(monkeypatch):
     mesh = build_mesh(s, MIXED_RANGES, (12, 9), MIXED_BRACKET)
     assert mesh.dropped and len(mesh.vertices)
     f1, f2, fh = s.funcs
-    # f_1 over the 12 values of its grid axis and f_2 over the 9 of its own ...
-    assert calls[:2] == [(f1, 12), (f2, 9)]
-    # ... then f_h alone: one two-point walk over both bracket ends, one
-    # one-point walk at the midpoint every node starts from, and each later
-    # step over the nodes still unsolved
+    # f_1 and f_2 over every node ...
+    assert calls[:2] == [(f1, 12 * 9), (f2, 12 * 9)]
+    # ... then f_h alone, once per lift step over the nodes still unsolved:
+    # the lo bracket end, the hi end and each Newton step; the nodes that
+    # f_1 or f_2 failed are never walked
     steps = [size for f, size in calls[2:]]
     assert all(f is fh for f, _ in calls[2:])
-    assert steps[:2] == [2, 1] and len(steps) > 2 and steps[2] < 12 * 9
-    assert steps[2:] == sorted(steps[2:], reverse=True)
+    assert steps[0] < 12 * 9 and len(steps) > 3
+    assert steps == sorted(steps, reverse=True)
 
 
 # name -> (surface, ranges, grid, bracket, {node: start of its failure text})
@@ -360,9 +360,8 @@ def test_mesh_lift_and_files_match_per_node_references(monkeypatch, tmp_path, ca
             write(str(got), mesh)
             reference(str(ref), want)
             assert got.read_bytes() == ref.read_bytes()
-    [((_, given, _, axes), lift)] = lifts
-    assert given is None and [len(values) for values, _ in axes] == list(grid)   # walked per axis
-    partials = np.column_stack([values[index] for values, index in axes])
+    [((_, partials, _), lift)] = lifts
+    assert partials.shape == (grid[0] * grid[1], 2)   # one row per node, row-major
     assert_lift_matches_reference(lift, surface, partials.tolist(), bracket)
     for node, text in expected.items():
         assert describe(lift.failures[node]).startswith(text), node
